@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 from . import trace as tr
-from .counters import CounterParams, bits_required, fits_dep, fits_free, maxbound_of
+from .counters import CounterParams, bits_required, fits_free, maxbound_of
 from .errors import ConfigError
 from .oracle import OracleDivergence, Replayer
 

@@ -158,11 +158,6 @@ def fits_free(residue: int, region: int, params: CounterParams) -> bool:
     return lift_free(residue, region, params) % params.maxbound == residue
 
 
-def fits_dep(residue: int, region: int, params: CounterParams) -> bool:
-    """True when some value congruent to ``residue`` lies in the dependent window."""
-    return lift_dep(residue, region, params) % params.maxbound == residue
-
-
 def bits_required(maxinc: int, max_r: int) -> int:
     """Bits needed to store one residue: ceil(log2(maxbound))."""
     return (maxbound_of(maxinc, max_r) - 1).bit_length()

@@ -24,9 +24,6 @@ from .transform import Cell
 KINDS = ("overwrite_free", "overwrite_dep", "insert_dep", "delete_dep",
          "scramble_var", "overwrite_msg", "delete_msg")
 
-# kinds whose target is resolved only at firing time
-_DYNAMIC = {"overwrite_dep", "delete_dep", "overwrite_msg", "delete_msg"}
-
 
 @dataclass(frozen=True)
 class FaultEntry:

@@ -7,6 +7,13 @@ then exactly one process activation chosen by a seeded shuffled round-robin.
 The acting process evaluates its guards on lifted integers and executes the
 first enabled action, or self-loops.
 
+The counter-free machinery (messages, inboxes, cell expiry, arrivals, budget
+refill and message-horizon drop, the context API) comes from :mod:`.sim`.
+This module adds the residue side: :class:`BoundedCtx` lifts on read and
+range-checks on write, and :class:`Kernel` draws the randomness, moves the
+clocks, re-anchors residues on region change, injects faults and records
+every effect in the trace.
+
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the
 unbounded reference replay never touches the generator.
@@ -29,6 +36,7 @@ from .regions import (
     region_change_events,
     region_of,
 )
+from .sim import Ctx, Msg, MsgView, Sim
 from .transform import (
     Cell,
     ProcState,
@@ -87,238 +95,78 @@ class RunConfig:
                         f"lifetime {self.lifetime_regions}")
 
 
-class Msg:
-    __slots__ = ("mid", "src", "dst", "kind", "cells", "vars", "send_step",
-                 "send_region_local", "send_region_global",
-                 "arrival_step", "drop_step")
+class BoundedCtx(Ctx):
+    """Context over residue state: lifts on read, range-checks on write."""
 
-    def __init__(self, mid, src, dst, kind, cells, vars, send_step,
-                 send_region_local, send_region_global, arrival_step, drop_step):
-        self.mid = mid
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.cells = cells
-        self.vars = vars
-        self.send_step = send_step
-        self.send_region_local = send_region_local
-        self.send_region_global = send_region_global
-        self.arrival_step = arrival_step
-        self.drop_step = drop_step
-
-    def to_row(self) -> list:
-        return [self.mid, self.src, self.dst, self.kind,
-                dict(sorted(self.cells.items())), self.vars, self.send_step,
-                self.send_region_local, self.send_region_global,
-                self.arrival_step, self.drop_step]
-
-
-class MsgView:
-    """Read-only message payload with counter fields lifted for the reader."""
-
-    __slots__ = ("mid", "src", "kind", "_cells", "_vars")
-
-    def __init__(self, mid, src, kind, cells, vars):
-        self.mid = mid
-        self.src = src
-        self.kind = kind
-        self._cells = cells
-        self._vars = vars
-
-    def has_cell(self, fld: str) -> bool:
-        return fld in self._cells
-
-    def cell(self, fld: str) -> int:
-        return self._cells[fld]
-
-    def cell_fields(self) -> list[str]:
-        return sorted(self._cells)
-
-    def var(self, name: str):
-        return self._vars[name]
-
-
-class PeekView:
-    """Read-only view of another process, counters lifted at its region."""
-
-    __slots__ = ("_kern", "_proc")
-
-    def __init__(self, kern, proc):
-        self._kern = kern
-        self._proc = proc
-
-    def has_free(self, name: str) -> bool:
-        return name in self._proc.free
-
-    def free(self, name: str) -> int:
-        fam = self._kern.free_fams[name]
-        return lift_free(self._proc.free[name], self._proc.region, fam)
-
-    def cells(self, coll: str) -> list[tuple]:
-        fam = self._kern.coll_fams[coll]
-        r = self._proc.region
-        store = self._proc.colls[coll]
-        return [(cid, lift_dep(store[cid].value, r, fam), store[cid].tag,
-                 r - store[cid].created_local)
-                for cid in sorted(store)]
-
-    def var(self, name: str):
-        return self._proc.vars[name]
-
-
-class BoundedCtx:
-    """Action-facing API over residue state: lifts on read, checks on write,
-    and records every effect in the trace."""
-
-    __slots__ = ("kern", "proc", "step", "d", "u1", "u2")
-
-    def __init__(self, kern, proc, step, d, u1, u2):
-        self.kern = kern
-        self.proc = proc
-        self.step = step
-        self.d = d
-        self.u1 = u1
-        self.u2 = u2
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
-    @property
-    def n(self) -> int:
-        return self.kern.prog.n
-
-    @property
-    def region(self) -> int:
-        return self.proc.region
-
-    @property
-    def neighbors(self) -> tuple:
-        return self.kern.prog.neighbors[self.proc.pid]
-
-    def has_free(self, name: str) -> bool:
-        return name in self.proc.free
+    __slots__ = ()
 
     def free(self, name: str) -> int:
         return lift_free(self.proc.free[name], self.proc.region,
-                         self.kern.free_fams[name])
+                         self.sim.free_fams[name])
 
     def set_free(self, name: str, value: int) -> None:
-        fam = self.kern.free_fams[name]
+        fam = self.sim.free_fams[name]
         if value < self.free(name):
             raise ProtocolBug(
                 f"step {self.step}: pid {self.pid} writes free counter "
                 f"{name!r} down from {self.free(name)} to {value}")
         res, lifted, corrected = write_free(value, self.proc.region, fam)
         self.proc.free[name] = res
-        self.kern.record(tr.EV_WFREE, pid=self.pid, name=name, residue=res,
-                         lifted=lifted, corrected=corrected)
-
-    def can_spend(self, amount: int) -> bool:
-        return self.kern.budgets[self.kern.prog.budget_family] >= amount
+        self.sim.emit(tr.EV_WFREE, pid=self.pid, name=name, residue=res,
+                      lifted=lifted, corrected=corrected)
 
     def spend(self, amount: int) -> None:
-        fam = self.kern.prog.budget_family
-        self.kern.budgets[fam] -= amount
-        if self.kern.budgets[fam] < 0:
+        fam = self.sim.prog.budget_family
+        self.sim.budgets[fam] -= amount
+        if self.sim.budgets[fam] < 0:
             raise KernelInvariantError(
                 f"step {self.step}: family {fam!r} spent past its per-region "
                 f"growth budget")
-        self.kern.record(tr.EV_SPEND, family=fam, amount=amount)
+        self.sim.emit(tr.EV_SPEND, family=fam, amount=amount)
 
     def cells(self, coll: str) -> list[tuple]:
         """Live cells as (cid, value, tag, age) with age in owner regions."""
-        fam = self.kern.coll_fams[coll]
+        fam = self.sim.coll_fams[coll]
         r = self.proc.region
         store = self.proc.colls[coll]
         return [(cid, lift_dep(store[cid].value, r, fam), store[cid].tag,
                  r - store[cid].created_local)
                 for cid in sorted(store)]
 
-    def cell_count(self, coll: str) -> int:
-        return len(self.proc.colls[coll])
-
     def create_cell(self, coll: str, value: int, tag=None) -> int:
         if coll not in self.proc.colls:
             raise ProtocolBug(f"undeclared collection {coll!r}")
-        fam = self.kern.coll_fams[coll]
+        fam = self.sim.coll_fams[coll]
         res, lifted, corrected = write_dep(value, self.proc.region, fam)
-        cid = self.kern.next_cid
-        self.kern.next_cid += 1
+        cid = self.sim.next_cid
+        self.sim.next_cid += 1
         tag = tr.canon(tag)
         self.proc.colls[coll][cid] = Cell(res, self.proc.region,
-                                          self.kern.g_region, tag)
-        self.kern.record(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
-                         residue=res, lifted=lifted,
-                         created_local=self.proc.region,
-                         created_global=self.kern.g_region,
-                         tag=tag, corrected=corrected)
+                                          self.sim.g_region, tag)
+        self.sim.emit(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
+                      residue=res, lifted=lifted,
+                      created_local=self.proc.region,
+                      created_global=self.sim.g_region,
+                      tag=tag, corrected=corrected)
         return cid
-
-    def remove_cell(self, coll: str, cid: int) -> None:
-        del self.proc.colls[coll][cid]
-        self.kern.record(tr.EV_DREMOVE, pid=self.pid, coll=coll, cid=cid,
-                         reason="stmt")
-
-    def var(self, name: str):
-        return self.proc.vars[name]
-
-    def set_var(self, name: str, value) -> None:
-        value = tr.canon(value)
-        self.proc.vars[name] = value
-        self.kern.record(tr.EV_VAR, pid=self.pid, name=name, value=value)
-
-    def first_msg(self, kind: str) -> Optional[MsgView]:
-        inbox = self.kern.inboxes[self.pid]
-        for mid in sorted(inbox):
-            msg = inbox[mid]
-            if msg.kind == kind:
-                return self._view(msg)
-        return None
 
     def _view(self, msg: Msg) -> MsgView:
         r = self.proc.region
-        lifted = {fld: lift_dep(res, r, self.kern.msg_fams[msg.kind][fld])
+        lifted = {fld: lift_dep(res, r, self.sim.msg_fams[msg.kind][fld])
                   for fld, res in msg.cells.items()}
         return MsgView(msg.mid, msg.src, msg.kind, lifted, msg.vars)
 
-    def consume(self, mid: int) -> None:
-        del self.kern.inboxes[self.pid][mid]
-        self.kern.record(tr.EV_CONSUME, mid=mid, pid=self.pid)
 
-    def send(self, dst: int, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        self.kern.send_from(self, dst, kind, cells, vars or {})
-
-    def broadcast(self, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        for dst in self.neighbors:
-            self.kern.send_from(self, dst, kind, cells, vars or {})
-
-    def peek(self, pid: int) -> PeekView:
-        return PeekView(self.kern, self.kern.procs[pid])
-
-    def mark(self, kind: str, data=None) -> None:
-        self.kern.record(tr.EV_MARK, mark_kind=kind, pid=self.pid,
-                         data=tr.canon(data))
-
-
-class Kernel:
+class Kernel(Sim):
     def __init__(self, cfg: RunConfig, seed: int):
         cfg.validate()
+        super().__init__(cfg.prog)
         self.cfg = cfg
-        self.prog = cfg.prog
         self.seed = seed
         self.rng = random.Random(seed)
         self.rp = RegionParams(rs=cfg.rs, start_region=cfg.start_region)
 
         prog = self.prog
-        self.free_fams = {name: prog.families[fam]
-                          for name, fam in prog.free_cells.items()}
-        self.coll_fams = {coll: prog.families[decl.family]
-                          for coll, decl in prog.colls.items()}
-        self.msg_fams = {kind: {fld: prog.families[fam]
-                                for fld, fam in decl.cell_fields.items()}
-                         for kind, decl in prog.msgs.items()}
-
         self.clocks = ClockState.at_region_start(prog.n, self.rp)
         self.g_region = cfg.start_region
         self.next_cid = 0
@@ -376,7 +224,7 @@ class Kernel:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def record(self, kind: str, **payload) -> None:
+    def emit(self, kind: str, **payload) -> None:
         self.trace.events.append(
             (self.step, kind)
             + tuple(payload[name] for name in tr._EVENT_FIELDS[kind]))
@@ -434,25 +282,13 @@ class Kernel:
         msg = Msg(mid, ctx.pid, dst, kind, res_cells, vars, self.step,
                   ctx.region, self.g_region, arrival, drop)
         self.in_flight[mid] = msg
-        self.record(tr.EV_SEND, mid=mid, src=ctx.pid, dst=dst, msg_kind=kind,
-                    cells=res_cells, vars=vars,
-                    send_region_local=ctx.region,
-                    send_region_global=self.g_region,
-                    arrival_step=arrival, drop_step=drop)
+        self.emit(tr.EV_SEND, mid=mid, src=ctx.pid, dst=dst, msg_kind=kind,
+                  cells=res_cells, vars=vars,
+                  send_region_local=ctx.region,
+                  send_region_global=self.g_region,
+                  arrival_step=arrival, drop_step=drop)
 
     # -- per-step phases ---------------------------------------------------
-
-    def _expire_cells(self, proc: ProcState) -> None:
-        for coll, decl in self.prog.colls.items():
-            if decl.expiry is None:
-                continue
-            store = proc.colls[coll]
-            stale = [cid for cid in sorted(store)
-                     if proc.region - store[cid].created_local > decl.expiry]
-            for cid in stale:
-                del store[cid]
-                self.record(tr.EV_DREMOVE, pid=proc.pid, coll=coll, cid=cid,
-                            reason="expired")
 
     def _advance_clocks(self) -> None:
         before = self.clocks
@@ -460,36 +296,20 @@ class Kernel:
                                      self.rng)
         regions = self._regions()
         new_g = region_of(self.clocks.t, self.rp)
-        self.record(tr.EV_CLOCK, t=self.clocks.t, g_region=new_g,
-                    locals=tuple(self.clocks.local), regions=tuple(regions))
+        self.emit(tr.EV_CLOCK, t=self.clocks.t, g_region=new_g,
+                  locals=tuple(self.clocks.local), regions=tuple(regions))
         for pid, new_r in region_change_events(before, self.clocks, self.rp):
             proc = self.procs[pid]
             changes = region_shift(proc, new_r, self.free_fams, self.coll_fams)
-            self.record(tr.EV_RC, pid=pid, new_region=new_r,
-                        changes=tuple(changes))
+            self.emit(tr.EV_RC, pid=pid, new_region=new_r,
+                      changes=tuple(changes))
             self._expire_cells(proc)
         if new_g != self.g_region:
             self.g_region = new_g
             self._on_global_region()
 
     def _on_global_region(self) -> None:
-        # Refill one increment short when a process still lags the new
-        # global region: a leader may then draw on two consecutive refills
-        # before the laggard's window catches up, and the window top leaves
-        # room for exactly 2*maxinc - 1 of growth above the leader's floor.
-        lag = any(p.region < self.g_region for p in self.procs)
-        for fam, params in self.prog.families.items():
-            self.budgets[fam] = params.maxinc - 1 if lag else params.maxinc
-        horizon = self.g_region - self.cfg.lifetime_regions
-        for mid in sorted(self.in_flight):
-            if self.in_flight[mid].send_region_global < horizon:
-                del self.in_flight[mid]
-                self.record(tr.EV_DROP, mid=mid, reason="expired")
-        for box in self.inboxes:
-            for mid in sorted(box):
-                if box[mid].send_region_global < horizon:
-                    del box[mid]
-                    self.record(tr.EV_DROP, mid=mid, reason="expired")
+        self._refill_and_drop(self.cfg.lifetime_regions)
         for entry in self.cfg.faults:
             if entry.when_kind == "region" and entry.when == self.g_region:
                 self._apply_fault(entry)
@@ -499,21 +319,9 @@ class Kernel:
     def _apply_fault(self, entry) -> None:
         applied, detail = entry.apply(self)
         detail["g_region"] = self.g_region
-        self.record(tr.EV_FAULT, fault_kind=entry.kind, pid=entry.pid,
-                    target=tr.canon(entry.target), detail=tr.canon(detail),
-                    applied=applied)
-
-    def _arrivals(self) -> None:
-        due = [mid for mid in sorted(self.in_flight)
-               if (self.in_flight[mid].arrival_step == self.step
-                   or self.in_flight[mid].drop_step == self.step)]
-        for mid in due:
-            msg = self.in_flight.pop(mid)
-            if msg.drop_step == self.step:
-                self.record(tr.EV_DROP, mid=mid, reason="lost")
-            else:
-                self.inboxes[msg.dst][mid] = msg
-                self.record(tr.EV_ARRIVE, mid=mid)
+        self.emit(tr.EV_FAULT, fault_kind=entry.kind, pid=entry.pid,
+                  target=tr.canon(entry.target), detail=tr.canon(detail),
+                  applied=applied)
 
     def _act(self) -> None:
         if self.step % self.prog.n == 0:

@@ -8,6 +8,14 @@ computes what the unbounded program would have written and requires the
 bounded trace to agree modulo the family modulus (and, for lifted fields,
 exactly). The first disagreement raises :class:`OracleDivergence`.
 
+The network, inboxes, cell expiry, budget refill, message-horizon drop and
+context API are the kernel's own, from :mod:`.sim`; the replayer's ``emit``
+checks each effect instead of recording it. The counter algebra stays
+independent of the kernel's: plain integers in :class:`OracleCtx`, its own
+region raise (:meth:`Replayer._apply_rc`) in place of ``region_shift``, and
+residues taken with ``% maxbound`` for the comparison. Lifts are used only to
+load the starting snapshot.
+
 Replaying from the initial snapshot checks that a fault-free bounded run is
 the unbounded run reduced pointwise. Replaying a suffix from a later
 snapshot, lifted back to integers, is the convergence check: after faults
@@ -17,12 +25,11 @@ unbounded dynamics started from the lifted state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import trace as tr
 from .counters import lift_dep, lift_free
 from .errors import ProtocolBug
-from .transform import choose_action
+from .sim import Ctx, Msg, MsgView, Sim
+from .transform import Cell, ProcState, choose_action
 
 
 class OracleDivergence(Exception):
@@ -32,118 +39,10 @@ class OracleDivergence(Exception):
         super().__init__(f"step {step}: {detail}")
 
 
-class OCell:
-    __slots__ = ("value", "created_local", "created_global", "tag")
+class OracleCtx(Ctx):
+    """Context over plain-integer state: no windows, checks or reductions."""
 
-    def __init__(self, value, created_local, created_global, tag):
-        self.value = value
-        self.created_local = created_local
-        self.created_global = created_global
-        self.tag = tag
-
-
-class OProc:
-    __slots__ = ("pid", "region", "free", "colls", "vars")
-
-    def __init__(self, pid, region):
-        self.pid = pid
-        self.region = region
-        self.free: dict[str, int] = {}
-        self.colls: dict[str, dict[int, OCell]] = {}
-        self.vars: dict = {}
-
-
-class OMsg:
-    __slots__ = ("mid", "src", "dst", "kind", "cells", "vars", "send_step",
-                 "send_region_local", "send_region_global",
-                 "arrival_step", "drop_step")
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields):
-            setattr(self, name, value)
-
-
-class OMsgView:
-    __slots__ = ("mid", "src", "kind", "_cells", "_vars")
-
-    def __init__(self, msg: OMsg):
-        self.mid = msg.mid
-        self.src = msg.src
-        self.kind = msg.kind
-        self._cells = msg.cells
-        self._vars = msg.vars
-
-    def has_cell(self, fld: str) -> bool:
-        return fld in self._cells
-
-    def cell(self, fld: str) -> int:
-        return self._cells[fld]
-
-    def cell_fields(self) -> list[str]:
-        return sorted(self._cells)
-
-    def var(self, name: str):
-        return self._vars[name]
-
-
-class OPeekView:
-    __slots__ = ("_proc",)
-
-    def __init__(self, proc: OProc):
-        self._proc = proc
-
-    def has_free(self, name: str) -> bool:
-        return name in self._proc.free
-
-    def free(self, name: str) -> int:
-        return self._proc.free[name]
-
-    def cells(self, coll: str) -> list[tuple]:
-        r = self._proc.region
-        store = self._proc.colls[coll]
-        return [(cid, store[cid].value, store[cid].tag,
-                 r - store[cid].created_local)
-                for cid in sorted(store)]
-
-    def var(self, name: str):
-        return self._proc.vars[name]
-
-
-class OracleCtx:
-    """Same action-facing API as the kernel context, over unbounded state.
-
-    Every effect is forwarded to the replayer, which checks it against the
-    next recorded trace event.
-    """
-
-    __slots__ = ("rep", "proc", "step", "d", "u1", "u2")
-
-    def __init__(self, rep, proc, step, d, u1, u2):
-        self.rep = rep
-        self.proc = proc
-        self.step = step
-        self.d = d
-        self.u1 = u1
-        self.u2 = u2
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
-    @property
-    def n(self) -> int:
-        return self.rep.prog.n
-
-    @property
-    def region(self) -> int:
-        return self.proc.region
-
-    @property
-    def neighbors(self) -> tuple:
-        return self.rep.prog.neighbors[self.proc.pid]
-
-    def has_free(self, name: str) -> bool:
-        return name in self.proc.free
+    __slots__ = ()
 
     def free(self, name: str) -> int:
         return self.proc.free[name]
@@ -154,17 +53,14 @@ class OracleCtx:
                 f"step {self.step}: pid {self.pid} writes free counter "
                 f"{name!r} down from {self.proc.free[name]} to {value}")
         self.proc.free[name] = value
-        m = self.rep.free_fams[name].maxbound
-        self.rep.expect(tr.EV_WFREE, pid=self.pid, name=name,
-                        residue=value % m, lifted=value, corrected=False)
-
-    def can_spend(self, amount: int) -> bool:
-        return self.rep.budgets[self.rep.prog.budget_family] >= amount
+        m = self.sim.free_fams[name].maxbound
+        self.sim.emit(tr.EV_WFREE, pid=self.pid, name=name,
+                      residue=value % m, lifted=value, corrected=False)
 
     def spend(self, amount: int) -> None:
-        fam = self.rep.prog.budget_family
-        self.rep.budgets[fam] -= amount
-        self.rep.expect(tr.EV_SPEND, family=fam, amount=amount)
+        fam = self.sim.prog.budget_family
+        self.sim.budgets[fam] -= amount
+        self.sim.emit(tr.EV_SPEND, family=fam, amount=amount)
 
     def cells(self, coll: str) -> list[tuple]:
         r = self.proc.region
@@ -173,76 +69,31 @@ class OracleCtx:
                  r - store[cid].created_local)
                 for cid in sorted(store)]
 
-    def cell_count(self, coll: str) -> int:
-        return len(self.proc.colls[coll])
-
     def create_cell(self, coll: str, value: int, tag=None) -> int:
-        rep = self.rep
+        rep = self.sim
         cid = rep.next_cid
         rep.next_cid += 1
         tag = tr.canon(tag)
-        self.proc.colls[coll][cid] = OCell(value, self.proc.region,
-                                           rep.g_region, tag)
+        self.proc.colls[coll][cid] = Cell(value, self.proc.region,
+                                          rep.g_region, tag)
         m = rep.coll_fams[coll].maxbound
-        rep.expect(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
-                   residue=value % m, lifted=value,
-                   created_local=self.proc.region,
-                   created_global=rep.g_region, tag=tag, corrected=False)
+        rep.emit(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
+                 residue=value % m, lifted=value,
+                 created_local=self.proc.region,
+                 created_global=rep.g_region, tag=tag, corrected=False)
         return cid
 
-    def remove_cell(self, coll: str, cid: int) -> None:
-        del self.proc.colls[coll][cid]
-        self.rep.expect(tr.EV_DREMOVE, pid=self.pid, coll=coll, cid=cid,
-                        reason="stmt")
-
-    def var(self, name: str):
-        return self.proc.vars[name]
-
-    def set_var(self, name: str, value) -> None:
-        value = tr.canon(value)
-        self.proc.vars[name] = value
-        self.rep.expect(tr.EV_VAR, pid=self.pid, name=name, value=value)
-
-    def first_msg(self, kind: str) -> Optional[OMsgView]:
-        inbox = self.rep.inboxes[self.pid]
-        for mid in sorted(inbox):
-            if inbox[mid].kind == kind:
-                return OMsgView(inbox[mid])
-        return None
-
-    def consume(self, mid: int) -> None:
-        del self.rep.inboxes[self.pid][mid]
-        self.rep.expect(tr.EV_CONSUME, mid=mid, pid=self.pid)
-
-    def send(self, dst: int, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        self.rep.send_from(self, dst, kind, cells, vars or {})
-
-    def broadcast(self, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        for dst in self.neighbors:
-            self.rep.send_from(self, dst, kind, cells, vars or {})
-
-    def peek(self, pid: int) -> OPeekView:
-        return OPeekView(self.rep.procs[pid])
-
-    def mark(self, kind: str, data=None) -> None:
-        self.rep.expect(tr.EV_MARK, mark_kind=kind, pid=self.pid,
-                        data=tr.canon(data))
+    def _view(self, msg: Msg) -> MsgView:
+        return MsgView(msg.mid, msg.src, msg.kind, msg.cells, msg.vars)
 
 
-class Replayer:
+class Replayer(Sim):
     def __init__(self, prog, trace: tr.Trace, start_step: int = 0):
         if start_step not in trace.snapshots:
             raise ValueError(f"trace has no snapshot at step {start_step}")
-        self.prog = prog
+        super().__init__(prog)
         self.trace = trace
         self.start_step = start_step
-        self.free_fams = {name: prog.families[fam]
-                          for name, fam in prog.free_cells.items()}
-        self.coll_fams = {coll: prog.families[decl.family]
-                          for coll, decl in prog.colls.items()}
-        self.msg_fams = {kind: {fld: prog.families[fam]
-                                for fld, fam in decl.cell_fields.items()}
-                         for kind, decl in prog.msgs.items()}
         self.sptu = trace.meta["sptu"]
         self.rs = trace.meta["rs"]
         self._load(trace.snapshots[start_step])
@@ -260,7 +111,7 @@ class Replayer:
         self.next_cid = snap["next_cid"]
         self.procs = []
         for pid, pstate in enumerate(snap["procs"]):
-            proc = OProc(pid, self.regions[pid])
+            proc = ProcState(pid, self.regions[pid])
             for name, res in pstate["free"].items():
                 proc.free[name] = lift_free(res, proc.region,
                                             self.free_fams[name])
@@ -269,28 +120,28 @@ class Replayer:
             for coll, rows in pstate["colls"].items():
                 fam = self.coll_fams[coll]
                 for cid, res, c_local, c_global, tag in rows:
-                    proc.colls[coll][cid] = OCell(
+                    proc.colls[coll][cid] = Cell(
                         lift_dep(res, proc.region, fam), c_local, c_global, tag)
             proc.vars = dict(pstate["vars"])
             self.procs.append(proc)
-        self.in_flight: dict[int, OMsg] = {}
+        self.in_flight: dict[int, Msg] = {}
         for row in snap["in_flight"]:
             msg = self._load_msg(row)
             self.in_flight[msg.mid] = msg
-        self.inboxes: list[dict[int, OMsg]] = [{} for _ in range(self.prog.n)]
+        self.inboxes: list[dict[int, Msg]] = [{} for _ in range(self.prog.n)]
         for pid, rows in enumerate(snap["inboxes"]):
             for row in rows:
                 msg = self._load_msg(row)
                 self.inboxes[pid][msg.mid] = msg
 
-    def _load_msg(self, row: list) -> OMsg:
+    def _load_msg(self, row: list) -> Msg:
         (mid, src, dst, kind, cells, vars, send_step, srl, srg,
          arrival, drop) = row
         fams = self.msg_fams[kind]
         lifted = {fld: lift_dep(res, self.regions[dst], fams[fld])
                   for fld, res in cells.items()}
-        return OMsg(mid, src, dst, kind, lifted, vars, send_step, srl, srg,
-                    arrival, drop)
+        return Msg(mid, src, dst, kind, lifted, vars, send_step, srl, srg,
+                   arrival, drop)
 
     # -- trace comparison --------------------------------------------------
 
@@ -305,7 +156,7 @@ class Replayer:
         self._cursor += 1
         return ev
 
-    def expect(self, kind: str, **payload) -> None:
+    def emit(self, kind: str, **payload) -> None:
         expected = (self.step, kind) + tuple(
             payload[name] for name in tr._EVENT_FIELDS[kind])
         got = self._next()
@@ -332,23 +183,11 @@ class Replayer:
         if (arrival is None) == (drop is None):
             self._fail(f"send event {got!r} must set exactly one of "
                        "arrival_step and drop_step")
-        msg = OMsg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
-                   ctx.region, self.g_region, arrival, drop)
+        msg = Msg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
+                  ctx.region, self.g_region, arrival, drop)
         self.in_flight[mid] = msg
 
     # -- phases ------------------------------------------------------------
-
-    def _expire_cells(self, proc: OProc) -> None:
-        for coll, decl in self.prog.colls.items():
-            if decl.expiry is None:
-                continue
-            store = proc.colls[coll]
-            stale = [cid for cid in sorted(store)
-                     if proc.region - store[cid].created_local > decl.expiry]
-            for cid in stale:
-                del store[cid]
-                self.expect(tr.EV_DREMOVE, pid=proc.pid, coll=coll, cid=cid,
-                            reason="expired")
 
     def _phase_clock(self) -> None:
         if not (self.step and self.step % self.sptu == 0):
@@ -368,7 +207,7 @@ class Replayer:
                 self._apply_rc(pid, self.regions[pid])
         if g_region != self.g_region:
             self.g_region = g_region
-            self._on_global_region()
+            self._refill_and_drop(self.trace.meta["lifetime_regions"])
 
     def _apply_rc(self, pid: int, new_r: int) -> None:
         proc = self.procs[pid]
@@ -382,38 +221,9 @@ class Replayer:
                 changes.append(("free", None, name, old % m, new % m, new, False))
             proc.free[name] = new
         proc.region = new_r
-        self.expect(tr.EV_RC, pid=pid, new_region=new_r,
-                    changes=tuple(changes))
+        self.emit(tr.EV_RC, pid=pid, new_region=new_r,
+                  changes=tuple(changes))
         self._expire_cells(proc)
-
-    def _on_global_region(self) -> None:
-        # mirrors the kernel's lag-aware refill: one short while anyone
-        # still sits below the new global region
-        lag = any(p.region < self.g_region for p in self.procs)
-        for fam, params in self.prog.families.items():
-            self.budgets[fam] = params.maxinc - 1 if lag else params.maxinc
-        horizon = self.g_region - self.trace.meta["lifetime_regions"]
-        for mid in sorted(self.in_flight):
-            if self.in_flight[mid].send_region_global < horizon:
-                del self.in_flight[mid]
-                self.expect(tr.EV_DROP, mid=mid, reason="expired")
-        for box in self.inboxes:
-            for mid in sorted(box):
-                if box[mid].send_region_global < horizon:
-                    del box[mid]
-                    self.expect(tr.EV_DROP, mid=mid, reason="expired")
-
-    def _phase_arrivals(self) -> None:
-        due = [mid for mid in sorted(self.in_flight)
-               if (self.in_flight[mid].arrival_step == self.step
-                   or self.in_flight[mid].drop_step == self.step)]
-        for mid in due:
-            msg = self.in_flight.pop(mid)
-            if msg.drop_step == self.step:
-                self.expect(tr.EV_DROP, mid=mid, reason="lost")
-            else:
-                self.inboxes[msg.dst][mid] = msg
-                self.expect(tr.EV_ARRIVE, mid=mid)
 
     def _phase_act(self, row: tuple) -> None:
         _, pid, idx, name, d, u1, u2 = row
@@ -465,17 +275,13 @@ class Replayer:
             if rows != self._msg_rows(self.inboxes[pid]):
                 self._fail(f"pid {pid}: inbox differs from reference")
 
-    def _msg_rows(self, store: dict[int, OMsg]) -> list:
+    def _msg_rows(self, store: dict[int, Msg]) -> list:
         out = []
         for mid in sorted(store):
-            msg = store[mid]
-            fams = self.msg_fams[msg.kind]
-            cells = {fld: msg.cells[fld] % fams[fld].maxbound
-                     for fld in sorted(msg.cells)}
-            out.append([msg.mid, msg.src, msg.dst, msg.kind, cells, msg.vars,
-                        msg.send_step, msg.send_region_local,
-                        msg.send_region_global, msg.arrival_step,
-                        msg.drop_step])
+            row = store[mid].to_row()
+            fams = self.msg_fams[row[3]]
+            row[4] = {fld: v % fams[fld].maxbound for fld, v in row[4].items()}
+            out.append(row)
         return out
 
     def run(self) -> int:
@@ -502,7 +308,7 @@ class Replayer:
                 if ev[1] == tr.EV_FAULT:
                     self._fail("fault injection inside the replayed segment")
             self._phase_clock()
-            self._phase_arrivals()
+            self._arrivals()
             self._phase_act(row)
             if self._cursor != len(self._bucket):
                 self._fail(f"bounded trace records extra event "

@@ -25,14 +25,12 @@ class CollDecl:
     ``dep`` declares how stale a value may be at cell creation (r_b) and how
     many regions the cell may then live (r_f). ``expiry`` is the automatic
     removal age in owner regions; the kernel removes older cells before every
-    activation of the owner. ``tag_domain`` lists legal tags so the fault
-    injector can forge plausible spurious cells (None means untagged).
+    activation of the owner.
     """
 
     family: str
     dep: DepSpec
     expiry: Optional[int]
-    tag_domain: Optional[tuple] = None
 
 
 @dataclass(frozen=True)

@@ -279,17 +279,12 @@ def build(info: BuildInfo) -> ProtocolDef:
         free_cells={"nseq": "nextseq"},
         colls={
             "pend": CollDecl("pending", DepSpec(pend_r_b, pend_r_f),
-                             pend_expiry, tag_domain=("own",)),
+                             pend_expiry),
             "votes": CollDecl("pending", DepSpec(pend_r_b, pend_r_f),
-                              pend_expiry,
-                              tag_domain=tuple((p, ph) for p in pids
-                                               for ph in ("p", "a"))),
-            "prom": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry,
-                             tag_domain=pids),
-            "acc": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry,
-                            tag_domain=pids),
-            "cand": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), pend_expiry,
-                             tag_domain=pids),
+                              pend_expiry),
+            "prom": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry),
+            "acc": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry),
+            "cand": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), pend_expiry),
         },
         msgs={
             "PREPARE": MsgDecl(cell_fields={"bseq": "pending"}),

@@ -138,10 +138,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"seq": "wave"},
         colls={
-            "wave": CollDecl("wave", DepSpec(r_b, r_f), expiry,
-                             tag_domain=("root", *range(info.n))),
-            "acks": CollDecl("wave", DepSpec(r_b, r_f), expiry,
-                             tag_domain=tuple(range(info.n))),
+            "wave": CollDecl("wave", DepSpec(r_b, r_f), expiry),
+            "acks": CollDecl("wave", DepSpec(r_b, r_f), expiry),
         },
         msgs={
             "WAVE": MsgDecl(cell_fields={"wseq": "wave"}),

@@ -169,10 +169,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"clk": "clk"},
         colls={
-            "req": CollDecl("clk", DepSpec(r_b, r_f), expiry,
-                            tag_domain=("own",)),
-            "grants": CollDecl("clk", DepSpec(r_b, r_f), expiry,
-                               tag_domain=tuple(range(n))),
+            "req": CollDecl("clk", DepSpec(r_b, r_f), expiry),
+            "grants": CollDecl("clk", DepSpec(r_b, r_f), expiry),
         },
         msgs={
             "REQ": MsgDecl(cell_fields={"stamp": "clk"}),

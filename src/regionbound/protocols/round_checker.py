@@ -134,9 +134,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         colls={
             "cr": CollDecl("round", DepSpec(r_b, r_f), expiry),
             "lr": CollDecl("round", DepSpec(r_b, r_f), expiry),
-            "reports": CollDecl("round", DepSpec(r_b, r_f), expiry,
-                                tag_domain=tuple((p, ok) for p in range(info.n)
-                                                 for ok in (False, True))),
+            "reports": CollDecl("round", DepSpec(r_b, r_f), expiry),
         },
         msgs={
             "ROUND": MsgDecl(cell_fields={"rnd": "round"}),

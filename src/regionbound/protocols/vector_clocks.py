@@ -92,9 +92,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         n=n,
         families=dict(info.families),
         free_cells={"own": "vc"},
-        colls={"view": CollDecl("vc", DepSpec(r_b, r_f), expiry,
-                                tag_domain=tuple((p, a) for p in range(n)
-                                                 for a in (lt2, lt2 + 1)))},
+        colls={"view": CollDecl("vc", DepSpec(r_b, r_f), expiry)},
         msgs={"VIEW": MsgDecl(cell_fields=fields)},
         actions=[
             ActionSpec("receive", g_recv, b_recv),

@@ -114,13 +114,13 @@ def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
                          "value", "tag", "age"))
     entry = faults.FaultEntry(
         when_kind=_require(raw, where, "when_kind"),
-        when=_require(raw, where, "when"),
+        when=_int_field(raw, where, "when", 0),
         kind=_require(raw, where, "kind"),
         target=_require(raw, where, "target"),
-        pid=raw.get("pid"),
+        pid=_int_field(raw, where, "pid", 0) if "pid" in raw else None,
         value=raw.get("value"),
         tag=raw.get("tag"),
-        age=raw.get("age", 0))
+        age=_int_field(raw, where, "age", 0) if "age" in raw else 0)
     return entry
 
 
@@ -210,10 +210,12 @@ def parse(doc: dict) -> Scenario:
                     or not all(isinstance(r, int) for r in regions)):
                 raise ConfigError("faults.regions must be a non-empty list "
                                   "of integers")
-            per_family = fault_doc.get("per_family", 1)
+            per_family = (_int_field(fault_doc, "faults", "per_family", 1)
+                          if "per_family" in fault_doc else 1)
+            campaign_seed = (_int_field(fault_doc, "faults", "seed", 0)
+                             if "seed" in fault_doc else seed)
             entries, fstop = faults.make_campaign(
-                prog, fault_regions=tuple(regions),
-                seed=fault_doc.get("seed", seed),
+                prog, fault_regions=tuple(regions), seed=campaign_seed,
                 per_family=per_family)
         elif mode == "list":
             _strict(fault_doc, "faults", ("mode", "entries"))

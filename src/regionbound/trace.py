@@ -73,22 +73,6 @@ class Trace:
     def steps(self) -> int:
         return len(self.rows)
 
-    def events_by_step(self) -> Iterator[tuple[int, list[tuple]]]:
-        """Yield (step, events-of-that-step) for every step, in order.
-
-        Events are already appended in step order, so a single pointer pass
-        suffices; steps without events yield an empty list.
-        """
-        ptr = 0
-        total = len(self.events)
-        for row in self.rows:
-            step = row[0]
-            bucket = []
-            while ptr < total and self.events[ptr][0] == step:
-                bucket.append(self.events[ptr])
-                ptr += 1
-            yield step, bucket
-
     def iter_events(self, kind: str) -> Iterator[tuple]:
         for ev in self.events:
             if ev[1] == kind:
@@ -130,29 +114,37 @@ class Trace:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: not valid JSON: {exc}") from None
-            tag = rec.get("rec")
-            if tag == "meta":
-                meta = rec["data"]
-            elif tag == "row":
-                d = rec["data"]
-                rows.append((d["step"], d["acting"], d["action_idx"],
-                             d["action"], d["d"], d["u1"], d["u2"]))
-            elif tag == "event":
-                d = rec["data"]
-                kind = d["ev"]
-                if kind not in _EVENT_FIELDS:
-                    raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
-                events.append(tuple(
-                    [d["step"], kind]
-                    + [_deep_tuple(d[name]) if (kind, name) in _TUPLE_FIELDS else d[name]
-                       for name in _EVENT_FIELDS[kind]]))
-            elif tag == "snapshot":
-                d = rec["data"]
-                snapshots[d["step"]] = d["state"]
-            elif tag == "summary":
-                summary = rec["data"]
-            else:
-                raise TraceFormatError(f"line {lineno}: unknown record tag {tag!r}")
+            if not isinstance(rec, dict) or not isinstance(rec.get("data"), dict):
+                raise TraceFormatError(
+                    f"line {lineno}: a record must be an object whose 'data' "
+                    "is an object")
+            tag, d = rec.get("rec"), rec["data"]
+            if tag in ("row", "event", "snapshot") and not isinstance(d.get("step"), int):
+                raise TraceFormatError(f"line {lineno}: {tag} record needs an "
+                                       "integer 'step'")
+            try:
+                if tag == "meta":
+                    meta = d
+                elif tag == "row":
+                    rows.append((d["step"], d["acting"], d["action_idx"],
+                                 d["action"], d["d"], d["u1"], d["u2"]))
+                elif tag == "event":
+                    kind = d["ev"]
+                    if not isinstance(kind, str) or kind not in _EVENT_FIELDS:
+                        raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
+                    events.append(tuple(
+                        [d["step"], kind]
+                        + [_deep_tuple(d[name]) if (kind, name) in _TUPLE_FIELDS else d[name]
+                           for name in _EVENT_FIELDS[kind]]))
+                elif tag == "snapshot":
+                    snapshots[d["step"]] = d["state"]
+                elif tag == "summary":
+                    summary = d
+                else:
+                    raise TraceFormatError(f"line {lineno}: unknown record tag {tag!r}")
+            except KeyError as exc:
+                raise TraceFormatError(
+                    f"line {lineno}: {tag} record lacks field {exc}") from None
         if meta is None:
             raise TraceFormatError("trace has no meta record")
         return cls(meta=meta, rows=rows, events=events,

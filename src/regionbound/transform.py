@@ -3,17 +3,20 @@
 The pieces here sit between the raw counter arithmetic and the simulation
 kernel:
 
-* process-local state (:class:`ProcState`, :class:`Cell`),
+* process-local state (:class:`ProcState`, :class:`Cell`), holding residues
+  in the kernel and plain integers in the unbounded reference replay,
 * what happens to every stored residue when a process enters a new region
-  (:func:`region_shift`),
-* deterministic guard evaluation (:func:`choose_action`), and
+  (:func:`region_shift`) and the range check on every write
+  (:func:`write_free`, :func:`write_dep`), both used by the kernel only,
+* deterministic guard evaluation (:func:`choose_action`), shared by both, and
 * static validation of a protocol's counter declarations
   (:func:`wrap_program`).
 
 Guard and statement code never sees residues directly. The kernel hands it a
 context whose accessors lift residues into plain integers on read and push
-writes back through the range check + modulo on write; the same protocol code
-therefore also runs unchanged against an unbounded reference state.
+writes back through the range check + modulo on write; the reference replay
+hands it a context over plain integers with the same API (see :mod:`.sim`),
+so the same protocol code runs unchanged on both.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .counters import (
     CounterParams,
     check_dep,
     check_free,
-    dep_window,
     free_window,
     lift_dep,
     lift_free,

@@ -125,3 +125,50 @@ def test_sweep_to_stdout_and_grid_validation(run_cli, tmp_path):
     code, _, err = run_cli("sweep", "--grid", str(bad))
     assert code == EXIT_CONFIG
     assert "rates" in err
+
+
+@pytest.mark.parametrize("record", [
+    '{"rec":"row","data":[1]}',
+    '[1]',
+    '{"rec":"row","data":{"step":0}}',
+    '{"rec":"event","data":{"step":0,"ev":["arrive"]}}',
+    '{"rec":"snapshot","data":{"step":[0],"state":{}}}',
+])
+def test_malformed_trace_record_is_a_config_error(run_cli, tmp_path, record):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
+    with out.open("a", encoding="utf-8") as fp:
+        fp.write(record + "\n")
+    code, _, err = run_cli("check", "--trace", str(out),
+                           "--scenario", SCENARIOS[0])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("faults,field", [
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": "14",
+                                   "kind": "delete_msg", "target": 0}]},
+     "when"),
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": 14,
+                                   "kind": "insert_dep", "target": "req",
+                                   "pid": "0", "value": 1}]},
+     "pid"),
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": 14,
+                                   "kind": "insert_dep", "target": "req",
+                                   "pid": 0, "value": 1, "age": 0.5}]},
+     "age"),
+    ({"mode": "campaign", "regions": [14], "per_family": "x"}, "per_family"),
+    ({"mode": "campaign", "regions": [14], "seed": [3]}, "seed"),
+])
+def test_malformed_fault_field_is_a_config_error(run_cli, tmp_path, faults,
+                                                 field):
+    doc = json.loads(open(SCENARIOS[1], encoding="utf-8").read())
+    doc["faults"] = faults
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli("run", "--scenario", str(bad),
+                           "--out", str(tmp_path / "t.jsonl"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and f".{field} must be" in err
+    assert "Traceback" not in err

@@ -28,31 +28,29 @@ CAMPAIGNS = {
     "consensus": ([19, 20], 59),
 }
 
-SHIPPED = (
-    "scenarios/logical_clocks_drift.json",
-    "scenarios/mutex_fault_recovery.json",
-    "scenarios/consensus_clean.json",
-    "scenarios/diffusing_ring_faults.json",
-)
+SHIPPED = ("logical_clocks_drift", "mutex_fault_recovery", "consensus_clean",
+           "diffusing_ring_faults")
 
 SEEDS = (7, 2024)
 
+CASES = ([f"{proto}-{variant}" for proto in PROTOCOLS
+          for variant in ("clean", "campaign")] + list(SHIPPED))
 
-def _docs() -> dict:
-    docs = {}
-    for proto in PROTOCOLS:
-        docs[f"{proto}-clean"] = scenario_doc(proto)
+
+def case_doc(name: str) -> dict:
+    """Scenario document of a case: ``<protocol>-clean``,
+    ``<protocol>-campaign`` or a shipped scenario's file stem."""
+    proto, _, variant = name.rpartition("-")
+    if variant == "clean":
+        return scenario_doc(proto)
+    if variant == "campaign":
         regions, run_regions = CAMPAIGNS[proto]
-        docs[f"{proto}-campaign"] = scenario_doc(
+        return scenario_doc(
             proto, run_regions=run_regions,
             faults={"mode": "campaign", "regions": regions, "seed": 5})
-    for path in SHIPPED:
-        with open(path, encoding="utf-8") as fp:
-            docs[path.split("/")[-1][:-len(".json")]] = json.load(fp)
-    return docs
+    with open(f"scenarios/{name}.json", encoding="utf-8") as fp:
+        return json.load(fp)
 
-
-DOCS = _docs()
 
 GOLDEN = {
     "logical_clocks-clean/7":
@@ -138,6 +136,6 @@ def trace_digest(doc: dict, seed: int) -> str:
 
 
 @pytest.mark.parametrize("name,seed",
-                         [(name, seed) for name in DOCS for seed in SEEDS])
+                         [(name, seed) for name in CASES for seed in SEEDS])
 def test_trace_and_verdicts_match_the_golden_digest(name, seed):
-    assert trace_digest(DOCS[name], seed) == GOLDEN[f"{name}/{seed}"]
+    assert trace_digest(case_doc(name), seed) == GOLDEN[f"{name}/{seed}"]
