@@ -128,10 +128,8 @@ class BoundedCtx(Ctx):
         """Live cells as (cid, value, tag, age) with age in owner regions."""
         fam = self.sim.coll_fams[coll]
         r = self.proc.region
-        store = self.proc.colls[coll]
-        return [(cid, lift_dep(store[cid].value, r, fam), store[cid].tag,
-                 r - store[cid].created_local)
-                for cid in sorted(store)]
+        return [(cid, lift_dep(c.value, r, fam), c.tag, r - c.created_local)
+                for cid, c in sorted(self.proc.colls[coll].items())]
 
     def create_cell(self, coll: str, value: int, tag=None) -> int:
         if coll not in self.proc.colls:
@@ -177,6 +175,10 @@ class Kernel(Sim):
         self.budgets = {fam: params.maxinc
                         for fam, params in prog.families.items()}
         self.step = 0
+        self._step_faults: dict[int, list] = {}
+        for entry in cfg.faults:
+            if entry.when_kind == "step":
+                self._step_faults.setdefault(entry.when, []).append(entry)
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
 
@@ -226,8 +228,8 @@ class Kernel(Sim):
 
     def emit(self, kind: str, **payload) -> None:
         self.trace.events.append(
-            (self.step, kind)
-            + tuple(payload[name] for name in tr._EVENT_FIELDS[kind]))
+            (self.step, kind,
+             *map(payload.__getitem__, tr._EVENT_FIELDS[kind])))
 
     def _regions(self) -> list[int]:
         rs = self.rp.rs
@@ -281,7 +283,7 @@ class Kernel(Sim):
         self.next_mid += 1
         msg = Msg(mid, ctx.pid, dst, kind, res_cells, vars, self.step,
                   ctx.region, self.g_region, arrival, drop)
-        self.in_flight[mid] = msg
+        self._put_in_flight(msg)
         self.emit(tr.EV_SEND, mid=mid, src=ctx.pid, dst=dst, msg_kind=kind,
                   cells=res_cells, vars=vars,
                   send_region_local=ctx.region,
@@ -352,9 +354,8 @@ class Kernel(Sim):
                 self._pending_snapshot = None
             if step and step % self.cfg.sptu == 0:
                 self._advance_clocks()
-            for entry in self.cfg.faults:
-                if entry.when_kind == "step" and entry.when == step:
-                    self._apply_fault(entry)
+            for entry in self._step_faults.get(step, ()):
+                self._apply_fault(entry)
             self._arrivals()
             self._act()
         self.step = self.cfg.total_steps

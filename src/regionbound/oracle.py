@@ -64,10 +64,8 @@ class OracleCtx(Ctx):
 
     def cells(self, coll: str) -> list[tuple]:
         r = self.proc.region
-        store = self.proc.colls[coll]
-        return [(cid, store[cid].value, store[cid].tag,
-                 r - store[cid].created_local)
-                for cid in sorted(store)]
+        return [(cid, c.value, c.tag, r - c.created_local)
+                for cid, c in sorted(self.proc.colls[coll].items())]
 
     def create_cell(self, coll: str, value: int, tag=None) -> int:
         rep = self.sim
@@ -126,8 +124,7 @@ class Replayer(Sim):
             self.procs.append(proc)
         self.in_flight: dict[int, Msg] = {}
         for row in snap["in_flight"]:
-            msg = self._load_msg(row)
-            self.in_flight[msg.mid] = msg
+            self._put_in_flight(self._load_msg(row))
         self.inboxes: list[dict[int, Msg]] = [{} for _ in range(self.prog.n)]
         for pid, rows in enumerate(snap["inboxes"]):
             for row in rows:
@@ -157,8 +154,8 @@ class Replayer(Sim):
         return ev
 
     def emit(self, kind: str, **payload) -> None:
-        expected = (self.step, kind) + tuple(
-            payload[name] for name in tr._EVENT_FIELDS[kind])
+        expected = (self.step, kind,
+                    *map(payload.__getitem__, tr._EVENT_FIELDS[kind]))
         got = self._next()
         if got != expected:
             self._fail(f"recorded event {got!r} != reference {expected!r}")
@@ -185,7 +182,7 @@ class Replayer(Sim):
                        "arrival_step and drop_step")
         msg = Msg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
                   ctx.region, self.g_region, arrival, drop)
-        self.in_flight[mid] = msg
+        self._put_in_flight(msg)
 
     # -- phases ------------------------------------------------------------
 
@@ -197,7 +194,7 @@ class Replayer(Sim):
             self._fail(f"expected a clock record, got {got!r}")
         _, _, t, g_region, locals_, regions = got
         if (t != self.t + 1 or t // self.rs != g_region
-                or any(x // self.rs != r for x, r in zip(locals_, regions))
+                or [x // self.rs for x in locals_] != list(regions)
                 or len(locals_) != self.prog.n):
             self._fail(f"clock record {got!r} is internally inconsistent")
         old_regions = self.regions

@@ -96,35 +96,65 @@ def advance_clocks(
     rs = params.rs
     t2 = clocks.t + dt
     gr = t2 // rs
-    n = len(clocks.local)
-    new_local = list(clocks.local)
-    regions = [x // rs for x in clocks.local]
-
-    for j in range(n):
-        if policy.kind == "none":
-            tj = clocks.local[j] + dt
-        else:
-            lo_step = max(0, dt - policy.max_step_skew)
-            tj = clocks.local[j] + rng.randint(lo_step, dt + policy.max_step_skew)
-
-        others_lo = gr - 1
-        others_hi = gr + 1
-        for k in range(n):
-            if k == j:
-                continue
-            rk = new_local[k] // rs if k < j else regions[k]
-            others_lo = max(others_lo, rk - 1)
-            others_hi = min(others_hi, rk + 1)
-        # floor first (may raise the clock), then cap; never below the old value
-        tj = max(tj, others_lo * rs, clocks.local[j])
-        tj = min(tj, (others_hi + 1) * rs - 1)
-        if tj < clocks.local[j]:  # pragma: no cover - guarded by dt < rs
-            raise ConfigError("drift clamp would move a clock backwards")
-        new_local[j] = tj
-
-    out = ClockState(t=t2, local=new_local)
+    old = clocks.local
+    if policy.kind == "none":
+        moved = [x + dt for x in old]
+    else:
+        lo_step = max(0, dt - policy.max_step_skew)
+        hi_step = dt + policy.max_step_skew
+        moved = [x + rng.randint(lo_step, hi_step) for x in old]
+    spread = [x // rs for x in old] + [x // rs for x in moved] + [gr]
+    if max(spread) - min(spread) <= 1:
+        # All regions involved lie in two adjacent ones, so every floor the
+        # clamp could apply sits at or below each drifted clock and every
+        # cap at or above it; increments are never negative, so the clamp
+        # would change nothing. That span also bounds every gap the skew
+        # invariants limit, so they hold without a further check.
+        return ClockState(t=t2, local=moved)
+    out = ClockState(t=t2, local=_clamp(old, moved, gr, rs))
     _assert_skew(out, params)
     return out
+
+
+def _clamp(old: list[int], moved: list[int], gr: int, rs: int) -> list[int]:
+    """Clamp each drifted clock, in process-id order, against the global
+    region and every other clock: the new value of clocks before it, the
+    old value of clocks after it."""
+    n = len(old)
+    # extremes of the old regions of clocks j..n-1, seeded with ``gr`` so
+    # the global bound folds into the same max/min
+    suf_hi = [gr] * (n + 1)
+    suf_lo = [gr] * (n + 1)
+    hi = lo = gr
+    for k in range(n - 1, -1, -1):
+        rk = old[k] // rs
+        if rk > hi:
+            hi = rk
+        if rk < lo:
+            lo = rk
+        suf_hi[k] = hi
+        suf_lo[k] = lo
+    pre_hi = pre_lo = gr  # the same over the new regions of clocks 0..j-1
+    new_local = [0] * n
+    for j in range(n):
+        hi = suf_hi[j + 1] if suf_hi[j + 1] > pre_hi else pre_hi
+        lo = suf_lo[j + 1] if suf_lo[j + 1] < pre_lo else pre_lo
+        # floor first (may raise the clock), then cap; no drift increment is
+        # negative, so only the cap could take a clock below its old value
+        tj = moved[j]
+        if tj < (hi - 1) * rs:
+            tj = (hi - 1) * rs
+        if tj > (lo + 2) * rs - 1:
+            tj = (lo + 2) * rs - 1
+        if tj < old[j]:  # pragma: no cover - guarded by dt < rs
+            raise ConfigError("drift clamp would move a clock backwards")
+        new_local[j] = tj
+        rj = tj // rs
+        if rj > pre_hi:
+            pre_hi = rj
+        if rj < pre_lo:
+            pre_lo = rj
+    return new_local
 
 
 def _assert_skew(clocks: ClockState, params: RegionParams) -> None:
@@ -141,10 +171,7 @@ def region_change_events(
     before: ClockState, after: ClockState, params: RegionParams
 ) -> list[tuple[int, int]]:
     """Processes whose region grew, with the region they entered, in id order."""
-    out = []
     rs = params.rs
-    for pid, (b, a) in enumerate(zip(before.local, after.local)):
-        rb, ra = b // rs, a // rs
-        if ra > rb:
-            out.append((pid, ra))
-    return out
+    return [(pid, a // rs)
+            for pid, (b, a) in enumerate(zip(before.local, after.local))
+            if a // rs > b // rs]

@@ -102,19 +102,16 @@ class Ctx:
     ``_view`` in their own arithmetic.
     """
 
-    __slots__ = ("sim", "proc", "step", "d", "u1", "u2")
+    __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")
 
     def __init__(self, sim, proc, step, d, u1, u2):
         self.sim = sim
         self.proc = proc
+        self.pid = proc.pid
         self.step = step
         self.d = d
         self.u1 = u1
         self.u2 = u2
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
 
     @property
     def n(self) -> int:
@@ -126,7 +123,7 @@ class Ctx:
 
     @property
     def neighbors(self) -> tuple:
-        return self.sim.prog.neighbors[self.proc.pid]
+        return self.sim.prog.neighbors[self.pid]
 
     def has_free(self, name: str) -> bool:
         return name in self.proc.free
@@ -152,11 +149,10 @@ class Ctx:
 
     def first_msg(self, kind: str) -> Optional[MsgView]:
         inbox = self.sim.inboxes[self.pid]
-        for mid in sorted(inbox):
-            msg = inbox[mid]
-            if msg.kind == kind:
-                return self._view(msg)
-        return None
+        if not inbox:
+            return None
+        mids = [mid for mid, msg in inbox.items() if msg.kind == kind]
+        return self._view(inbox[min(mids)]) if mids else None
 
     def consume(self, mid: int) -> None:
         del self.sim.inboxes[self.pid][mid]
@@ -183,7 +179,9 @@ class Sim:
 
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``g_region``, ``step``) and implement
-    :meth:`emit` and ``send_from``.
+    :meth:`emit` and ``send_from``. A message enters ``in_flight`` only
+    through :meth:`_put_in_flight`, which files it under the step it
+    arrives or is lost at; it may leave by any route.
     """
 
     def __init__(self, prog):
@@ -195,6 +193,12 @@ class Sim:
         self.msg_fams = {kind: {fld: prog.families[fam]
                                 for fld, fam in decl.cell_fields.items()}
                          for kind, decl in prog.msgs.items()}
+        self.expiring = [(coll, decl.expiry)
+                         for coll, decl in prog.colls.items()
+                         if decl.expiry is not None]
+        # step -> ids of the messages that arrive or are lost at that step;
+        # ids that have since left ``in_flight`` are skipped when it comes
+        self.due: dict[int, list[int]] = {}
 
     def emit(self, kind: str, **payload) -> None:
         """Handle one effect of the current step, fields named as in
@@ -202,23 +206,35 @@ class Sim:
         raise NotImplementedError
 
     def _expire_cells(self, proc) -> None:
-        for coll, decl in self.prog.colls.items():
-            if decl.expiry is None:
-                continue
+        for coll, expiry in self.expiring:
             store = proc.colls[coll]
-            stale = [cid for cid in sorted(store)
-                     if proc.region - store[cid].created_local > decl.expiry]
-            for cid in stale:
+            oldest = proc.region - expiry  # cells created before it expire
+            for cell in store.values():
+                if cell.created_local < oldest:
+                    break
+            else:
+                continue  # the common case: nothing to remove
+            stale = [cid for cid, cell in store.items()
+                     if cell.created_local < oldest]
+            for cid in sorted(stale):
                 del store[cid]
                 self.emit(tr.EV_DREMOVE, pid=proc.pid, coll=coll, cid=cid,
                           reason="expired")
 
+    def _put_in_flight(self, msg: Msg) -> None:
+        self.in_flight[msg.mid] = msg
+        for step in (msg.arrival_step, msg.drop_step):
+            if step is not None:
+                self.due.setdefault(step, []).append(msg.mid)
+
     def _arrivals(self) -> None:
-        due = [mid for mid in sorted(self.in_flight)
-               if (self.in_flight[mid].arrival_step == self.step
-                   or self.in_flight[mid].drop_step == self.step)]
-        for mid in due:
-            msg = self.in_flight.pop(mid)
+        due = self.due.pop(self.step, None)
+        if due is None:
+            return
+        for mid in sorted(due):
+            msg = self.in_flight.pop(mid, None)
+            if msg is None:  # dropped or delivered already
+                continue
             if msg.drop_step == self.step:
                 self.emit(tr.EV_DROP, mid=mid, reason="lost")
             else:

@@ -141,3 +141,45 @@ def test_drift_invariants_hold_for_arbitrary_seeds(seed):
         rlist = [x // params.rs for x in s.local]
         assert max(rlist) - min(rlist) <= 1
         assert all(abs(r - gr) <= 1 for r in rlist)
+
+
+def _reference_advance(clocks, dt, params, policy, rng):
+    """The clamp as specified: clock j against every other clock one pair at
+    a time (new value for k < j, old value for k > j) and the global region."""
+    rs = params.rs
+    t2 = clocks.t + dt
+    gr = t2 // rs
+    n = len(clocks.local)
+    new_local = list(clocks.local)
+    regions = [x // rs for x in clocks.local]
+    for j in range(n):
+        if policy.kind == "none":
+            tj = clocks.local[j] + dt
+        else:
+            lo_step = max(0, dt - policy.max_step_skew)
+            tj = clocks.local[j] + rng.randint(lo_step, dt + policy.max_step_skew)
+        others_lo, others_hi = gr - 1, gr + 1
+        for k in range(n):
+            if k != j:
+                rk = new_local[k] // rs if k < j else regions[k]
+                others_lo = max(others_lo, rk - 1)
+                others_hi = min(others_hi, rk + 1)
+        tj = max(tj, others_lo * rs, clocks.local[j])
+        new_local[j] = min(tj, (others_hi + 1) * rs - 1)
+    return ClockState(t=t2, local=new_local)
+
+
+@pytest.mark.parametrize("n,rs,skew", [(1, 4, 3), (3, 4, 3), (4, 25, 3),
+                                       (5, 6, 5), (9, 3, 2), (32, 10, 9)])
+def test_advance_matches_pairwise_reference(n, rs, skew):
+    params = RegionParams(rs=rs, start_region=3)
+    for policy in (DriftPolicy("none"),
+                   DriftPolicy("bounded_jitter", max_step_skew=skew)):
+        for seed in range(5):
+            fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+            clocks = ClockState.at_region_start(n, params)
+            for _ in range(300):
+                want = _reference_advance(clocks, 1, params, policy, ref_rng)
+                clocks = advance_clocks(clocks, 1, params, policy, fast_rng)
+                assert (clocks.t, clocks.local) == (want.t, want.local)
+            assert fast_rng.random() == ref_rng.random()
