@@ -8,7 +8,8 @@ The acting process evaluates its guards on lifted integers and executes the
 first enabled action, or self-loops.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, budget
-refill and message-horizon drop, the context API) comes from :mod:`.sim`.
+refill and message-horizon drop, the context API, the snapshot layout) comes
+from :mod:`.sim`.
 This module adds the residue side: :class:`BoundedCtx` lifts on read and
 range-checks on write, and :class:`Kernel` draws the randomness, moves the
 clocks, re-anchors residues on region change, injects faults and records
@@ -175,10 +176,6 @@ class Kernel(Sim):
         self.budgets = {fam: params.maxinc
                         for fam, params in prog.families.items()}
         self.step = 0
-        self._step_faults: dict[int, list] = {}
-        for entry in cfg.faults:
-            if entry.when_kind == "step":
-                self._step_faults.setdefault(entry.when, []).append(entry)
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
 
@@ -235,27 +232,16 @@ class Kernel(Sim):
         rs = self.rp.rs
         return [x // rs for x in self.clocks.local]
 
+    def _stored(self, fam, value: int) -> int:
+        return value  # the kernel holds residues already
+
     def _snapshot(self, label: str) -> None:
-        procs = []
-        for proc in self.procs:
-            colls = {coll: [[cid, c.value, c.created_local, c.created_global,
-                             tr.canon(c.tag)]
-                            for cid, c in sorted(store.items())]
-                     for coll, store in proc.colls.items()}
-            procs.append({"free": dict(proc.free), "colls": colls,
-                          "vars": dict(proc.vars)})
         self.trace.snapshots[self.step] = {
             "t": self.clocks.t,
             "g_region": self.g_region,
             "regions": self._regions(),
             "locals": list(self.clocks.local),
-            "procs": procs,
-            "in_flight": [m.to_row() for _, m in sorted(self.in_flight.items())],
-            "inboxes": [[m.to_row() for _, m in sorted(box.items())]
-                        for box in self.inboxes],
-            "next_mid": self.next_mid,
-            "next_cid": self.next_cid,
-            "budgets": dict(self.budgets),
+            **self._state(),
             "label": label,
         }
 
@@ -354,8 +340,9 @@ class Kernel(Sim):
                 self._pending_snapshot = None
             if step and step % self.cfg.sptu == 0:
                 self._advance_clocks()
-            for entry in self._step_faults.get(step, ()):
-                self._apply_fault(entry)
+            for entry in self.cfg.faults:
+                if entry.when_kind == "step" and entry.when == step:
+                    self._apply_fault(entry)
             self._arrivals()
             self._act()
         self.step = self.cfg.total_steps

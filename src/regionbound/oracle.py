@@ -8,9 +8,9 @@ computes what the unbounded program would have written and requires the
 bounded trace to agree modulo the family modulus (and, for lifted fields,
 exactly). The first disagreement raises :class:`OracleDivergence`.
 
-The network, inboxes, cell expiry, budget refill, message-horizon drop and
-context API are the kernel's own, from :mod:`.sim`; the replayer's ``emit``
-checks each effect instead of recording it. The counter algebra stays
+The network, inboxes, cell expiry, budget refill, message-horizon drop,
+context API and snapshot layout are the kernel's own, from :mod:`.sim`; the
+replayer's ``emit`` checks each effect instead of recording it. The counter algebra stays
 independent of the kernel's: plain integers in :class:`OracleCtx`, its own
 region raise (:meth:`Replayer._apply_rc`) in place of ``region_shift``, and
 residues taken with ``% maxbound`` for the comparison. Lifts are used only to
@@ -27,9 +27,13 @@ from __future__ import annotations
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
-from .errors import ProtocolBug
+from .errors import ConfigError, ProtocolBug
 from .sim import Ctx, Msg, MsgView, Sim
 from .transform import Cell, ProcState, choose_action
+
+
+def _delivery_steps_ok(arrival, drop) -> bool:
+    return all(s is None or isinstance(s, int) for s in (arrival, drop))
 
 
 class OracleDivergence(Exception):
@@ -134,6 +138,11 @@ class Replayer(Sim):
     def _load_msg(self, row: list) -> Msg:
         (mid, src, dst, kind, cells, vars, send_step, srl, srg,
          arrival, drop) = row
+        if not _delivery_steps_ok(arrival, drop):
+            raise ConfigError(
+                f"malformed trace: snapshot message {mid!r} has arrival_step "
+                f"{arrival!r} and drop_step {drop!r}; each must be an "
+                "integer or null")
         fams = self.msg_fams[kind]
         lifted = {fld: lift_dep(res, self.regions[dst], fams[fld])
                   for fld, res in cells.items()}
@@ -180,6 +189,9 @@ class Replayer(Sim):
         if (arrival is None) == (drop is None):
             self._fail(f"send event {got!r} must set exactly one of "
                        "arrival_step and drop_step")
+        if not _delivery_steps_ok(arrival, drop):
+            self._fail(f"send event {got!r} has a delivery step that is not "
+                       "an integer")
         msg = Msg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
                   ctx.region, self.g_region, arrival, drop)
         self._put_in_flight(msg)
@@ -194,7 +206,7 @@ class Replayer(Sim):
             self._fail(f"expected a clock record, got {got!r}")
         _, _, t, g_region, locals_, regions = got
         if (t != self.t + 1 or t // self.rs != g_region
-                or [x // self.rs for x in locals_] != list(regions)
+                or any(x // self.rs != r for x, r in zip(locals_, regions))
                 or len(locals_) != self.prog.n):
             self._fail(f"clock record {got!r} is internally inconsistent")
         old_regions = self.regions
@@ -238,48 +250,23 @@ class Replayer(Sim):
         if my_idx is not None:
             self.prog.actions[my_idx].body(ctx)
 
+    def _stored(self, fam, value: int) -> int:
+        return value % fam.maxbound
+
     def _compare_snapshot(self, snap: dict) -> None:
         if (snap["t"] != self.t or snap["g_region"] != self.g_region
                 or list(snap["regions"]) != self.regions
                 or list(snap["locals"]) != self.locals):
             self._fail("snapshot clock state differs from reference")
-        if (snap["next_mid"] != self.next_mid
-                or snap["next_cid"] != self.next_cid
-                or snap["budgets"] != self.budgets):
-            self._fail("snapshot bookkeeping differs from reference")
-        for pid, pstate in enumerate(snap["procs"]):
-            proc = self.procs[pid]
-            free = {name: value % self.free_fams[name].maxbound
-                    for name, value in proc.free.items()}
-            if pstate["free"] != free:
-                self._fail(f"pid {pid}: free counters {pstate['free']} != "
-                           f"reference residues {free}")
-            if set(pstate["colls"]) != set(proc.colls):
-                self._fail(f"pid {pid}: collection names differ")
-            for coll, rows in pstate["colls"].items():
-                m = self.coll_fams[coll].maxbound
-                mine = [[cid, c.value % m, c.created_local, c.created_global,
-                         c.tag] for cid, c in sorted(proc.colls[coll].items())]
-                if rows != mine:
-                    self._fail(f"pid {pid}: collection {coll!r} {rows} != "
-                               f"reference {mine}")
-            if pstate["vars"] != proc.vars:
-                self._fail(f"pid {pid}: vars {pstate['vars']} != "
-                           f"reference {proc.vars}")
-        if snap["in_flight"] != self._msg_rows(self.in_flight):
-            self._fail("in-flight messages differ from reference")
-        for pid, rows in enumerate(snap["inboxes"]):
-            if rows != self._msg_rows(self.inboxes[pid]):
-                self._fail(f"pid {pid}: inbox differs from reference")
-
-    def _msg_rows(self, store: dict[int, Msg]) -> list:
-        out = []
-        for mid in sorted(store):
-            row = store[mid].to_row()
-            fams = self.msg_fams[row[3]]
-            row[4] = {fld: v % fams[fld].maxbound for fld, v in row[4].items()}
-            out.append(row)
-        return out
+        for key, want in self._state().items():
+            have = snap[key]
+            if key in ("procs", "inboxes") and len(have) == len(want):
+                for pid, (h, w) in enumerate(zip(have, want)):
+                    if h != w:
+                        self._fail(f"pid {pid}: snapshot {key} entry {h} != "
+                                   f"reference {w}")
+            elif have != want:
+                self._fail(f"snapshot {key} {have} != reference {want}")
 
     def run(self) -> int:
         """Replay to the end of the trace; returns the number of steps checked.

@@ -73,8 +73,8 @@ def build(info: BuildInfo) -> ProtocolDef:
                 return cid, value
         return None
 
-    def grant_for(grants, peer):
-        for cid, value, tag, _age in grants:
+    def grant_for(ctx, peer):
+        for cid, value, tag, _age in ctx.cells("grants"):
             if tag == peer:
                 return cid, value
         return None
@@ -108,7 +108,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         mine = own_request(ctx)
         if mine is None or m.cell("req_stamp") != mine[1]:
             return
-        old = grant_for(ctx.cells("grants"), m.src)
+        old = grant_for(ctx, m.src)
         if old is not None:
             ctx.remove_cell("grants", old[0])
         ctx.create_cell("grants", mine[1], tag=m.src)
@@ -130,8 +130,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         mine = own_request(ctx)
         if mine is None:
             return False
-        grants = ctx.cells("grants")
-        return all((g := grant_for(grants, q)) is not None and g[1] == mine[1]
+        return all((g := grant_for(ctx, q)) is not None and g[1] == mine[1]
                    for q in ctx.neighbors)
 
     def b_enter(ctx):

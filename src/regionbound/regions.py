@@ -103,14 +103,6 @@ def advance_clocks(
         lo_step = max(0, dt - policy.max_step_skew)
         hi_step = dt + policy.max_step_skew
         moved = [x + rng.randint(lo_step, hi_step) for x in old]
-    spread = [x // rs for x in old] + [x // rs for x in moved] + [gr]
-    if max(spread) - min(spread) <= 1:
-        # All regions involved lie in two adjacent ones, so every floor the
-        # clamp could apply sits at or below each drifted clock and every
-        # cap at or above it; increments are never negative, so the clamp
-        # would change nothing. That span also bounds every gap the skew
-        # invariants limit, so they hold without a further check.
-        return ClockState(t=t2, local=moved)
     out = ClockState(t=t2, local=_clamp(old, moved, gr, rs))
     _assert_skew(out, params)
     return out
@@ -171,7 +163,10 @@ def region_change_events(
     before: ClockState, after: ClockState, params: RegionParams
 ) -> list[tuple[int, int]]:
     """Processes whose region grew, with the region they entered, in id order."""
+    out = []
     rs = params.rs
-    return [(pid, a // rs)
-            for pid, (b, a) in enumerate(zip(before.local, after.local))
-            if a // rs > b // rs]
+    for pid, (b, a) in enumerate(zip(before.local, after.local)):
+        rb, ra = b // rs, a // rs
+        if ra > rb:
+            out.append((pid, ra))
+    return out

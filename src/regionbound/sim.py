@@ -3,13 +3,15 @@
 Both sides run the same protocol over the same network: messages in flight
 and in inboxes, cell expiry on region change and before every activation,
 arrivals, the lag-aware budget refill and the message-lifetime drop at every
-global region change, and the action-facing context API. They differ only in
-counter arithmetic and in what becomes of an effect.
+global region change, the action-facing context API and the snapshot form of
+the state. They differ only in counter arithmetic and in what becomes of an
+effect.
 
 * Counter arithmetic lives in the context subclasses: the kernel's stores
   residues, lifting on read and range-checking on write; the oracle's keeps
   plain integers. Each supplies ``free``, ``set_free``, ``spend``, ``cells``,
-  ``create_cell`` and ``_view``.
+  ``create_cell`` and ``_view``; each simulator supplies ``_stored``, the
+  residue a snapshot records for a counter value.
 * Every effect goes through :meth:`Sim.emit`: the kernel appends it to the
   trace, the replayer checks it against the next recorded event.
 """
@@ -39,12 +41,6 @@ class Msg:
         self.send_region_global = send_region_global
         self.arrival_step = arrival_step
         self.drop_step = drop_step
-
-    def to_row(self) -> list:
-        return [self.mid, self.src, self.dst, self.kind,
-                dict(sorted(self.cells.items())), self.vars, self.send_step,
-                self.send_region_local, self.send_region_global,
-                self.arrival_step, self.drop_step]
 
 
 class MsgView:
@@ -149,8 +145,6 @@ class Ctx:
 
     def first_msg(self, kind: str) -> Optional[MsgView]:
         inbox = self.sim.inboxes[self.pid]
-        if not inbox:
-            return None
         mids = [mid for mid, msg in inbox.items() if msg.kind == kind]
         return self._view(inbox[min(mids)]) if mids else None
 
@@ -179,9 +173,9 @@ class Sim:
 
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``g_region``, ``step``) and implement
-    :meth:`emit` and ``send_from``. A message enters ``in_flight`` only
-    through :meth:`_put_in_flight`, which files it under the step it
-    arrives or is lost at; it may leave by any route.
+    :meth:`emit`, :meth:`_stored` and ``send_from``. A message enters
+    ``in_flight`` only through :meth:`_put_in_flight`, which files it under
+    the step it arrives or is lost at; it may leave by any route.
     """
 
     def __init__(self, prog):
@@ -193,9 +187,6 @@ class Sim:
         self.msg_fams = {kind: {fld: prog.families[fam]
                                 for fld, fam in decl.cell_fields.items()}
                          for kind, decl in prog.msgs.items()}
-        self.expiring = [(coll, decl.expiry)
-                         for coll, decl in prog.colls.items()
-                         if decl.expiry is not None]
         # step -> ids of the messages that arrive or are lost at that step;
         # ids that have since left ``in_flight`` are skipped when it comes
         self.due: dict[int, list[int]] = {}
@@ -205,15 +196,44 @@ class Sim:
         ``trace._EVENT_FIELDS[kind]``."""
         raise NotImplementedError
 
+    def _stored(self, fam, value: int) -> int:
+        """The residue a bounded run stores for counter ``value``."""
+        raise NotImplementedError
+
+    def _state(self) -> dict:
+        """Process and network state as a snapshot records it."""
+        res = self._stored
+        procs = [{"free": {name: res(self.free_fams[name], value)
+                           for name, value in proc.free.items()},
+                  "colls": {coll: [[cid, res(self.coll_fams[coll], c.value),
+                                    c.created_local, c.created_global,
+                                    tr.canon(c.tag)]
+                                   for cid, c in sorted(store.items())]
+                            for coll, store in proc.colls.items()},
+                  "vars": dict(proc.vars)}
+                 for proc in self.procs]
+        return {"procs": procs, "in_flight": self._msg_rows(self.in_flight),
+                "inboxes": [self._msg_rows(box) for box in self.inboxes],
+                "next_mid": self.next_mid, "next_cid": self.next_cid,
+                "budgets": dict(self.budgets)}
+
+    def _msg_rows(self, store: dict[int, Msg]) -> list:
+        rows = []
+        for mid, m in sorted(store.items()):
+            fams = self.msg_fams[m.kind]
+            cells = {fld: self._stored(fams[fld], value)
+                     for fld, value in sorted(m.cells.items())}
+            rows.append([mid, m.src, m.dst, m.kind, cells, m.vars, m.send_step,
+                         m.send_region_local, m.send_region_global,
+                         m.arrival_step, m.drop_step])
+        return rows
+
     def _expire_cells(self, proc) -> None:
-        for coll, expiry in self.expiring:
+        for coll, decl in self.prog.colls.items():
+            if decl.expiry is None:
+                continue
             store = proc.colls[coll]
-            oldest = proc.region - expiry  # cells created before it expire
-            for cell in store.values():
-                if cell.created_local < oldest:
-                    break
-            else:
-                continue  # the common case: nothing to remove
+            oldest = proc.region - decl.expiry  # cells created before it expire
             stale = [cid for cid, cell in store.items()
                      if cell.created_local < oldest]
             for cid in sorted(stale):

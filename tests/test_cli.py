@@ -146,6 +146,37 @@ def test_malformed_trace_record_is_a_config_error(run_cli, tmp_path, record):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["send", "snapshot"])
+def test_non_integer_delivery_step_is_refused(run_cli, tmp_path, where):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    send = next(r["data"] for r in recs
+                if r["rec"] == "event" and r["data"]["ev"] == "send")
+    fld = "arrival_step" if send["arrival_step"] is not None else "drop_step"
+    if where == "send":
+        send[fld] = [send[fld]]
+    else:
+        start = next(r["data"] for r in recs if r["rec"] == "snapshot")
+        start["state"]["in_flight"].append(
+            [send["mid"], send["src"], send["dst"], send["msg_kind"],
+             send["cells"], send["vars"], send["step"],
+             send["send_region_local"], send["send_region_global"],
+             [send["arrival_step"]], send["drop_step"]])
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, stdout, err = run_cli("check", "--trace", str(out),
+                                "--scenario", SCENARIOS[0])
+    assert "Traceback" not in err
+    if where == "send":
+        assert code == EXIT_FAIL
+        assert "FAIL closure-replay" in stdout and "not an integer" in stdout
+    else:
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: malformed trace")
+
+
 @pytest.mark.parametrize("faults,field", [
     ({"mode": "list", "entries": [{"when_kind": "region", "when": "14",
                                    "kind": "delete_msg", "target": 0}]},

@@ -68,6 +68,22 @@ def test_tampered_snapshot_is_caught():
     assert exc.value.step == sc.cfg.total_steps
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda s: s["budgets"].update({k: v + 1 for k, v in s["budgets"].items()}),
+    lambda s: s.update(next_mid=s["next_mid"] + 1),
+    lambda s: s["procs"][-1]["vars"].update(extra=1),
+    lambda s: s["inboxes"].append([]),
+    lambda s: s["in_flight"].append(["not a message"]),
+], ids=["budgets", "next_mid", "vars", "inbox-count", "in-flight"])
+def test_every_snapshot_part_is_compared(tamper):
+    sc = build_scenario("vector_clocks")
+    doctored = copy.deepcopy(run_scenario(sc))
+    tamper(doctored.snapshots[sc.cfg.total_steps])
+    with pytest.raises(OracleDivergence) as exc:
+        replay(sc, doctored)
+    assert exc.value.step == sc.cfg.total_steps
+
+
 def test_fault_inside_the_segment_diverges():
     doc = scenario_doc("logical_clocks", faults={
         "mode": "list",
