@@ -14,6 +14,7 @@ import json
 import pytest
 
 from regionbound import analysis, kernel, scenario
+from regionbound import trace as tr
 
 from conftest import PROTOCOLS, scenario_doc
 
@@ -33,13 +34,27 @@ SHIPPED = ("logical_clocks_drift", "mutex_fault_recovery", "consensus_clean",
 
 SEEDS = (7, 2024)
 
+# Two cells inserted already older than the collections' expiry (2 regions):
+# nothing but the sweep before an activation can remove them before the
+# owner's next region change.
+STALE_INSERTS = {"mode": "list", "entries": [
+    {"when_kind": "region", "when": 15, "kind": "insert_dep", "target": "req",
+     "pid": 1, "value": 5, "tag": ["stale", 0], "age": 6},
+    {"when_kind": "step", "when": 301, "kind": "insert_dep",
+     "target": "grants", "pid": 2, "value": 9, "tag": ["stale", 1],
+     "age": 6},
+]}
+
 CASES = ([f"{proto}-{variant}" for proto in PROTOCOLS
-          for variant in ("clean", "campaign")] + list(SHIPPED))
+          for variant in ("clean", "campaign")] + list(SHIPPED)
+         + ["mutex_fault_recovery-stale"])
 
 
 def case_doc(name: str) -> dict:
     """Scenario document of a case: ``<protocol>-clean``,
-    ``<protocol>-campaign`` or a shipped scenario's file stem."""
+    ``<protocol>-campaign``, a shipped scenario's file stem, or
+    ``<stem>-stale``: that scenario with :data:`STALE_INSERTS` as its
+    faults."""
     proto, _, variant = name.rpartition("-")
     if variant == "clean":
         return scenario_doc(proto)
@@ -48,8 +63,13 @@ def case_doc(name: str) -> dict:
         return scenario_doc(
             proto, run_regions=run_regions,
             faults={"mode": "campaign", "regions": regions, "seed": 5})
+    if variant == "stale":
+        name = proto
     with open(f"scenarios/{name}.json", encoding="utf-8") as fp:
-        return json.load(fp)
+        doc = json.load(fp)
+    if variant == "stale":
+        doc["faults"] = STALE_INSERTS
+    return doc
 
 
 GOLDEN = {
@@ -117,6 +137,10 @@ GOLDEN = {
         "47a9743bf6363164b8b1e089c18f213eb1e1a2293e7900943f514e4fdfa89c40",
     "diffusing_ring_faults/2024":
         "15546e7dc111dff29d6deabc63eec8df5060221e57426334afb0a55261814648",
+    "mutex_fault_recovery-stale/7":
+        "398c82aad55a67b65efe39d71be8ac857f3227698af1cda2990b63eaa61e6d08",
+    "mutex_fault_recovery-stale/2024":
+        "a71aa951ab5832e85582a145542dea61af5ee64ab9e68eea3ea5f3562d4b1895",
 }
 
 
@@ -139,3 +163,24 @@ def trace_digest(doc: dict, seed: int) -> str:
                          [(name, seed) for name in CASES for seed in SEEDS])
 def test_trace_and_verdicts_match_the_golden_digest(name, seed):
     assert trace_digest(case_doc(name), seed) == GOLDEN[f"{name}/{seed}"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stale_inserts_expire_before_the_owner_acts(seed):
+    """Each stale insert is swept at its owner's next activation, at a step
+    with no clock tick, so no region change is what removes it."""
+    sc = scenario.parse(case_doc("mutex_fault_recovery-stale"))
+    trace = kernel.run(sc.cfg, seed)
+    clock_steps = {ev[0] for ev in trace.iter_events(tr.EV_CLOCK)}
+    inserts = [ev for ev in trace.iter_events(tr.EV_FAULT) if ev[6]]
+    assert len(inserts) == 2
+    for ev in inserts:
+        cid = ev[5]["cid"]
+        removals = [(rm[0], rm[5]) for rm in trace.iter_events(tr.EV_DREMOVE)
+                    if rm[4] == cid]
+        assert len(removals) == 1
+        step, reason = removals[0]
+        assert reason == "expired"
+        assert step >= ev[0] and step not in clock_steps
+        acting = [row[1] for row in trace.rows[ev[0]:step + 1]]
+        assert acting[-1] == ev[3] and ev[3] not in acting[:-1]
