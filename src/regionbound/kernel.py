@@ -34,6 +34,7 @@ from .regions import (
     DriftPolicy,
     RegionParams,
     advance_clocks,
+    draw,
     region_change_events,
     region_of,
 )
@@ -261,7 +262,7 @@ class Kernel(Sim):
                 raise ProtocolBug(f"message {kind!r} has no field {fld!r}")
             res_cells[fld] = to_residue(cells[fld], self.msg_fams[kind][fld])
         vars = tr.canon(vars)
-        delay = self.rng.randint(1, self.cfg.max_delay_steps)
+        delay = draw(self.rng, 1, self.cfg.max_delay_steps)
         lost = self.rng.random() < self.cfg.loss_probability
         arrival = None if lost else self.step + delay
         drop = self.step + delay if lost else None
@@ -306,6 +307,8 @@ class Kernel(Sim):
 
     def _apply_fault(self, entry) -> None:
         applied, detail = entry.apply(self)
+        if entry.pid is not None:
+            self.may_hold_stale.add(entry.pid)
         detail["g_region"] = self.g_region
         self.emit(tr.EV_FAULT, fault_kind=entry.kind, pid=entry.pid,
                   target=tr.canon(entry.target), detail=tr.canon(detail),
@@ -317,11 +320,11 @@ class Kernel(Sim):
             self.rng.shuffle(self._order)
         pid = self._order[self.step % self.prog.n]
         maxinc = self.prog.families[self.prog.budget_family].maxinc
-        d = self.rng.randint(1, maxinc)
+        d = draw(self.rng, 1, maxinc)
         u1 = self.rng.random()
         u2 = self.rng.random()
         proc = self.procs[pid]
-        self._expire_cells(proc)
+        self._sweep_before_act(proc)
         ctx = BoundedCtx(self, proc, self.step, d, u1, u2)
         idx = choose_action(self.prog.actions, ctx)
         if idx is None:

@@ -36,6 +36,18 @@ def _delivery_steps_ok(arrival, drop) -> bool:
     return all(s is None or isinstance(s, int) for s in (arrival, drop))
 
 
+def _ints(values, n=None) -> bool:
+    """``values`` is a list (of length ``n``, if given) of integers."""
+    return (isinstance(values, list) and (n is None or len(values) == n)
+            and all(isinstance(v, int) for v in values))
+
+
+def _int_map(m, keys) -> bool:
+    """``m`` is a dict from names among ``keys`` to integers."""
+    return (isinstance(m, dict) and all(k in keys for k in m)
+            and all(isinstance(v, int) for v in m.values()))
+
+
 class OracleDivergence(Exception):
     def __init__(self, step: int, detail: str):
         self.step = step
@@ -103,7 +115,49 @@ class Replayer(Sim):
         self._bucket: list = []
         self._cursor = 0
 
+    def _malformed(self, what: str) -> ConfigError:
+        return ConfigError(f"malformed trace: snapshot at step "
+                           f"{self.start_step}: {what}")
+
+    def _check_snapshot(self, snap) -> None:
+        """Refuse a snapshot whose parts do not have the layout
+        :meth:`Sim._state` writes, before any of it is unpacked."""
+        n = self.prog.n
+        if not (isinstance(snap, dict)
+                and _ints([snap.get(k) for k in ("t", "g_region", "next_mid",
+                                                 "next_cid")])
+                and _ints(snap.get("regions"), n)
+                and _ints(snap.get("locals"), n)
+                and _int_map(snap.get("budgets"), self.prog.families)
+                and len(snap["budgets"]) == len(self.prog.families)
+                and isinstance(snap.get("in_flight"), list)
+                and isinstance(snap.get("procs"), list)
+                and len(snap["procs"]) == n
+                and isinstance(snap.get("inboxes"), list)
+                and len(snap["inboxes"]) == n
+                and all(isinstance(box, list) for box in snap["inboxes"])):
+            raise self._malformed(
+                "it needs integer t, g_region, next_mid and next_cid, "
+                f"{n} integer regions and locals, integer budgets per family, "
+                f"a list of in-flight messages and {n} procs and inboxes")
+        for pid, pstate in enumerate(snap["procs"]):
+            if not (isinstance(pstate, dict)
+                    and _int_map(pstate.get("free"), self.free_fams)
+                    and set(pstate["free"]) == set(self.prog.init(pid).free)
+                    and isinstance(pstate.get("colls"), dict)
+                    and all(coll in self.prog.colls and isinstance(rows, list)
+                            and all(isinstance(row, list) and len(row) == 5
+                                    and _ints(row[:4]) for row in rows)
+                            for coll, rows in pstate["colls"].items())
+                    and isinstance(pstate.get("vars"), dict)):
+                raise self._malformed(
+                    f"pid {pid}: it needs its free counters as integer "
+                    "residues, declared collections of [cid, residue, "
+                    "created_local, created_global, tag] rows with integer "
+                    "ids, residues and regions, and a vars object")
+
     def _load(self, snap: dict) -> None:
+        self._check_snapshot(snap)
         self.t = snap["t"]
         self.g_region = snap["g_region"]
         self.regions = list(snap["regions"])
@@ -126,6 +180,8 @@ class Replayer(Sim):
                         lift_dep(res, proc.region, fam), c_local, c_global, tag)
             proc.vars = dict(pstate["vars"])
             self.procs.append(proc)
+        # the snapshot comes from outside the program: any cell may be stale
+        self.may_hold_stale.update(range(len(self.procs)))
         self.in_flight: dict[int, Msg] = {}
         for row in snap["in_flight"]:
             self._put_in_flight(self._load_msg(row))
@@ -136,13 +192,21 @@ class Replayer(Sim):
                 self.inboxes[pid][msg.mid] = msg
 
     def _load_msg(self, row: list) -> Msg:
+        if not (isinstance(row, list) and len(row) == 11
+                and _ints(row[:3] + row[6:9])
+                and 0 <= row[1] < self.prog.n and 0 <= row[2] < self.prog.n
+                and isinstance(row[3], str) and row[3] in self.msg_fams
+                and _int_map(row[4], self.msg_fams[row[3]])
+                and isinstance(row[5], dict)
+                and _delivery_steps_ok(row[9], row[10])):
+            raise self._malformed(
+                f"message row {row!r} must be [mid, src, dst, kind, cells, "
+                "vars, send_step, send_region_local, send_region_global, "
+                "arrival_step, drop_step] with integer ids, steps and "
+                "residues (each delivery step an integer or null), pids in "
+                "range and a declared kind")
         (mid, src, dst, kind, cells, vars, send_step, srl, srg,
          arrival, drop) = row
-        if not _delivery_steps_ok(arrival, drop):
-            raise ConfigError(
-                f"malformed trace: snapshot message {mid!r} has arrival_step "
-                f"{arrival!r} and drop_step {drop!r}; each must be an "
-                "integer or null")
         fams = self.msg_fams[kind]
         lifted = {fld: lift_dep(res, self.regions[dst], fams[fld])
                   for fld, res in cells.items()}
@@ -236,8 +300,10 @@ class Replayer(Sim):
 
     def _phase_act(self, row: tuple) -> None:
         _, pid, idx, name, d, u1, u2 = row
+        if not 0 <= pid < self.prog.n:
+            self._fail(f"row names acting pid {pid}, which is no process")
         proc = self.procs[pid]
-        self._expire_cells(proc)
+        self._sweep_before_act(proc)
         ctx = OracleCtx(self, proc, self.step, d, u1, u2)
         my_idx = choose_action(self.prog.actions, ctx)
         rec_idx = None if idx == tr.SELF_LOOP else idx
@@ -254,13 +320,14 @@ class Replayer(Sim):
         return value % fam.maxbound
 
     def _compare_snapshot(self, snap: dict) -> None:
-        if (snap["t"] != self.t or snap["g_region"] != self.g_region
-                or list(snap["regions"]) != self.regions
-                or list(snap["locals"]) != self.locals):
+        if (snap.get("t") != self.t or snap.get("g_region") != self.g_region
+                or snap.get("regions") != self.regions
+                or snap.get("locals") != self.locals):
             self._fail("snapshot clock state differs from reference")
         for key, want in self._state().items():
-            have = snap[key]
-            if key in ("procs", "inboxes") and len(have) == len(want):
+            have = snap.get(key)
+            if (key in ("procs", "inboxes") and isinstance(have, list)
+                    and len(have) == len(want)):
                 for pid, (h, w) in enumerate(zip(have, want)):
                     if h != w:
                         self._fail(f"pid {pid}: snapshot {key} entry {h} != "

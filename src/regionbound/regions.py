@@ -74,6 +74,25 @@ def region_of(t: int, params: RegionParams) -> int:
     return t // params.rs
 
 
+def draw(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``: the same value, the same generator state.
+
+    This is the draw CPython (3.10 and later) makes under ``randint``: the
+    offset above ``lo`` is ``getrandbits`` of the width's bit length, drawn
+    again while it is not below the width. Calling it directly skips
+    ``randrange``'s argument checks, which the kernel would otherwise pay on
+    every drift draw, every ``d`` and every message delay.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range for draw({lo}, {hi})")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def advance_clocks(
     clocks: ClockState,
     dt: int,
@@ -102,7 +121,7 @@ def advance_clocks(
     else:
         lo_step = max(0, dt - policy.max_step_skew)
         hi_step = dt + policy.max_step_skew
-        moved = [x + rng.randint(lo_step, hi_step) for x in old]
+        moved = [x + draw(rng, lo_step, hi_step) for x in old]
     out = ClockState(t=t2, local=_clamp(old, moved, gr, rs))
     _assert_skew(out, params)
     return out

@@ -51,9 +51,13 @@ def _require(obj: dict, where: str, name: str):
     return obj[name]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(obj: dict, where: str, name: str, minimum: int) -> int:
     v = _require(obj, where, name)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+    if not _is_int(v) or v < minimum:
         raise ConfigError(f"{where}.{name} must be an integer >= {minimum}")
     return v
 
@@ -106,6 +110,28 @@ def _parse_families(raw: dict) -> tuple[dict, dict]:
     return families, bounds
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _pair(first, second):
+    return lambda t: (isinstance(t, list) and len(t) == 2
+                      and first(t[0]) and second(t[1]))
+
+
+# per fault kind: the shape its ``target`` must have, and whether it writes
+# a counter residue (so ``value`` must be an integer)
+_FAULT_SHAPES = {
+    "overwrite_free": ("a free-counter name", _is_str, True),
+    "insert_dep": ("a collection name", _is_str, True),
+    "scramble_var": ("a variable name", _is_str, False),
+    "overwrite_dep": ("a [collection, k] pair", _pair(_is_str, _is_int), True),
+    "delete_dep": ("a [collection, k] pair", _pair(_is_str, _is_int), False),
+    "overwrite_msg": ("a [k, field] pair", _pair(_is_int, _is_str), True),
+    "delete_msg": ("an integer", _is_int, False),
+}
+
+
 def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
     where = f"faults.entries[{idx}]"
     if not isinstance(raw, dict):
@@ -121,6 +147,15 @@ def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
         value=raw.get("value"),
         tag=raw.get("tag"),
         age=_int_field(raw, where, "age", 0) if "age" in raw else 0)
+    shape = _FAULT_SHAPES.get(entry.kind) if isinstance(entry.kind, str) else None
+    if shape is not None:  # an unknown kind is refused by validate_entries
+        what, fits, writes_counter = shape
+        if not fits(entry.target):
+            raise ConfigError(f"{where}.target must be {what} for "
+                              f"{entry.kind}")
+        if writes_counter and not _is_int(entry.value):
+            raise ConfigError(f"{where}.value must be an integer residue "
+                              f"for {entry.kind}")
     return entry
 
 

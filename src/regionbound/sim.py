@@ -1,11 +1,18 @@
 """Simulation machinery shared by the bounded kernel and the unbounded oracle.
 
 Both sides run the same protocol over the same network: messages in flight
-and in inboxes, cell expiry on region change and before every activation,
-arrivals, the lag-aware budget refill and the message-lifetime drop at every
-global region change, the action-facing context API and the snapshot form of
-the state. They differ only in counter arithmetic and in what becomes of an
-effect.
+and in inboxes, cell expiry, arrivals, the lag-aware budget refill and the
+message-lifetime drop at every global region change, the action-facing
+context API and the snapshot form of the state. They differ only in counter
+arithmetic and in what becomes of an effect.
+
+A cell expires once its owner's region passes its creation region by more
+than the collection's expiry. The program creates a cell at its owner's
+current region, so only a region change can age one, and every region change
+sweeps its process. A cell can also arrive already stale from outside the
+program: a fault that inserts it with an old ``age``, or a snapshot the
+replayer loads. Such a process is flagged in ``Sim.may_hold_stale``, and
+only a flagged process is swept again before it acts.
 
 * Counter arithmetic lives in the context subclasses: the kernel's stores
   residues, lifting on read and range-checking on write; the oracle's keeps
@@ -190,6 +197,8 @@ class Sim:
         # step -> ids of the messages that arrive or are lost at that step;
         # ids that have since left ``in_flight`` are skipped when it comes
         self.due: dict[int, list[int]] = {}
+        # pids that may hold a stale cell no region change has swept yet
+        self.may_hold_stale: set[int] = set()
 
     def emit(self, kind: str, **payload) -> None:
         """Handle one effect of the current step, fields named as in
@@ -240,6 +249,13 @@ class Sim:
                 del store[cid]
                 self.emit(tr.EV_DREMOVE, pid=proc.pid, coll=coll, cid=cid,
                           reason="expired")
+
+    def _sweep_before_act(self, proc) -> None:
+        """Expire ``proc``'s cells before it acts, if something from outside
+        the program may have left one stale since its last sweep."""
+        if proc.pid in self.may_hold_stale:
+            self.may_hold_stale.discard(proc.pid)
+            self._expire_cells(proc)
 
     def _put_in_flight(self, msg: Msg) -> None:
         self.in_flight[msg.mid] = msg

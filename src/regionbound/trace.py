@@ -60,6 +60,8 @@ _EVENT_FIELDS = {
 
 SELF_LOOP = -1
 
+_NUMBER = (int, float)
+
 
 @dataclass
 class Trace:
@@ -126,8 +128,17 @@ class Trace:
                 if tag == "meta":
                     meta = d
                 elif tag == "row":
-                    rows.append((d["step"], d["acting"], d["action_idx"],
-                                 d["action"], d["d"], d["u1"], d["u2"]))
+                    row = (d["step"], d["acting"], d["action_idx"],
+                           d["action"], d["d"], d["u1"], d["u2"])
+                    if not (isinstance(row[1], int)
+                            and isinstance(row[2], int)
+                            and isinstance(row[4], int)
+                            and isinstance(row[5], _NUMBER)
+                            and isinstance(row[6], _NUMBER)):
+                        raise TraceFormatError(
+                            f"line {lineno}: row needs integer 'acting', "
+                            "'action_idx' and 'd', and numbers 'u1' and 'u2'")
+                    rows.append(row)
                 elif tag == "event":
                     kind = d["ev"]
                     if not isinstance(kind, str) or kind not in _EVENT_FIELDS:
@@ -137,6 +148,10 @@ class Trace:
                         + [_deep_tuple(d[name]) if (kind, name) in _TUPLE_FIELDS else d[name]
                            for name in _EVENT_FIELDS[kind]]))
                 elif tag == "snapshot":
+                    if not isinstance(d["state"], dict):
+                        raise TraceFormatError(
+                            f"line {lineno}: snapshot 'state' must be an "
+                            "object")
                     snapshots[d["step"]] = d["state"]
                 elif tag == "summary":
                     summary = d

@@ -133,6 +133,17 @@ def test_sweep_to_stdout_and_grid_validation(run_cli, tmp_path):
     '{"rec":"row","data":{"step":0}}',
     '{"rec":"event","data":{"step":0,"ev":["arrive"]}}',
     '{"rec":"snapshot","data":{"step":[0],"state":{}}}',
+    '{"rec":"snapshot","data":{"step":0,"state":[]}}',
+    '{"rec":"row","data":{"step":0,"acting":"x","action_idx":0,"action":"",'
+    '"d":1,"u1":0.5,"u2":0.5}}',
+    '{"rec":"row","data":{"step":0,"acting":0,"action_idx":null,'
+    '"action":"","d":1,"u1":0.5,"u2":0.5}}',
+    '{"rec":"row","data":{"step":0,"acting":0,"action_idx":0,"action":"",'
+    '"d":1.5,"u1":0.5,"u2":0.5}}',
+    '{"rec":"row","data":{"step":0,"acting":0,"action_idx":0,"action":"",'
+    '"d":1,"u1":"x","u2":0.5}}',
+    '{"rec":"row","data":{"step":0,"acting":0,"action_idx":0,"action":"",'
+    '"d":1,"u1":0.5,"u2":[0.5]}}',
 ])
 def test_malformed_trace_record_is_a_config_error(run_cli, tmp_path, record):
     out = tmp_path / "t.jsonl"
@@ -177,6 +188,48 @@ def test_non_integer_delivery_step_is_refused(run_cli, tmp_path, where):
         assert err.startswith("config error: malformed trace")
 
 
+@pytest.mark.parametrize("path,change", [
+    (SCENARIOS[0], lambda s: s["in_flight"].append([1, 2, 3])),
+    (SCENARIOS[0], lambda s: s["inboxes"][1].append("mid")),
+    (SCENARIOS[2], lambda s: s["procs"][0]["colls"]["pend"].append(
+        [1, 2])),
+    (SCENARIOS[0], lambda s: s["procs"][0]["free"].update(
+        (name, "7") for name in list(s["procs"][0]["free"]))),
+    (SCENARIOS[0], lambda s: s["procs"].pop()),
+    (SCENARIOS[0], lambda s: s.pop("budgets")),
+], ids=["in-flight-row", "inbox-row", "cell-row", "free-counter", "procs",
+        "budgets"])
+def test_malformed_snapshot_is_a_config_error(run_cli, tmp_path, path,
+                                              change):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", path, "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    change(next(r["data"]["state"] for r in recs if r["rec"] == "snapshot"))
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, _, err = run_cli("check", "--trace", str(out), "--scenario", path)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace: snapshot at step 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pid", [-1, 99])
+def test_row_naming_no_process_fails_the_replay(run_cli, tmp_path, pid):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    next(r for r in recs if r["rec"] == "row")["data"]["acting"] = pid
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, stdout, err = run_cli("check", "--trace", str(out),
+                                "--scenario", SCENARIOS[0])
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert f"acting pid {pid}, which is no process" in stdout
+
+
 @pytest.mark.parametrize("faults,field", [
     ({"mode": "list", "entries": [{"when_kind": "region", "when": "14",
                                    "kind": "delete_msg", "target": 0}]},
@@ -191,6 +244,18 @@ def test_non_integer_delivery_step_is_refused(run_cli, tmp_path, where):
      "age"),
     ({"mode": "campaign", "regions": [14], "per_family": "x"}, "per_family"),
     ({"mode": "campaign", "regions": [14], "seed": [3]}, "seed"),
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": 14,
+                                   "kind": "overwrite_dep", "target": "abc",
+                                   "pid": 0, "value": 1}]},
+     "target"),
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": 14,
+                                   "kind": "overwrite_free", "target": "clk",
+                                   "pid": 0, "value": "x"}]},
+     "value"),
+    ({"mode": "list", "entries": [{"when_kind": "region", "when": 14,
+                                   "kind": "overwrite_free", "target": ["clk"],
+                                   "pid": 0, "value": 1}]},
+     "target"),
 ])
 def test_malformed_fault_field_is_a_config_error(run_cli, tmp_path, faults,
                                                  field):

@@ -3,9 +3,12 @@ import dataclasses
 import io
 from collections import defaultdict
 
-import pytest
+import json
 
-from regionbound import faults, kernel, scenario
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from regionbound import analysis, faults, kernel, oracle, scenario, sim
 from regionbound import trace as tr
 from regionbound.counters import CounterParams
 from regionbound.errors import ConfigError
@@ -158,3 +161,72 @@ def test_fault_events_record_the_plan():
     ev = fired[0]
     assert (ev[2], ev[3], ev[4], ev[6]) == ("overwrite_free", 2, "cl", True)
     assert ev[5]["new"] == 9
+
+
+# Fault plans on the shipped mutual-exclusion scenario (start region 11,
+# 32 steps per region): region faults in 14..16, step faults in the steps of
+# regions 14 and 15, so all fire before the snapshot taken on entering 16.
+_CELL_FAULT = st.fixed_dictionaries({
+    "when": st.one_of(
+        st.tuples(st.just("region"), st.integers(14, 16)),
+        st.tuples(st.just("step"), st.integers(96, 159))),
+    "kind": st.sampled_from(("insert_dep", "overwrite_dep", "delete_dep")),
+    "coll": st.sampled_from(("req", "grants")),
+    "pid": st.integers(0, 3),
+    "k": st.integers(0, 3),
+    "value": st.integers(0, 455),
+    "age": st.integers(0, 8),
+})
+
+
+def _entry(f: dict) -> dict:
+    entry = {"when_kind": f["when"][0], "when": f["when"][1],
+             "kind": f["kind"], "pid": f["pid"]}
+    if f["kind"] == "insert_dep":
+        entry.update(target=f["coll"], value=f["value"], age=f["age"])
+    else:
+        entry["target"] = [f["coll"], f["k"]]
+        if f["kind"] == "overwrite_dep":
+            entry["value"] = f["value"]
+    return entry
+
+
+def _outcome(cfg, prog, seed: int):
+    """Trace bytes, convergence verdicts, and the replay from the snapshot
+    taken right after the faults (stale cells included) -- or the error."""
+    try:
+        trace = kernel.run(cfg, seed)
+    except Exception as exc:  # the same plan must fail the same way
+        return repr(exc)
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    lines = analysis.convergence_check(prog, trace).lines()
+    start = analysis.snapshot_step_for_region(trace, 16)
+    try:
+        replayed = oracle.Replayer(prog, trace, start).run()
+    except oracle.OracleDivergence as exc:
+        replayed = str(exc)
+    return buf.getvalue(), lines, replayed
+
+
+@given(plan=st.lists(_CELL_FAULT, min_size=1, max_size=6),
+       seed=st.integers(0, 2**16))
+# a stale cell for every pid at region 16: with seed 3, three of them are
+# still there in the snapshot and each is swept when its owner next acts
+@example(plan=[{"when": ("region", 16), "kind": "insert_dep", "coll": "req",
+                "pid": pid, "k": 0, "value": 5, "age": 6}
+               for pid in range(4)], seed=3)
+@settings(max_examples=25, deadline=None)
+def test_flagged_sweep_matches_sweeping_before_every_activation(plan, seed):
+    with open("scenarios/mutex_fault_recovery.json", encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["faults"] = {"mode": "list", "entries": [_entry(f) for f in plan]}
+    sc = scenario.parse(doc)
+    cfg = dataclasses.replace(
+        sc.cfg, snapshot_regions=sc.cfg.snapshot_regions + (16,))
+    flagged = _outcome(cfg, sc.prog, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim.Sim, "_sweep_before_act",
+                   lambda self, proc: self._expire_cells(proc))
+        every = _outcome(cfg, sc.prog, seed)
+    assert flagged == every

@@ -9,6 +9,7 @@ from regionbound.regions import (
     DriftPolicy,
     RegionParams,
     advance_clocks,
+    draw,
     region_change_events,
     region_of,
 )
@@ -183,3 +184,22 @@ def test_advance_matches_pairwise_reference(n, rs, skew):
                 clocks = advance_clocks(clocks, 1, params, policy, fast_rng)
                 assert (clocks.t, clocks.local) == (want.t, want.local)
             assert fast_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_draw_matches_randint(seed):
+    mine, ref = random.Random(seed), random.Random(seed)
+    # every width 1..70 (so each power of two up to 64 and the width one past
+    # it), plus wide ranges where the rejection loop draws many bits
+    widths = list(range(1, 71)) + [2**20, 2**20 + 1, 2**31 + 1]
+    for width in widths:
+        for lo in (0, 1, -3, 1000):
+            for _ in range(5):
+                hi = lo + width - 1
+                assert draw(mine, lo, hi) == ref.randint(lo, hi)
+                assert mine.getstate() == ref.getstate()
+
+
+def test_draw_refuses_an_empty_range():
+    with pytest.raises(ValueError):
+        draw(random.Random(0), 3, 2)
