@@ -1,11 +1,14 @@
 """Deterministic discrete-event simulator for bounded-counter protocols.
 
 One kernel step is: optional clock advance (every ``sptu`` steps), region
-re-anchoring for every process whose clock crossed a boundary, channel
-maintenance (expired-message drops, scheduled fault injections, arrivals),
-then exactly one process activation chosen by a seeded shuffled round-robin.
-The acting process evaluates its guards on lifted integers and executes the
-first enabled action, or self-loops.
+re-anchoring for every process whose clock crossed a boundary, each followed
+by the removal of that process's expired cells, channel maintenance
+(expired-message drops, scheduled fault injections, arrivals), then exactly
+one process activation chosen by a seeded shuffled round-robin. Expired
+cells are swept again before an activation only when a fault has touched
+the acting process since it last acted: no other cell can age without a
+region change (see :mod:`.sim`). The acting process evaluates its guards on
+lifted integers and executes the first enabled action, or self-loops.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, budget
 refill and message-horizon drop, the context API, the snapshot layout) comes
@@ -17,7 +20,10 @@ every effect in the trace.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the
-unbounded reference replay never touches the generator.
+unbounded reference replay never touches the generator. Integer draws (clock
+drift, the activation's ``d``, message delays) go through
+:func:`.regions.draw`, which gives exactly ``randint``'s value and generator
+state at less cost.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Fault plans: campaign coverage, validation, and firing behavior."""
 import dataclasses
 import io
-from collections import defaultdict
-
 import json
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from regionbound import analysis, faults, kernel, oracle, scenario, sim
 from regionbound import trace as tr
 from regionbound.counters import CounterParams
-from regionbound.errors import ConfigError
+from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
 from regionbound.protocols.base import ProcInit, ProtocolDef
 from regionbound.transform import ActionSpec
 
@@ -196,8 +195,8 @@ def _outcome(cfg, prog, seed: int):
     taken right after the faults (stale cells included) -- or the error."""
     try:
         trace = kernel.run(cfg, seed)
-    except Exception as exc:  # the same plan must fail the same way
-        return repr(exc)
+    except (KernelInvariantError, ProtocolBug) as exc:
+        return repr(exc)  # the same plan must abort the same way
     buf = io.StringIO()
     trace.write_jsonl(buf)
     lines = analysis.convergence_check(prog, trace).lines()
