@@ -11,7 +11,8 @@ replays cleanly from the lifted bounded state.
 The remaining scans enforce the structural invariants every run must keep:
 dependent cells never outlive their declared forward reach, clocks never
 spread more than one region apart, and no message is seen past its
-lifetime.
+lifetime. :func:`check` is the whole verdict on one run of a scenario: the
+applicable headline check, every scan and the protocol's safety predicate.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def fault_stop_region(trace: tr.Trace) -> int:
     """Last global region in which any fault fired (applied or not)."""
     stop = None
     for ev in trace.iter_events(tr.EV_FAULT):
-        g = ev[5]["g_region"]
+        g = ev.detail["g_region"]
         stop = g if stop is None else max(stop, g)
     if stop is None:
         raise ConfigError("trace records no faults; nothing to derive "
@@ -173,33 +174,27 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
                    f"{bound_regions})")
 
     for ev in trace.events:
-        kind = ev[1]
+        kind = ev.kind
         if kind == tr.EV_RC:
-            pid, new_region, changes = ev[2], ev[3], ev[4]
-            regions[pid] = new_region
-            for slot, _coll, key, _old, new_res, _lift, _corr in changes:
+            regions[ev.pid] = ev.new_region
+            for slot, _coll, key, _old, new_res, _lift, _corr in ev.changes:
                 if slot == "free":
-                    free[pid][key] = new_res
-            if new_region >= settle:
-                for name, res in free[pid].items():
-                    if not fits_free(res, new_region, fams[name]):
-                        bad(ev[0], pid, name, res)
-                        return report
+                    free[ev.pid][key] = new_res
+            written = (list(free[ev.pid].items()) if ev.new_region >= settle
+                       else ())
         elif kind == tr.EV_WFREE:
-            pid, name, res = ev[2], ev[3], ev[4]
-            free[pid][name] = res
-            if regions[pid] >= settle and not fits_free(res, regions[pid],
-                                                        fams[name]):
-                bad(ev[0], pid, name, res)
+            written = [(ev.name, ev.residue)]
+        elif (kind == tr.EV_FAULT and ev.fault_kind == "overwrite_free"
+              and ev.applied):
+            written = [(ev.target, ev.detail["new"])]
+        else:
+            continue
+        for name, res in written:
+            free[ev.pid][name] = res
+            if regions[ev.pid] >= settle and not fits_free(
+                    res, regions[ev.pid], fams[name]):
+                bad(ev.step, ev.pid, name, res)
                 return report
-        elif kind == tr.EV_FAULT:
-            if ev[2] == "overwrite_free" and ev[6]:
-                pid, name = ev[3], ev[4]
-                free[pid][name] = ev[5]["new"]
-                if regions[pid] >= settle and not fits_free(
-                        free[pid][name], regions[pid], fams[name]):
-                    bad(ev[0], pid, name, free[pid][name])
-                    return report
     report.add("free-containment", True,
                f"all free counters fit their windows from {bound_regions} "
                f"regions after the last fault (region {fstop})")
@@ -235,7 +230,6 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
         report = VerificationReport()
     caps = {coll: decl.dep.r_f for coll, decl in prog.colls.items()}
     snap0 = trace.snapshots[min(trace.snapshots)]
-    regions = list(snap0["regions"])
     live: dict[tuple[int, str, int], int] = {}
     for pid, pstate in enumerate(snap0["procs"]):
         for coll, rows in pstate["colls"].items():
@@ -256,25 +250,22 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
         return True
 
     for ev in trace.events:
-        kind = ev[1]
+        kind = ev.kind
         if kind == tr.EV_RC:
-            pid, new_region = ev[2], ev[3]
-            regions[pid] = new_region
             for (p, coll, cid) in list(live):
-                if p == pid and not age_ok(ev[0], pid, coll, cid, new_region):
+                if p == ev.pid and not age_ok(ev.step, p, coll, cid,
+                                              ev.new_region):
                     return report
         elif kind == tr.EV_DCREATE:
-            live[(ev[2], ev[3], ev[4])] = ev[7]
+            live[(ev.pid, ev.coll, ev.cid)] = ev.created_local
         elif kind == tr.EV_DREMOVE:
-            live.pop((ev[2], ev[3], ev[4]), None)
-        elif kind == tr.EV_FAULT:
-            fk, pid, target, detail, applied = ev[2], ev[3], ev[4], ev[5], ev[6]
-            if not applied:
-                continue
-            if fk == "insert_dep":
-                live[(pid, target, detail["cid"])] = detail["created_local"]
-            elif fk == "delete_dep":
-                live.pop((pid, detail["coll"], detail["cid"]), None)
+            live.pop((ev.pid, ev.coll, ev.cid), None)
+        elif kind == tr.EV_FAULT and ev.applied:
+            key = (ev.pid, ev.detail.get("coll"), ev.detail.get("cid"))
+            if ev.fault_kind == "insert_dep":
+                live[key] = ev.detail["created_local"]
+            elif ev.fault_kind == "delete_dep":
+                live.pop(key, None)
     if worst < 0:
         report.add("dep-lifetime", True,
                    "no dependent cell crossed a region boundary")
@@ -298,7 +289,7 @@ def max_region_gap(trace: tr.Trace) -> int:
     for snap in trace.snapshots.values():
         gap = max(gap, probe(snap["regions"], snap["g_region"]))
     for ev in trace.iter_events(tr.EV_CLOCK):
-        gap = max(gap, probe(ev[5], ev[3]))
+        gap = max(gap, probe(ev.regions, ev.g_region))
     return gap
 
 
@@ -328,21 +319,48 @@ def scan_msg_lifetime(trace: tr.Trace,
         for row in rows:
             sent[row[0]] = row[8]
     for ev in trace.events:
-        kind = ev[1]
+        kind = ev.kind
         if kind == tr.EV_CLOCK:
-            g_region = ev[3]
+            g_region = ev.g_region
         elif kind == tr.EV_SEND:
-            sent[ev[2]] = ev[9]
+            sent[ev.mid] = ev.send_region_global
         elif kind in (tr.EV_ARRIVE, tr.EV_CONSUME):
-            mid = ev[2]
-            if g_region > sent[mid] + lifetime:
+            if g_region > sent[ev.mid] + lifetime:
                 report.add("msg-lifetime", False,
-                           f"step {ev[0]}: message {mid} {kind} at global "
-                           f"region {g_region}, sent at {sent[mid]}, past "
-                           f"lifetime {lifetime}")
+                           f"step {ev.step}: message {ev.mid} {kind} at "
+                           f"global region {g_region}, sent at "
+                           f"{sent[ev.mid]}, past lifetime {lifetime}")
                 return report
     report.add("msg-lifetime", True,
                f"no message outlived its {lifetime}-region lifetime")
+    return report
+
+
+def check(sc, trace: tr.Trace) -> VerificationReport:
+    """Everything ``regionbound check`` judges of ``trace``, a run of
+    scenario ``sc``: closure for a fault-free run or convergence for a
+    faulted one, the region-gap, message-lifetime and dependent-lifetime
+    scans, and the protocol's safety predicate, if it has one, from step 0
+    of a fault-free run or from the convergence boundary of a faulted one.
+    """
+    if sc.has_faults:
+        report = convergence_check(sc.prog, trace)
+        safety_start = snapshot_step_for_region(
+            trace, sc.derived["boundary_region"])
+    else:
+        report = closure_check(sc.prog, trace)
+        safety_start = 0
+    scan_region_gaps(trace, 1 if sc.cfg.drift.kind != "none" else 0,
+                     report=report)
+    scan_msg_lifetime(trace, report=report)
+    scan_dep_lifetimes(sc.prog, trace, report=report)
+    if sc.prog.safety is not None:
+        if safety_start is None:
+            report.add("protocol-safety", False,
+                       "no stabilized suffix to scan (see suffix-replay)")
+        else:
+            report.add("protocol-safety",
+                       *sc.prog.safety(trace, safety_start))
     return report
 
 

@@ -89,26 +89,7 @@ def cmd_check(args) -> int:
     sc = scenario.load(args.scenario)
     trace = _load_trace(args.trace)
     _match_trace(sc, trace)
-    report = analysis.VerificationReport()
-    safety_start = 0
-    if sc.has_faults:
-        sub = analysis.convergence_check(sc.prog, trace)
-        report.results.extend(sub.results)
-        boundary = sc.derived["boundary_region"]
-        safety_start = analysis.snapshot_step_for_region(trace, boundary)
-    else:
-        analysis.closure_check(sc.prog, trace, report=report)
-    expected_gap = 1 if sc.cfg.drift.kind != "none" else 0
-    analysis.scan_region_gaps(trace, expected_gap, report=report)
-    analysis.scan_msg_lifetime(trace, report=report)
-    analysis.scan_dep_lifetimes(sc.prog, trace, report=report)
-    if sc.prog.safety is not None:
-        if safety_start is None:
-            report.add("protocol-safety", False,
-                       "no stabilized suffix to scan (see suffix-replay)")
-        else:
-            ok, detail = sc.prog.safety(trace, safety_start)
-            report.add("protocol-safety", ok, detail)
+    report = analysis.check(sc, trace)
     for line in report.lines():
         print(line)
     n_bad = sum(1 for r in report.results if not r.ok)

@@ -231,9 +231,7 @@ class Kernel(Sim):
     # -- trace plumbing ----------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        self.trace.events.append(
-            (self.step, kind,
-             *map(payload.__getitem__, tr._EVENT_FIELDS[kind])))
+        self.trace.events.append(tr.EVENTS[kind](self.step, kind, **payload))
 
     def _regions(self) -> list[int]:
         rs = self.rp.rs

@@ -227,8 +227,7 @@ class Replayer(Sim):
         return ev
 
     def emit(self, kind: str, **payload) -> None:
-        expected = (self.step, kind,
-                    *map(payload.__getitem__, tr._EVENT_FIELDS[kind]))
+        expected = tr.EVENTS[kind](self.step, kind, **payload)
         got = self._next()
         if got != expected:
             self._fail(f"recorded event {got!r} != reference {expected!r}")
@@ -244,12 +243,15 @@ class Replayer(Sim):
         mid = self.next_mid
         self.next_mid += 1
         got = self._next()
-        expected = (self.step, tr.EV_SEND, mid, ctx.pid, dst, kind, res_cells,
-                    vars, ctx.region, self.g_region)
-        if got[:-2] != expected:
+        # the delivery draws are the kernel's: take them from the record
+        arrival = getattr(got, "arrival_step", None)
+        drop = getattr(got, "drop_step", None)
+        expected = tr.EVENTS[tr.EV_SEND](
+            self.step, tr.EV_SEND, mid, ctx.pid, dst, kind, res_cells, vars,
+            ctx.region, self.g_region, arrival, drop)
+        if got != expected:
             self._fail(f"recorded send {got!r} != reference {expected!r} "
                        "(ignoring delivery draws)")
-        arrival, drop = got[-2], got[-1]
         if (arrival is None) == (drop is None):
             self._fail(f"send event {got!r} must set exactly one of "
                        "arrival_step and drop_step")
@@ -266,20 +268,21 @@ class Replayer(Sim):
         if not (self.step and self.step % self.sptu == 0):
             return
         got = self._next()
-        if got[1] != tr.EV_CLOCK:
+        if got.kind != tr.EV_CLOCK:
             self._fail(f"expected a clock record, got {got!r}")
-        _, _, t, g_region, locals_, regions = got
-        if (t != self.t + 1 or t // self.rs != g_region
-                or any(x // self.rs != r for x, r in zip(locals_, regions))
-                or len(locals_) != self.prog.n):
+        n, rs = self.prog.n, self.rs
+        if (got.t != self.t + 1 or got.t // rs != got.g_region
+                or any(x // rs != r for x, r in zip(got.locals, got.regions))
+                or len(got.locals) != n):
             self._fail(f"clock record {got!r} is internally inconsistent")
         old_regions = self.regions
-        self.t, self.locals, self.regions = t, list(locals_), list(regions)
-        for pid in range(self.prog.n):
+        self.t, self.locals, self.regions = (got.t, list(got.locals),
+                                             list(got.regions))
+        for pid in range(n):
             if self.regions[pid] > old_regions[pid]:
                 self._apply_rc(pid, self.regions[pid])
-        if g_region != self.g_region:
-            self.g_region = g_region
+        if got.g_region != self.g_region:
+            self.g_region = got.g_region
             self._refill_and_drop(self.trace.meta["lifetime_regions"])
 
     def _apply_rc(self, pid: int, new_r: int) -> None:
@@ -344,19 +347,19 @@ class Replayer(Sim):
         rows = self.trace.rows
         events = self.trace.events
         lo = 0
-        while lo < len(events) and events[lo][0] < self.start_step:
+        while lo < len(events) and events[lo].step < self.start_step:
             lo += 1
         checked = 0
         for row in rows[self.start_step:]:
             self.step = row[0]
             hi = lo
-            while hi < len(events) and events[hi][0] == self.step:
+            while hi < len(events) and events[hi].step == self.step:
                 hi += 1
             self._bucket = events[lo:hi]
             self._cursor = 0
             lo = hi
             for ev in self._bucket:
-                if ev[1] == tr.EV_FAULT:
+                if ev.kind == tr.EV_FAULT:
                     self._fail("fault injection inside the replayed segment")
             self._phase_clock()
             self._arrivals()

@@ -32,10 +32,9 @@ from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
 def check_agreement(trace, start_step: int = 0) -> tuple[bool, str]:
     """All decide marks from ``start_step`` onward must carry one value."""
     decided: dict[int, int] = {}
-    for ev in trace.events:
-        if ev[0] < start_step or ev[1] != tr.EV_MARK or ev[2] != "decide":
-            continue
-        decided[ev[3]] = ev[4]["val"]
+    for ev in trace.iter_events(tr.EV_MARK):
+        if ev.step >= start_step and ev.mark_kind == "decide":
+            decided[ev.pid] = ev.data["val"]
     values = set(decided.values())
     if len(values) > 1:
         return False, f"conflicting decisions {decided}"

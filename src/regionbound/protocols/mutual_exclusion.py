@@ -37,18 +37,17 @@ def check_safety(trace, start_step: int = 0) -> tuple[bool, str]:
     inside = {pid for pid, p in enumerate(snap["procs"])
               if p["vars"].get("in_cs")}
     entries = 0
-    for ev in trace.events:
-        if ev[0] < start_step or ev[1] != tr.EV_MARK or ev[2] != "cs":
+    for ev in trace.iter_events(tr.EV_MARK):
+        if ev.step < start_step or ev.mark_kind != "cs":
             continue
-        pid, data = ev[3], ev[4]
-        if data["phase"] == "enter":
-            inside.add(pid)
+        if ev.data["phase"] == "enter":
+            inside.add(ev.pid)
             entries += 1
             if len(inside) > 1:
-                return False, (f"step {ev[0]}: pids {sorted(inside)} in the "
-                               "critical section together")
+                return False, (f"step {ev.step}: pids {sorted(inside)} in "
+                               "the critical section together")
         else:
-            inside.discard(pid)
+            inside.discard(ev.pid)
     return True, f"{entries} entries, never more than one holder"
 
 

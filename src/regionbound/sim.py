@@ -62,9 +62,6 @@ class MsgView:
         self._cells = cells
         self._vars = vars
 
-    def has_cell(self, fld: str) -> bool:
-        return fld in self._cells
-
     def cell(self, fld: str) -> int:
         return self._cells[fld]
 
@@ -89,12 +86,6 @@ class PeekView:
 
     def free(self, name: str) -> int:
         return self._ctx.free(name)
-
-    def cells(self, coll: str) -> list[tuple]:
-        return self._ctx.cells(coll)
-
-    def var(self, name: str):
-        return self._ctx.var(name)
 
 
 class Ctx:
@@ -133,9 +124,6 @@ class Ctx:
 
     def can_spend(self, amount: int) -> bool:
         return self.sim.budgets[self.sim.prog.budget_family] >= amount
-
-    def cell_count(self, coll: str) -> int:
-        return len(self.proc.colls[coll])
 
     def remove_cell(self, coll: str, cid: int) -> None:
         del self.proc.colls[coll][cid]
@@ -201,8 +189,8 @@ class Sim:
         self.may_hold_stale: set[int] = set()
 
     def emit(self, kind: str, **payload) -> None:
-        """Handle one effect of the current step, fields named as in
-        ``trace._EVENT_FIELDS[kind]``."""
+        """Handle one effect of the current step, fields named as
+        ``trace.EVENTS[kind]`` declares them."""
         raise NotImplementedError
 
     def _stored(self, fam, value: int) -> int:

@@ -1,11 +1,16 @@
 """Run traces: compact in-memory records plus a line-delimited file format.
 
 A trace is the full account of one simulation run: one row per step (who
-acted, which action, the step's random draws) plus a stream of event tuples
+acted, which action, the step's random draws) plus a stream of events
 (counter writes, cell creation/removal, message lifecycle, clock movement,
 faults) and occasional full-state snapshots. Event payloads hold both the
 stored residue and the lifted integer so checkers never have to re-derive
 either.
+
+Each event kind is declared once below with :func:`_kind`: a named tuple
+``(step, kind, ...)`` whose field names are also its keys in the file and
+whose field types the loader checks. Producers build events through
+:data:`EVENTS`; checkers read them by field name.
 
 The file form is JSON-lines: one record per line, stable field names,
 integers in decimal. Field order within a line is fixed by construction
@@ -15,60 +20,71 @@ integers in decimal. Field order within a line is fixed by construction
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterator
 
 from .errors import TraceFormatError
 
-# event kinds (tuple[1] of every event record)
-EV_CLOCK = "clock"      # (step, kind, t, g_region, locals, regions)
-EV_RC = "rc"            # (step, kind, pid, new_region, changes)
-                        #   changes: tuple of (slot, coll, key, old_res, new_res, lifted, corrected)
-                        #   slot is "free" or "dep"; key is the cell name or cell id
-EV_FAULT = "fault"      # (step, kind, fault_kind, pid, target, detail, applied)
-EV_ARRIVE = "arrive"    # (step, kind, mid)
-EV_DROP = "drop"        # (step, kind, mid, reason)
-EV_SEND = "send"        # (step, kind, mid, src, dst, msg_kind, cells, vars,
-                        #   send_region_local, send_region_global, arrival_step, drop_step)
-                        #   cells: {field: residue}, keys sorted
-EV_CONSUME = "consume"  # (step, kind, mid, pid)
-EV_WFREE = "wfree"      # (step, kind, pid, name, residue, lifted, corrected)
-EV_DCREATE = "dcreate"  # (step, kind, pid, coll, cid, residue, lifted,
-                        #   created_local, created_global, tag, corrected)
-EV_DREMOVE = "dremove"  # (step, kind, pid, coll, cid, reason)
-EV_VAR = "var"          # (step, kind, pid, name, value)
-EV_SPEND = "spend"      # (step, kind, family, amount)
-EV_MARK = "mark"        # (step, kind, mark_kind, pid, data)
+EVENTS: dict[str, type] = {}
 
-_EVENT_FIELDS = {
-    EV_CLOCK: ("t", "g_region", "locals", "regions"),
-    EV_RC: ("pid", "new_region", "changes"),
-    EV_FAULT: ("fault_kind", "pid", "target", "detail", "applied"),
-    EV_ARRIVE: ("mid",),
-    EV_DROP: ("mid", "reason"),
-    EV_SEND: ("mid", "src", "dst", "msg_kind", "cells", "vars",
-              "send_region_local", "send_region_global", "arrival_step", "drop_step"),
-    EV_CONSUME: ("mid", "pid"),
-    EV_WFREE: ("pid", "name", "residue", "lifted", "corrected"),
-    EV_DCREATE: ("pid", "coll", "cid", "residue", "lifted",
-                 "created_local", "created_global", "tag", "corrected"),
-    EV_DREMOVE: ("pid", "coll", "cid", "reason"),
-    EV_VAR: ("pid", "name", "value"),
-    EV_SPEND: ("family", "amount"),
-    EV_MARK: ("mark_kind", "pid", "data"),
-}
+
+def _kind(name: str, /, **types) -> str:
+    """Declare the event kind ``name`` once: a tuple ``(step, kind, *types)``
+    with named fields, stored in a trace file under the same names.
+
+    Each type is what a field holds after loading: ``tuple`` for a JSON list
+    read back as nested tuples, ``object`` for any JSON value (the replayer
+    checks it), otherwise the type or types of the JSON value.
+    """
+    event = namedtuple(name, ("step", "kind", *types))
+    event.types = types
+    EVENTS[name] = event
+    return name
+
+
+_OPT_INT = (int, type(None))
+
+EV_CLOCK = _kind("clock", t=int, g_region=int, locals=tuple, regions=tuple)
+# changes: (slot, coll, key, old_res, new_res, lifted, corrected) per moved
+# counter; slot is "free" or "dep", key the cell name or cell id
+EV_RC = _kind("rc", pid=int, new_region=int, changes=tuple)
+EV_FAULT = _kind("fault", fault_kind=str, pid=_OPT_INT, target=object,
+                 detail=dict, applied=bool)
+EV_ARRIVE = _kind("arrive", mid=int)
+EV_DROP = _kind("drop", mid=int, reason=str)
+# cells: {field: residue}, keys sorted
+EV_SEND = _kind("send", mid=int, src=int, dst=int, msg_kind=str, cells=dict,
+                vars=dict, send_region_local=int, send_region_global=int,
+                arrival_step=object, drop_step=object)
+EV_CONSUME = _kind("consume", mid=int, pid=int)
+EV_WFREE = _kind("wfree", pid=int, name=str, residue=int, lifted=int,
+                 corrected=bool)
+EV_DCREATE = _kind("dcreate", pid=int, coll=str, cid=int, residue=int,
+                   lifted=int, created_local=int, created_global=int,
+                   tag=object, corrected=bool)
+EV_DREMOVE = _kind("dremove", pid=int, coll=str, cid=int, reason=str)
+EV_VAR = _kind("var", pid=int, name=str, value=object)
+EV_SPEND = _kind("spend", family=str, amount=int)
+EV_MARK = _kind("mark", mark_kind=str, pid=int, data=object)
+
+# a row is a plain tuple (step, acting, action_idx, action, d, u1, u2):
+# the acting pid, then SELF_LOOP and "" when no action was enabled
+_ROW_TYPES = {"acting": int, "action_idx": int, "action": str, "d": int,
+              "u1": (int, float), "u2": (int, float)}
 
 SELF_LOOP = -1
 
-_NUMBER = (int, float)
+# keys of a record in the file, in field order
+_ROW_KEYS = ("step", *_ROW_TYPES)
+_EVENT_KEYS = {kind: ("step", "ev", *cls.types) for kind, cls in EVENTS.items()}
 
 
 @dataclass
 class Trace:
     meta: dict[str, Any]
     rows: list[tuple] = field(default_factory=list)
-    # rows[i] = (step, acting_pid, action_idx, action_name, d, u1, u2)
-    events: list[tuple] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)  # EVENTS tuples
     snapshots: dict[int, dict] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
 
@@ -77,7 +93,7 @@ class Trace:
 
     def iter_events(self, kind: str) -> Iterator[tuple]:
         for ev in self.events:
-            if ev[1] == kind:
+            if ev.kind == kind:
                 yield ev
 
     def has_faults(self) -> bool:
@@ -88,15 +104,9 @@ class Trace:
     def write_jsonl(self, fp: IO[str]) -> None:
         fp.write(_line("meta", self.meta))
         for row in self.rows:
-            fp.write(_line("row", {
-                "step": row[0], "acting": row[1], "action_idx": row[2],
-                "action": row[3], "d": row[4], "u1": row[5], "u2": row[6],
-            }))
+            fp.write(_line("row", dict(zip(_ROW_KEYS, row))))
         for ev in self.events:
-            rec = {"step": ev[0], "ev": ev[1]}
-            for name, val in zip(_EVENT_FIELDS[ev[1]], ev[2:]):
-                rec[name] = _plain(val)
-            fp.write(_line("event", rec))
+            fp.write(_line("event", dict(zip(_EVENT_KEYS[ev.kind], ev))))
         for step in sorted(self.snapshots):
             fp.write(_line("snapshot", {"step": step, "state": self.snapshots[step]}))
         fp.write(_line("summary", self.summary))
@@ -128,25 +138,15 @@ class Trace:
                 if tag == "meta":
                     meta = d
                 elif tag == "row":
-                    row = (d["step"], d["acting"], d["action_idx"],
-                           d["action"], d["d"], d["u1"], d["u2"])
-                    if not (isinstance(row[1], int)
-                            and isinstance(row[2], int)
-                            and isinstance(row[4], int)
-                            and isinstance(row[5], _NUMBER)
-                            and isinstance(row[6], _NUMBER)):
-                        raise TraceFormatError(
-                            f"line {lineno}: row needs integer 'acting', "
-                            "'action_idx' and 'd', and numbers 'u1' and 'u2'")
-                    rows.append(row)
+                    rows.append((d["step"],
+                                 *_fields(d, _ROW_TYPES, lineno, "row")))
                 elif tag == "event":
                     kind = d["ev"]
-                    if not isinstance(kind, str) or kind not in _EVENT_FIELDS:
+                    if not isinstance(kind, str) or kind not in EVENTS:
                         raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
-                    events.append(tuple(
-                        [d["step"], kind]
-                        + [_deep_tuple(d[name]) if (kind, name) in _TUPLE_FIELDS else d[name]
-                           for name in _EVENT_FIELDS[kind]]))
+                    event = EVENTS[kind]
+                    events.append(event._make([d["step"], kind, *_fields(
+                        d, event.types, lineno, f"{kind} event")]))
                 elif tag == "snapshot":
                     if not isinstance(d["state"], dict):
                         raise TraceFormatError(
@@ -176,26 +176,22 @@ def load(path: str) -> Trace:
         return Trace.read_jsonl(fp)
 
 
-# structural fields the kernel builds as (nested) tuples; everything else is
-# required to already be in canonical JSON form (see canon()) when recorded
-_TUPLE_FIELDS = {
-    (EV_CLOCK, "locals"), (EV_CLOCK, "regions"),
-    (EV_RC, "changes"),
-}
+def _fields(d: dict, types: dict, lineno: int, what: str) -> list:
+    """A record's field values in declared order, each type-checked; a
+    ``tuple`` field is a JSON list, loaded as nested tuples."""
+    out = []
+    for key, t in types.items():
+        val = d[key]
+        if not isinstance(val, list if t is tuple else t):
+            raise TraceFormatError(f"line {lineno}: {what} field {key!r} "
+                                   f"may not be a {type(val).__name__}")
+        out.append(_deep_tuple(val) if t is tuple else val)
+    return out
 
 
 def _line(tag: str, data: dict) -> str:
     return json.dumps({"rec": tag, "data": data}, separators=(",", ":"),
                       sort_keys=False) + "\n"
-
-
-def _plain(val: Any) -> Any:
-    """Tuples become lists for JSON; nesting handled recursively."""
-    if isinstance(val, (tuple, list)):
-        return [_plain(v) for v in val]
-    if isinstance(val, dict):
-        return {k: _plain(v) for k, v in val.items()}
-    return val
 
 
 def _deep_tuple(val: Any) -> Any:

@@ -134,10 +134,10 @@ def test_msg_lifetime_scan_catches_a_stale_arrival():
     sc = build_scenario("mutual_exclusion")
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
-    arrived = {ev[2] for ev in doctored.events if ev[1] == tr.EV_ARRIVE}
+    arrived = {ev.mid for ev in doctored.iter_events(tr.EV_ARRIVE)}
     for i, ev in enumerate(doctored.events):
-        if ev[1] == tr.EV_SEND and ev[2] in arrived:
-            doctored.events[i] = ev[:9] + (0,) + ev[10:]
+        if ev.kind == tr.EV_SEND and ev.mid in arrived:
+            doctored.events[i] = ev._replace(send_region_global=0)
             break
     report = analysis.scan_msg_lifetime(doctored)
     assert not report.ok

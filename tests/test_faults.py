@@ -122,10 +122,10 @@ def test_empty_selector_records_applied_false():
     )
     cfg = dataclasses.replace(sc.cfg, faults=entries)
     trace = kernel.run(cfg, seed=11)
-    fired = [ev for ev in trace.events if ev[1] == tr.EV_FAULT]
-    assert [ev[6] for ev in fired] == [False, False]
+    fired = list(trace.iter_events(tr.EV_FAULT))
+    assert [ev.applied for ev in fired] == [False, False]
     # nothing beyond the firing region gets recorded when nothing matched
-    assert all(set(ev[5]) == {"g_region"} for ev in fired)
+    assert all(set(ev.detail) == {"g_region"} for ev in fired)
 
 
 def test_faulted_runs_are_reproducible():
@@ -155,11 +155,12 @@ def test_fault_events_record_the_plan():
     })
     sc = scenario.parse(doc)
     trace = run_scenario(sc)
-    fired = [ev for ev in trace.events if ev[1] == tr.EV_FAULT]
+    fired = list(trace.iter_events(tr.EV_FAULT))
     assert len(fired) == 1
     ev = fired[0]
-    assert (ev[2], ev[3], ev[4], ev[6]) == ("overwrite_free", 2, "cl", True)
-    assert ev[5]["new"] == 9
+    assert (ev.fault_kind, ev.pid, ev.target, ev.applied) == (
+        "overwrite_free", 2, "cl", True)
+    assert ev.detail["new"] == 9
 
 
 # Fault plans on the shipped mutual-exclusion scenario (start region 11,

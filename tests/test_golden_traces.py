@@ -3,7 +3,8 @@
 Each case runs the kernel, serializes the trace to JSONL and applies the
 replay check a ``regionbound check`` would (closure for fault-free runs,
 convergence for faulted ones). The SHA-256 over the JSONL bytes plus the
-verdict lines is pinned below. A change meant to keep behaviour (a refactor,
+verdict lines is pinned below; the rest of ``analysis.check`` (scans and
+safety) must pass too, but stays out of the digest. A change meant to keep behaviour (a refactor,
 a speedup) must leave every digest as it is; a change meant to alter traces
 must say so and re-pin them.
 """
@@ -144,9 +145,7 @@ GOLDEN = {
 }
 
 
-def trace_digest(doc: dict, seed: int) -> str:
-    sc = scenario.parse(doc)
-    trace = kernel.run(sc.cfg, seed)
+def trace_digest(sc, trace) -> str:
     buf = io.StringIO()
     trace.write_jsonl(buf)
     if sc.has_faults:
@@ -162,7 +161,11 @@ def trace_digest(doc: dict, seed: int) -> str:
 @pytest.mark.parametrize("name,seed",
                          [(name, seed) for name in CASES for seed in SEEDS])
 def test_trace_and_verdicts_match_the_golden_digest(name, seed):
-    assert trace_digest(case_doc(name), seed) == GOLDEN[f"{name}/{seed}"]
+    sc = scenario.parse(case_doc(name))
+    trace = kernel.run(sc.cfg, seed)
+    assert trace_digest(sc, trace) == GOLDEN[f"{name}/{seed}"]
+    report = analysis.check(sc, trace)
+    assert report.ok, report.lines()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -171,16 +174,15 @@ def test_stale_inserts_expire_before_the_owner_acts(seed):
     with no clock tick, so no region change is what removes it."""
     sc = scenario.parse(case_doc("mutex_fault_recovery-stale"))
     trace = kernel.run(sc.cfg, seed)
-    clock_steps = {ev[0] for ev in trace.iter_events(tr.EV_CLOCK)}
-    inserts = [ev for ev in trace.iter_events(tr.EV_FAULT) if ev[6]]
+    clock_steps = {ev.step for ev in trace.iter_events(tr.EV_CLOCK)}
+    inserts = [ev for ev in trace.iter_events(tr.EV_FAULT) if ev.applied]
     assert len(inserts) == 2
     for ev in inserts:
-        cid = ev[5]["cid"]
-        removals = [(rm[0], rm[5]) for rm in trace.iter_events(tr.EV_DREMOVE)
-                    if rm[4] == cid]
+        removals = [rm for rm in trace.iter_events(tr.EV_DREMOVE)
+                    if rm.cid == ev.detail["cid"]]
         assert len(removals) == 1
-        step, reason = removals[0]
-        assert reason == "expired"
-        assert step >= ev[0] and step not in clock_steps
-        acting = [row[1] for row in trace.rows[ev[0]:step + 1]]
-        assert acting[-1] == ev[3] and ev[3] not in acting[:-1]
+        step = removals[0].step
+        assert removals[0].reason == "expired"
+        assert step >= ev.step and step not in clock_steps
+        acting = [pid for _, pid, *_ in trace.rows[ev.step:step + 1]]
+        assert acting[-1] == ev.pid and ev.pid not in acting[:-1]

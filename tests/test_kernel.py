@@ -64,11 +64,11 @@ def test_family_spend_stays_within_budget_per_region():
     budgets = {name: p.maxinc for name, p in sc.prog.families.items()}
     spent = Counter()
     for ev in trace.events:
-        if ev[1] == tr.EV_CLOCK and ev[2] % sc.cfg.rs == 0:
+        if ev.kind == tr.EV_CLOCK and ev.t % sc.cfg.rs == 0:
             spent.clear()
-        elif ev[1] == tr.EV_SPEND:
-            spent[ev[2]] += ev[3]
-            assert spent[ev[2]] <= budgets[ev[2]]
+        elif ev.kind == tr.EV_SPEND:
+            spent[ev.family] += ev.amount
+            assert spent[ev.family] <= budgets[ev.family]
 
 
 def test_fault_free_runs_never_clamp_a_write(any_protocol):
@@ -79,7 +79,7 @@ def test_fault_free_runs_never_clamp_a_write(any_protocol):
     trace = run_scenario(sc)
     assert not sc.has_faults
     clamps = [ev for ev in trace.events
-              if ev[1] in (tr.EV_WFREE, tr.EV_DCREATE) and ev[-1]]
+              if ev.kind in (tr.EV_WFREE, tr.EV_DCREATE) and ev.corrected]
     assert clamps == []
 
 
@@ -90,12 +90,12 @@ def test_messages_never_arrive_past_lifetime(any_protocol):
     sent = {}
     g_region = trace.meta["start_region"]
     for ev in trace.events:
-        if ev[1] == tr.EV_CLOCK:
-            g_region = ev[3]
-        elif ev[1] == tr.EV_SEND:
-            sent[ev[2]] = ev[8]
-        elif ev[1] == tr.EV_ARRIVE:
-            assert g_region - sent[ev[2]] <= lifetime
+        if ev.kind == tr.EV_CLOCK:
+            g_region = ev.g_region
+        elif ev.kind == tr.EV_SEND:
+            sent[ev.mid] = ev.send_region_local
+        elif ev.kind == tr.EV_ARRIVE:
+            assert g_region - sent[ev.mid] <= lifetime
 
 
 def test_snapshots_bracket_the_run(any_protocol):

@@ -35,8 +35,8 @@ def test_tampered_event_field_is_caught():
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
     for i, ev in enumerate(doctored.events):
-        if ev[1] == tr.EV_WFREE:
-            doctored.events[i] = ev[:4] + (ev[4] + 1,) + ev[5:]
+        if ev.kind == tr.EV_WFREE:
+            doctored.events[i] = ev._replace(residue=ev.residue + 1)
             break
     else:
         pytest.fail("run recorded no free-counter writes")
@@ -50,7 +50,7 @@ def test_deleted_event_is_caught():
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
     idx = next(i for i, ev in enumerate(doctored.events)
-               if ev[1] == tr.EV_SEND)
+               if ev.kind == tr.EV_SEND)
     del doctored.events[idx]
     with pytest.raises(OracleDivergence):
         replay(sc, doctored)
@@ -93,7 +93,7 @@ def test_fault_inside_the_segment_diverges():
     })
     sc = scenario.parse(doc)
     trace = run_scenario(sc)
-    assert any(ev[1] == tr.EV_FAULT for ev in trace.events)
+    assert trace.has_faults()
     with pytest.raises(OracleDivergence) as exc:
         replay(sc, trace)
     assert "fault" in str(exc.value)

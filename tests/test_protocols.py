@@ -104,9 +104,9 @@ def test_safety_scanners_are_wired():
 
 def writes_by_pid(trace, name):
     out = defaultdict(list)
-    for ev in trace.events:
-        if ev[1] == tr.EV_WFREE and ev[3] == name:
-            out[ev[2]].append(ev[5])
+    for ev in trace.iter_events(tr.EV_WFREE):
+        if ev.name == name:
+            out[ev.pid].append(ev.lifted)
     return out
 
 
@@ -133,9 +133,8 @@ def test_mutex_clean_run_is_safe_and_live():
     trace = run_scenario(sc)
     ok, detail = mutual_exclusion.check_safety(trace, 0)
     assert ok, detail
-    entries = [ev for ev in trace.events
-               if ev[1] == tr.EV_MARK and ev[2] == "cs"
-               and ev[4]["phase"] == "enter"]
+    entries = [ev for ev in trace.iter_events(tr.EV_MARK)
+               if ev.mark_kind == "cs" and ev.data["phase"] == "enter"]
     assert entries, "no process ever entered the critical section"
 
 
@@ -143,30 +142,31 @@ def test_mutex_enter_and_exit_alternate_per_process():
     sc = build_scenario("mutual_exclusion")
     trace = run_scenario(sc)
     last = {}
-    for ev in trace.events:
-        if ev[1] != tr.EV_MARK or ev[2] != "cs":
+    for ev in trace.iter_events(tr.EV_MARK):
+        if ev.mark_kind != "cs":
             continue
-        pid, phase = ev[3], ev[4]["phase"]
-        assert phase != last.get(pid), (
-            f"pid {pid} repeated phase {phase!r} at step {ev[0]}")
-        last[pid] = phase
+        phase = ev.data["phase"]
+        assert phase != last.get(ev.pid), (
+            f"pid {ev.pid} repeated phase {phase!r} at step {ev.step}")
+        last[ev.pid] = phase
 
 
 def test_diffusing_waves_complete_at_the_root():
     sc = build_scenario("diffusing")
     trace = run_scenario(sc)
-    done = [ev for ev in trace.events
-            if ev[1] == tr.EV_MARK and ev[2] == "wave_done"]
+    done = [ev for ev in trace.iter_events(tr.EV_MARK)
+            if ev.mark_kind == "wave_done"]
     assert done, "no wave ever completed"
-    assert {ev[3] for ev in done} == {0}
+    assert {ev.pid for ev in done} == {0}
 
 
 def test_round_checker_reaches_verdicts():
     sc = build_scenario("round_checker")
     trace = run_scenario(sc)
-    marks = [ev for ev in trace.events if ev[1] == tr.EV_MARK]
+    marks = list(trace.iter_events(tr.EV_MARK))
     assert marks, "no round ever finished"
-    assert {ev[2] for ev in marks} <= {"round_complete", "round_suspect"}
+    assert {ev.mark_kind for ev in marks} <= {"round_complete",
+                                             "round_suspect"}
 
 
 def test_consensus_clean_run_agrees():
@@ -174,7 +174,7 @@ def test_consensus_clean_run_agrees():
     trace = run_scenario(sc)
     ok, detail = consensus.check_agreement(trace, 0)
     assert ok, detail
-    decided = {ev[3]: ev[4]["val"] for ev in trace.events
-               if ev[1] == tr.EV_MARK and ev[2] == "decide"}
+    decided = {ev.pid: ev.data["val"] for ev in trace.iter_events(tr.EV_MARK)
+               if ev.mark_kind == "decide"}
     assert len(decided) >= sc.n // 2 + 1
     assert len(set(decided.values())) == 1
