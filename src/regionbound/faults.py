@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import trace as tr
+from .counters import bits_required
 from .errors import ConfigError
 from .transform import Cell
 
@@ -151,8 +152,21 @@ _APPLY = {
 }
 
 
+def _check_residue(prog, where: str, value, fams) -> None:
+    """``value`` must fit a register of every family in ``fams``."""
+    for fam in fams:
+        params = prog.families[fam]
+        bits = bits_required(params.maxinc, params.max_r)
+        if not (isinstance(value, int) and 0 <= value < 1 << bits):
+            raise ConfigError(
+                f"{where}: value {value!r} is no residue of family {fam!r}, "
+                f"whose {bits}-bit registers hold 0 to {(1 << bits) - 1}")
+
+
 def validate_entries(prog, entries) -> None:
-    """Reject statically malformed fault plans before the run starts."""
+    """Reject statically malformed fault plans before the run starts. A
+    fault that writes a counter must write a residue its family's register
+    can hold."""
     for i, e in enumerate(entries):
         where = f"fault {i} ({e.kind})"
         if e.kind not in KINDS:
@@ -164,6 +178,14 @@ def validate_entries(prog, entries) -> None:
         if e.kind in ("overwrite_msg", "delete_msg"):
             if e.pid is not None:
                 raise ConfigError(f"{where}: message faults take no pid")
+            if e.kind == "overwrite_msg":
+                fld = e.target[1]
+                fams = [decl.cell_fields[fld] for decl in prog.msgs.values()
+                        if fld in decl.cell_fields]
+                if not fams:
+                    raise ConfigError(
+                        f"{where}: no message kind has a cell field {fld!r}")
+                _check_residue(prog, where, e.value, fams)
             continue
         if e.pid is None or not 0 <= e.pid < prog.n:
             raise ConfigError(f"{where}: pid {e.pid!r} out of range")
@@ -171,15 +193,20 @@ def validate_entries(prog, entries) -> None:
             if e.target not in prog.init(e.pid).free:
                 raise ConfigError(
                     f"{where}: pid {e.pid} has no free counter {e.target!r}")
+            _check_residue(prog, where, e.value, [prog.free_cells[e.target]])
         elif e.kind == "insert_dep":
             if e.target not in prog.colls:
                 raise ConfigError(f"{where}: unknown collection {e.target!r}")
+            _check_residue(prog, where, e.value, [prog.colls[e.target].family])
         elif e.kind in ("overwrite_dep", "delete_dep"):
             coll, k = e.target
             if coll not in prog.colls:
                 raise ConfigError(f"{where}: unknown collection {coll!r}")
             if not isinstance(k, int) or k < 0:
                 raise ConfigError(f"{where}: bad cell selector {k!r}")
+            if e.kind == "overwrite_dep":
+                _check_residue(prog, where, e.value,
+                               [prog.colls[coll].family])
         elif e.kind == "scramble_var":
             if e.target not in prog.var_domains:
                 raise ConfigError(

@@ -6,7 +6,11 @@ message delivery timing. Counters, however, are kept as arbitrary-precision
 integers with no windows, checks, or reductions. At every recorded effect it
 computes what the unbounded program would have written and requires the
 bounded trace to agree modulo the family modulus (and, for lifted fields,
-exactly). The first disagreement raises :class:`OracleDivergence`.
+exactly). The first disagreement raises :class:`OracleDivergence`. So does a
+schedule the kernel cannot have drawn: a pid named twice in one aligned block
+of n steps (the kernel activates each process once per block, in a freshly
+shuffled order), or a row whose ``d``, ``u1`` or ``u2`` lies outside the
+range the kernel draws it from.
 
 The network, inboxes, cell expiry, budget refill, message-horizon drop,
 context API and snapshot layout are the kernel's own, from :mod:`.sim`; the
@@ -112,6 +116,10 @@ class Replayer(Sim):
         self.rs = trace.meta["rs"]
         self._load(trace.snapshots[start_step])
         self.step = start_step
+        self.maxinc = prog.families[prog.budget_family].maxinc
+        # pids already activated in the block of n steps the replay starts in
+        self._acted = {pid for _, pid, *_ in
+                       trace.rows[start_step - start_step % prog.n:start_step]}
         self._bucket: list = []
         self._cursor = 0
 
@@ -272,8 +280,8 @@ class Replayer(Sim):
             self._fail(f"expected a clock record, got {got!r}")
         n, rs = self.prog.n, self.rs
         if (got.t != self.t + 1 or got.t // rs != got.g_region
-                or any(x // rs != r for x, r in zip(got.locals, got.regions))
-                or len(got.locals) != n):
+                or len(got.locals) != n or len(got.regions) != n
+                or any(x // rs != r for x, r in zip(got.locals, got.regions))):
             self._fail(f"clock record {got!r} is internally inconsistent")
         old_regions = self.regions
         self.t, self.locals, self.regions = (got.t, list(got.locals),
@@ -303,8 +311,19 @@ class Replayer(Sim):
 
     def _phase_act(self, row: tuple) -> None:
         _, pid, idx, name, d, u1, u2 = row
-        if not 0 <= pid < self.prog.n:
+        n = self.prog.n
+        if not 0 <= pid < n:
             self._fail(f"row names acting pid {pid}, which is no process")
+        if self.step % n == 0:
+            self._acted = set()
+        if pid in self._acted:
+            self._fail(f"row names pid {pid} twice in the block of {n} steps "
+                       f"from step {self.step - self.step % n}; the kernel "
+                       "activates every process once per block")
+        self._acted.add(pid)
+        if not (1 <= d <= self.maxinc and 0 <= u1 < 1 and 0 <= u2 < 1):
+            self._fail(f"row draws d={d}, u1={u1}, u2={u2}; the kernel draws "
+                       f"d in [1, {self.maxinc}] and u1, u2 in [0, 1)")
         proc = self.procs[pid]
         self._sweep_before_act(proc)
         ctx = OracleCtx(self, proc, self.step, d, u1, u2)

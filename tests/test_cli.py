@@ -144,12 +144,25 @@ def test_sweep_to_stdout_and_grid_validation(run_cli, tmp_path):
     '"d":1,"u1":"x","u2":0.5}}',
     '{"rec":"row","data":{"step":0,"acting":0,"action_idx":0,"action":"",'
     '"d":1,"u1":0.5,"u2":[0.5]}}',
+    # edits of the first event of a kind in the trace
+    pytest.param({"ev": "send", "send_region_global": "x"}, id="send-srg"),
+    pytest.param({"ev": "clock", "regions": "abc"}, id="clock-regions"),
+    pytest.param({"ev": "clock", "g_region": None}, id="clock-g_region"),
+    pytest.param({"ev": "send", "mid": [1]}, id="send-mid"),
 ])
 def test_malformed_trace_record_is_a_config_error(run_cli, tmp_path, record):
     out = tmp_path / "t.jsonl"
     run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
-    with out.open("a", encoding="utf-8") as fp:
-        fp.write(record + "\n")
+    if isinstance(record, dict):
+        recs = [json.loads(line) for line in
+                out.read_text(encoding="utf-8").splitlines()]
+        next(r["data"] for r in recs if r["rec"] == "event"
+             and r["data"]["ev"] == record["ev"]).update(record)
+        out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                       encoding="utf-8")
+    else:
+        with out.open("a", encoding="utf-8") as fp:
+            fp.write(record + "\n")
     code, _, err = run_cli("check", "--trace", str(out),
                            "--scenario", SCENARIOS[0])
     assert code == EXIT_CONFIG
@@ -228,6 +241,48 @@ def test_row_naming_no_process_fails_the_replay(run_cli, tmp_path, pid):
     assert code == EXIT_FAIL
     assert "Traceback" not in err
     assert f"acting pid {pid}, which is no process" in stdout
+
+
+def test_unfair_schedule_fails_the_replay(run_cli, tmp_path):
+    """Pid 0 takes over pid 1's self-loop rows: no event contradicts a
+    self-loop, but the kernel activates each pid once per block of n."""
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    taken = [r["data"] for r in recs if r["rec"] == "row"
+             and r["data"]["acting"] == 1 and r["data"]["action_idx"] == -1]
+    assert len(taken) == 54
+    for row in taken:
+        row["acting"] = 0
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, stdout, err = run_cli("check", "--trace", str(out),
+                                "--scenario", SCENARIOS[0])
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert "FAIL closure-replay" in stdout
+    assert "row names pid 0 twice in the block" in stdout
+
+
+@pytest.mark.parametrize("kind,target,value", [
+    ("overwrite_free", "clk", 1000000), ("overwrite_free", "clk", -5),
+    ("insert_dep", "req", 1000000),
+])
+def test_fault_value_no_register_holds_is_a_config_error(run_cli, tmp_path,
+                                                         kind, target,
+                                                         value):
+    doc = json.loads(open(SCENARIOS[1], encoding="utf-8").read())
+    doc["faults"] = {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 14, "kind": kind, "target": target,
+         "pid": 0, "value": value}]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli("run", "--scenario", str(bad),
+                           "--out", str(tmp_path / "t.jsonl"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: fault 0") and "no residue" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("faults,field", [

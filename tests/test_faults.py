@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from regionbound import analysis, faults, kernel, oracle, scenario, sim
 from regionbound import trace as tr
-from regionbound.counters import CounterParams
+from regionbound.counters import CounterParams, bits_required
 from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
 from regionbound.protocols.base import ProcInit, ProtocolDef
 from regionbound.transform import ActionSpec
@@ -88,6 +88,35 @@ def test_validate_entries_rejects(patch, msg):
     base.update(patch)
     with pytest.raises(ConfigError, match=msg):
         faults.validate_entries(sc.prog, (faults.FaultEntry(**base),))
+
+
+@pytest.mark.parametrize("kind,target", [
+    ("overwrite_free", "clk"), ("insert_dep", "req"),
+    ("overwrite_dep", ("req", 0)), ("overwrite_msg", (0, "stamp")),
+])
+def test_validate_entries_refuses_a_residue_no_register_holds(kind, target):
+    sc = build_scenario("mutual_exclusion")
+    clk = sc.prog.families["clk"]
+    top = 1 << bits_required(clk.maxinc, clk.max_r)  # 512 for maxbound 456
+    pid = None if kind == "overwrite_msg" else 0
+
+    def plan(value):
+        return (faults.FaultEntry("region", 14, kind, target, pid=pid,
+                                  value=value),)
+
+    faults.validate_entries(sc.prog, plan(0))
+    faults.validate_entries(sc.prog, plan(top - 1))
+    for value in (-1, top, 10 ** 6):
+        with pytest.raises(ConfigError, match="no residue of family 'clk'"):
+            faults.validate_entries(sc.prog, plan(value))
+
+
+def test_validate_entries_refuses_an_undeclared_message_field():
+    sc = build_scenario("mutual_exclusion")
+    entry = faults.FaultEntry("region", 8, "overwrite_msg", (0, "ghost"),
+                              value=1)
+    with pytest.raises(ConfigError, match="no message kind"):
+        faults.validate_entries(sc.prog, (entry,))
 
 
 def test_validate_entries_rejects_pid_on_message_faults():

@@ -84,6 +84,43 @@ def test_every_snapshot_part_is_compared(tamper):
     assert exc.value.step == sc.cfg.total_steps
 
 
+@pytest.mark.parametrize("field,value,msg", [
+    ("d", 0, "row draws"), ("d", 4, "row draws"), ("u1", 1.0, "row draws"),
+    ("u2", -0.25, "row draws"), ("acting", "repeat", "twice in the block"),
+])
+def test_schedule_the_kernel_cannot_draw_is_caught(field, value, msg):
+    sc = build_scenario("logical_clocks")  # n = 4, maxinc 3
+    doctored = copy.deepcopy(run_scenario(sc))
+    at = 2 * sc.n + 1
+    keys = ("step", "acting", "action_idx", "action", "d", "u1", "u2")
+    row = dict(zip(keys, doctored.rows[at]))
+    row[field] = doctored.rows[at - 1][1] if value == "repeat" else value
+    doctored.rows[at] = tuple(row.values())
+    with pytest.raises(OracleDivergence, match=msg) as exc:
+        replay(sc, doctored)
+    assert exc.value.step == at
+
+
+def test_suffix_replay_knows_who_acted_earlier_in_its_block():
+    doc = scenario_doc("logical_clocks", faults={
+        "mode": "list",
+        "entries": [{"when_kind": "region", "when": 10,
+                     "kind": "overwrite_free", "target": "cl",
+                     "pid": 0, "value": 7}],
+    })
+    sc = scenario.parse(doc)
+    trace = run_scenario(sc)
+    start = analysis.snapshot_step_for_region(
+        trace, sc.derived["boundary_region"])
+    assert start % sc.n != 0, "pick a scenario whose suffix starts mid-block"
+    doctored = copy.deepcopy(trace)
+    row = list(doctored.rows[start])
+    row[1] = doctored.rows[start - 1][1]
+    doctored.rows[start] = tuple(row)
+    with pytest.raises(OracleDivergence, match="twice in the block"):
+        replay(sc, doctored, start=start)
+
+
 def test_fault_inside_the_segment_diverges():
     doc = scenario_doc("logical_clocks", faults={
         "mode": "list",
