@@ -3,9 +3,11 @@
 Every process plays proposer, acceptor, and learner. Ballots are pairs
 (seq, pid): the sequence comes from the proposer's free counter, the pid
 breaks ties. A proposer prepares a ballot, gathers promises from a majority
-(counting itself), then asks the same majority to accept either its own
-value or the value of the highest-ballot acceptance reported in a promise;
-a majority of acceptances decides, and the decision is flooded.
+(counting itself), then asks the same majority to accept the value of the
+highest-ballot acceptance anywhere in that majority, its own acceptor's
+included, or its own value when no member has accepted one (Paxos's P2c:
+Lamport, "Paxos Made Simple", 2001). A majority of acceptances decides, and
+the decision is flooded.
 
 Acceptor state (promised ballot, accepted ballot) lives in dependent cells
 of a family whose forward reach is the deployment's memory knob: sized past
@@ -253,7 +255,13 @@ def build(info: BuildInfo) -> ProtocolDef:
         seq = bump_seq(ctx, 0)
         ctx.create_cell("pend", seq, tag="own")
         clear(ctx, "cand")
-        ctx.set_var("cand_val", None)
+        # The proposer's own acceptor is part of its promising majority,
+        # so its acceptance is a candidate like any a promise reports.
+        acc = single(ctx, "acc")
+        if acc is not None:
+            ctx.create_cell("cand", acc[1], tag=acc[2])
+        ctx.set_var("cand_val",
+                    None if acc is None else ctx.var("accepted_val"))
         ctx.set_var("phase", "prepare")
         prom = single(ctx, "prom")
         if prom is None or (seq, ctx.pid) > (prom[1], prom[2]):

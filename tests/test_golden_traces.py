@@ -4,9 +4,11 @@ Each case runs the kernel, serializes the trace to JSONL and applies the
 replay check a ``regionbound check`` would (closure for fault-free runs,
 convergence for faulted ones). The SHA-256 over the JSONL bytes plus the
 verdict lines is pinned below; the rest of ``analysis.check`` (scans and
-safety) must pass too, but stays out of the digest. A change meant to keep behaviour (a refactor,
-a speedup) must leave every digest as it is; a change meant to alter traces
-must say so and re-pin them.
+safety) must pass too, but stays out of the digest. A change meant to keep
+behaviour (a refactor, a speedup) must leave every digest as it is; a change
+meant to alter traces must say so and re-pin them. The six consensus digests
+were re-pinned when a proposer began to offer its own acceptor's accepted
+value (Paxos P2c).
 """
 import hashlib
 import io
@@ -115,13 +117,13 @@ GOLDEN = {
     "round_checker-campaign/2024":
         "86f0e03bde53bf987f1951ff9e1605a295dd04c9d33b5ebc7d6c662036879b76",
     "consensus-clean/7":
-        "fb01d0d9c9161ba58ca0f36fa50a6b01ccf9b3ff16f4c6a28dbebafa0b22e5a2",
+        "9b8e16c28f1757f9be10580829ceef0406fa4d15af364171b2838b868c842273",
     "consensus-clean/2024":
-        "85fd8a8e59143c1d837b854a44256e75e51b3a38141b08b8973030a8f3372d1b",
+        "256dd3fc92727ec177dc306ef3e2d1f155a72bbf43fe940e475ed6a0a8e97480",
     "consensus-campaign/7":
-        "de963d4efa2f456f2e48bc949dc9128638eeddaea2d91f71610394d4a44dfddb",
+        "3e3d7f9c10c6694c4d9f9f427b40f1035f97974d2abbc6101338b003a82e57b3",
     "consensus-campaign/2024":
-        "dd109b8ed805fb2a8f2176023a007b6c460548035c7878d151c7550c5d3ca75d",
+        "230c2fa08041ff5308d3ef49137b299d4b4d37db7e03661ec3fb1b34c48c28ee",
     "logical_clocks_drift/7":
         "2f3bae3e71ae8b218cef481c89889f4bf3c0d57ff7ca033ab89d8493cd548f62",
     "logical_clocks_drift/2024":
@@ -131,9 +133,9 @@ GOLDEN = {
     "mutex_fault_recovery/2024":
         "47c3ceb6bc1e7c0afad4c4779cc121bd44258a40641f34cab3edff5ead787e26",
     "consensus_clean/7":
-        "5ca7ca9f9fa7c1dfb8a7a1d16fb508fa61fdb9945416490cdc800574cc4fd48d",
+        "b932e122605bc75621e396245553a6583392491080ed0615ee47c841fe416a5c",
     "consensus_clean/2024":
-        "3d8904126e4d87b9a5622310cc3740e1e8059cac6c17c44175dffd12d08ad1c8",
+        "47827e87aac7307899f3c035f3744dcf17aaae7db39e3e142431d9e88e29a8a7",
     "diffusing_ring_faults/7":
         "47a9743bf6363164b8b1e089c18f213eb1e1a2293e7900943f514e4fdfa89c40",
     "diffusing_ring_faults/2024":

@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from regionbound import scenario
+from regionbound import analysis, kernel, scenario
 from regionbound import trace as tr
 from regionbound.counters import CounterParams
 from regionbound.errors import ConfigError
@@ -178,3 +178,16 @@ def test_consensus_clean_run_agrees():
                if ev.mark_kind == "decide"}
     assert len(decided) >= sc.n // 2 + 1
     assert len(set(decided.values())) == 1
+
+
+# Seeds of scenarios/consensus_clean.json on which a proposer that ignored
+# its own acceptor's accepted value decided a second value (Paxos P2c).
+P2C_SEEDS = (536208681, 1047980065, 228225629, 569420803, 789157998,
+             24587971, 1026398971, 53780653)
+
+
+@pytest.mark.parametrize("seed", P2C_SEEDS)
+def test_consensus_proposer_offers_its_own_acceptance(seed):
+    sc = scenario.load("scenarios/consensus_clean.json")
+    report = analysis.check(sc, kernel.run(sc.cfg, seed))
+    assert report.ok, report.lines()
