@@ -107,8 +107,9 @@ def closure_batch():
             analysis.closure_check(sc.prog, trace)
             out["elapsed"] += time.perf_counter() - t0
             out["runs"] += 1
-            # the whole verdict, safety included, outside the timed region:
-            # the budget covers the run and its closure replay
+            # the budget covers the run and its closure replay; the whole
+            # verdict, safety included, is judged outside the timed region
+            # (so the replay runs a second time there)
             collect(out, (protocol, seed), analysis.check(sc, trace))
             out["gap_max"] = max(out["gap_max"],
                                  analysis.max_region_gap(trace))
