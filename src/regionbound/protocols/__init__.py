@@ -1,24 +1,17 @@
-"""Protocol registry: scenario files select an entry by name."""
+"""Protocol registry: scenario files select a module by name.
+
+Each module offers ``build(info)`` and ``PARAMS``, the protocol_params names
+it accepts with their defaults.
+"""
 
 from . import (consensus, diffusing, logical_clocks, mutual_exclusion,
                round_checker, vector_clocks)
 
 REGISTRY = {
-    "logical_clocks": logical_clocks.build,
-    "vector_clocks": vector_clocks.build,
-    "mutual_exclusion": mutual_exclusion.build,
-    "diffusing": diffusing.build,
-    "round_checker": round_checker.build,
-    "consensus": consensus.build,
-}
-
-# Accepted protocol_params keys, per protocol; scenario parsing rejects
-# anything else so a misspelled knob cannot silently use its default.
-PARAM_KEYS = {
-    "logical_clocks": frozenset(),
-    "vector_clocks": frozenset({"view_expiry"}),
-    "mutual_exclusion": frozenset({"request_expiry"}),
-    "diffusing": frozenset({"wave_expiry"}),
-    "round_checker": frozenset({"round_expiry"}),
-    "consensus": frozenset({"proposal_expiry", "acceptor_expiry"}),
+    "logical_clocks": logical_clocks,
+    "vector_clocks": vector_clocks,
+    "mutual_exclusion": mutual_exclusion,
+    "diffusing": diffusing,
+    "round_checker": round_checker,
+    "consensus": consensus,
 }

@@ -24,8 +24,10 @@ class CollDecl:
 
     ``dep`` declares how stale a value may be at cell creation (r_b) and how
     many regions the cell may then live (r_f). ``expiry`` is the automatic
-    removal age in owner regions; the kernel removes older cells before every
-    activation of the owner.
+    removal age in owner regions. The kernel sweeps out older cells whenever
+    the owner changes region, and before an activation only when a fault or
+    a snapshot load has touched the owner since it last acted: no other
+    cell can age between region changes.
     """
 
     family: str
@@ -76,9 +78,11 @@ class BuildInfo:
     """Everything a protocol builder gets from the scenario.
 
     ``families`` carries the derived CounterParams (maxinc, max_r = r_b+r_f)
-    and ``family_bounds`` the declared (r_b, r_f) split. Builders validate
-    that the declared bounds cover their staleness and lifetime needs and
-    raise ConfigError naming the family otherwise.
+    and ``family_bounds`` the declared (r_b, r_f) split. ``params`` holds
+    every name of the protocol module's ``PARAMS``, scenario values over
+    defaults. Builders validate that the declared bounds cover their
+    staleness and lifetime needs and raise ConfigError naming the family
+    otherwise.
     """
 
     n: int
@@ -109,6 +113,38 @@ class BuildInfo:
         if r_f < needed:
             raise ConfigError(
                 f"family {fam!r}: r_f={r_f} too small for {why} (needs >= {needed})")
+
+
+def on_msg(name: str, kind: str, body: Callable,
+           also: Optional[Callable] = None) -> ActionSpec:
+    """Action ``name`` handling the oldest waiting ``kind`` message.
+
+    It is enabled while such a message is in the inbox and ``also(ctx)``, if
+    given, holds. It consumes the message, then runs ``body(ctx, m)``.
+    """
+    def guard(ctx):
+        return ctx.first_msg(kind) is not None and (also is None or also(ctx))
+
+    def run(ctx):
+        m = ctx.first_msg(kind)
+        ctx.consume(m.mid)
+        body(ctx, m)
+
+    return ActionSpec(name, guard, run)
+
+
+def single(ctx, coll: str):
+    """The first live cell of ``coll`` as (cid, value, tag, age), or None."""
+    cells = ctx.cells(coll)
+    return cells[0] if cells else None
+
+
+def replace_single(ctx, coll: str, value: int, tag=None) -> None:
+    """Make ``value`` the one cell of ``coll``, removing the first live one."""
+    cur = single(ctx, coll)
+    if cur is not None:
+        ctx.remove_cell(coll, cur[0])
+    ctx.create_cell(coll, value, tag=tag)
 
 
 def floor_value(info: BuildInfo, fam: str) -> int:

@@ -28,7 +28,10 @@ from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value)
+                   ProtocolDef, floor_value, on_msg, replace_single, single)
+
+# acceptor_expiry None means r_f - 1 of the aseq family
+PARAMS = {"proposal_expiry": 2, "acceptor_expiry": None}
 
 
 def check_agreement(trace, start_step: int = 0) -> tuple[bool, str]:
@@ -63,13 +66,15 @@ def build(info: BuildInfo) -> ProtocolDef:
             "consensus stores ballot sequences across all three families, "
             f"so their growth rates must match; got {rates}")
     lt2 = info.lifetime_regions + 2
-    pend_expiry = info.params.get("proposal_expiry", 2)
+    pend_expiry = info.params["proposal_expiry"]
     if pend_expiry > lt2:
         raise ConfigError(
             f"proposal_expiry {pend_expiry} exceeds the message staleness "
             f"bound {lt2}; reply candidates could outlive their window")
     acc_r_b, acc_r_f = info.bounds("aseq")
-    acc_expiry = info.params.get("acceptor_expiry", acc_r_f - 1)
+    acc_expiry = info.params["acceptor_expiry"]
+    if acc_expiry is None:
+        acc_expiry = acc_r_f - 1
     pend_r_b, pend_r_f = info.bounds("pending")
     info.require_lookback("pending", 2 * lt2,
                           "ballot sequences echoed in replies")
@@ -80,16 +85,6 @@ def build(info: BuildInfo) -> ProtocolDef:
     info.require_lifetime("aseq", acc_expiry + 1,
                           "acceptor memory reaching its expiry")
     majority = n // 2 + 1
-
-    def single(ctx, coll):
-        cells = ctx.cells(coll)
-        return cells[0] if cells else None
-
-    def replace_single(ctx, coll, value, tag):
-        cur = single(ctx, coll)
-        if cur is not None:
-            ctx.remove_cell(coll, cur[0])
-        ctx.create_cell(coll, value, tag=tag)
 
     def clear(ctx, coll, phase=None):
         for cid, _value, tag, _age in ctx.cells(coll):
@@ -117,12 +112,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         cur = single(ctx, coll)
         return cur is not None and (cur[1], cur[2]) == (seq, ctx.pid)
 
-    def g_handle_prepare(ctx):
-        return ctx.first_msg("PREPARE") is not None
-
-    def b_handle_prepare(ctx):
-        m = ctx.first_msg("PREPARE")
-        ctx.consume(m.mid)
+    def b_handle_prepare(ctx, m):
         seq = m.cell("bseq")
         prom = single(ctx, "prom")
         if prom is not None and (seq, m.src) <= (prom[1], prom[2]):
@@ -138,12 +128,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                      {"has_acc": True, "acc_bpid": acc[2],
                       "acc_val": ctx.var("accepted_val")})
 
-    def g_handle_promise(ctx):
-        return ctx.first_msg("PROMISE") is not None
-
-    def b_handle_promise(ctx):
-        m = ctx.first_msg("PROMISE")
-        ctx.consume(m.mid)
+    def b_handle_promise(ctx, m):
         pend = single(ctx, "pend")
         if ctx.var("phase") != "prepare" or pend is None:
             return
@@ -173,12 +158,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             accept_locally(ctx, seq, ctx.pid, chosen)
         ctx.broadcast("ACCEPT", {"bseq": seq}, {"val": chosen})
 
-    def g_handle_nack(ctx):
-        return ctx.first_msg("NACK") is not None
-
-    def b_handle_nack(ctx):
-        m = ctx.first_msg("NACK")
-        ctx.consume(m.mid)
+    def b_handle_nack(ctx, m):
         # Fold the rejecting promise into the sequence source so the next
         # proposal leapfrogs it; folding alone never raises the family
         # maximum, so it costs no budget.
@@ -191,12 +171,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             clear(ctx, "cand")
             ctx.set_var("phase", "idle")
 
-    def g_handle_accept(ctx):
-        return ctx.first_msg("ACCEPT") is not None
-
-    def b_handle_accept(ctx):
-        m = ctx.first_msg("ACCEPT")
-        ctx.consume(m.mid)
+    def b_handle_accept(ctx, m):
         seq = m.cell("bseq")
         prom = single(ctx, "prom")
         if prom is not None and (seq, m.src) < (prom[1], prom[2]):
@@ -206,12 +181,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         accept_locally(ctx, seq, m.src, m.var("val"))
         ctx.send(m.src, "ACCEPTED", {"bseq": seq})
 
-    def g_handle_accepted(ctx):
-        return ctx.first_msg("ACCEPTED") is not None
-
-    def b_handle_accepted(ctx):
-        m = ctx.first_msg("ACCEPTED")
-        ctx.consume(m.mid)
+    def b_handle_accepted(ctx, m):
         pend = single(ctx, "pend")
         if ctx.var("phase") != "accept" or pend is None:
             return
@@ -235,12 +205,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         clear(ctx, "cand")
         ctx.broadcast("DECIDE", {}, {"val": val})
 
-    def g_handle_decide(ctx):
-        return ctx.first_msg("DECIDE") is not None
-
-    def b_handle_decide(ctx):
-        m = ctx.first_msg("DECIDE")
-        ctx.consume(m.mid)
+    def b_handle_decide(ctx, m):
         if ctx.var("decided") is None:
             ctx.set_var("decided", m.var("val"))
             ctx.mark("decide", {"val": m.var("val")})
@@ -304,13 +269,12 @@ def build(info: BuildInfo) -> ProtocolDef:
             "DECIDE": MsgDecl(),
         },
         actions=[
-            ActionSpec("handle_prepare", g_handle_prepare, b_handle_prepare),
-            ActionSpec("handle_promise", g_handle_promise, b_handle_promise),
-            ActionSpec("handle_nack", g_handle_nack, b_handle_nack),
-            ActionSpec("handle_accept", g_handle_accept, b_handle_accept),
-            ActionSpec("handle_accepted", g_handle_accepted,
-                       b_handle_accepted),
-            ActionSpec("handle_decide", g_handle_decide, b_handle_decide),
+            on_msg("handle_prepare", "PREPARE", b_handle_prepare),
+            on_msg("handle_promise", "PROMISE", b_handle_promise),
+            on_msg("handle_nack", "NACK", b_handle_nack),
+            on_msg("handle_accept", "ACCEPT", b_handle_accept),
+            on_msg("handle_accepted", "ACCEPTED", b_handle_accepted),
+            on_msg("handle_decide", "DECIDE", b_handle_decide),
             ActionSpec("propose", g_propose, b_propose),
             ActionSpec("reset_phase", g_reset, b_reset),
         ],

@@ -21,7 +21,9 @@ from collections import deque
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value)
+                   ProtocolDef, floor_value, on_msg)
+
+PARAMS = {"wave_expiry": 3}
 
 
 def _diameter(neighbors) -> int:
@@ -45,7 +47,7 @@ def _diameter(neighbors) -> int:
 def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("wave")
     lt2 = info.lifetime_regions + 2
-    expiry = info.params.get("wave_expiry", 3)
+    expiry = info.params["wave_expiry"]
     r_b, r_f = info.bounds("wave")
     info.require_lifetime("wave", expiry + 1, "wave cells reaching expiry")
     diam = _diameter(info.neighbors)
@@ -79,12 +81,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         else:
             ctx.send(parent, "ACK", {"wseq": wseq})
 
-    def g_handle_ack(ctx):
-        return ctx.first_msg("ACK") is not None
-
-    def b_handle_ack(ctx):
-        m = ctx.first_msg("ACK")
-        ctx.consume(m.mid)
+    def b_handle_ack(ctx, m):
         wseq = m.cell("wseq")
         entry = wave_entry(ctx, wseq)
         if entry is None:
@@ -100,12 +97,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         if expected <= ack_children(ctx, wseq):
             finish(ctx, wseq, cid, parent)
 
-    def g_handle_wave(ctx):
-        return ctx.first_msg("WAVE") is not None
-
-    def b_handle_wave(ctx):
-        m = ctx.first_msg("WAVE")
-        ctx.consume(m.mid)
+    def b_handle_wave(ctx, m):
         wseq = m.cell("wseq")
         if wave_entry(ctx, wseq) is not None:
             ctx.send(m.src, "ACK", {"wseq": wseq})
@@ -146,8 +138,8 @@ def build(info: BuildInfo) -> ProtocolDef:
             "ACK": MsgDecl(cell_fields={"wseq": "wave"}),
         },
         actions=[
-            ActionSpec("handle_ack", g_handle_ack, b_handle_ack),
-            ActionSpec("handle_wave", g_handle_wave, b_handle_wave),
+            on_msg("handle_ack", "ACK", b_handle_ack),
+            on_msg("handle_wave", "WAVE", b_handle_wave),
             ActionSpec("start_wave", g_start, b_start),
         ],
         budget_family="wave",

@@ -10,7 +10,10 @@ message lifetime.
 from __future__ import annotations
 
 from ..transform import ActionSpec
-from .base import BuildInfo, MsgDecl, ProcInit, ProtocolDef, floor_value
+from .base import (BuildInfo, MsgDecl, ProcInit, ProtocolDef, floor_value,
+                   on_msg)
+
+PARAMS: dict = {}
 
 
 def build(info: BuildInfo) -> ProtocolDef:
@@ -18,17 +21,12 @@ def build(info: BuildInfo) -> ProtocolDef:
     info.require_lookback("clock", info.lifetime_regions + 2,
                           "in-flight clock stamps")
 
-    def g_receive(ctx):
-        return ctx.first_msg("TICK") is not None and ctx.can_spend(ctx.d)
+    def can_spend(ctx):
+        return ctx.can_spend(ctx.d)
 
-    def b_receive(ctx):
-        m = ctx.first_msg("TICK")
-        ctx.consume(m.mid)
+    def b_receive(ctx, m):
         ctx.spend(ctx.d)
         ctx.set_free("cl", max(ctx.free("cl"), m.cell("stamp")) + ctx.d)
-
-    def g_tick(ctx):
-        return ctx.can_spend(ctx.d)
 
     def b_tick(ctx):
         ctx.spend(ctx.d)
@@ -48,8 +46,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         colls={},
         msgs={"TICK": MsgDecl(cell_fields={"stamp": "clock"})},
         actions=[
-            ActionSpec("receive", g_receive, b_receive),
-            ActionSpec("tick", g_tick, b_tick),
+            on_msg("receive", "TICK", b_receive, also=can_spend),
+            ActionSpec("tick", can_spend, b_tick),
         ],
         budget_family="clock",
         init=lambda pid: ProcInit(free={"cl": start}),

@@ -27,7 +27,9 @@ from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value)
+                   ProtocolDef, floor_value, on_msg)
+
+PARAMS = {"request_expiry": 2}
 
 
 def check_safety(trace, start_step: int = 0) -> tuple[bool, str]:
@@ -61,7 +63,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                 f"competes with every other (pid {pid} has {len(nbrs)} "
                 f"neighbours, wants {n - 1})")
     lt2 = info.lifetime_regions + 2
-    expiry = info.params.get("request_expiry", 2)
+    expiry = info.params["request_expiry"]
     r_b, r_f = info.bounds("clk")
     info.require_lookback("clk", 2 * lt2, "round-tripped request stamps")
     info.require_lifetime("clk", expiry + 1, "requests reaching their expiry")
@@ -83,12 +85,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.set_free("clk", clk)
         return clk
 
-    def g_handle_req(ctx):
-        return ctx.first_msg("REQ") is not None
-
-    def b_handle_req(ctx):
-        m = ctx.first_msg("REQ")
-        ctx.consume(m.mid)
+    def b_handle_req(ctx, m):
         stamp = m.cell("stamp")
         clk = fold(ctx, stamp)
         mine = own_request(ctx)
@@ -97,12 +94,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         if not ctx.var("in_cs") and not ahead_of_me:
             ctx.send(m.src, "GRANT", {"stamp": clk, "req_stamp": stamp})
 
-    def g_handle_grant(ctx):
-        return ctx.first_msg("GRANT") is not None
-
-    def b_handle_grant(ctx):
-        m = ctx.first_msg("GRANT")
-        ctx.consume(m.mid)
+    def b_handle_grant(ctx, m):
         fold(ctx, m.cell("stamp"))
         mine = own_request(ctx)
         if mine is None or m.cell("req_stamp") != mine[1]:
@@ -177,8 +169,8 @@ def build(info: BuildInfo) -> ProtocolDef:
                                           "req_stamp": "clk"}),
         },
         actions=[
-            ActionSpec("handle_req", g_handle_req, b_handle_req),
-            ActionSpec("handle_grant", g_handle_grant, b_handle_grant),
+            on_msg("handle_req", "REQ", b_handle_req),
+            on_msg("handle_grant", "GRANT", b_handle_grant),
             ActionSpec("request", g_request, b_request),
             ActionSpec("enter", g_enter, b_enter),
             ActionSpec("exit", g_exit, b_exit),

@@ -25,13 +25,15 @@ from __future__ import annotations
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value)
+                   ProtocolDef, floor_value, on_msg, replace_single, single)
+
+PARAMS = {"round_expiry": 3}
 
 
 def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("round")
     lt2 = info.lifetime_regions + 2
-    expiry = info.params.get("round_expiry", 3)
+    expiry = info.params["round_expiry"]
     r_b, r_f = info.bounds("round")
     info.require_lifetime("round", expiry + 1, "round cells reaching expiry")
     # a re-report echoes a held round: adoption staleness, a residency, and
@@ -47,26 +49,11 @@ def build(info: BuildInfo) -> ProtocolDef:
                 f"round_checker reports to process 0, which pid {pid} "
                 "cannot reach in this topology")
 
-    def single(ctx, coll):
-        cells = ctx.cells(coll)
-        return cells[0] if cells else None
-
-    def replace_single(ctx, coll, value):
-        cur = single(ctx, coll)
-        if cur is not None:
-            ctx.remove_cell(coll, cur[0])
-        ctx.create_cell(coll, value)
-
     def legitimacy(ctx, rnd):
         issuer = ctx.peek(0)
         return issuer.has_free("nr") and rnd <= issuer.free("nr")
 
-    def g_handle_round(ctx):
-        return ctx.first_msg("ROUND") is not None
-
-    def b_handle_round(ctx):
-        m = ctx.first_msg("ROUND")
-        ctx.consume(m.mid)
+    def b_handle_round(ctx, m):
         rnd = m.cell("rnd")
         cur = single(ctx, "cr")
         if cur is not None and rnd < cur[1]:
@@ -80,12 +67,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.send(0, "REPORT", {"rnd": rnd},
                  {"real": m.var("real"), "ok": legitimacy(ctx, rnd)})
 
-    def g_handle_report(ctx):
-        return ctx.first_msg("REPORT") is not None
-
-    def b_handle_report(ctx):
-        m = ctx.first_msg("REPORT")
-        ctx.consume(m.mid)
+    def b_handle_report(ctx, m):
         if ctx.pid != 0:
             return
         rnd = m.cell("rnd")
@@ -141,8 +123,8 @@ def build(info: BuildInfo) -> ProtocolDef:
             "REPORT": MsgDecl(cell_fields={"rnd": "round"}),
         },
         actions=[
-            ActionSpec("handle_round", g_handle_round, b_handle_round),
-            ActionSpec("handle_report", g_handle_report, b_handle_report),
+            on_msg("handle_round", "ROUND", b_handle_round),
+            on_msg("handle_report", "REPORT", b_handle_report),
             ActionSpec("start_round", g_start, b_start),
         ],
         budget_family="round",

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value)
+                   ProtocolDef, floor_value, on_msg)
+
+PARAMS = {"view_expiry": 2}
 
 
 def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("vc")
     lt2 = info.lifetime_regions + 2
-    expiry = info.params.get("view_expiry", 2)
+    expiry = info.params["view_expiry"]
     r_b, r_f = info.bounds("vc")
     info.require_lookback("vc", lt2, "adopting a neighbour's own component")
     info.require_lifetime("vc", expiry + 1, "view cells reaching their expiry")
@@ -39,12 +41,10 @@ def build(info: BuildInfo) -> ProtocolDef:
                 return cid, value
         return None
 
-    def g_recv(ctx):
-        return ctx.first_msg("VIEW") is not None and ctx.can_spend(ctx.d)
+    def can_spend(ctx):
+        return ctx.can_spend(ctx.d)
 
-    def b_recv(ctx):
-        m = ctx.first_msg("VIEW")
-        ctx.consume(m.mid)
+    def b_recv(ctx, m):
         ctx.spend(ctx.d)
         ctx.set_free("own", ctx.free("own") + ctx.d)
         ages = m.var("ages")
@@ -62,9 +62,6 @@ def build(info: BuildInfo) -> ProtocolDef:
                     continue
                 ctx.remove_cell("view", cur[0])
             ctx.create_cell("view", value, tag=[peer, eff])
-
-    def g_gossip(ctx):
-        return ctx.can_spend(ctx.d)
 
     def b_gossip(ctx):
         ctx.spend(ctx.d)
@@ -95,8 +92,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         colls={"view": CollDecl("vc", DepSpec(r_b, r_f), expiry)},
         msgs={"VIEW": MsgDecl(cell_fields=fields)},
         actions=[
-            ActionSpec("receive", g_recv, b_recv),
-            ActionSpec("gossip", g_gossip, b_gossip),
+            on_msg("receive", "VIEW", b_recv, also=can_spend),
+            ActionSpec("gossip", can_spend, b_gossip),
         ],
         budget_family="vc",
         init=lambda pid: ProcInit(free={"own": start}, vars={"rot": 0}),

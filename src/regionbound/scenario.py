@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import analysis, faults, kernel
 from .counters import CounterParams, bits_required, maxbound_of
 from .errors import ConfigError
-from .protocols import PARAM_KEYS, REGISTRY
+from .protocols import REGISTRY
 from .protocols.base import BuildInfo
 from .regions import DriftPolicy
 
@@ -176,13 +176,17 @@ def parse(doc: dict) -> Scenario:
     if protocol not in REGISTRY:
         raise ConfigError(f"unknown protocol {protocol!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
-    params = doc.get("protocol_params") or {}
-    if not isinstance(params, dict):
+    module = REGISTRY[protocol]
+    given = doc.get("protocol_params") or {}
+    if not isinstance(given, dict):
         raise ConfigError("protocol_params must be an object")
-    bad = sorted(set(params) - PARAM_KEYS[protocol])
+    bad = sorted(set(given) - set(module.PARAMS))
     if bad:
         raise ConfigError(f"protocol {protocol!r} takes no parameter(s) "
                           f"{', '.join(bad)}")
+    for name, value in given.items():
+        if not _is_int(value):
+            raise ConfigError(f"protocol_params.{name} must be an integer")
 
     n = _int_field(doc, "scenario", "n", 2)
     topology = _require(doc, "scenario", "topology")
@@ -224,8 +228,9 @@ def parse(doc: dict) -> Scenario:
 
     info = BuildInfo(n=n, neighbors=nbrs, families=families,
                      family_bounds=bounds, start_region=start_region,
-                     lifetime_regions=lifetime, params=dict(params))
-    prog = REGISTRY[protocol](info)
+                     lifetime_regions=lifetime,
+                     params={**module.PARAMS, **given})
+    prog = module.build(info)
 
     total_steps = run_regions * rs * sptu
     end_region = start_region + run_regions - 1
