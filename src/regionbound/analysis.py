@@ -23,7 +23,7 @@ from typing import IO, Optional
 
 from . import trace as tr
 from .counters import CounterParams, bits_required, fits_free, maxbound_of
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .oracle import OracleDivergence, Replayer
 
 
@@ -152,10 +152,9 @@ def fault_stop_region(trace: tr.Trace) -> int:
 
 
 def scan_free_containment(prog, trace: tr.Trace, fstop: int,
-                          bound_regions: int = 3,
                           report: Optional[VerificationReport] = None
                           ) -> VerificationReport:
-    """Check that once a process is ``bound_regions`` past the last fault,
+    """Check that once a process is three regions past the last fault,
     each of its free counters has some in-window value congruent to the
     stored residue, at every state change from then on."""
     if report is None:
@@ -164,14 +163,13 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
     snap0 = trace.snapshots[min(trace.snapshots)]
     regions = list(snap0["regions"])
     free = [dict(p["free"]) for p in snap0["procs"]]
-    settle = fstop + bound_regions
+    settle = fstop + 3
 
     def bad(step, pid, name, res):
         report.add("free-containment", False,
                    f"step {step}: pid {pid} free counter {name!r} residue "
                    f"{res} has no value in its window at region "
-                   f"{regions[pid]} (>= {settle} = fault stop + "
-                   f"{bound_regions})")
+                   f"{regions[pid]} (>= {settle} = fault stop + 3)")
 
     for ev in trace.events:
         kind = ev.kind
@@ -196,28 +194,22 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
                 bad(ev.step, ev.pid, name, res)
                 return report
     report.add("free-containment", True,
-               f"all free counters fit their windows from {bound_regions} "
-               f"regions after the last fault (region {fstop})")
+               "all free counters fit their windows from 3 regions after "
+               f"the last fault (region {fstop})")
     return report
 
 
-def convergence_check(prog, trace: tr.Trace, fstop: Optional[int] = None,
-                      slack: int = 1) -> VerificationReport:
-    """Both halves of the stabilization claim for a faulted run.
-
-    ``slack`` scales the settle bounds for exploratory use; the strict
-    bounds (slack=1: 3 regions, 3 intervals) are what acceptance uses.
-    """
+def convergence_check(prog, trace: tr.Trace,
+                      fstop: Optional[int] = None) -> VerificationReport:
+    """Both halves of the stabilization claim for a faulted run: free
+    counters contained 3 regions after the last fault, and the suffix
+    from 3 intervals after it replaying cleanly."""
     if fstop is None:
         fstop = fault_stop_region(trace)
     report = VerificationReport()
-    scan_free_containment(prog, trace, fstop, bound_regions=3 * slack,
-                          report=report)
-    boundary = convergence_boundary(prog.families, fstop)
-    if slack > 1:
-        for _ in range(slack - 1):
-            boundary = convergence_boundary(prog.families, boundary)
-    suffix_check(prog, trace, boundary, report=report)
+    scan_free_containment(prog, trace, fstop, report=report)
+    suffix_check(prog, trace, convergence_boundary(prog.families, fstop),
+                 report=report)
     return report
 
 
@@ -325,6 +317,11 @@ def scan_msg_lifetime(trace: tr.Trace,
         elif kind == tr.EV_SEND:
             sent[ev.mid] = ev.send_region_global
         elif kind in (tr.EV_ARRIVE, tr.EV_CONSUME):
+            if ev.mid not in sent:
+                report.add("msg-lifetime", False,
+                           f"step {ev.step}: message {ev.mid} {kind}, but "
+                           "no send or snapshot records it")
+                return report
             if g_region > sent[ev.mid] + lifetime:
                 report.add("msg-lifetime", False,
                            f"step {ev.step}: message {ev.mid} {kind} at "
@@ -384,8 +381,12 @@ def sweep(rs: int, delays, rates) -> list[dict]:
     the rate as the per-region growth cap, and reports the resulting modulus
     and bit width.
     """
-    if rs < 1:
-        raise ConfigError(f"region span must be >= 1, got {rs}")
+    if not is_int(rs) or rs < 1:
+        raise ConfigError(f"region span must be an integer >= 1, got {rs!r}")
+    for name, values in (("delays", delays), ("rates", rates)):
+        if (not isinstance(values, (list, tuple)) or not values
+                or not all(is_int(v) for v in values)):
+            raise ConfigError(f"{name} must be a non-empty list of integers")
     rows = []
     for delay in delays:
         lifetime = lifetime_regions_for(delay, rs)

@@ -22,3 +22,9 @@ class KernelInvariantError(RuntimeError):
 
 class TraceFormatError(ValueError):
     """A trace file could not be parsed or has inconsistent records."""
+
+
+def is_int(v) -> bool:
+    """An integer that is not a bool, as every integer field of a scenario
+    or grid must be."""
+    return isinstance(v, int) and not isinstance(v, bool)

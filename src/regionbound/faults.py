@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import trace as tr
 from .counters import bits_required
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .transform import Cell
-
-KINDS = ("overwrite_free", "overwrite_dep", "insert_dep", "delete_dep",
-         "scramble_var", "overwrite_msg", "delete_msg")
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,10 @@ class FaultEntry:
             order; ``field`` falls back to the k-th declared cell field when
             the message lacks it.
         delete_msg: k.
-    value: residue (or variable value) the corruption writes, where it
-        applies.
+    value: what the corruption writes, where it applies: a residue that
+        fits the target family's register for overwrite_free, insert_dep,
+        overwrite_dep and overwrite_msg; a member of the variable's declared
+        domain for scramble_var.
     pid: owning process, or None for message faults.
     """
 
@@ -58,7 +57,7 @@ class FaultEntry:
     note: dict = field(default_factory=dict)
 
     def apply(self, kern) -> tuple[bool, dict]:
-        return _APPLY[self.kind](self, kern)
+        return _KINDS[self.kind].apply(self, kern)
 
 
 def _apply_overwrite_free(entry: FaultEntry, kern) -> tuple[bool, dict]:
@@ -141,77 +140,111 @@ def _apply_delete_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
     return True, {"mid": msg.mid, "dst": msg.dst, "msg_kind": msg.kind}
 
 
-_APPLY = {
-    "overwrite_free": _apply_overwrite_free,
-    "overwrite_dep": _apply_overwrite_dep,
-    "insert_dep": _apply_insert_dep,
-    "delete_dep": _apply_delete_dep,
-    "scramble_var": _apply_scramble_var,
-    "overwrite_msg": _apply_overwrite_msg,
-    "delete_msg": _apply_delete_msg,
+def _is_nat(v) -> bool:
+    return is_int(v) and v >= 0
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _pair(first, second):
+    return lambda t: (isinstance(t, (list, tuple)) and len(t) == 2
+                      and first(t[0]) and second(t[1]))
+
+
+class _Kind(NamedTuple):
+    """How one fault kind fires, and the shape of its entries. Selectors
+    ``k`` are non-negative integers."""
+
+    apply: Callable
+    target: str  # the shape ``target`` must have, as the error names it
+    fits: Callable
+    writes_residue: bool  # so ``value`` must be a register's residue
+
+
+_KINDS = {
+    "overwrite_free": _Kind(_apply_overwrite_free, "a free-counter name",
+                            _is_str, True),
+    "overwrite_dep": _Kind(_apply_overwrite_dep, "a [collection, k] pair",
+                           _pair(_is_str, _is_nat), True),
+    "insert_dep": _Kind(_apply_insert_dep, "a collection name", _is_str, True),
+    "delete_dep": _Kind(_apply_delete_dep, "a [collection, k] pair",
+                        _pair(_is_str, _is_nat), False),
+    "scramble_var": _Kind(_apply_scramble_var, "a variable name", _is_str,
+                          False),
+    "overwrite_msg": _Kind(_apply_overwrite_msg, "a [k, field] pair",
+                           _pair(_is_nat, _is_str), True),
+    "delete_msg": _Kind(_apply_delete_msg, "an integer k", _is_nat, False),
 }
 
 
-def _check_residue(prog, where: str, value, fams) -> None:
-    """``value`` must fit a register of every family in ``fams``."""
-    for fam in fams:
-        params = prog.families[fam]
-        bits = bits_required(params.maxinc, params.max_r)
-        if not (isinstance(value, int) and 0 <= value < 1 << bits):
-            raise ConfigError(
-                f"{where}: value {value!r} is no residue of family {fam!r}, "
-                f"whose {bits}-bit registers hold 0 to {(1 << bits) - 1}")
-
-
 def validate_entries(prog, entries) -> None:
-    """Reject statically malformed fault plans before the run starts. A
-    fault that writes a counter must write a residue its family's register
-    can hold."""
+    """Reject statically malformed fault plans before the run starts.
+
+    Each entry's fields must have the types and shape its kind needs, its
+    target must exist, and the value it writes must fit: a residue its
+    family's register can hold, or a member of a variable's domain.
+    """
     for i, e in enumerate(entries):
+        kind = _KINDS.get(e.kind) if _is_str(e.kind) else None
+        if kind is None:
+            raise ConfigError(f"fault {i}: unknown fault kind {e.kind!r}")
         where = f"fault {i} ({e.kind})"
-        if e.kind not in KINDS:
-            raise ConfigError(f"{where}: unknown fault kind")
         if e.when_kind not in ("region", "step"):
             raise ConfigError(f"{where}: when_kind must be 'region' or 'step'")
-        if e.when < 0:
-            raise ConfigError(f"{where}: negative schedule point")
+        for name in ("when", "age"):
+            if not _is_nat(getattr(e, name)):
+                raise ConfigError(f"fault {i}.{name} must be a non-negative "
+                                  f"integer, got {getattr(e, name)!r}")
+        if not kind.fits(e.target):
+            raise ConfigError(f"fault {i}.target must be {kind.target} for "
+                              f"{e.kind}, got {e.target!r}")
+        if kind.writes_residue and not is_int(e.value):
+            raise ConfigError(f"fault {i}.value must be an integer residue "
+                              f"for {e.kind}, got {e.value!r}")
         if e.kind in ("overwrite_msg", "delete_msg"):
             if e.pid is not None:
                 raise ConfigError(f"{where}: message faults take no pid")
-            if e.kind == "overwrite_msg":
-                fld = e.target[1]
-                fams = [decl.cell_fields[fld] for decl in prog.msgs.values()
-                        if fld in decl.cell_fields]
-                if not fams:
-                    raise ConfigError(
-                        f"{where}: no message kind has a cell field {fld!r}")
-                _check_residue(prog, where, e.value, fams)
-            continue
-        if e.pid is None or not 0 <= e.pid < prog.n:
-            raise ConfigError(f"{where}: pid {e.pid!r} out of range")
+        elif not (is_int(e.pid) and 0 <= e.pid < prog.n):
+            raise ConfigError(f"fault {i}.pid must be a process id below "
+                              f"{prog.n}: {e.pid!r} out of range")
         if e.kind == "overwrite_free":
             if e.target not in prog.init(e.pid).free:
                 raise ConfigError(
                     f"{where}: pid {e.pid} has no free counter {e.target!r}")
-            _check_residue(prog, where, e.value, [prog.free_cells[e.target]])
-        elif e.kind == "insert_dep":
-            if e.target not in prog.colls:
-                raise ConfigError(f"{where}: unknown collection {e.target!r}")
-            _check_residue(prog, where, e.value, [prog.colls[e.target].family])
-        elif e.kind in ("overwrite_dep", "delete_dep"):
-            coll, k = e.target
+            fams = [prog.free_cells[e.target]]
+        elif e.kind in ("overwrite_dep", "delete_dep", "insert_dep"):
+            coll = e.target if e.kind == "insert_dep" else e.target[0]
             if coll not in prog.colls:
                 raise ConfigError(f"{where}: unknown collection {coll!r}")
-            if not isinstance(k, int) or k < 0:
-                raise ConfigError(f"{where}: bad cell selector {k!r}")
-            if e.kind == "overwrite_dep":
-                _check_residue(prog, where, e.value,
-                               [prog.colls[coll].family])
+            fams = [prog.colls[coll].family]
+        elif e.kind == "overwrite_msg":
+            fams = [decl.cell_fields[e.target[1]] for decl in prog.msgs.values()
+                    if e.target[1] in decl.cell_fields]
+            if not fams:
+                raise ConfigError(f"{where}: no message kind has a cell "
+                                  f"field {e.target[1]!r}")
         elif e.kind == "scramble_var":
             if e.target not in prog.var_domains:
                 raise ConfigError(
                     f"{where}: variable {e.target!r} has no declared domain "
                     "to scramble within")
+            if not any(type(v) is type(e.value) and v == e.value
+                       for v in prog.var_domains[e.target]):
+                raise ConfigError(
+                    f"{where}: value {e.value!r} is outside the declared "
+                    f"domain of {e.target!r}")
+        if not kind.writes_residue:
+            continue
+        for fam in fams:
+            params = prog.families[fam]
+            bits = bits_required(params.maxinc, params.max_r)
+            if not 0 <= e.value < 1 << bits:
+                raise ConfigError(
+                    f"{where}: value {e.value!r} is no residue of family "
+                    f"{fam!r}, whose {bits}-bit registers hold 0 to "
+                    f"{(1 << bits) - 1}")
 
 
 def _third_bounds(maxbound: int, third: int) -> tuple[int, int]:

@@ -29,7 +29,7 @@ state at less cost.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import trace as tr
@@ -71,28 +71,11 @@ class RunConfig:
     total_steps: int
     faults: tuple = ()
     snapshot_regions: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.sptu < 1:
-            raise ConfigError("steps_per_time_unit must be >= 1")
-        if self.rs < 2 and self.total_steps > self.sptu:
-            # each advance moves time by 1 unit, which must not skip a region
-            raise ConfigError("rs must be >= 2 for any run long enough to advance clocks")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps must be >= 0")
-        if not (0.0 <= self.loss_probability <= 1.0):
-            raise ConfigError("loss_probability must be within [0, 1]")
-        if self.max_delay_steps < 1:
-            raise ConfigError("max_delay_steps must be >= 1")
-        if self.lifetime_regions < 0:
-            raise ConfigError("lifetime_regions must be >= 0")
-        for fam, params in self.prog.families.items():
-            if self.start_region < params.min_usable_region():
-                raise ConfigError(
-                    f"start_region {self.start_region} below first region with a "
-                    f"full dependent window for family {fam!r} "
-                    f"(needs >= {params.min_usable_region()})")
+        """What the scenario's own field checks cannot see: the program's
+        declarations, and message fields whose family must cover the
+        message lifetime."""
         wrap_program(self.prog)
         for kind, decl in self.prog.msgs.items():
             for fld, fam in decl.cell_fields.items():
@@ -165,7 +148,6 @@ class BoundedCtx(Ctx):
 
 class Kernel(Sim):
     def __init__(self, cfg: RunConfig, seed: int):
-        cfg.validate()
         super().__init__(cfg.prog)
         self.cfg = cfg
         self.seed = seed
@@ -186,8 +168,7 @@ class Kernel(Sim):
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
 
-        meta = dict(cfg.meta)
-        meta.update({
+        self.trace = tr.Trace(meta={
             "protocol": prog.name, "n": prog.n, "seed": seed, "rs": cfg.rs,
             "sptu": cfg.sptu, "start_region": cfg.start_region,
             "total_steps": cfg.total_steps,
@@ -202,7 +183,6 @@ class Kernel(Sim):
             "fault_count": len(cfg.faults),
             "snapshot_regions": list(cfg.snapshot_regions),
         })
-        self.trace = tr.Trace(meta=meta)
 
     def _init_proc(self, pid: int) -> ProcState:
         prog = self.prog

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import analysis, faults, kernel
 from .counters import CounterParams, bits_required, maxbound_of
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .protocols import REGISTRY
 from .protocols.base import BuildInfo
 from .regions import DriftPolicy
@@ -51,13 +51,9 @@ def _require(obj: dict, where: str, name: str):
     return obj[name]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _int_field(obj: dict, where: str, name: str, minimum: int) -> int:
     v = _require(obj, where, name)
-    if not _is_int(v) or v < minimum:
+    if not is_int(v) or v < minimum:
         raise ConfigError(f"{where}.{name} must be an integer >= {minimum}")
     return v
 
@@ -87,7 +83,8 @@ def _parse_drift(raw) -> DriftPolicy:
     if isinstance(raw, dict):
         _strict(raw, "drift_policy", ("kind", "max_step_skew"))
         kind = _require(raw, "drift_policy", "kind")
-        skew = raw.get("max_step_skew", 0)
+        skew = (_int_field(raw, "drift_policy", "max_step_skew", 0)
+                if "max_step_skew" in raw else 0)
         return DriftPolicy(kind, skew)
     raise ConfigError("drift_policy must be \"none\" or an object with "
                       "kind/max_step_skew")
@@ -110,53 +107,25 @@ def _parse_families(raw: dict) -> tuple[dict, dict]:
     return families, bounds
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
-def _pair(first, second):
-    return lambda t: (isinstance(t, list) and len(t) == 2
-                      and first(t[0]) and second(t[1]))
-
-
-# per fault kind: the shape its ``target`` must have, and whether it writes
-# a counter residue (so ``value`` must be an integer)
-_FAULT_SHAPES = {
-    "overwrite_free": ("a free-counter name", _is_str, True),
-    "insert_dep": ("a collection name", _is_str, True),
-    "scramble_var": ("a variable name", _is_str, False),
-    "overwrite_dep": ("a [collection, k] pair", _pair(_is_str, _is_int), True),
-    "delete_dep": ("a [collection, k] pair", _pair(_is_str, _is_int), False),
-    "overwrite_msg": ("a [k, field] pair", _pair(_is_int, _is_str), True),
-    "delete_msg": ("an integer", _is_int, False),
-}
-
-
 def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
+    """Map one list-mode entry's keys onto a FaultEntry; what the values
+    must be is :func:`faults.validate_entries`'s to judge."""
     where = f"faults.entries[{idx}]"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
     _strict(raw, where, ("when_kind", "when", "kind", "target", "pid",
                          "value", "tag", "age"))
-    entry = faults.FaultEntry(
+    if raw.get("pid", 0) is None:  # FaultEntry reads None as "no pid"
+        raise ConfigError(f"{where}.pid must be an integer")
+    return faults.FaultEntry(
         when_kind=_require(raw, where, "when_kind"),
-        when=_int_field(raw, where, "when", 0),
+        when=_require(raw, where, "when"),
         kind=_require(raw, where, "kind"),
         target=_require(raw, where, "target"),
-        pid=_int_field(raw, where, "pid", 0) if "pid" in raw else None,
+        pid=raw.get("pid"),
         value=raw.get("value"),
         tag=raw.get("tag"),
-        age=_int_field(raw, where, "age", 0) if "age" in raw else 0)
-    shape = _FAULT_SHAPES.get(entry.kind) if isinstance(entry.kind, str) else None
-    if shape is not None:  # an unknown kind is refused by validate_entries
-        what, fits, writes_counter = shape
-        if not fits(entry.target):
-            raise ConfigError(f"{where}.target must be {what} for "
-                              f"{entry.kind}")
-        if writes_counter and not _is_int(entry.value):
-            raise ConfigError(f"{where}.value must be an integer residue "
-                              f"for {entry.kind}")
-    return entry
+        age=raw.get("age", 0))
 
 
 def _region_of_step(step: int, start_region: int, rs: int, sptu: int) -> int:
@@ -173,7 +142,7 @@ def parse(doc: dict) -> Scenario:
              "families", "channel", "faults", "run_regions", "seed"))
 
     protocol = _require(doc, "scenario", "protocol")
-    if protocol not in REGISTRY:
+    if not isinstance(protocol, str) or protocol not in REGISTRY:
         raise ConfigError(f"unknown protocol {protocol!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
     module = REGISTRY[protocol]
@@ -185,7 +154,7 @@ def parse(doc: dict) -> Scenario:
         raise ConfigError(f"protocol {protocol!r} takes no parameter(s) "
                           f"{', '.join(bad)}")
     for name, value in given.items():
-        if not _is_int(value):
+        if not is_int(value):
             raise ConfigError(f"protocol_params.{name} must be an integer")
 
     n = _int_field(doc, "scenario", "n", 2)
@@ -193,7 +162,7 @@ def parse(doc: dict) -> Scenario:
     nbrs = neighbors_for(topology, n)
     rs = _int_field(doc, "scenario", "rs", 2)
     sptu = doc.get("steps_per_time_unit", 1)
-    if not isinstance(sptu, int) or sptu < 1:
+    if not is_int(sptu) or sptu < 1:
         raise ConfigError("scenario.steps_per_time_unit must be an "
                           "integer >= 1")
     run_regions = _int_field(doc, "scenario", "run_regions", 1)
@@ -203,7 +172,7 @@ def parse(doc: dict) -> Scenario:
     families, bounds = _parse_families(_require(doc, "scenario", "families"))
     min_start = 2 + max(p.max_r for p in families.values())
     start_region = doc.get("start_region", min_start)
-    if not isinstance(start_region, int) or start_region < min_start:
+    if not is_int(start_region) or start_region < min_start:
         raise ConfigError(
             f"scenario.start_region must be an integer >= {min_start} "
             "(2 + the largest family reach)")
@@ -219,7 +188,7 @@ def parse(doc: dict) -> Scenario:
         raise ConfigError("channel.loss_probability must be within [0, 1]")
     if "lifetime_regions" in channel:
         lifetime = channel["lifetime_regions"]
-        if not isinstance(lifetime, int) or lifetime < 0:
+        if not is_int(lifetime) or lifetime < 0:
             raise ConfigError("channel.lifetime_regions must be an "
                               "integer >= 0")
     else:
@@ -247,14 +216,14 @@ def parse(doc: dict) -> Scenario:
                     ("mode", "regions", "seed", "per_family"))
             regions = _require(fault_doc, "faults", "regions")
             if (not isinstance(regions, list) or not regions
-                    or not all(isinstance(r, int) for r in regions)):
+                    or not all(is_int(r) for r in regions)):
                 raise ConfigError("faults.regions must be a non-empty list "
                                   "of integers")
             per_family = (_int_field(fault_doc, "faults", "per_family", 1)
                           if "per_family" in fault_doc else 1)
             campaign_seed = (_int_field(fault_doc, "faults", "seed", 0)
                              if "seed" in fault_doc else seed)
-            entries, fstop = faults.make_campaign(
+            entries, _ = faults.make_campaign(
                 prog, fault_regions=tuple(regions), seed=campaign_seed,
                 per_family=per_family)
         elif mode == "list":
@@ -264,21 +233,18 @@ def parse(doc: dict) -> Scenario:
                 raise ConfigError("faults.entries must be a non-empty list")
             entries = tuple(_parse_fault_entry(e, i)
                             for i, e in enumerate(raw_entries))
-            fstop = max(
-                e.when if e.when_kind == "region"
-                else _region_of_step(e.when, start_region, rs, sptu)
-                for e in entries)
+            faults.validate_entries(prog, entries)
         else:
             raise ConfigError("faults.mode must be 'campaign' or 'list'")
-        faults.validate_entries(prog, entries)
-        for e in entries:
-            when_region = (e.when if e.when_kind == "region"
-                           else _region_of_step(e.when, start_region, rs,
-                                                sptu))
+        when_regions = [e.when if e.when_kind == "region"
+                        else _region_of_step(e.when, start_region, rs, sptu)
+                        for e in entries]
+        for when_region in when_regions:
             if not start_region < when_region <= end_region:
                 raise ConfigError(
                     f"fault at region {when_region} falls outside the run "
                     f"(regions {start_region + 1}..{end_region})")
+        fstop = max(when_regions)
         boundary = analysis.convergence_boundary(families, fstop)
         if boundary > end_region - 1:
             need = boundary - start_region + 2

@@ -5,6 +5,8 @@ import pytest
 
 from regionbound.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
+from conftest import scenario_doc
+
 SCENARIOS = (
     "scenarios/logical_clocks_drift.json",
     "scenarios/mutex_fault_recovery.json",
@@ -323,3 +325,81 @@ def test_malformed_fault_field_is_a_config_error(run_cli, tmp_path, faults,
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and f".{field} must be" in err
     assert "Traceback" not in err
+
+
+def _patched(path, key, value):
+    doc = json.loads(open(path, encoding="utf-8").read())
+    doc[key] = value
+    return doc
+
+
+def _rot_scrambled_to(value):
+    return scenario_doc("vector_clocks", faults={"mode": "list", "entries": [
+        {"when_kind": "region", "when": 14, "kind": "scramble_var",
+         "target": "rot", "pid": 0, "value": value}]})
+
+
+@pytest.mark.parametrize("doc", [
+    *(_patched(SCENARIOS[0], "drift_policy",
+               {"kind": "bounded_jitter", "max_step_skew": skew})
+      for skew in ("x", None, [1])),
+    _patched(SCENARIOS[0], "protocol", [1]),
+    _patched(SCENARIOS[0], "protocol", {}),
+    *(_patched(SCENARIOS[1], "protocol_params", {"request_expiry": value})
+      for value in ("x", None, 1.5)),
+    *(_rot_scrambled_to(value) for value in ("x", None, 99)),
+    _patched(SCENARIOS[1], "faults", {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 14, "kind": "delete_msg",
+         "target": 0, "pid": None}]}),
+], ids=["skew-x", "skew-null", "skew-list", "protocol-list", "protocol-dict",
+        "param-x", "param-null", "param-float", "rot-x", "rot-null",
+        "rot-99", "msg-fault-null-pid"])
+def test_wrong_scenario_value_is_a_config_error(run_cli, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli("run", "--scenario", str(bad),
+                           "--out", str(tmp_path / "t.jsonl"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_scrambling_within_the_domain_runs(run_cli, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_rot_scrambled_to(2)), encoding="utf-8")
+    code, _, _ = run_cli("run", "--scenario", str(good),
+                         "--out", str(tmp_path / "t.jsonl"))
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("grid", [
+    {"rs": "x", "delays": [900], "rates": [1]},
+    {"rs": 100, "delays": 3, "rates": [1]},
+    {"rs": 100, "delays": ["a"], "rates": [1]},
+    {"rs": 100, "delays": [900], "rates": []},
+])
+def test_wrong_grid_value_is_a_config_error(run_cli, tmp_path, grid):
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps(grid), encoding="utf-8")
+    code, _, err = run_cli("sweep", "--grid", str(bad))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_arrival_of_an_unsent_message_fails_the_lifetime_scan(run_cli,
+                                                               tmp_path):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", SCENARIOS[1], "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    next(r["data"] for r in recs if r["rec"] == "event"
+         and r["data"]["ev"] == "arrive")["mid"] = 99999
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, stdout, err = run_cli("check", "--trace", str(out),
+                                "--scenario", SCENARIOS[1])
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert "FAIL msg-lifetime: step" in stdout
+    assert "message 99999 arrive, but no send" in stdout

@@ -80,6 +80,10 @@ def test_campaign_requires_a_fault_region():
     (dict(pid=9), "out of range"),
     (dict(pid=None), "out of range"),
     (dict(target="nope"), "no free counter"),
+    (dict(kind="overwrite_dep"), r"\.target must be"),
+    (dict(value="x"), r"\.value must be"),
+    (dict(pid="0"), r"\.pid must be"),
+    (dict(age=-1), r"\.age must be"),
 ])
 def test_validate_entries_rejects(patch, msg):
     sc = build_scenario("logical_clocks")
@@ -139,6 +143,19 @@ def test_validate_entries_rejects_var_without_domain():
                               pid=0, value=3)
     with pytest.raises(ConfigError, match="domain"):
         faults.validate_entries(sc.prog, (entry,))
+
+
+@pytest.mark.parametrize("value", ["x", None, 99, True, 1.0])
+def test_validate_entries_keeps_a_scramble_in_the_domain(value):
+    sc = build_scenario("vector_clocks")
+
+    def plan(v):
+        return (faults.FaultEntry("region", 8, "scramble_var", "rot",
+                                  pid=0, value=v),)
+
+    faults.validate_entries(sc.prog, plan(2))
+    with pytest.raises(ConfigError, match="domain"):
+        faults.validate_entries(sc.prog, plan(value))
 
 
 def test_empty_selector_records_applied_false():

@@ -1,4 +1,7 @@
 """Scenario parsing: strict keys, topology shapes, derived echo, sizing."""
+import copy
+import json
+
 import pytest
 
 from regionbound import scenario
@@ -180,3 +183,68 @@ def test_load_round_trips_a_shipped_file():
     sc = scenario.load("scenarios/consensus_clean.json")
     assert sc.protocol == "consensus"
     assert sc.n == 5
+
+
+SHIPPED = ("scenarios/logical_clocks_drift.json",
+           "scenarios/mutex_fault_recovery.json",
+           "scenarios/consensus_clean.json",
+           "scenarios/diffusing_ring_faults.json")
+
+# one entry of every fault kind, each field present, on vector_clocks (the
+# protocol whose ``rot`` variable takes integers)
+LIST_FAULTS = {"mode": "list", "entries": [
+    {"when_kind": "region", "when": 14, "kind": "overwrite_free",
+     "target": "own", "pid": 0, "value": 5},
+    {"when_kind": "step", "when": 400, "kind": "insert_dep", "target": "view",
+     "pid": 1, "value": 5, "tag": [2, 0], "age": 1},
+    {"when_kind": "region", "when": 14, "kind": "overwrite_dep",
+     "target": ["view", 0], "pid": 2, "value": 5},
+    {"when_kind": "region", "when": 14, "kind": "delete_dep",
+     "target": ["view", 1], "pid": 3},
+    {"when_kind": "region", "when": 14, "kind": "scramble_var",
+     "target": "rot", "pid": 3, "value": 1},
+    {"when_kind": "region", "when": 14, "kind": "overwrite_msg",
+     "target": [0, "c1"], "value": 5},
+    {"when_kind": "region", "when": 14, "kind": "delete_msg", "target": 1},
+]}
+
+
+def _sweep_docs():
+    docs = {}
+    for path in SHIPPED:
+        with open(path, encoding="utf-8") as fp:
+            docs[path] = json.load(fp)
+    docs["vector_clocks list faults"] = scenario_doc("vector_clocks",
+                                                     faults=LIST_FAULTS)
+    docs["round_checker params"] = scenario_doc("round_checker")
+    return docs
+
+
+def _field_paths(node, path=()):
+    """The key/index path of every value below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("name,doc", list(_sweep_docs().items()))
+def test_a_wrong_type_anywhere_is_a_config_error(name, doc):
+    scenario.parse(doc)
+    crashes = []
+    for path in _field_paths(doc):
+        for wrong in ("x", None, [1], {}, 1.5, True, -1, 0):
+            bad = copy.deepcopy(doc)
+            node = bad
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = wrong
+            try:
+                scenario.parse(bad)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - collect, report all
+                crashes.append(f"{'.'.join(map(str, path))} = {wrong!r}: "
+                               f"{type(exc).__name__}: {exc}")
+    assert not crashes, "\n".join(crashes)
