@@ -12,9 +12,13 @@ Each event kind is declared once below with :func:`_kind`: a named tuple
 whose field types the loader checks. Producers build events through
 :data:`EVENTS`; checkers read them by field name.
 
-The file form is JSON-lines: one record per line, stable field names,
-integers in decimal. Field order within a line is fixed by construction
-(dicts are built in a fixed order), so identical runs serialize identically.
+The file form is JSON-lines: each line is exactly one JSON value, a record
+``{"rec": tag, "data": {...}}``, with stable field names and integers in
+decimal; blank lines are skipped. Field order within a line is fixed by
+construction (dicts are built in a fixed order), so identical runs serialize
+identically. A trace is written a bounded chunk of lines at a time, and read
+one line at a time, so neither direction holds a second copy of the whole
+trace; the json module's C encoder and decoder do the per-record JSON work.
 """
 
 from __future__ import annotations
@@ -22,20 +26,48 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, IO, Iterator
+from functools import partial
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
 
 from .errors import TraceFormatError
 
 EVENTS: dict[str, type] = {}
 
 
+class _List(NamedTuple):
+    """A list field's declared type: a JSON list, read back as a tuple by
+    ``load``, which returns None when the items do not have the shape
+    ``what`` names."""
+    what: str
+    load: Callable[[list], tuple | None]
+
+
+def _ints(val: list) -> tuple | None:
+    return tuple(val) if all(map(isinstance, val, repeat(int))) else None
+
+
+def _rows_of(width: int) -> _List:
+    """A list of lists of ``width`` entries each, read back as tuples."""
+    def load(val: list) -> tuple | None:
+        if (all(map(isinstance, val, repeat(list)))
+                and all(map(width.__eq__, map(len, val)))):
+            return tuple(map(tuple, val))
+        return None
+    return _List(f"list of {width}-entry lists", load)
+
+
+_INTS = _List("list of integers", _ints)
+
+
 def _kind(name: str, /, **types) -> str:
     """Declare the event kind ``name`` once: a tuple ``(step, kind, *types)``
     with named fields, stored in a trace file under the same names.
 
-    Each type is what a field holds after loading: ``tuple`` for a JSON list
-    read back as nested tuples, ``object`` for any JSON value (the replayer
-    checks it), otherwise the type or types of the JSON value.
+    Each type is what a field holds after loading: a :class:`_List` for a
+    JSON list whose items are checked, ``object`` for any JSON value (the
+    replayer checks it), otherwise the type or types of the JSON value.
     """
     event = namedtuple(name, ("step", "kind", *types))
     event.types = types
@@ -45,10 +77,10 @@ def _kind(name: str, /, **types) -> str:
 
 _OPT_INT = (int, type(None))
 
-EV_CLOCK = _kind("clock", t=int, g_region=int, locals=tuple, regions=tuple)
+EV_CLOCK = _kind("clock", t=int, g_region=int, locals=_INTS, regions=_INTS)
 # changes: (slot, coll, key, old_res, new_res, lifted, corrected) per moved
 # counter; slot is "free" or "dep", key the cell name or cell id
-EV_RC = _kind("rc", pid=int, new_region=int, changes=tuple)
+EV_RC = _kind("rc", pid=int, new_region=int, changes=_rows_of(7))
 EV_FAULT = _kind("fault", fault_kind=str, pid=_OPT_INT, target=object,
                  detail=dict, applied=bool)
 EV_ARRIVE = _kind("arrive", mid=int)
@@ -75,9 +107,65 @@ _ROW_TYPES = {"acting": int, "action_idx": int, "action": str, "d": int,
 
 SELF_LOOP = -1
 
-# keys of a record in the file, in field order
-_ROW_KEYS = ("step", *_ROW_TYPES)
-_EVENT_KEYS = {kind: ("step", "ev", *cls.types) for kind, cls in EVENTS.items()}
+
+class _Record:
+    """How a row or an event is stored: its keys in the file, in field
+    order, and how it loads back. ``get`` takes a record's field values from
+    its data, ``isa`` says what each must be an instance of, and ``make``
+    builds the loaded tuple, or returns None when a list field's items are
+    wrong. A record that fails any of these goes to :meth:`refuse`, which
+    names its first fault in field order."""
+
+    __slots__ = ("tag", "what", "types", "keys", "get", "isa", "make")
+
+    def __init__(self, tag: str, what: str, types: dict, cls: type):
+        self.tag, self.what, self.types = tag, what, types
+        self.keys = ("step", *types)
+        self.get = itemgetter(*self.keys)
+        self.isa = (int, *(list if isinstance(t, _List) else t
+                           for t in types.values()))
+        lists = tuple((i, t.load) for i, t in enumerate(types.values(), 1)
+                      if isinstance(t, _List))
+        new = tuple if cls is tuple else partial(tuple.__new__, cls)
+        self.make = partial(_make_with_lists, new, lists) if lists else new
+
+    def refuse(self, d: dict, lineno: int) -> NoReturn:
+        where = f"line {lineno}: {self.what}"
+        if not isinstance(d.get("step"), int):
+            raise TraceFormatError(f"line {lineno}: {self.tag} record needs "
+                                   "an integer 'step'")
+        for key, t in self.types.items():
+            if key not in d:
+                raise TraceFormatError(f"line {lineno}: {self.tag} record "
+                                       f"lacks field {key!r}")
+            val = d[key]
+            if not isinstance(val, list if isinstance(t, _List) else t):
+                raise TraceFormatError(f"{where} field {key!r} may not be a "
+                                       f"{type(val).__name__}")
+            if isinstance(t, _List) and t.load(val) is None:
+                raise TraceFormatError(f"{where} field {key!r} must be a "
+                                       f"{t.what}")
+        raise AssertionError(f"{where} record refused without a fault")
+
+
+def _make_with_lists(new, lists, vals):
+    vals = list(vals)
+    for i, load in lists:
+        if (item := load(vals[i])) is None:
+            return None
+        vals[i] = item
+    return new(vals)
+
+
+_ROW = _Record("row", "row", _ROW_TYPES, tuple)
+_EVENT_RECORDS = {kind: _Record("event", f"{kind} event",
+                                {"ev": str, **cls.types}, cls)
+                  for kind, cls in EVENTS.items()}
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
+# records per fp.write: bounds the text a writer holds besides the trace
+_CHUNK_LINES = 256
 
 
 @dataclass
@@ -102,64 +190,83 @@ class Trace:
     # --- serialization ---
 
     def write_jsonl(self, fp: IO[str]) -> None:
+        """Write the trace as JSON lines, at most ``_CHUNK_LINES`` lines per
+        ``fp.write``; ``fp`` needs nothing but ``write``."""
         fp.write(_line("meta", self.meta))
-        for row in self.rows:
-            fp.write(_line("row", dict(zip(_ROW_KEYS, row))))
-        for ev in self.events:
-            fp.write(_line("event", dict(zip(_EVENT_KEYS[ev.kind], ev))))
+        keys = _ROW.keys
+        for chunk in _chunks("row", (dict(zip(keys, row)) for row in self.rows)):
+            fp.write(chunk)
+        keys = {kind: rec.keys for kind, rec in _EVENT_RECORDS.items()}
+        for chunk in _chunks("event", (dict(zip(keys[ev.kind], ev))
+                                       for ev in self.events)):
+            fp.write(chunk)
         for step in sorted(self.snapshots):
             fp.write(_line("snapshot", {"step": step, "state": self.snapshots[step]}))
         fp.write(_line("summary", self.summary))
 
     @classmethod
     def read_jsonl(cls, fp: IO[str]) -> "Trace":
+        """Load a trace from JSON lines; a malformed line raises
+        :class:`TraceFormatError` naming its line number."""
         meta: dict | None = None
         rows: list[tuple] = []
         events: list[tuple] = []
         snapshots: dict[int, dict] = {}
         summary: dict = {}
+        row, records = _ROW, _EVENT_RECORDS
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _decode(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(rec, dict) or not isinstance(rec.get("data"), dict):
+            if end != len(line):
+                raise TraceFormatError(
+                    f"line {lineno}: not valid JSON: "
+                    f"{json.JSONDecodeError('Extra data', line, end)}")
+            if type(rec) is not dict or type(d := rec.get("data")) is not dict:
                 raise TraceFormatError(
                     f"line {lineno}: a record must be an object whose 'data' "
                     "is an object")
-            tag, d = rec.get("rec"), rec["data"]
-            if tag in ("row", "event", "snapshot") and not isinstance(d.get("step"), int):
-                raise TraceFormatError(f"line {lineno}: {tag} record needs an "
-                                       "integer 'step'")
+            tag = rec.get("rec")
+            if tag == "event":
+                try:
+                    record = records[d["ev"]]
+                except (KeyError, TypeError):
+                    _refuse_event(d, lineno)
+                out = events
+            elif tag == "row":
+                record, out = row, rows
+            elif tag == "snapshot":
+                if not isinstance(d.get("step"), int):
+                    raise TraceFormatError(f"line {lineno}: snapshot record "
+                                           "needs an integer 'step'")
+                if "state" not in d:
+                    raise TraceFormatError(f"line {lineno}: snapshot record "
+                                           "lacks field 'state'")
+                if type(d["state"]) is not dict:
+                    raise TraceFormatError(
+                        f"line {lineno}: snapshot 'state' must be an object")
+                snapshots[d["step"]] = d["state"]
+                continue
+            elif tag == "meta":
+                meta = d
+                continue
+            elif tag == "summary":
+                summary = d
+                continue
+            else:
+                raise TraceFormatError(f"line {lineno}: unknown record tag {tag!r}")
             try:
-                if tag == "meta":
-                    meta = d
-                elif tag == "row":
-                    rows.append((d["step"],
-                                 *_fields(d, _ROW_TYPES, lineno, "row")))
-                elif tag == "event":
-                    kind = d["ev"]
-                    if not isinstance(kind, str) or kind not in EVENTS:
-                        raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
-                    event = EVENTS[kind]
-                    events.append(event._make([d["step"], kind, *_fields(
-                        d, event.types, lineno, f"{kind} event")]))
-                elif tag == "snapshot":
-                    if not isinstance(d["state"], dict):
-                        raise TraceFormatError(
-                            f"line {lineno}: snapshot 'state' must be an "
-                            "object")
-                    snapshots[d["step"]] = d["state"]
-                elif tag == "summary":
-                    summary = d
-                else:
-                    raise TraceFormatError(f"line {lineno}: unknown record tag {tag!r}")
-            except KeyError as exc:
-                raise TraceFormatError(
-                    f"line {lineno}: {tag} record lacks field {exc}") from None
+                vals = record.get(d)
+            except KeyError:
+                record.refuse(d, lineno)
+            if (not all(map(isinstance, vals, record.isa))
+                    or (loaded := record.make(vals)) is None):
+                record.refuse(d, lineno)
+            out.append(loaded)
         if meta is None:
             raise TraceFormatError("trace has no meta record")
         return cls(meta=meta, rows=rows, events=events,
@@ -176,28 +283,45 @@ def load(path: str) -> Trace:
         return Trace.read_jsonl(fp)
 
 
-def _fields(d: dict, types: dict, lineno: int, what: str) -> list:
-    """A record's field values in declared order, each type-checked; a
-    ``tuple`` field is a JSON list, loaded as nested tuples."""
-    out = []
-    for key, t in types.items():
-        val = d[key]
-        if not isinstance(val, list if t is tuple else t):
-            raise TraceFormatError(f"line {lineno}: {what} field {key!r} "
-                                   f"may not be a {type(val).__name__}")
-        out.append(_deep_tuple(val) if t is tuple else val)
-    return out
+def _refuse_event(d: dict, lineno: int) -> NoReturn:
+    """Refuse an event record whose kind is missing or unknown."""
+    if not isinstance(d.get("step"), int):
+        raise TraceFormatError(f"line {lineno}: event record needs an integer "
+                               "'step'")
+    if "ev" not in d:
+        raise TraceFormatError(f"line {lineno}: event record lacks field 'ev'")
+    raise TraceFormatError(f"line {lineno}: unknown event kind {d['ev']!r}")
+
+
+def _head(tag: str) -> str:
+    """The text of a record's line before its data."""
+    return f'{{"rec":{_encode(tag)},"data":'
 
 
 def _line(tag: str, data: dict) -> str:
-    return json.dumps({"rec": tag, "data": data}, separators=(",", ":"),
-                      sort_keys=False) + "\n"
+    return f"{_head(tag)}{_encode(data)}}}\n"
 
 
-def _deep_tuple(val: Any) -> Any:
-    if isinstance(val, list):
-        return tuple(_deep_tuple(v) for v in val)
-    return val
+# Rows and events are encoded a chunk at a time, as one JSON list of their
+# data objects, each of which opens with its "step" key. So the list's item
+# separators all read _SEP. Inside a JSON string a quote is always escaped,
+# so _SEP can occur elsewhere only where a nested object opens with a "step"
+# key; the chunk then holds more than one _SEP per separator and is encoded
+# record by record instead.
+_SEP = '},{"step":'
+
+
+def _chunks(tag: str, datas: Iterator[dict]) -> Iterator[str]:
+    """The lines of the records ``tag`` with data ``datas``, joined
+    ``_CHUNK_LINES`` at a time."""
+    head = _head(tag)
+    joint = f'}}}}\n{head}{{"step":'
+    while batch := list(islice(datas, _CHUNK_LINES)):
+        text = _encode(batch)
+        if text.count(_SEP) == len(batch) - 1:
+            yield f"{head}{text[1:-1].replace(_SEP, joint)}}}\n"
+        else:
+            yield "".join(f"{head}{_encode(d)}}}\n" for d in batch)
 
 
 def canon(val: Any) -> Any:

@@ -403,3 +403,28 @@ def test_arrival_of_an_unsent_message_fails_the_lifetime_scan(run_cli,
     assert "Traceback" not in err
     assert "FAIL msg-lifetime: step" in stdout
     assert "message 99999 arrive, but no send" in stdout
+
+
+@pytest.mark.parametrize("path,kind,field,change", [
+    (SCENARIOS[0], "clock", "locals", lambda v: [str(x) for x in v]),
+    (SCENARIOS[0], "clock", "regions", lambda v: [str(x) for x in v]),
+    (SCENARIOS[1], "clock", "locals", lambda v: [str(x) for x in v]),
+    (SCENARIOS[1], "rc", "changes", lambda v: [[1]]),
+], ids=["clock-locals", "clock-regions", "faulted-clock-locals",
+        "rc-change-row"])
+def test_list_field_of_the_wrong_shape_is_refused_with_its_line(
+        run_cli, tmp_path, path, kind, field, change):
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", path, "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    lineno, data = next((i, r["data"]) for i, r in enumerate(recs, 1)
+                        if r["rec"] == "event" and r["data"]["ev"] == kind)
+    data[field] = change(data[field])
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, _, err = run_cli("check", "--trace", str(out), "--scenario", path)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: malformed trace {out}: "
+                          f"line {lineno}: {kind} event field {field!r}")
+    assert "Traceback" not in err

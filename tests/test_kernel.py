@@ -93,7 +93,7 @@ def test_messages_never_arrive_past_lifetime(any_protocol):
         if ev.kind == tr.EV_CLOCK:
             g_region = ev.g_region
         elif ev.kind == tr.EV_SEND:
-            sent[ev.mid] = ev.send_region_local
+            sent[ev.mid] = ev.send_region_global
         elif ev.kind == tr.EV_ARRIVE:
             assert g_region - sent[ev.mid] <= lifetime
 
