@@ -11,16 +11,21 @@ replays cleanly from the lifted bounded state.
 The remaining scans enforce the structural invariants every run must keep:
 dependent cells never outlive their declared forward reach, clocks never
 spread more than one region apart, and no message is seen past its
-lifetime. :func:`check` is the whole verdict on one run of a scenario: the
-applicable headline check, every scan and the protocol's safety predicate.
+lifetime. :func:`check` is the whole verdict on one run of a scenario: it
+first checks the trace against the program (:func:`validate`), then runs
+the applicable headline check, every scan and, once the replay has passed,
+the protocol's safety predicate.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Optional
+from itertools import chain
+from operator import attrgetter
+from typing import IO, NoReturn, Optional
 
+from . import faults
 from . import trace as tr
 from .counters import CounterParams, bits_required, fits_free, maxbound_of
 from .errors import ConfigError, is_int
@@ -78,13 +83,138 @@ def convergence_boundary(families: dict[str, CounterParams], fstop: int) -> int:
     return region
 
 
+# --- validation -------------------------------------------------------------
+
+
+def validate(prog, trace: tr.Trace) -> None:
+    """Refuse a trace that does not fit ``prog``, before anything reads it.
+
+    There must be a snapshot at step 0, and every snapshot must have the
+    layout the kernel writes for ``prog``. Events must name processes in
+    ``0..n-1`` and the free counters, collections, message kinds and cell
+    fields, families and fault kinds that ``prog`` and :mod:`.faults`
+    declare; a fault's detail must hold what the scans read of it. A
+    failure raises ConfigError("malformed trace: ..."). What the kernel's
+    schedule could not have drawn is left to the replay, which fails on it.
+    """
+    if 0 not in trace.snapshots:
+        raise ConfigError("malformed trace: no snapshot at step 0")
+    for step, snap in sorted(trace.snapshots.items()):
+        if fault := _snapshot_misfit(prog, snap):
+            raise ConfigError(f"malformed trace: snapshot at step {step}: "
+                              f"{fault}")
+    n, pids = prog.n, range(prog.n)
+    free, colls = list(prog.free_cells), list(prog.colls)
+    events = {kind: [] for kind in tr.EVENTS}
+    for ev in trace.events:
+        events[ev.kind].append(ev)
+    # the fields of each event kind that name something declared
+    names = {tr.EV_RC: {"pid": pids}, tr.EV_CONSUME: {"pid": pids},
+             tr.EV_VAR: {"pid": pids}, tr.EV_MARK: {"pid": pids},
+             tr.EV_WFREE: {"pid": pids, "name": free},
+             tr.EV_DCREATE: {"pid": pids, "coll": colls},
+             tr.EV_DREMOVE: {"pid": pids, "coll": colls},
+             tr.EV_SEND: {"src": pids, "dst": pids, "msg_kind": prog.msgs},
+             tr.EV_SPEND: {"family": prog.families},
+             tr.EV_FAULT: {"fault_kind": faults._KINDS, "pid": [None, *pids]}}
+    for kind, fields in names.items():
+        for fld, known in fields.items():
+            if not set(known).issuperset(map(attrgetter(fld), events[kind])):
+                ev = next(ev for ev in events[kind]
+                          if getattr(ev, fld) not in known)
+                _refuse(ev, f"{fld} {getattr(ev, fld)!r} is not among "
+                        f"{list(known)}")
+    for ev in events[tr.EV_CLOCK]:
+        if not len(ev.locals) == len(ev.regions) == n:
+            _refuse(ev, f"needs {n} locals and regions")
+    for ev in events[tr.EV_RC]:
+        for slot, coll, key, *_ in ev.changes:
+            if not ((slot == "free" and key in free)
+                    or (slot == "dep" and coll in colls)):
+                _refuse(ev, f"change {slot!r} {coll!r} {key!r} names no "
+                        "free counter or collection of the program")
+    for ev in events[tr.EV_SEND]:
+        if not _cells_fit(prog, ev.msg_kind, ev.cells):
+            _refuse(ev, f"cells {ev.cells} are no residues of declared "
+                    f"{ev.msg_kind} fields")
+    # what fault_stop_region reads of a fault, and the scans of an applied
+    # one of these kinds
+    reads = {"overwrite_free": {"pid": pids.__contains__,
+                                "target": free.__contains__, "new": is_int},
+             "insert_dep": {"coll": colls.__contains__, "cid": is_int,
+                            "created_local": is_int},
+             "delete_dep": {"coll": colls.__contains__, "cid": is_int}}
+    for ev in events[tr.EV_FAULT]:
+        got = {**ev.detail, "pid": ev.pid, "target": ev.target}
+        for key, fits in {"g_region": is_int, **(
+                reads.get(ev.fault_kind, {}) if ev.applied else {})}.items():
+            if not fits(got.get(key)):
+                _refuse(ev, f"{key} {got.get(key)!r} does not fit a "
+                        f"{ev.fault_kind} fault")
+
+
+def _refuse(ev, fault: str) -> NoReturn:
+    raise ConfigError(f"malformed trace: step {ev.step}: {ev.kind} event "
+                      f"{fault}")
+
+
+def _int_map(d: dict, keys) -> bool:
+    """``d`` maps exactly the names ``keys`` to integers."""
+    return d.keys() == set(keys) and all(map(is_int, d.values()))
+
+
+def _cells_fit(prog, kind: str, cells: dict) -> bool:
+    return (cells.keys() <= prog.msgs[kind].cell_fields.keys()
+            and all(map(is_int, cells.values())))
+
+
+def _snapshot_misfit(prog, snap: dict) -> Optional[str]:
+    """What keeps ``snap`` from the layout the kernel writes for ``prog``,
+    or None: :data:`.trace.SNAPSHOT` with a value per process, each proc a
+    :data:`.trace.PROC` of the program's counters and collections, and rows
+    as :class:`.trace.CellRow` and :class:`.trace.MsgRow` lay them out."""
+    if fault := tr.misfit(tr.SNAPSHOT, snap):
+        return fault
+    n, pids = prog.n, range(prog.n)
+    parts = ("regions", "locals", "procs", "inboxes")
+    if not (all(len(snap[part]) == n for part in parts)
+            and _int_map(snap["budgets"], prog.families)):
+        return (f"it needs {n} each of {', '.join(parts)}, and an integer "
+                f"budget for each of {list(prog.families)}")
+    for pid, proc in enumerate(snap["procs"]):
+        free = prog.init(pid).free
+        if not (type(proc) is dict and tr.misfit(tr.PROC, proc) is None
+                and _int_map(proc["free"], free)
+                and proc["colls"].keys() <= prog.colls.keys()
+                and all(type(rows) is list
+                        and all(tr.fits(tr.CellRow, row) for row in rows)
+                        for rows in proc["colls"].values())):
+            return (f"pid {pid}: it needs free counters {list(free)} as "
+                    f"integer residues, collections among {list(prog.colls)}"
+                    f" as lists of [{', '.join(tr.CellRow._fields)}] rows, "
+                    "and vars")
+    for box in (snap["in_flight"], *snap["inboxes"]):
+        if type(box) is not list:
+            return f"inbox {box!r} is not a list of message rows"
+        for row in box:
+            if not (tr.fits(tr.MsgRow, row)
+                    and (msg := tr.MsgRow._make(row)).src in pids
+                    and msg.dst in pids and msg.kind in prog.msgs
+                    and _cells_fit(prog, msg.kind, msg.cells)):
+                return (f"message row {row!r} is no "
+                        f"[{', '.join(tr.MsgRow._fields)}] row with pids "
+                        "in range and cells of a declared kind")
+    return None
+
+
 # --- replay checks ----------------------------------------------------------
 
 
 def closure_check(prog, trace: tr.Trace,
                   report: Optional[VerificationReport] = None) -> VerificationReport:
     """Replay a fault-free trace from its initial state; any residue that
-    disagrees with the unbounded reference is a failure."""
+    disagrees with the unbounded reference is a failure. The trace must be
+    kernel-made or pass :func:`validate`."""
     if trace.has_faults():
         raise ConfigError("closure check applies to fault-free runs only; "
                           "this trace records fault injections")
@@ -114,7 +244,7 @@ def suffix_check(prog, trace: tr.Trace, boundary_region: int,
                  report: Optional[VerificationReport] = None) -> VerificationReport:
     """Replay the trace suffix from the snapshot taken at entry to
     ``boundary_region``; used for the post-fault equivalence half of
-    convergence."""
+    convergence. The trace must be kernel-made or pass :func:`validate`."""
     if report is None:
         report = VerificationReport()
     start = snapshot_step_for_region(trace, boundary_region)
@@ -160,7 +290,7 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
     if report is None:
         report = VerificationReport()
     fams = {name: prog.families[fam] for name, fam in prog.free_cells.items()}
-    snap0 = trace.snapshots[min(trace.snapshots)]
+    snap0 = trace.snapshots[0]
     regions = list(snap0["regions"])
     free = [dict(p["free"]) for p in snap0["procs"]]
     settle = fstop + 3
@@ -221,12 +351,11 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
     if report is None:
         report = VerificationReport()
     caps = {coll: decl.dep.r_f for coll, decl in prog.colls.items()}
-    snap0 = trace.snapshots[min(trace.snapshots)]
     live: dict[tuple[int, str, int], int] = {}
-    for pid, pstate in enumerate(snap0["procs"]):
+    for pid, pstate in enumerate(trace.snapshots[0]["procs"]):
         for coll, rows in pstate["colls"].items():
-            for cid, _res, c_local, _cg, _tag in rows:
-                live[(pid, coll, cid)] = c_local
+            for row in map(tr.CellRow._make, rows):
+                live[(pid, coll, row.cid)] = row.created_local
     worst = -1
 
     def age_ok(step, pid, coll, cid, region) -> bool:
@@ -304,12 +433,10 @@ def scan_msg_lifetime(trace: tr.Trace,
     if report is None:
         report = VerificationReport()
     lifetime = trace.meta["lifetime_regions"]
-    snap0 = trace.snapshots[min(trace.snapshots)]
+    snap0 = trace.snapshots[0]
     g_region = snap0["g_region"]
-    sent: dict[int, int] = {}
-    for rows in [snap0["in_flight"], *snap0["inboxes"]]:
-        for row in rows:
-            sent[row[0]] = row[8]
+    sent = {row.mid: row.send_region_global for row in map(
+        tr.MsgRow._make, chain(snap0["in_flight"], *snap0["inboxes"]))}
     for ev in trace.events:
         kind = ev.kind
         if kind == tr.EV_CLOCK:
@@ -335,29 +462,34 @@ def scan_msg_lifetime(trace: tr.Trace,
 
 def check(sc, trace: tr.Trace) -> VerificationReport:
     """Everything ``regionbound check`` judges of ``trace``, a run of
-    scenario ``sc``: closure for a fault-free run or convergence for a
-    faulted one, the region-gap, message-lifetime and dependent-lifetime
-    scans, and the protocol's safety predicate, if it has one, from step 0
-    of a fault-free run or from the convergence boundary of a faulted one.
+    scenario ``sc``, once :func:`validate` has passed it: closure for a
+    fault-free run or convergence for a faulted one, the region-gap,
+    message-lifetime and dependent-lifetime scans, and the protocol's
+    safety predicate, if it has one, from step 0 of a fault-free run or from
+    the convergence boundary of a faulted one. The predicate reads marks,
+    which only a passing replay vouches for, so a failed replay leaves it
+    unjudged.
     """
+    validate(sc.prog, trace)
     if sc.has_faults:
-        report = convergence_check(sc.prog, trace)
+        report = convergence_check(sc.prog, trace,
+                                   sc.derived["fault_stop_region"])
         safety_start = snapshot_step_for_region(
             trace, sc.derived["boundary_region"])
     else:
         report = closure_check(sc.prog, trace)
         safety_start = 0
+    replayed = report.results[-1].ok  # closure- or suffix-replay
     scan_region_gaps(trace, 1 if sc.cfg.drift.kind != "none" else 0,
                      report=report)
     scan_msg_lifetime(trace, report=report)
     scan_dep_lifetimes(sc.prog, trace, report=report)
     if sc.prog.safety is not None:
-        if safety_start is None:
-            report.add("protocol-safety", False,
-                       "no stabilized suffix to scan (see suffix-replay)")
-        else:
+        if replayed:
             report.add("protocol-safety",
                        *sc.prog.safety(trace, safety_start))
+        else:
+            report.add("protocol-safety", False, "not judged, replay failed")
     return report
 
 

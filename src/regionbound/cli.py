@@ -55,8 +55,9 @@ def _expected_meta(sc: scenario.Scenario) -> dict:
 
 def _match_trace(sc: scenario.Scenario, trace: tr.Trace) -> None:
     want = _expected_meta(sc)
-    bad = [f"{k}: trace has {trace.meta.get(k)!r}, scenario says {want[k]!r}"
-           for k in _META_KEYS if trace.meta.get(k) != want[k]]
+    bad = [f"{k}: trace has {got!r}, scenario says {want[k]!r}"
+           for k in _META_KEYS if (got := trace.meta.get(k)) != want[k]
+           or type(got) is not type(want[k])]
     if bad:
         raise ConfigError("trace does not match scenario; " + "; ".join(bad))
 

@@ -7,10 +7,13 @@ integers with no windows, checks, or reductions. At every recorded effect it
 computes what the unbounded program would have written and requires the
 bounded trace to agree modulo the family modulus (and, for lifted fields,
 exactly). The first disagreement raises :class:`OracleDivergence`. So does a
-schedule the kernel cannot have drawn: a pid named twice in one aligned block
-of n steps (the kernel activates each process once per block, in a freshly
-shuffled order), or a row whose ``d``, ``u1`` or ``u2`` lies outside the
-range the kernel draws it from.
+schedule the kernel cannot have drawn: a row naming no process, a pid named
+twice in one aligned block of n steps (the kernel activates each process
+once per block, in a freshly shuffled order), a row whose ``d``, ``u1`` or
+``u2`` lies outside the range the kernel draws it from, a send with both or
+neither of an arrival and a drop step, or an event past the last row. The
+trace's shape is not checked here: the replayer takes a kernel-made trace or
+one that :func:`.analysis.validate` has checked against the program.
 
 The network, inboxes, cell expiry, budget refill, message-horizon drop,
 context API and snapshot layout are the kernel's own, from :mod:`.sim`; the
@@ -31,25 +34,9 @@ from __future__ import annotations
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
-from .errors import ConfigError, ProtocolBug
+from .errors import ProtocolBug
 from .sim import Ctx, Msg, MsgView, Sim
 from .transform import Cell, ProcState, choose_action
-
-
-def _delivery_steps_ok(arrival, drop) -> bool:
-    return all(s is None or isinstance(s, int) for s in (arrival, drop))
-
-
-def _ints(values, n=None) -> bool:
-    """``values`` is a list (of length ``n``, if given) of integers."""
-    return (isinstance(values, list) and (n is None or len(values) == n)
-            and all(isinstance(v, int) for v in values))
-
-
-def _int_map(m, keys) -> bool:
-    """``m`` is a dict from names among ``keys`` to integers."""
-    return (isinstance(m, dict) and all(k in keys for k in m)
-            and all(isinstance(v, int) for v in m.values()))
 
 
 class OracleDivergence(Exception):
@@ -106,6 +93,9 @@ class OracleCtx(Ctx):
 
 
 class Replayer(Sim):
+    """Replays a kernel-made or validated trace (:func:`.analysis.validate`)
+    from its snapshot at ``start_step``, checking every recorded effect."""
+
     def __init__(self, prog, trace: tr.Trace, start_step: int = 0):
         if start_step not in trace.snapshots:
             raise ValueError(f"trace has no snapshot at step {start_step}")
@@ -123,49 +113,7 @@ class Replayer(Sim):
         self._bucket: list = []
         self._cursor = 0
 
-    def _malformed(self, what: str) -> ConfigError:
-        return ConfigError(f"malformed trace: snapshot at step "
-                           f"{self.start_step}: {what}")
-
-    def _check_snapshot(self, snap) -> None:
-        """Refuse a snapshot whose parts do not have the layout
-        :meth:`Sim._state` writes, before any of it is unpacked."""
-        n = self.prog.n
-        if not (isinstance(snap, dict)
-                and _ints([snap.get(k) for k in ("t", "g_region", "next_mid",
-                                                 "next_cid")])
-                and _ints(snap.get("regions"), n)
-                and _ints(snap.get("locals"), n)
-                and _int_map(snap.get("budgets"), self.prog.families)
-                and len(snap["budgets"]) == len(self.prog.families)
-                and isinstance(snap.get("in_flight"), list)
-                and isinstance(snap.get("procs"), list)
-                and len(snap["procs"]) == n
-                and isinstance(snap.get("inboxes"), list)
-                and len(snap["inboxes"]) == n
-                and all(isinstance(box, list) for box in snap["inboxes"])):
-            raise self._malformed(
-                "it needs integer t, g_region, next_mid and next_cid, "
-                f"{n} integer regions and locals, integer budgets per family, "
-                f"a list of in-flight messages and {n} procs and inboxes")
-        for pid, pstate in enumerate(snap["procs"]):
-            if not (isinstance(pstate, dict)
-                    and _int_map(pstate.get("free"), self.free_fams)
-                    and set(pstate["free"]) == set(self.prog.init(pid).free)
-                    and isinstance(pstate.get("colls"), dict)
-                    and all(coll in self.prog.colls and isinstance(rows, list)
-                            and all(isinstance(row, list) and len(row) == 5
-                                    and _ints(row[:4]) for row in rows)
-                            for coll, rows in pstate["colls"].items())
-                    and isinstance(pstate.get("vars"), dict)):
-                raise self._malformed(
-                    f"pid {pid}: it needs its free counters as integer "
-                    "residues, declared collections of [cid, residue, "
-                    "created_local, created_global, tag] rows with integer "
-                    "ids, residues and regions, and a vars object")
-
     def _load(self, snap: dict) -> None:
-        self._check_snapshot(snap)
         self.t = snap["t"]
         self.g_region = snap["g_region"]
         self.regions = list(snap["regions"])
@@ -183,9 +131,10 @@ class Replayer(Sim):
                 proc.colls[coll] = {}
             for coll, rows in pstate["colls"].items():
                 fam = self.coll_fams[coll]
-                for cid, res, c_local, c_global, tag in rows:
-                    proc.colls[coll][cid] = Cell(
-                        lift_dep(res, proc.region, fam), c_local, c_global, tag)
+                for row in map(tr.CellRow._make, rows):
+                    proc.colls[coll][row.cid] = Cell(
+                        lift_dep(row.residue, proc.region, fam),
+                        row.created_local, row.created_global, row.tag)
             proc.vars = dict(pstate["vars"])
             self.procs.append(proc)
         # the snapshot comes from outside the program: any cell may be stale
@@ -200,26 +149,11 @@ class Replayer(Sim):
                 self.inboxes[pid][msg.mid] = msg
 
     def _load_msg(self, row: list) -> Msg:
-        if not (isinstance(row, list) and len(row) == 11
-                and _ints(row[:3] + row[6:9])
-                and 0 <= row[1] < self.prog.n and 0 <= row[2] < self.prog.n
-                and isinstance(row[3], str) and row[3] in self.msg_fams
-                and _int_map(row[4], self.msg_fams[row[3]])
-                and isinstance(row[5], dict)
-                and _delivery_steps_ok(row[9], row[10])):
-            raise self._malformed(
-                f"message row {row!r} must be [mid, src, dst, kind, cells, "
-                "vars, send_step, send_region_local, send_region_global, "
-                "arrival_step, drop_step] with integer ids, steps and "
-                "residues (each delivery step an integer or null), pids in "
-                "range and a declared kind")
-        (mid, src, dst, kind, cells, vars, send_step, srl, srg,
-         arrival, drop) = row
-        fams = self.msg_fams[kind]
-        lifted = {fld: lift_dep(res, self.regions[dst], fams[fld])
-                  for fld, res in cells.items()}
-        return Msg(mid, src, dst, kind, lifted, vars, send_step, srl, srg,
-                   arrival, drop)
+        row = tr.MsgRow._make(row)
+        fams = self.msg_fams[row.kind]
+        lifted = {fld: lift_dep(res, self.regions[row.dst], fams[fld])
+                  for fld, res in row.cells.items()}
+        return Msg(*row._replace(cells=lifted))
 
     # -- trace comparison --------------------------------------------------
 
@@ -263,9 +197,6 @@ class Replayer(Sim):
         if (arrival is None) == (drop is None):
             self._fail(f"send event {got!r} must set exactly one of "
                        "arrival_step and drop_step")
-        if not _delivery_steps_ok(arrival, drop):
-            self._fail(f"send event {got!r} has a delivery step that is not "
-                       "an integer")
         msg = Msg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
                   ctx.region, self.g_region, arrival, drop)
         self._put_in_flight(msg)
@@ -280,7 +211,6 @@ class Replayer(Sim):
             self._fail(f"expected a clock record, got {got!r}")
         n, rs = self.prog.n, self.rs
         if (got.t != self.t + 1 or got.t // rs != got.g_region
-                or len(got.locals) != n or len(got.regions) != n
                 or any(x // rs != r for x, r in zip(got.locals, got.regions))):
             self._fail(f"clock record {got!r} is internally inconsistent")
         old_regions = self.regions
@@ -348,13 +278,12 @@ class Replayer(Sim):
             self._fail("snapshot clock state differs from reference")
         for key, want in self._state().items():
             have = snap.get(key)
-            if (key in ("procs", "inboxes") and isinstance(have, list)
-                    and len(have) == len(want)):
+            if key in ("procs", "inboxes") and have != want:
                 for pid, (h, w) in enumerate(zip(have, want)):
                     if h != w:
                         self._fail(f"pid {pid}: snapshot {key} entry {h} != "
                                    f"reference {w}")
-            elif have != want:
+            if have != want:
                 self._fail(f"snapshot {key} {have} != reference {want}")
 
     def run(self) -> int:
@@ -391,4 +320,7 @@ class Replayer(Sim):
             if final_step in self.trace.snapshots:
                 self.step = final_step
                 self._compare_snapshot(self.trace.snapshots[final_step])
+        if lo < len(events):
+            self._fail(f"bounded trace records event {events[lo]!r} past its "
+                       "last row")
         return checked

@@ -31,9 +31,7 @@ from . import trace as tr
 
 
 class Msg:
-    __slots__ = ("mid", "src", "dst", "kind", "cells", "vars", "send_step",
-                 "send_region_local", "send_region_global",
-                 "arrival_step", "drop_step")
+    __slots__ = tr.MsgRow._fields  # in the order of its snapshot row
 
     def __init__(self, mid, src, dst, kind, cells, vars, send_step,
                  send_region_local, send_region_global, arrival_step, drop_step):
@@ -202,9 +200,10 @@ class Sim:
         res = self._stored
         procs = [{"free": {name: res(self.free_fams[name], value)
                            for name, value in proc.free.items()},
-                  "colls": {coll: [[cid, res(self.coll_fams[coll], c.value),
-                                    c.created_local, c.created_global,
-                                    tr.canon(c.tag)]
+                  "colls": {coll: [list(tr.CellRow(
+                                       cid, res(self.coll_fams[coll], c.value),
+                                       c.created_local, c.created_global,
+                                       tr.canon(c.tag)))
                                    for cid, c in sorted(store.items())]
                             for coll, store in proc.colls.items()},
                   "vars": dict(proc.vars)}
@@ -220,9 +219,10 @@ class Sim:
             fams = self.msg_fams[m.kind]
             cells = {fld: self._stored(fams[fld], value)
                      for fld, value in sorted(m.cells.items())}
-            rows.append([mid, m.src, m.dst, m.kind, cells, m.vars, m.send_step,
-                         m.send_region_local, m.send_region_global,
-                         m.arrival_step, m.drop_step])
+            rows.append(list(tr.MsgRow(
+                mid, m.src, m.dst, m.kind, cells, m.vars, m.send_step,
+                m.send_region_local, m.send_region_global, m.arrival_step,
+                m.drop_step)))
         return rows
 
     def _expire_cells(self, proc) -> None:

@@ -10,7 +10,9 @@ either.
 Each event kind is declared once below with :func:`_kind`: a named tuple
 ``(step, kind, ...)`` whose field names are also its keys in the file and
 whose field types the loader checks. Producers build events through
-:data:`EVENTS`; checkers read them by field name.
+:data:`EVENTS`; checkers read them by field name. The rows a snapshot
+stores as JSON lists, a message and a dependent cell, are declared the same
+way with :func:`_layout`, and so are the rows of an ``rc`` event's changes.
 
 The file form is JSON-lines: each line is exactly one JSON value, a record
 ``{"rec": tag, "data": {...}}``, with stable field names and integers in
@@ -28,7 +30,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import contains, itemgetter
 from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
 
 from .errors import TraceFormatError
@@ -44,18 +46,60 @@ class _List(NamedTuple):
     load: Callable[[list], tuple | None]
 
 
-def _ints(val: list) -> tuple | None:
-    return tuple(val) if all(map(isinstance, val, repeat(int))) else None
+_JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
+_INT = frozenset((int,))
+_OPT_INT = (int, type(None))
 
 
-def _rows_of(width: int) -> _List:
-    """A list of lists of ``width`` entries each, read back as tuples."""
+def _admits(t) -> frozenset:
+    """The JSON value types a field declared ``t`` may hold. A value's type
+    must be one of them exactly, so a JSON boolean is never an integer."""
+    if t is object:
+        return _JSON_TYPES
+    if isinstance(t, _List):
+        return frozenset((list,))
+    return frozenset(t if isinstance(t, tuple) else (t,))
+
+
+def _layout(name: str, /, **types) -> type:
+    """Declare a row stored as a JSON list of these fields in this order: a
+    named tuple to read it by, with each field's declared type."""
+    row = namedtuple(name, types)
+    row.admits = tuple(map(_admits, types.values()))
+    return row
+
+
+def misfit(types: dict, d: dict) -> str | None:
+    """What keeps ``d`` from holding each field of ``types`` with its
+    declared type, for the first faulty field in order; None if nothing."""
+    for key, t in types.items():
+        if key not in d:
+            return f"lacks field {key!r}"
+        val = d[key]
+        if type(val) not in _admits(t):
+            return f"field {key!r} may not be a {type(val).__name__}"
+        if isinstance(t, _List) and t.load(val) is None:
+            return f"field {key!r} must be a {t.what}"
+    return None
+
+
+def fits(layout: type, row) -> bool:
+    """``row`` is a JSON list of ``layout``'s fields, each of its type."""
+    return (type(row) is list and len(row) == len(layout.admits)
+            and all(map(contains, layout.admits, map(type, row))))
+
+
+def _rows_of(layout: type) -> _List:
+    """A list of ``layout`` rows, read back as tuples."""
     def load(val: list) -> tuple | None:
-        if (all(map(isinstance, val, repeat(list)))
-                and all(map(width.__eq__, map(len, val)))):
+        if all(map(fits, repeat(layout), val)):
             return tuple(map(tuple, val))
         return None
-    return _List(f"list of {width}-entry lists", load)
+    return _List(f"list of [{', '.join(layout._fields)}] rows", load)
+
+
+def _ints(val: list) -> tuple | None:
+    return tuple(val) if _INT.issuperset(map(type, val)) else None
 
 
 _INTS = _List("list of integers", _ints)
@@ -75,12 +119,22 @@ def _kind(name: str, /, **types) -> str:
     return name
 
 
-_OPT_INT = (int, type(None))
+# a snapshot's in-flight and inbox messages, and its processes' cells; a
+# message's cells map each field to its residue
+MsgRow = _layout("MsgRow", mid=int, src=int, dst=int, kind=str, cells=dict,
+                 vars=dict, send_step=int, send_region_local=int,
+                 send_region_global=int, arrival_step=_OPT_INT,
+                 drop_step=_OPT_INT)
+CellRow = _layout("CellRow", cid=int, residue=int, created_local=int,
+                  created_global=int, tag=object)
+# one moved counter of an rc event; slot is "free" (key the counter's name,
+# coll None) or "dep" (coll the collection, key the cell id)
+RcChange = _layout("RcChange", slot=str, coll=(str, type(None)),
+                   key=(str, int), old_res=int, new_res=int, lifted=int,
+                   corrected=bool)
 
 EV_CLOCK = _kind("clock", t=int, g_region=int, locals=_INTS, regions=_INTS)
-# changes: (slot, coll, key, old_res, new_res, lifted, corrected) per moved
-# counter; slot is "free" or "dep", key the cell name or cell id
-EV_RC = _kind("rc", pid=int, new_region=int, changes=_rows_of(7))
+EV_RC = _kind("rc", pid=int, new_region=int, changes=_rows_of(RcChange))
 EV_FAULT = _kind("fault", fault_kind=str, pid=_OPT_INT, target=object,
                  detail=dict, applied=bool)
 EV_ARRIVE = _kind("arrive", mid=int)
@@ -88,7 +142,7 @@ EV_DROP = _kind("drop", mid=int, reason=str)
 # cells: {field: residue}, keys sorted
 EV_SEND = _kind("send", mid=int, src=int, dst=int, msg_kind=str, cells=dict,
                 vars=dict, send_region_local=int, send_region_global=int,
-                arrival_step=object, drop_step=object)
+                arrival_step=_OPT_INT, drop_step=_OPT_INT)
 EV_CONSUME = _kind("consume", mid=int, pid=int)
 EV_WFREE = _kind("wfree", pid=int, name=str, residue=int, lifted=int,
                  corrected=bool)
@@ -100,6 +154,12 @@ EV_VAR = _kind("var", pid=int, name=str, value=object)
 EV_SPEND = _kind("spend", family=str, amount=int)
 EV_MARK = _kind("mark", mark_kind=str, pid=int, data=object)
 
+# a snapshot's state, as the kernel writes it; each of its procs is a PROC
+SNAPSHOT = {"t": int, "g_region": int, "regions": _INTS, "locals": _INTS,
+            "procs": list, "in_flight": list, "inboxes": list,
+            "next_mid": int, "next_cid": int, "budgets": dict, "label": str}
+PROC = {"free": dict, "colls": dict, "vars": dict}
+
 # a row is a plain tuple (step, acting, action_idx, action, d, u1, u2):
 # the acting pid, then SELF_LOOP and "" when no action was enabled
 _ROW_TYPES = {"acting": int, "action_idx": int, "action": str, "d": int,
@@ -109,43 +169,31 @@ SELF_LOOP = -1
 
 
 class _Record:
-    """How a row or an event is stored: its keys in the file, in field
-    order, and how it loads back. ``get`` takes a record's field values from
-    its data, ``isa`` says what each must be an instance of, and ``make``
-    builds the loaded tuple, or returns None when a list field's items are
-    wrong. A record that fails any of these goes to :meth:`refuse`, which
-    names its first fault in field order."""
+    """How a row, an event or a snapshot is stored: its keys in the file, in
+    field order, and how it loads back. ``get`` takes a record's field
+    values from its data, ``admits`` holds the JSON value types each may
+    have, and ``make`` builds the loaded tuple, or returns None when a list
+    field's items are wrong. A record that fails any of these goes to
+    :meth:`refuse`, which names its first fault in field order."""
 
-    __slots__ = ("tag", "what", "types", "keys", "get", "isa", "make")
+    __slots__ = ("tag", "what", "types", "keys", "get", "admits", "make")
 
     def __init__(self, tag: str, what: str, types: dict, cls: type):
         self.tag, self.what, self.types = tag, what, types
         self.keys = ("step", *types)
         self.get = itemgetter(*self.keys)
-        self.isa = (int, *(list if isinstance(t, _List) else t
-                           for t in types.values()))
+        self.admits = tuple(map(_admits, (int, *types.values())))
         lists = tuple((i, t.load) for i, t in enumerate(types.values(), 1)
                       if isinstance(t, _List))
         new = tuple if cls is tuple else partial(tuple.__new__, cls)
         self.make = partial(_make_with_lists, new, lists) if lists else new
 
     def refuse(self, d: dict, lineno: int) -> NoReturn:
-        where = f"line {lineno}: {self.what}"
-        if not isinstance(d.get("step"), int):
+        if type(d.get("step")) is not int:
             raise TraceFormatError(f"line {lineno}: {self.tag} record needs "
                                    "an integer 'step'")
-        for key, t in self.types.items():
-            if key not in d:
-                raise TraceFormatError(f"line {lineno}: {self.tag} record "
-                                       f"lacks field {key!r}")
-            val = d[key]
-            if not isinstance(val, list if isinstance(t, _List) else t):
-                raise TraceFormatError(f"{where} field {key!r} may not be a "
-                                       f"{type(val).__name__}")
-            if isinstance(t, _List) and t.load(val) is None:
-                raise TraceFormatError(f"{where} field {key!r} must be a "
-                                       f"{t.what}")
-        raise AssertionError(f"{where} record refused without a fault")
+        raise TraceFormatError(
+            f"line {lineno}: {self.what} {misfit(self.types, d)}")
 
 
 def _make_with_lists(new, lists, vals):
@@ -158,6 +206,7 @@ def _make_with_lists(new, lists, vals):
 
 
 _ROW = _Record("row", "row", _ROW_TYPES, tuple)
+_SNAPSHOT_RECORD = _Record("snapshot", "snapshot", {"state": dict}, tuple)
 _EVENT_RECORDS = {kind: _Record("event", f"{kind} event",
                                 {"ev": str, **cls.types}, cls)
                   for kind, cls in EVENTS.items()}
@@ -211,7 +260,7 @@ class Trace:
         meta: dict | None = None
         rows: list[tuple] = []
         events: list[tuple] = []
-        snapshots: dict[int, dict] = {}
+        snapshots: list[tuple] = []  # (step, state) pairs
         summary: dict = {}
         row, records = _ROW, _EVENT_RECORDS
         for lineno, line in enumerate(fp, start=1):
@@ -240,17 +289,7 @@ class Trace:
             elif tag == "row":
                 record, out = row, rows
             elif tag == "snapshot":
-                if not isinstance(d.get("step"), int):
-                    raise TraceFormatError(f"line {lineno}: snapshot record "
-                                           "needs an integer 'step'")
-                if "state" not in d:
-                    raise TraceFormatError(f"line {lineno}: snapshot record "
-                                           "lacks field 'state'")
-                if type(d["state"]) is not dict:
-                    raise TraceFormatError(
-                        f"line {lineno}: snapshot 'state' must be an object")
-                snapshots[d["step"]] = d["state"]
-                continue
+                record, out = _SNAPSHOT_RECORD, snapshots
             elif tag == "meta":
                 meta = d
                 continue
@@ -263,14 +302,14 @@ class Trace:
                 vals = record.get(d)
             except KeyError:
                 record.refuse(d, lineno)
-            if (not all(map(isinstance, vals, record.isa))
+            if (not all(map(contains, record.admits, map(type, vals)))
                     or (loaded := record.make(vals)) is None):
                 record.refuse(d, lineno)
             out.append(loaded)
         if meta is None:
             raise TraceFormatError("trace has no meta record")
         return cls(meta=meta, rows=rows, events=events,
-                   snapshots=snapshots, summary=summary)
+                   snapshots=dict(snapshots), summary=summary)
 
 
 def save(trace: Trace, path: str) -> None:
@@ -285,7 +324,7 @@ def load(path: str) -> Trace:
 
 def _refuse_event(d: dict, lineno: int) -> NoReturn:
     """Refuse an event record whose kind is missing or unknown."""
-    if not isinstance(d.get("step"), int):
+    if type(d.get("step")) is not int:
         raise TraceFormatError(f"line {lineno}: event record needs an integer "
                                "'step'")
     if "ev" not in d:

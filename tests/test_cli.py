@@ -196,8 +196,9 @@ def test_non_integer_delivery_step_is_refused(run_cli, tmp_path, where):
                                 "--scenario", SCENARIOS[0])
     assert "Traceback" not in err
     if where == "send":
-        assert code == EXIT_FAIL
-        assert "FAIL closure-replay" in stdout and "not an integer" in stdout
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: malformed trace {out}: line ")
+        assert f"send event field {fld!r} may not be a list" in err
     else:
         assert code == EXIT_CONFIG
         assert err.startswith("config error: malformed trace")
@@ -428,3 +429,163 @@ def test_list_field_of_the_wrong_shape_is_refused_with_its_line(
     assert err.startswith(f"config error: malformed trace {out}: "
                           f"line {lineno}: {kind} event field {field!r}")
     assert "Traceback" not in err
+
+
+def _check_doctored(run_cli, tmp_path, path, change):
+    """``check`` on a fresh trace of ``path`` after ``change(records)``."""
+    out = tmp_path / "t.jsonl"
+    run_cli("run", "--scenario", path, "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    change(recs)
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    return run_cli("check", "--trace", str(out), "--scenario", path)
+
+
+def _events(recs, kind):
+    return [r["data"] for r in recs
+            if r["rec"] == "event" and r["data"]["ev"] == kind]
+
+
+def _start(recs):
+    return next(r["data"]["state"] for r in recs if r["rec"] == "snapshot")
+
+
+def _no_snapshots(recs):
+    recs[:] = [r for r in recs if r["rec"] != "snapshot"]
+
+
+@pytest.mark.parametrize("path,change,fault", [
+    (SCENARIOS[1], lambda r: _start(r)["in_flight"].append([1, 2, 3]),
+     "snapshot at step 0: message row [1, 2, 3]"),
+    (SCENARIOS[1], lambda r: _start(r)["procs"][0]["colls"]["req"].append(
+        [1]), "snapshot at step 0: pid 0"),
+    (SCENARIOS[1], lambda r: _start(r).update(regions="abc"),
+     "snapshot at step 0: field 'regions'"),
+    (SCENARIOS[1], lambda r: _start(r).pop("procs"),
+     "snapshot at step 0: lacks field 'procs'"),
+    (SCENARIOS[1], _no_snapshots, "no snapshot at step 0"),
+    (SCENARIOS[0], _no_snapshots, "no snapshot at step 0"),
+    (SCENARIOS[1], lambda r: _events(r, "rc")[0].update(pid=77),
+     "rc event pid 77"),
+    (SCENARIOS[1], lambda r: _events(r, "rc")[0]["changes"][0].__setitem__(
+        2, "zz"), "rc event change 'free' None 'zz'"),
+    (SCENARIOS[1], lambda r: _events(r, "wfree")[0].update(name="zz"),
+     "wfree event name 'zz'"),
+    (SCENARIOS[1], lambda r: _events(r, "dcreate")[0].update(coll="zz"),
+     "dcreate event coll 'zz'"),
+    (SCENARIOS[1], lambda r: _events(r, "fault")[0].update(detail={}),
+     "fault event g_region None"),
+    (SCENARIOS[1], lambda r: _events(r, "fault")[0]["detail"].update(
+        g_region="x"), "fault event g_region 'x'"),
+    (SCENARIOS[1], lambda r: _events(r, "send")[0].update(dst=99),
+     "send event dst 99"),
+    (SCENARIOS[1], lambda r: _events(r, "consume")[0].update(pid=99),
+     "consume event pid 99"),
+    (SCENARIOS[1], lambda r: _events(r, "var")[0].update(pid=99),
+     "var event pid 99"),
+    (SCENARIOS[1], lambda r: _events(r, "fault")[0].update(fault_kind="zap"),
+     "fault event fault_kind 'zap'"),
+], ids=["in-flight-row", "cell-row", "regions", "no-procs",
+        "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
+        "wfree-name", "dcreate-coll", "fault-detail", "fault-g_region",
+        "send-dst", "consume-pid", "var-pid", "fault-kind"])
+def test_trace_that_does_not_fit_its_program_is_a_config_error(
+        run_cli, tmp_path, path, change, fault):
+    code, _, err = _check_doctored(run_cli, tmp_path, path, change)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace: ")
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def _set_first(rec, key, value):
+    def change(recs):
+        next(r["data"] for r in recs if r["rec"] == rec)[key] = value
+    return change
+
+
+def _set_first_event(kind, key, value):
+    def change(recs):
+        _events(recs, kind)[0][key] = value
+    return change
+
+
+@pytest.mark.parametrize("change,fault", [
+    (_set_first("row", "d", True), "row field 'd' may not be a bool"),
+    (_set_first_event("send", "src", True),
+     "send event field 'src' may not be a bool"),
+    (lambda r: _events(r, "clock")[0]["locals"].__setitem__(0, True),
+     "clock event field 'locals' must be a list of integers"),
+    (lambda r: _start(r).update(next_mid=False),
+     "snapshot at step 0: field 'next_mid' may not be a bool"),
+    (lambda r: _start(r)["budgets"].update(clock=True),
+     "snapshot at step 0: it needs"),
+], ids=["row-d", "send-src", "clock-locals", "snapshot-next_mid",
+        "snapshot-budget"])
+def test_a_boolean_where_an_integer_is_declared_is_refused(run_cli, tmp_path,
+                                                          change, fault):
+    code, _, err = _check_doctored(run_cli, tmp_path, SCENARIOS[0], change)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace")
+    assert fault in err
+    if not fault.startswith("snapshot"):
+        assert ": line " in err
+    assert "Traceback" not in err
+
+
+def test_a_boolean_meta_value_does_not_match_the_scenario(run_cli, tmp_path):
+    code, _, err = _check_doctored(run_cli, tmp_path, SCENARIOS[0],
+                                   _set_first("meta", "fault_count", False))
+    assert code == EXIT_CONFIG
+    assert "does not match scenario; fault_count: trace has False" in err
+
+
+def _last_cs_mark(data):
+    def change(recs):
+        [m for m in _events(recs, "mark") if m["mark_kind"] == "cs"][-1][
+            "data"] = data
+    return change
+
+
+def _first_decide_mark(recs):
+    next(m for m in _events(recs, "mark")
+         if m["mark_kind"] == "decide")["data"] = {}
+
+
+@pytest.mark.parametrize("path,change", [
+    (SCENARIOS[1], _last_cs_mark({})),
+    (SCENARIOS[1], _last_cs_mark(5)),
+    (SCENARIOS[2], _first_decide_mark),
+], ids=["cs-empty", "cs-int", "decide-empty"])
+def test_safety_is_not_judged_from_marks_a_failed_replay_read(
+        run_cli, tmp_path, path, change):
+    code, stdout, err = _check_doctored(run_cli, tmp_path, path, change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert "-replay: " in stdout and "diverges" in stdout
+    assert "FAIL protocol-safety: not judged, replay failed" in stdout
+
+
+def test_an_event_past_the_last_row_fails_the_replay(run_cli, tmp_path):
+    def change(recs):
+        at = max(i for i, r in enumerate(recs) if r["rec"] == "event")
+        recs.insert(at + 1, {"rec": "event", "data": {
+            "step": 10 ** 6, "ev": "mark", "mark_kind": "cs", "pid": 0,
+            "data": {}}})
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
+                                        change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert "past its last row" in stdout
+    assert "FAIL protocol-safety: not judged, replay failed" in stdout
+
+
+def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
+    """A fault's recorded region is not where check reads the fault stop."""
+    code, stdout, _ = _check_doctored(
+        run_cli, tmp_path, SCENARIOS[1],
+        lambda r: _events(r, "fault")[-1]["detail"].update(g_region=30))
+    assert code == EXIT_OK, stdout
+    assert "the last fault (region 15)" in stdout
