@@ -10,13 +10,14 @@ the acting process since it last acted: no other cell can age without a
 region change (see :mod:`.sim`). The acting process evaluates its guards on
 lifted integers and executes the first enabled action, or self-loops.
 
-The counter-free machinery (messages, inboxes, cell expiry, arrivals, budget
-refill and message-horizon drop, the context API, the snapshot layout) comes
-from :mod:`.sim`.
+The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
+clock state and region entry, budget refill and message-horizon drop, the
+context API, the snapshot layout) comes from :mod:`.sim`.
 This module adds the residue side: :class:`BoundedCtx` lifts on read and
-range-checks on write, and :class:`Kernel` draws the randomness, moves the
-clocks, re-anchors residues on region change, injects faults and records
-every effect in the trace.
+range-checks on write, and :class:`Kernel` draws the randomness and each
+tick's clocks, re-anchors residues through ``region_shift`` when
+:meth:`.Sim._move_clocks` enters a process into a new region, injects faults
+and records every effect in the trace.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the
@@ -41,7 +42,6 @@ from .regions import (
     RegionParams,
     advance_clocks,
     draw,
-    region_change_events,
     region_of,
 )
 from .sim import Ctx, Msg, MsgView, Sim
@@ -148,15 +148,17 @@ class BoundedCtx(Ctx):
 
 class Kernel(Sim):
     def __init__(self, cfg: RunConfig, seed: int):
-        super().__init__(cfg.prog)
+        super().__init__(cfg.prog, cfg.lifetime_regions)
         self.cfg = cfg
         self.seed = seed
         self.rng = random.Random(seed)
         self.rp = RegionParams(rs=cfg.rs, start_region=cfg.start_region)
 
         prog = self.prog
-        self.clocks = ClockState.at_region_start(prog.n, self.rp)
+        start = ClockState.at_region_start(prog.n, self.rp)
+        self.t, self.locals = start.t, start.local
         self.g_region = cfg.start_region
+        self.regions = [cfg.start_region] * prog.n
         self.next_cid = 0
         self.procs = [self._init_proc(pid) for pid in range(prog.n)]
         self.inboxes: list[dict[int, Msg]] = [{} for _ in range(prog.n)]
@@ -213,22 +215,11 @@ class Kernel(Sim):
     def emit(self, kind: str, **payload) -> None:
         self.trace.events.append(tr.EVENTS[kind](self.step, kind, **payload))
 
-    def _regions(self) -> list[int]:
-        rs = self.rp.rs
-        return [x // rs for x in self.clocks.local]
-
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
 
     def _snapshot(self, label: str) -> None:
-        self.trace.snapshots[self.step] = {
-            "t": self.clocks.t,
-            "g_region": self.g_region,
-            "regions": self._regions(),
-            "locals": list(self.clocks.local),
-            **self._state(),
-            "label": label,
-        }
+        self.trace.snapshots[self.step] = {**self._state(), "label": label}
 
     # -- messaging ---------------------------------------------------------
 
@@ -264,25 +255,20 @@ class Kernel(Sim):
     # -- per-step phases ---------------------------------------------------
 
     def _advance_clocks(self) -> None:
-        before = self.clocks
-        self.clocks = advance_clocks(before, 1, self.rp, self.cfg.drift,
-                                     self.rng)
-        regions = self._regions()
-        new_g = region_of(self.clocks.t, self.rp)
-        self.emit(tr.EV_CLOCK, t=self.clocks.t, g_region=new_g,
-                  locals=tuple(self.clocks.local), regions=tuple(regions))
-        for pid, new_r in region_change_events(before, self.clocks, self.rp):
-            proc = self.procs[pid]
-            changes = region_shift(proc, new_r, self.free_fams, self.coll_fams)
-            self.emit(tr.EV_RC, pid=pid, new_region=new_r,
-                      changes=tuple(changes))
-            self._expire_cells(proc)
-        if new_g != self.g_region:
-            self.g_region = new_g
-            self._on_global_region()
+        clocks = advance_clocks(ClockState(self.t, self.locals), 1, self.rp,
+                                self.cfg.drift, self.rng)
+        rs = self.rp.rs
+        regions = [x // rs for x in clocks.local]
+        g_region = region_of(clocks.t, self.rp)
+        self.emit(tr.EV_CLOCK, t=clocks.t, g_region=g_region,
+                  locals=tuple(clocks.local), regions=tuple(regions))
+        self._move_clocks(clocks.t, g_region, clocks.local, regions)
+
+    def _shift(self, proc: ProcState, new_region: int) -> list[tuple]:
+        return region_shift(proc, new_region, self.free_fams, self.coll_fams)
 
     def _on_global_region(self) -> None:
-        self._refill_and_drop(self.cfg.lifetime_regions)
+        super()._on_global_region()
         for entry in self.cfg.faults:
             if entry.when_kind == "region" and entry.when == self.g_region:
                 self._apply_fault(entry)
@@ -336,7 +322,7 @@ class Kernel(Sim):
         self._snapshot("final")
         summary = self.trace.summary
         summary["final_g_region"] = self.g_region
-        summary["final_t"] = self.clocks.t
+        summary["final_t"] = self.t
         summary["messages_sent"] = self.next_mid
         summary["cells_created"] = self.next_cid
         return self.trace

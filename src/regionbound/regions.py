@@ -177,15 +177,3 @@ def _assert_skew(clocks: ClockState, params: RegionParams) -> None:
     if rlist:
         assert max(rlist) - min(rlist) <= 1, f"pairwise region gap in {rlist}"
 
-
-def region_change_events(
-    before: ClockState, after: ClockState, params: RegionParams
-) -> list[tuple[int, int]]:
-    """Processes whose region grew, with the region they entered, in id order."""
-    out = []
-    rs = params.rs
-    for pid, (b, a) in enumerate(zip(before.local, after.local)):
-        rb, ra = b // rs, a // rs
-        if ra > rb:
-            out.append((pid, ra))
-    return out

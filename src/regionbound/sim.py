@@ -1,10 +1,14 @@
 """Simulation machinery shared by the bounded kernel and the unbounded oracle.
 
-Both sides run the same protocol over the same network: messages in flight
-and in inboxes, cell expiry, arrivals, the lag-aware budget refill and the
-message-lifetime drop at every global region change, the action-facing
-context API and the snapshot form of the state. They differ only in counter
-arithmetic and in what becomes of an effect.
+Both sides run the same protocol over the same network and clocks: messages
+in flight and in inboxes, cell expiry, arrivals, region entry after a clock
+tick (:meth:`Sim._move_clocks`: each process whose region grew, in pid
+order, records its ``rc`` and has its cells swept; then the lag-aware budget
+refill and the message-lifetime drop when the global region changes), the
+action-facing context API and the snapshot form of the state, clock fields
+included. They differ only in counter arithmetic and in what becomes of an
+effect; the kernel draws a tick's clocks, the replayer reads them from the
+trace.
 
 A cell expires once its owner's region passes its creation region by more
 than the collection's expiry. The program creates a cell at its owner's
@@ -18,7 +22,8 @@ only a flagged process is swept again before it acts.
   residues, lifting on read and range-checking on write; the oracle's keeps
   plain integers. Each supplies ``free``, ``set_free``, ``spend``, ``cells``,
   ``create_cell`` and ``_view``; each simulator supplies ``_stored``, the
-  residue a snapshot records for a counter value.
+  residue a snapshot records for a counter value, and ``_shift``, which
+  moves a process into a new region and returns its change rows.
 * Every effect goes through :meth:`Sim.emit`: the kernel appends it to the
   trace, the replayer checks it against the next recorded event.
 """
@@ -164,15 +169,18 @@ class Ctx:
 class Sim:
     """Program, per-name family maps and the phases that touch no counter.
 
-    Subclasses own the state these phases read (``procs``, ``inboxes``,
-    ``in_flight``, ``budgets``, ``g_region``, ``step``) and implement
-    :meth:`emit`, :meth:`_stored` and ``send_from``. A message enters
+    Subclasses set up the state these phases read (``procs``, ``inboxes``,
+    ``in_flight``, ``budgets``, ``step``, and the clocks: global time ``t``,
+    ``g_region``, and per process ``locals`` and ``regions``), which only
+    :meth:`_move_clocks` moves on; they implement :meth:`emit`,
+    :meth:`_stored`, :meth:`_shift` and ``send_from``. A message enters
     ``in_flight`` only through :meth:`_put_in_flight`, which files it under
     the step it arrives or is lost at; it may leave by any route.
     """
 
-    def __init__(self, prog):
+    def __init__(self, prog, lifetime: int):
         self.prog = prog
+        self.lifetime = lifetime  # message lifetime in global regions
         self.free_fams = {name: prog.families[fam]
                           for name, fam in prog.free_cells.items()}
         self.coll_fams = {coll: prog.families[decl.family]
@@ -196,7 +204,7 @@ class Sim:
         raise NotImplementedError
 
     def _state(self) -> dict:
-        """Process and network state as a snapshot records it."""
+        """Clock, process and network state as a snapshot records it."""
         res = self._stored
         procs = [{"free": {name: res(self.free_fams[name], value)
                            for name, value in proc.free.items()},
@@ -208,7 +216,9 @@ class Sim:
                             for coll, store in proc.colls.items()},
                   "vars": dict(proc.vars)}
                  for proc in self.procs]
-        return {"procs": procs, "in_flight": self._msg_rows(self.in_flight),
+        return {"t": self.t, "g_region": self.g_region,
+                "regions": list(self.regions), "locals": list(self.locals),
+                "procs": procs, "in_flight": self._msg_rows(self.in_flight),
                 "inboxes": [self._msg_rows(box) for box in self.inboxes],
                 "next_mid": self.next_mid, "next_cid": self.next_cid,
                 "budgets": dict(self.budgets)}
@@ -265,7 +275,27 @@ class Sim:
                 self.inboxes[msg.dst][mid] = msg
                 self.emit(tr.EV_ARRIVE, mid=mid)
 
-    def _refill_and_drop(self, lifetime: int) -> None:
+    def _shift(self, proc, new_region: int) -> list[tuple]:
+        """Move ``proc`` into ``new_region`` in this side's arithmetic;
+        returns the change rows its ``rc`` event records."""
+        raise NotImplementedError
+
+    def _move_clocks(self, t: int, g_region: int, locals, regions) -> None:
+        """Enter the regions a clock tick reached: every process whose region
+        grew, in pid order, is shifted and then swept, and a new global
+        region refills the budgets and drops expired messages."""
+        before = self.regions
+        self.t, self.locals, self.regions = t, locals, regions
+        for proc, old, new in zip(self.procs, before, regions):
+            if new > old:
+                self.emit(tr.EV_RC, pid=proc.pid, new_region=new,
+                          changes=tuple(self._shift(proc, new)))
+                self._expire_cells(proc)
+        if g_region != self.g_region:
+            self.g_region = g_region
+            self._on_global_region()
+
+    def _on_global_region(self) -> None:
         """Budget refill and message-horizon drop on entering ``g_region``."""
         # Refill one increment short when a process still lags the new
         # global region: a leader may then draw on two consecutive refills
@@ -274,7 +304,7 @@ class Sim:
         lag = any(p.region < self.g_region for p in self.procs)
         for fam, params in self.prog.families.items():
             self.budgets[fam] = params.maxinc - 1 if lag else params.maxinc
-        horizon = self.g_region - lifetime
+        horizon = self.g_region - self.lifetime
         for mid in sorted(self.in_flight):
             if self.in_flight[mid].send_region_global < horizon:
                 del self.in_flight[mid]

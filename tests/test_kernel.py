@@ -98,6 +98,48 @@ def test_messages_never_arrive_past_lifetime(any_protocol):
             assert g_region - sent[ev.mid] <= lifetime
 
 
+def test_region_entry_follows_each_tick_in_pid_order(any_protocol):
+    """A clock event is followed at once by the rc events of exactly the
+    pids whose region grew, in pid order, each followed only by that pid's
+    expiry sweep. In a fault-free run nothing else sweeps a cell."""
+    sc = build_scenario(any_protocol)
+    trace = run_scenario(sc)
+    assert not sc.has_faults and sc.cfg.drift.kind == "bounded_jitter"
+    by_step = {}
+    for ev in trace.events:
+        by_step.setdefault(ev.step, []).append(ev)
+    regions = trace.snapshots[0]["regions"]
+    entered = swept = 0
+    for clock in trace.iter_events(tr.EV_CLOCK):
+        first, *rest = by_step[clock.step]
+        assert first == clock
+        k = 0
+        while k < len(rest) and (rest[k].kind == tr.EV_RC or (
+                rest[k].kind == tr.EV_DREMOVE and rest[k].reason == "expired")):
+            k += 1
+        entry, after = rest[:k], rest[k:]
+        grew = [pid for pid, (old, new) in enumerate(zip(regions, clock.regions))
+                if new > old]
+        rcs = [ev for ev in entry if ev.kind == tr.EV_RC]
+        assert [ev.pid for ev in rcs] == grew
+        assert [ev.new_region for ev in rcs] == [clock.regions[p] for p in grew]
+        assert not entry or entry[0].kind == tr.EV_RC
+        owner = None
+        for ev in entry:
+            if ev.kind == tr.EV_RC:
+                owner = ev.pid
+            else:
+                assert ev.pid == owner
+                swept += 1
+        assert not [ev for ev in after if ev.kind == tr.EV_RC or (
+            ev.kind == tr.EV_DREMOVE and ev.reason == "expired")]
+        entered += len(rcs)
+        regions = clock.regions
+    assert entered
+    if any(decl.expiry is not None for decl in sc.prog.colls.values()):
+        assert swept
+
+
 def test_snapshots_bracket_the_run(any_protocol):
     sc = build_scenario(any_protocol)
     trace = run_scenario(sc)

@@ -10,7 +10,6 @@ from regionbound.regions import (
     RegionParams,
     advance_clocks,
     draw,
-    region_change_events,
     region_of,
 )
 
@@ -96,13 +95,6 @@ def test_all_processes_visit_every_region():
         if hi not in first_seen:
             first_seen[hi] = True
             assert min(rlist) >= hi - 1
-
-
-def test_region_change_events_reports_crossers():
-    params = RegionParams(rs=10, start_region=2)
-    before = ClockState(t=29, local=[29, 25, 28])
-    after = ClockState(t=30, local=[30, 26, 29])
-    assert region_change_events(before, after, params) == [(0, 3)]
 
 
 def test_clamp_holds_leader_back():
