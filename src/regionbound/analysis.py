@@ -90,7 +90,8 @@ def validate(prog, trace: tr.Trace) -> None:
     """Refuse a trace that does not fit ``prog``, before anything reads it.
 
     There must be a snapshot at step 0, and every snapshot must have the
-    layout the kernel writes for ``prog``. Events must name processes in
+    layout the kernel writes for ``prog``. No event may be recorded before
+    step 0, where no replay looks. Events must name processes in
     ``0..n-1`` and the free counters, collections, message kinds and cell
     fields, families and fault kinds that ``prog`` and :mod:`.faults`
     declare; a fault's detail must hold what the scans read of it. A
@@ -103,6 +104,10 @@ def validate(prog, trace: tr.Trace) -> None:
         if fault := _snapshot_misfit(prog, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
+    if trace.events:
+        first = min(trace.events, key=attrgetter("step"))
+        if first.step < 0:
+            _refuse(first, "is recorded before step 0")
     n, pids = prog.n, range(prog.n)
     free, colls = list(prog.free_cells), list(prog.colls)
     events = {kind: [] for kind in tr.EVENTS}

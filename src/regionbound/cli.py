@@ -20,9 +20,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-_META_KEYS = ("protocol", "n", "rs", "sptu", "start_region", "total_steps",
-              "lifetime_regions", "fault_count")
-
 
 def _echo_derived(sc: scenario.Scenario) -> None:
     d = sc.derived
@@ -40,24 +37,28 @@ def _echo_derived(sc: scenario.Scenario) -> None:
               f"boundary_region={d['boundary_region']}")
 
 
-def _expected_meta(sc: scenario.Scenario) -> dict:
-    return {
-        "protocol": sc.protocol,
-        "n": sc.n,
-        "rs": sc.cfg.rs,
-        "sptu": sc.cfg.sptu,
-        "start_region": sc.cfg.start_region,
-        "total_steps": sc.cfg.total_steps,
-        "lifetime_regions": sc.cfg.lifetime_regions,
-        "fault_count": len(sc.cfg.faults),
-    }
+def _same_json(a, b) -> bool:
+    """``a`` equals ``b`` with the same JSON type at every depth, so ``true``
+    never matches ``1`` nor ``3.0`` matches ``3``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(v, b[k])
+                                            for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 
 def _match_trace(sc: scenario.Scenario, trace: tr.Trace) -> None:
-    want = _expected_meta(sc)
-    bad = [f"{k}: trace has {got!r}, scenario says {want[k]!r}"
-           for k in _META_KEYS if (got := trace.meta.get(k)) != want[k]
-           or type(got) is not type(want[k])]
+    """Every meta field but the seed (``run --seed`` may override it) must be
+    the one a run of ``sc`` writes."""
+    want = kernel.trace_meta(sc.cfg, sc.seed)
+    got = trace.meta if type(trace.meta) is dict else {}
+    bad = [f"{k}: trace has {got.get(k)!r}, scenario says {want.get(k)!r}"
+           for k in [*want, *(k for k in got if k not in want)]
+           if k != "seed" and not (k in got and k in want
+                                   and _same_json(got[k], want[k]))]
     if bad:
         raise ConfigError("trace does not match scenario; " + "; ".join(bad))
 

@@ -86,6 +86,26 @@ class RunConfig:
                         f"lifetime {self.lifetime_regions}")
 
 
+def trace_meta(cfg: RunConfig, seed: int) -> dict:
+    """The meta record of the trace that ``cfg`` gives under ``seed``."""
+    prog = cfg.prog
+    return {
+        "protocol": prog.name, "n": prog.n, "seed": seed, "rs": cfg.rs,
+        "sptu": cfg.sptu, "start_region": cfg.start_region,
+        "total_steps": cfg.total_steps,
+        "lifetime_regions": cfg.lifetime_regions,
+        "loss_probability": cfg.loss_probability,
+        "max_delay_steps": cfg.max_delay_steps,
+        "drift": {"kind": cfg.drift.kind,
+                  "max_step_skew": cfg.drift.max_step_skew},
+        "families": {fam: {"maxinc": p.maxinc, "max_r": p.max_r,
+                           "maxbound": p.maxbound}
+                     for fam, p in prog.families.items()},
+        "fault_count": len(cfg.faults),
+        "snapshot_regions": list(cfg.snapshot_regions),
+    }
+
+
 class BoundedCtx(Ctx):
     """Context over residue state: lifts on read, range-checks on write."""
 
@@ -170,21 +190,7 @@ class Kernel(Sim):
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
 
-        self.trace = tr.Trace(meta={
-            "protocol": prog.name, "n": prog.n, "seed": seed, "rs": cfg.rs,
-            "sptu": cfg.sptu, "start_region": cfg.start_region,
-            "total_steps": cfg.total_steps,
-            "lifetime_regions": cfg.lifetime_regions,
-            "loss_probability": cfg.loss_probability,
-            "max_delay_steps": cfg.max_delay_steps,
-            "drift": {"kind": cfg.drift.kind,
-                      "max_step_skew": cfg.drift.max_step_skew},
-            "families": {fam: {"maxinc": p.maxinc, "max_r": p.max_r,
-                               "maxbound": p.maxbound}
-                         for fam, p in prog.families.items()},
-            "fault_count": len(cfg.faults),
-            "snapshot_regions": list(cfg.snapshot_regions),
-        })
+        self.trace = tr.Trace(meta=trace_meta(cfg, seed))
 
     def _init_proc(self, pid: int) -> ProcState:
         prog = self.prog

@@ -589,3 +589,47 @@ def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
         lambda r: _events(r, "fault")[-1]["detail"].update(g_region=30))
     assert code == EXIT_OK, stdout
     assert "the last fault (region 15)" in stdout
+
+
+def test_an_event_before_step_0_is_refused(run_cli, tmp_path):
+    """No replay compares an event recorded before the first row."""
+    def change(recs):
+        at = next(i for i, r in enumerate(recs) if r["rec"] == "event")
+        recs.insert(at, {"rec": "event", "data": {
+            "step": -1, "ev": "dcreate", "pid": 0, "coll": "pend",
+            "cid": 999, "residue": 0, "lifted": 0, "created_local": -50,
+            "created_global": 0, "tag": None, "corrected": False}})
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[2],
+                                        change)
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert ("config error: malformed trace: step -1: dcreate event is "
+            "recorded before step 0") in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("drift_policy", {"kind": "none"}),
+    ("channel", {"max_delay_steps": 25, "loss_probability": 0.5}),
+], ids=["drift", "loss"])
+def test_a_scenario_differing_in_any_run_field_does_not_match(
+        run_cli, tmp_path, field, value):
+    out, other = tmp_path / "t.jsonl", tmp_path / "other.json"
+    run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
+    with open(SCENARIOS[0], encoding="utf-8") as fp:
+        doc = json.load(fp)
+    other.write_text(json.dumps({**doc, field: value}), encoding="utf-8")
+    code, stdout, err = run_cli("check", "--trace", str(out),
+                                "--scenario", str(other))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    key = {"drift_policy": "drift", "channel": "loss_probability"}[field]
+    assert f"trace does not match scenario; {key}: trace has" in err
+
+
+def test_a_meta_value_matches_only_its_own_json_type(run_cli, tmp_path):
+    code, _, err = _check_doctored(
+        run_cli, tmp_path, SCENARIOS[0],
+        lambda r: next(x["data"] for x in r if x["rec"] == "meta")[
+            "drift"].update(max_step_skew=3.0))
+    assert code == EXIT_CONFIG
+    assert "does not match scenario; drift: trace has" in err
