@@ -127,7 +127,8 @@ def _apply_overwrite_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
             return False, {}
         fld = flds[k % len(flds)]
     old = msg.cells[fld]
-    msg.cells[fld] = entry.value
+    # a new dict: the message shares its old one with the recorded send
+    msg.cells = {**msg.cells, fld: entry.value}
     return True, {"mid": msg.mid, "field": fld, "old": old, "new": entry.value}
 
 

@@ -8,7 +8,8 @@ safety) must pass too, but stays out of the digest. A change meant to keep
 behaviour (a refactor, a speedup) must leave every digest as it is; a change
 meant to alter traces must say so and re-pin them. The six consensus digests
 were re-pinned when a proposer began to offer its own acceptor's accepted
-value (Paxos P2c).
+value (Paxos P2c). Eleven digests of faulted cases were re-pinned when a
+message fault stopped rewriting the message's recorded ``send``.
 """
 import hashlib
 import io
@@ -97,41 +98,41 @@ GOLDEN = {
     "mutual_exclusion-clean/2024":
         "98c2c6e8b6aebe1294b0cc26755e8a88e1743531b4c6300423efc573a2a0ff9d",
     "mutual_exclusion-campaign/7":
-        "14647376e6bbcb74ffbc65110a2226e5ecd8fb31dc837f0966b792e6004c5587",
+        "f8df1e01c1ec20ffeaeaedde4c6e1f4b1d4b5d5a82e69f8736cf02f2a45e506b",
     "mutual_exclusion-campaign/2024":
-        "c399258177efcc0f173b003ec384607471fa470088516fba3474b8c09c4e5520",
+        "86694976cf570f1b19c19a265eb345e70bf5af0c42a286197fc0ddfb6b17368e",
     "diffusing-clean/7":
         "bf8d261442cbe516cc9589faaa5842682a4258fbe7841740f4a2756601a035b2",
     "diffusing-clean/2024":
         "3f9f94073a92d669de2d2e582271ed02af6f1c4d060c7070c3be5a15aa823d85",
     "diffusing-campaign/7":
-        "a1ba7c65474fd005cf35412c7a42da80dffaf4aaf93ac173917cc8dad2d5f94f",
+        "174b07ad73fe05b1b600fcc6f09dee4ae4356722fec882366042a19e9bb81116",
     "diffusing-campaign/2024":
-        "cd9ca196ba0ce8854cfb90b5384d3fe822222f98dd44d5b771110d930a1414be",
+        "7d6d5ed8b9e4abb356d703f9af80758c718b95a2a311edcece9f146d7f701918",
     "round_checker-clean/7":
         "e4b016f7eb0fc6acf045a32da17de53bd422f69c202b44b8a86e764265b2250e",
     "round_checker-clean/2024":
         "7a2a114ddacda8632df2f8b94f8cb04f5f97a39c9dbfadd96561646960f5b0a8",
     "round_checker-campaign/7":
-        "aeedfbf683827abac5d319783593a0f81355e788233ccd72de2f2a65b64576a7",
+        "6447d42270072a3304114df6f8feabe9d66a4435acedcd82749a9107de4f7aaa",
     "round_checker-campaign/2024":
-        "86f0e03bde53bf987f1951ff9e1605a295dd04c9d33b5ebc7d6c662036879b76",
+        "c67761f6a1894c2e29270a5782ffad0bb67ebbbd823f6333c3324136d120374d",
     "consensus-clean/7":
         "9b8e16c28f1757f9be10580829ceef0406fa4d15af364171b2838b868c842273",
     "consensus-clean/2024":
         "256dd3fc92727ec177dc306ef3e2d1f155a72bbf43fe940e475ed6a0a8e97480",
     "consensus-campaign/7":
-        "3e3d7f9c10c6694c4d9f9f427b40f1035f97974d2abbc6101338b003a82e57b3",
+        "6f7b7b72668d402226a29c9ffe1f03913ead750648deda2275249e32b646b2a3",
     "consensus-campaign/2024":
-        "230c2fa08041ff5308d3ef49137b299d4b4d37db7e03661ec3fb1b34c48c28ee",
+        "338a2dd36d175b7c019fadcdc659327547b70c7b56954c932b072794c5212409",
     "logical_clocks_drift/7":
         "2f3bae3e71ae8b218cef481c89889f4bf3c0d57ff7ca033ab89d8493cd548f62",
     "logical_clocks_drift/2024":
         "109b878182f00457ef42eb5a1ccca6e994365470417d85a1dcc9e31b4b7694b0",
     "mutex_fault_recovery/7":
-        "e2b38432f06faa96ccdee13fe868e97244c8a4986bc64d86f9676be5850c8d59",
+        "a94963939490d6e7f5523cb529589bafad5af010546d404b77aa5b07a7ed086c",
     "mutex_fault_recovery/2024":
-        "47c3ceb6bc1e7c0afad4c4779cc121bd44258a40641f34cab3edff5ead787e26",
+        "b3a2280bdf1136315c00f4341ee5981a804383cb7d2cb74c25ead7f69c9252c7",
     "consensus_clean/7":
         "b932e122605bc75621e396245553a6583392491080ed0615ee47c841fe416a5c",
     "consensus_clean/2024":
@@ -139,7 +140,7 @@ GOLDEN = {
     "diffusing_ring_faults/7":
         "47a9743bf6363164b8b1e089c18f213eb1e1a2293e7900943f514e4fdfa89c40",
     "diffusing_ring_faults/2024":
-        "15546e7dc111dff29d6deabc63eec8df5060221e57426334afb0a55261814648",
+        "250106a1823cfc6c55d700538539886ffe1198ef9d9becebd9461d186b1a5cbc",
     "mutex_fault_recovery-stale/7":
         "398c82aad55a67b65efe39d71be8ac857f3227698af1cda2990b63eaa61e6d08",
     "mutex_fault_recovery-stale/2024":
@@ -188,3 +189,23 @@ def test_stale_inserts_expire_before_the_owner_acts(seed):
         assert step >= ev.step and step not in clock_steps
         acting = [pid for _, pid, *_ in trace.rows[ev.step:step + 1]]
         assert acting[-1] == ev.pid and ev.pid not in acting[:-1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
+    """The send of a message that a fault overwrites records the value sent,
+    which the fault's detail gives as ``old``."""
+    hits = 0
+    for name in CASES:
+        sc = scenario.parse(case_doc(name))
+        if not sc.has_faults:
+            continue
+        trace = kernel.run(sc.cfg, seed)
+        sends = {ev.mid: ev for ev in trace.iter_events(tr.EV_SEND)}
+        for ev in trace.iter_events(tr.EV_FAULT):
+            if ev.fault_kind == "overwrite_msg" and ev.applied:
+                detail = ev.detail
+                assert sends[detail["mid"]].cells[detail["field"]] == \
+                    detail["old"], (name, ev)
+                hits += 1
+    assert hits
