@@ -104,10 +104,9 @@ def validate(prog, trace: tr.Trace) -> None:
         if fault := _snapshot_misfit(prog, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
-    if trace.events:
-        first = min(trace.events, key=attrgetter("step"))
-        if first.step < 0:
-            _refuse(first, "is recorded before step 0")
+    first = min(trace.events, key=attrgetter("step"), default=None)
+    if first is not None and first.step < 0:
+        _refuse(first, "is recorded before step 0")
     n, pids = prog.n, range(prog.n)
     free, colls = list(prog.free_cells), list(prog.colls)
     events = {kind: [] for kind in tr.EVENTS}

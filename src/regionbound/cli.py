@@ -8,6 +8,7 @@ All output is line-oriented so golden-file tests can diff it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,6 +20,8 @@ from .errors import ConfigError, KernelInvariantError, ProtocolBug
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+
+_text = functools.partial(json.dumps, sort_keys=True)
 
 
 def _echo_derived(sc: scenario.Scenario) -> None:
@@ -37,28 +40,15 @@ def _echo_derived(sc: scenario.Scenario) -> None:
               f"boundary_region={d['boundary_region']}")
 
 
-def _same_json(a, b) -> bool:
-    """``a`` equals ``b`` with the same JSON type at every depth, so ``true``
-    never matches ``1`` nor ``3.0`` matches ``3``."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same_json(v, b[k])
-                                            for k, v in a.items())
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
-
-
 def _match_trace(sc: scenario.Scenario, trace: tr.Trace) -> None:
     """Every meta field but the seed (``run --seed`` may override it) must be
-    the one a run of ``sc`` writes."""
+    the one a run of ``sc`` writes, compared as JSON text, so ``true`` never
+    matches ``1`` nor ``3.0`` matches ``3``."""
     want = kernel.trace_meta(sc.cfg, sc.seed)
-    got = trace.meta if type(trace.meta) is dict else {}
+    got = trace.meta
     bad = [f"{k}: trace has {got.get(k)!r}, scenario says {want.get(k)!r}"
-           for k in [*want, *(k for k in got if k not in want)]
-           if k != "seed" and not (k in got and k in want
-                                   and _same_json(got[k], want[k]))]
+           for k in {**want, **got} if k != "seed" and not (
+               k in got and k in want and _text(got[k]) == _text(want[k]))]
     if bad:
         raise ConfigError("trace does not match scenario; " + "; ".join(bad))
 

@@ -14,10 +14,9 @@ The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
 context API, the snapshot layout) comes from :mod:`.sim`.
 This module adds the residue side: :class:`BoundedCtx` lifts on read and
-range-checks on write, and :class:`Kernel` draws the randomness and each
-tick's clocks, re-anchors residues through ``region_shift`` when
-:meth:`.Sim._move_clocks` enters a process into a new region, injects faults
-and records every effect in the trace.
+range-checks on write, and :class:`Kernel` draws the randomness and the
+clocks, re-anchors residues on region change (``region_shift``), injects
+faults and records every effect in the trace.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the

@@ -2,13 +2,10 @@
 
 Both sides run the same protocol over the same network and clocks: messages
 in flight and in inboxes, cell expiry, arrivals, region entry after a clock
-tick (:meth:`Sim._move_clocks`: each process whose region grew, in pid
-order, records its ``rc`` and has its cells swept; then the lag-aware budget
-refill and the message-lifetime drop when the global region changes), the
-action-facing context API and the snapshot form of the state, clock fields
-included. They differ only in counter arithmetic and in what becomes of an
-effect; the kernel draws a tick's clocks, the replayer reads them from the
-trace.
+tick (:meth:`Sim._move_clocks`) with the lag-aware budget refill and the
+message-lifetime drop at every global region change, the action-facing
+context API and the snapshot form of the state. They differ only in counter
+arithmetic and in what becomes of an effect.
 
 A cell expires once its owner's region passes its creation region by more
 than the collection's expiry. The program creates a cell at its owner's
@@ -169,11 +166,10 @@ class Ctx:
 class Sim:
     """Program, per-name family maps and the phases that touch no counter.
 
-    Subclasses set up the state these phases read (``procs``, ``inboxes``,
-    ``in_flight``, ``budgets``, ``step``, and the clocks: global time ``t``,
-    ``g_region``, and per process ``locals`` and ``regions``), which only
-    :meth:`_move_clocks` moves on; they implement :meth:`emit`,
-    :meth:`_stored`, :meth:`_shift` and ``send_from``. A message enters
+    Subclasses own the state these phases read (``procs``, ``inboxes``,
+    ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
+    ``locals`` and ``regions``) and implement :meth:`emit`, :meth:`_stored`,
+    :meth:`_shift` and ``send_from``. A message enters
     ``in_flight`` only through :meth:`_put_in_flight`, which files it under
     the step it arrives or is lost at; it may leave by any route.
     """
