@@ -91,7 +91,8 @@ def validate(prog, trace: tr.Trace) -> None:
 
     There must be a snapshot at step 0, and every snapshot must have the
     layout the kernel writes for ``prog``. No event may be recorded before
-    step 0, where no replay looks. Events must name processes in
+    step 0, nor a snapshot before step 0 or after the last step, where no
+    replay looks. Events must name processes in
     ``0..n-1`` and the free counters, collections, message kinds and cell
     fields, families and fault kinds that ``prog`` and :mod:`.faults`
     declare; a fault's detail must hold what the scans read of it. A
@@ -101,6 +102,9 @@ def validate(prog, trace: tr.Trace) -> None:
     if 0 not in trace.snapshots:
         raise ConfigError("malformed trace: no snapshot at step 0")
     for step, snap in sorted(trace.snapshots.items()):
+        if not 0 <= step <= trace.steps():
+            raise ConfigError(f"malformed trace: snapshot at step {step} lies "
+                              f"outside steps 0..{trace.steps()} of the run")
         if fault := _snapshot_misfit(prog, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
