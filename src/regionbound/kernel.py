@@ -141,6 +141,16 @@ class BoundedCtx(Ctx):
         return [(cid, lift_dep(c.value, r, fam), c.tag, r - c.created_local)
                 for cid, c in sorted(self.proc.colls[coll].items())]
 
+    def _value(self, coll: str, cell: Cell) -> int:
+        return lift_dep(cell.value, self.proc.region, self.sim.coll_fams[coll])
+
+    def send(self, dst: int, kind: str, cells: dict,
+             vars: Optional[dict] = None) -> None:
+        if dst == self.pid or dst not in self.neighbors:
+            raise ProtocolBug(
+                f"step {self.step}: pid {self.pid} sends to non-neighbor {dst}")
+        super().send(dst, kind, cells, vars)
+
     def create_cell(self, coll: str, value: int, tag=None) -> int:
         if coll not in self.proc.colls:
             raise ProtocolBug(f"undeclared collection {coll!r}")
@@ -218,7 +228,8 @@ class Kernel(Sim):
     # -- trace plumbing ----------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        self.trace.events.append(tr.EVENTS[kind](self.step, kind, **payload))
+        self.trace.events.append(
+            tr.NEW_EVENT[kind]((self.step, kind, *payload.values())))
 
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
@@ -228,34 +239,36 @@ class Kernel(Sim):
 
     # -- messaging ---------------------------------------------------------
 
-    def send_from(self, ctx: BoundedCtx, dst: int, kind: str, cells: dict,
+    def send_from(self, ctx: BoundedCtx, dsts, kind: str, cells: dict,
                   vars: dict) -> None:
-        if dst == ctx.pid or dst not in self.prog.neighbors[ctx.pid]:
-            raise ProtocolBug(
-                f"step {self.step}: pid {ctx.pid} sends to non-neighbor {dst}")
+        """Encode the payload once, then post one message to each of
+        ``dsts`` in order, each drawing its own delay and loss."""
         decl = self.prog.msgs.get(kind)
         if decl is None:
             raise ProtocolBug(f"undeclared message kind {kind!r}")
+        fams = self.msg_fams[kind]
         res_cells = {}
         for fld in sorted(cells):
             if fld not in decl.cell_fields:
                 raise ProtocolBug(f"message {kind!r} has no field {fld!r}")
-            res_cells[fld] = to_residue(cells[fld], self.msg_fams[kind][fld])
+            res_cells[fld] = to_residue(cells[fld], fams[fld])
         vars = tr.canon(vars)
-        delay = draw(self.rng, 1, self.cfg.max_delay_steps)
-        lost = self.rng.random() < self.cfg.loss_probability
-        arrival = None if lost else self.step + delay
-        drop = self.step + delay if lost else None
-        mid = self.next_mid
-        self.next_mid += 1
-        msg = Msg(mid, ctx.pid, dst, kind, res_cells, vars, self.step,
-                  ctx.region, self.g_region, arrival, drop)
-        self._put_in_flight(msg)
-        self.emit(tr.EV_SEND, mid=mid, src=ctx.pid, dst=dst, msg_kind=kind,
-                  cells=res_cells, vars=vars,
-                  send_region_local=ctx.region,
-                  send_region_global=self.g_region,
-                  arrival_step=arrival, drop_step=drop)
+        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
+        for dst in dsts:
+            delay = draw(self.rng, 1, self.cfg.max_delay_steps)
+            lost = self.rng.random() < self.cfg.loss_probability
+            arrival = None if lost else step + delay
+            drop = step + delay if lost else None
+            mid = self.next_mid
+            self.next_mid += 1
+            # the message and its send record share a cells dict of their own
+            msg_cells = dict(res_cells)
+            self._put_in_flight(Msg(mid, src, dst, kind, msg_cells, vars,
+                                    step, region, g_region, arrival, drop))
+            self.emit(tr.EV_SEND, mid=mid, src=src, dst=dst, msg_kind=kind,
+                      cells=msg_cells, vars=vars, send_region_local=region,
+                      send_region_global=g_region, arrival_step=arrival,
+                      drop_step=drop)
 
     # -- per-step phases ---------------------------------------------------
 

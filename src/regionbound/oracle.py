@@ -76,6 +76,9 @@ class OracleCtx(Ctx):
         return [(cid, c.value, c.tag, r - c.created_local)
                 for cid, c in sorted(self.proc.colls[coll].items())]
 
+    def _value(self, coll: str, cell: Cell) -> int:
+        return cell.value
+
     def create_cell(self, coll: str, value: int, tag=None) -> int:
         rep = self.sim
         cid = rep.next_cid
@@ -171,37 +174,41 @@ class Replayer(Sim):
         return ev
 
     def emit(self, kind: str, **payload) -> None:
-        expected = tr.EVENTS[kind](self.step, kind, **payload)
+        expected = tr.NEW_EVENT[kind]((self.step, kind, *payload.values()))
         got = self._next()
         if got != expected:
             self._fail(f"recorded event {got!r} != reference {expected!r}")
 
     # -- messaging ---------------------------------------------------------
 
-    def send_from(self, ctx: OracleCtx, dst: int, kind: str, cells: dict,
+    def send_from(self, ctx: OracleCtx, dsts, kind: str, cells: dict,
                   vars: dict) -> None:
+        """Encode the payload once, then check and post one message to
+        each of ``dsts`` in order."""
         vars = tr.canon(vars)
         fams = self.msg_fams[kind]
         res_cells = {fld: cells[fld] % fams[fld].maxbound
                      for fld in sorted(cells)}
-        mid = self.next_mid
-        self.next_mid += 1
-        got = self._next()
-        # the delivery draws are the kernel's: take them from the record
-        arrival = getattr(got, "arrival_step", None)
-        drop = getattr(got, "drop_step", None)
-        expected = tr.EVENTS[tr.EV_SEND](
-            self.step, tr.EV_SEND, mid, ctx.pid, dst, kind, res_cells, vars,
-            ctx.region, self.g_region, arrival, drop)
-        if got != expected:
-            self._fail(f"recorded send {got!r} != reference {expected!r} "
-                       "(ignoring delivery draws)")
-        if (arrival is None) == (drop is None):
-            self._fail(f"send event {got!r} must set exactly one of "
-                       "arrival_step and drop_step")
-        msg = Msg(mid, ctx.pid, dst, kind, dict(cells), vars, self.step,
-                  ctx.region, self.g_region, arrival, drop)
-        self._put_in_flight(msg)
+        new_send = tr.NEW_EVENT[tr.EV_SEND]
+        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
+        for dst in dsts:
+            mid = self.next_mid
+            self.next_mid += 1
+            got = self._next()
+            # the delivery draws are the kernel's: take them from the record
+            arrival = getattr(got, "arrival_step", None)
+            drop = getattr(got, "drop_step", None)
+            expected = new_send((step, tr.EV_SEND, mid, src, dst, kind,
+                                 res_cells, vars, region, g_region, arrival,
+                                 drop))
+            if got != expected:
+                self._fail(f"recorded send {got!r} != reference {expected!r} "
+                           "(ignoring delivery draws)")
+            if (arrival is None) == (drop is None):
+                self._fail(f"send event {got!r} must set exactly one of "
+                           "arrival_step and drop_step")
+            self._put_in_flight(Msg(mid, src, dst, kind, dict(cells), vars,
+                                    step, region, g_region, arrival, drop))
 
     # -- phases ------------------------------------------------------------
 

@@ -123,7 +123,7 @@ def on_msg(name: str, kind: str, body: Callable,
     given, holds. It consumes the message, then runs ``body(ctx, m)``.
     """
     def guard(ctx):
-        return ctx.first_msg(kind) is not None and (also is None or also(ctx))
+        return ctx.has_msg(kind) and (also is None or also(ctx))
 
     def run(ctx):
         m = ctx.first_msg(kind)
@@ -133,15 +133,9 @@ def on_msg(name: str, kind: str, body: Callable,
     return ActionSpec(name, guard, run)
 
 
-def single(ctx, coll: str):
-    """The first live cell of ``coll`` as (cid, value, tag, age), or None."""
-    cells = ctx.cells(coll)
-    return cells[0] if cells else None
-
-
 def replace_single(ctx, coll: str, value: int, tag=None) -> None:
     """Make ``value`` the one cell of ``coll``, removing the first live one."""
-    cur = single(ctx, coll)
+    cur = ctx.first_cell(coll)
     if cur is not None:
         ctx.remove_cell(coll, cur[0])
     ctx.create_cell(coll, value, tag=tag)

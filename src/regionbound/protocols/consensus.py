@@ -28,7 +28,7 @@ from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg, replace_single, single)
+                   ProtocolDef, floor_value, on_msg, replace_single)
 
 # acceptor_expiry None means r_f - 1 of the aseq family
 PARAMS = {"proposal_expiry": 2, "acceptor_expiry": None}
@@ -109,18 +109,18 @@ def build(info: BuildInfo) -> ProtocolDef:
         # A proposer's own promise/acceptance counts towards the majority
         # only while it is still the one on record; a higher ballot from
         # elsewhere may have displaced it mid-round.
-        cur = single(ctx, coll)
+        cur = ctx.first_cell(coll)
         return cur is not None and (cur[1], cur[2]) == (seq, ctx.pid)
 
     def b_handle_prepare(ctx, m):
         seq = m.cell("bseq")
-        prom = single(ctx, "prom")
+        prom = ctx.first_cell("prom")
         if prom is not None and (seq, m.src) <= (prom[1], prom[2]):
             ctx.send(m.src, "NACK", {"bseq": seq, "promised": prom[1]},
                      {"prom_bpid": prom[2]})
             return
         replace_single(ctx, "prom", seq, m.src)
-        acc = single(ctx, "acc")
+        acc = ctx.first_cell("acc")
         if acc is None:
             ctx.send(m.src, "PROMISE", {"bseq": seq}, {"has_acc": False})
         else:
@@ -129,7 +129,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                       "acc_val": ctx.var("accepted_val")})
 
     def b_handle_promise(ctx, m):
-        pend = single(ctx, "pend")
+        pend = ctx.first_cell("pend")
         if ctx.var("phase") != "prepare" or pend is None:
             return
         seq = m.cell("bseq")
@@ -141,7 +141,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                 ctx.remove_cell("votes", cid)
         ctx.create_cell("votes", seq, tag=clear_tag)
         if m.var("has_acc"):
-            cand = single(ctx, "cand")
+            cand = ctx.first_cell("cand")
             better = (cand is None
                       or (m.cell("aseq"), m.var("acc_bpid")) > (cand[1], cand[2]))
             if better:
@@ -149,7 +149,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                 ctx.set_var("cand_val", m.var("acc_val"))
         if votes_for(ctx, seq, "p") + holds_own(ctx, "prom", seq) < majority:
             return
-        cand = single(ctx, "cand")
+        cand = ctx.first_cell("cand")
         chosen = ctx.var("cand_val") if cand is not None else ctx.pid
         ctx.set_var("phase", "accept")
         ctx.set_var("chosen_val", chosen)
@@ -164,7 +164,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         # maximum, so it costs no budget.
         merged = max(ctx.free("nseq"), m.cell("promised"))
         ctx.set_free("nseq", merged)
-        pend = single(ctx, "pend")
+        pend = ctx.first_cell("pend")
         if pend is not None and m.cell("bseq") == pend[1]:
             ctx.remove_cell("pend", pend[0])
             clear(ctx, "votes")
@@ -173,7 +173,7 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def b_handle_accept(ctx, m):
         seq = m.cell("bseq")
-        prom = single(ctx, "prom")
+        prom = ctx.first_cell("prom")
         if prom is not None and (seq, m.src) < (prom[1], prom[2]):
             ctx.send(m.src, "NACK", {"bseq": seq, "promised": prom[1]},
                      {"prom_bpid": prom[2]})
@@ -182,7 +182,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.send(m.src, "ACCEPTED", {"bseq": seq})
 
     def b_handle_accepted(ctx, m):
-        pend = single(ctx, "pend")
+        pend = ctx.first_cell("pend")
         if ctx.var("phase") != "accept" or pend is None:
             return
         seq = m.cell("bseq")
@@ -211,9 +211,9 @@ def build(info: BuildInfo) -> ProtocolDef:
             ctx.mark("decide", {"val": m.var("val")})
 
     def g_propose(ctx):
-        return (ctx.var("phase") == "idle" and ctx.var("decided") is None
-                and single(ctx, "pend") is None and ctx.can_spend(ctx.d)
-                and ctx.u1 < 0.3)
+        return (ctx.u1 < 0.3 and ctx.var("phase") == "idle"
+                and ctx.var("decided") is None and ctx.can_spend(ctx.d)
+                and ctx.first_cell("pend") is None)
 
     def b_propose(ctx):
         ctx.spend(ctx.d)
@@ -222,19 +222,19 @@ def build(info: BuildInfo) -> ProtocolDef:
         clear(ctx, "cand")
         # The proposer's own acceptor is part of its promising majority,
         # so its acceptance is a candidate like any a promise reports.
-        acc = single(ctx, "acc")
+        acc = ctx.first_cell("acc")
         if acc is not None:
             ctx.create_cell("cand", acc[1], tag=acc[2])
         ctx.set_var("cand_val",
                     None if acc is None else ctx.var("accepted_val"))
         ctx.set_var("phase", "prepare")
-        prom = single(ctx, "prom")
+        prom = ctx.first_cell("prom")
         if prom is None or (seq, ctx.pid) > (prom[1], prom[2]):
             replace_single(ctx, "prom", seq, ctx.pid)
         ctx.broadcast("PREPARE", {"bseq": seq})
 
     def g_reset(ctx):
-        return ctx.var("phase") != "idle" and single(ctx, "pend") is None
+        return ctx.var("phase") != "idle" and ctx.first_cell("pend") is None
 
     def b_reset(ctx):
         ctx.set_var("phase", "idle")

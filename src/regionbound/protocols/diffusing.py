@@ -112,8 +112,7 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def g_start(ctx):
         return (ctx.pid == 0 and ctx.can_spend(ctx.d)
-                and not any(tag == "root" for _cid, _v, tag, _age
-                            in ctx.cells("wave")))
+                and ctx.first_cell("wave", "root") is None)
 
     def b_start(ctx):
         ctx.spend(ctx.d)

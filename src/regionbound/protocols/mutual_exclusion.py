@@ -69,16 +69,10 @@ def build(info: BuildInfo) -> ProtocolDef:
     info.require_lifetime("clk", expiry + 1, "requests reaching their expiry")
 
     def own_request(ctx):
-        for cid, value, tag, _age in ctx.cells("req"):
-            if tag == "own":
-                return cid, value
-        return None
+        return ctx.first_cell("req", "own")
 
     def grant_for(ctx, peer):
-        for cid, value, tag, _age in ctx.cells("grants"):
-            if tag == peer:
-                return cid, value
-        return None
+        return ctx.first_cell("grants", peer)
 
     def fold(ctx, stamp):
         clk = max(ctx.free("clk"), stamp)
@@ -105,8 +99,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.create_cell("grants", mine[1], tag=m.src)
 
     def g_request(ctx):
-        return (own_request(ctx) is None and not ctx.var("in_cs")
-                and ctx.can_spend(ctx.d) and ctx.u1 < 0.4)
+        return (ctx.u1 < 0.4 and not ctx.var("in_cs")
+                and ctx.can_spend(ctx.d) and own_request(ctx) is None)
 
     def b_request(ctx):
         ctx.spend(ctx.d)
@@ -121,8 +115,14 @@ def build(info: BuildInfo) -> ProtocolDef:
         mine = own_request(ctx)
         if mine is None:
             return False
-        return all((g := grant_for(ctx, q)) is not None and g[1] == mine[1]
-                   for q in ctx.neighbors)
+        # each peer's first grant, as grant_for finds it, from one read
+        nbrs = ctx.neighbors
+        firsts = {}
+        for _cid, value, tag, _age in ctx.cells("grants"):
+            if tag in nbrs:
+                firsts.setdefault(tag, value)
+        return (len(firsts) == len(nbrs)
+                and all(value == mine[1] for value in firsts.values()))
 
     def b_enter(ctx):
         ctx.set_var("in_cs", True)
@@ -133,8 +133,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         # stuck until its request expires. Rebroadcasting the same stamp
         # lets peers whose blocking request has since retired grant after
         # all; it mints nothing, so it costs no budget.
-        return (own_request(ctx) is not None and not ctx.var("in_cs")
-                and ctx.u1 < 0.2)
+        return (ctx.u1 < 0.2 and not ctx.var("in_cs")
+                and own_request(ctx) is not None)
 
     def b_renew(ctx):
         mine = own_request(ctx)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg, replace_single, single)
+                   ProtocolDef, floor_value, on_msg, replace_single)
 
 PARAMS = {"round_expiry": 3}
 
@@ -55,12 +55,12 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def b_handle_round(ctx, m):
         rnd = m.cell("rnd")
-        cur = single(ctx, "cr")
+        cur = ctx.first_cell("cr")
         if cur is not None and rnd < cur[1]:
             return
         if cur is None or rnd > cur[1]:
             replace_single(ctx, "cr", rnd)
-        last = single(ctx, "lr")
+        last = ctx.first_cell("lr")
         if last is not None and last[1] == rnd:
             return
         replace_single(ctx, "lr", rnd)

@@ -18,11 +18,15 @@ only a flagged process is swept again before it acts.
 * Counter arithmetic lives in the context subclasses: the kernel's stores
   residues, lifting on read and range-checking on write; the oracle's keeps
   plain integers. Each supplies ``free``, ``set_free``, ``spend``, ``cells``,
-  ``create_cell`` and ``_view``; each simulator supplies ``_stored``, the
-  residue a snapshot records for a counter value, and ``_shift``, which
-  moves a process into a new region and returns its change rows.
+  ``_value`` (one cell's value), ``create_cell`` and ``_view``; each
+  simulator supplies ``_stored``, the residue a snapshot records for a
+  counter value, ``_shift``, which moves a process into a new region and
+  returns its change rows, and ``send_from``, which encodes a payload once
+  and posts one message per destination.
 * Every effect goes through :meth:`Sim.emit`: the kernel appends it to the
-  trace, the replayer checks it against the next recorded event.
+  trace, the replayer checks it against the next recorded event. Both build
+  the event positionally (``trace.NEW_EVENT``), so every caller passes the
+  fields in the order ``trace.EVENTS[kind]`` declares them.
 """
 
 from __future__ import annotations
@@ -88,12 +92,15 @@ class PeekView:
         return self._ctx.free(name)
 
 
+_ANY = object()  # Ctx.first_cell's "any tag"
+
+
 class Ctx:
     """Action-facing API over one process's state during one activation.
 
     This base holds every accessor that touches no counter value; subclasses
-    add ``free``, ``set_free``, ``spend``, ``cells``, ``create_cell`` and
-    ``_view`` in their own arithmetic.
+    add ``free``, ``set_free``, ``spend``, ``cells``, ``_value``,
+    ``create_cell`` and ``_view`` in their own arithmetic.
     """
 
     __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")
@@ -138,21 +145,45 @@ class Ctx:
         self.proc.vars[name] = value
         self.sim.emit(tr.EV_VAR, pid=self.pid, name=name, value=value)
 
+    def first_cell(self, coll: str, tag=_ANY) -> Optional[tuple]:
+        """The live cell of ``coll`` with the lowest id, among those tagged
+        ``tag`` when one is given, as (cid, value, tag, age) like
+        :meth:`cells`; None if there is none. Only that cell is lifted."""
+        store = self.proc.colls[coll]
+        cid = None
+        for key, c in store.items():
+            if (tag is _ANY or c.tag == tag) and (cid is None or key < cid):
+                cid = key
+        if cid is None:
+            return None
+        c = store[cid]
+        return (cid, self._value(coll, c), c.tag,
+                self.proc.region - c.created_local)
+
+    def has_msg(self, kind: str) -> bool:
+        """Whether a ``kind`` message waits in the inbox; builds no view."""
+        for msg in self.sim.inboxes[self.pid].values():
+            if msg.kind == kind:
+                return True
+        return False
+
     def first_msg(self, kind: str) -> Optional[MsgView]:
         inbox = self.sim.inboxes[self.pid]
-        mids = [mid for mid, msg in inbox.items() if msg.kind == kind]
-        return self._view(inbox[min(mids)]) if mids else None
+        first = None
+        for mid, msg in inbox.items():
+            if msg.kind == kind and (first is None or mid < first):
+                first = mid
+        return None if first is None else self._view(inbox[first])
 
     def consume(self, mid: int) -> None:
         del self.sim.inboxes[self.pid][mid]
         self.sim.emit(tr.EV_CONSUME, mid=mid, pid=self.pid)
 
     def send(self, dst: int, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        self.sim.send_from(self, dst, kind, cells, vars or {})
+        self.sim.send_from(self, (dst,), kind, cells, vars or {})
 
     def broadcast(self, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
-        for dst in self.neighbors:
-            self.sim.send_from(self, dst, kind, cells, vars or {})
+        self.sim.send_from(self, self.neighbors, kind, cells, vars or {})
 
     def peek(self, pid: int) -> PeekView:
         return PeekView(type(self)(self.sim, self.sim.procs[pid], self.step,
@@ -169,7 +200,8 @@ class Sim:
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
     ``locals`` and ``regions``) and implement :meth:`emit`, :meth:`_stored`,
-    :meth:`_shift` and ``send_from``. A message enters
+    :meth:`_shift` and ``send_from(ctx, dsts, kind, cells, vars)``, which
+    both :meth:`Ctx.send` and :meth:`Ctx.broadcast` call. A message enters
     ``in_flight`` only through :meth:`_put_in_flight`, which files it under
     the step it arrives or is lost at; it may leave by any route.
     """

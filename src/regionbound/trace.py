@@ -10,9 +10,10 @@ either.
 Each event kind is declared once below with :func:`_kind`: a named tuple
 ``(step, kind, ...)`` whose field names are also its keys in the file and
 whose field types the loader checks. Producers build events through
-:data:`EVENTS`; checkers read them by field name. The rows a snapshot
-stores as JSON lists, a message and a dependent cell, are declared the same
-way with :func:`_layout`, and so are the rows of an ``rc`` event's changes.
+:data:`NEW_EVENT`, from the field values in declared order; checkers read
+them by field name. The rows a snapshot stores as JSON lists, a message and
+a dependent cell, are declared the same way with :func:`_layout`, and so
+are the rows of an ``rc`` event's changes.
 
 The file form is JSON-lines: each line is exactly one JSON value, a record
 ``{"rec": tag, "data": {...}}``, with stable field names and integers in
@@ -31,11 +32,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
 from operator import contains, itemgetter
-from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
+from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import TraceFormatError
 
 EVENTS: dict[str, type] = {}
+# kind -> builds that kind's event from an iterable of all its field values,
+# in declared order, without the named tuple's Python-level keyword __new__
+NEW_EVENT: dict[str, Callable[[Iterable], tuple]] = {}
 
 
 class _List(NamedTuple):
@@ -116,6 +120,7 @@ def _kind(name: str, /, **types) -> str:
     event = namedtuple(name, ("step", "kind", *types))
     event.types = types
     EVENTS[name] = event
+    NEW_EVENT[name] = partial(tuple.__new__, event)
     return name
 
 

@@ -1,12 +1,17 @@
+import gc
 import io
+import weakref
 from collections import Counter
 
 import pytest
 
+from regionbound import analysis, faults, scenario
 from regionbound import trace as tr
 from regionbound.errors import ConfigError
+from regionbound.kernel import BoundedCtx, Kernel
+from regionbound.oracle import Replayer
 
-from conftest import build_scenario, run_scenario
+from conftest import PROTOCOLS, build_scenario, run_scenario
 
 
 def dump(trace):
@@ -176,3 +181,74 @@ def test_meta_records_the_run_shape(any_protocol):
 def test_run_config_rejects_low_start_region():
     with pytest.raises(ConfigError, match="start_region"):
         build_scenario("logical_clocks", start_region=3)
+
+
+def test_every_emit_passes_its_fields_in_declared_order(monkeypatch):
+    """Both sides build events positionally from the keywords of an emit
+    call, so each call must name the fields in the order the event kind
+    declares them. Checked on a run and check of every protocol and of the
+    two faulted shipped scenarios, which between them emit all 13 kinds."""
+    seen = Counter()
+
+    def checked(emit):
+        def wrapper(self, kind, **payload):
+            assert tuple(payload) == tr.EVENTS[kind]._fields[2:], kind
+            seen[kind] += 1
+            emit(self, kind, **payload)
+        return wrapper
+
+    for cls in (Kernel, Replayer):
+        monkeypatch.setattr(cls, "emit", checked(cls.emit))
+    scens = [build_scenario(p) for p in PROTOCOLS]
+    scens += [scenario.load(f"scenarios/{name}.json")
+              for name in ("mutex_fault_recovery", "diffusing_ring_faults")]
+    for sc in scens:
+        trace = run_scenario(sc)
+        assert analysis.check(sc, trace).ok
+    assert set(seen) == set(tr.EVENTS)
+
+
+def test_kernel_and_replayer_are_freed_by_reference_counting(any_protocol):
+    """No reference cycle keeps a finished simulator alive: with the cycle
+    collector off, each is gone once its last name is."""
+    sc = build_scenario(any_protocol)
+    gc.disable()
+    try:
+        kern = Kernel(sc.cfg, 5)
+        trace = kern.run()
+        gone = weakref.ref(kern)
+        del kern
+        assert gone() is None
+        rep = Replayer(sc.prog, trace)
+        assert rep.run() == sc.cfg.total_steps
+        gone = weakref.ref(rep)
+        del rep
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_message_fault_leaves_its_broadcast_siblings_alone():
+    """A broadcast encodes its payload once, yet every message holds its own
+    cells: overwriting one leaves the others and every recorded send as
+    sent."""
+    sc = build_scenario("mutual_exclusion")
+    kern = Kernel(sc.cfg, 5)
+    ctx = BoundedCtx(kern, kern.procs[0], 0, 1, 0.5, 0.5)
+    ctx.broadcast("REQ", {"stamp": ctx.free("clk")})
+    sends = [ev for ev in kern.trace.events if ev.kind == tr.EV_SEND]
+    assert [ev.dst for ev in sends] == [1, 2, 3]
+    sent = [dict(ev.cells) for ev in sends]
+    assert sent[0] == sent[1] == sent[2]
+    hit = sorted(kern.in_flight)[1]
+    modulus = kern.msg_fams["REQ"]["stamp"].maxbound
+    entry = faults.FaultEntry(when_kind="step", when=0, kind="overwrite_msg",
+                              target=[1, "stamp"],
+                              value=(sent[1]["stamp"] + 1) % modulus)
+    applied, detail = entry.apply(kern)
+    assert applied and detail["mid"] == hit
+    assert kern.in_flight[hit].cells == {"stamp": entry.value}
+    for mid, cells in zip(sorted(kern.in_flight), sent):
+        if mid != hit:
+            assert kern.in_flight[mid].cells == cells
+    assert [dict(ev.cells) for ev in sends] == sent
