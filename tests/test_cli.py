@@ -611,23 +611,22 @@ def test_an_event_before_step_0_is_refused(run_cli, tmp_path):
 def test_a_snapshot_outside_the_run_is_refused(run_cli, tmp_path, where):
     """No replay compares a snapshot recorded before step 0 or after the
     last step, so a doctored one there must not pass unread."""
-    last = {}
+    run = {}
 
     def change(recs):
         at = next(i for i, r in enumerate(recs) if r["rec"] == "snapshot")
         state = json.loads(json.dumps(_start(recs)))
         state["procs"][0]["colls"]["pend"].append([999, 0, -50, 0, None])
-        last["steps"] = sum(r["rec"] == "row" for r in recs)
-        step = -1 if where == "before" else last["steps"] + 1
+        steps = sum(r["rec"] == "row" for r in recs)
+        run.update(steps=steps, step=-1 if where == "before" else steps + 1)
         recs.insert(at, {"rec": "snapshot",
-                         "data": {"step": step, "state": state}})
+                         "data": {"step": run["step"], "state": state}})
     code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[2],
                                         change)
     assert code == EXIT_CONFIG
     assert stdout == ""
-    step = -1 if where == "before" else last["steps"] + 1
-    assert (f"config error: malformed trace: snapshot at step {step} lies "
-            f"outside steps 0..{last['steps']} of the run") in err
+    assert (f"config error: malformed trace: snapshot at step {run['step']} "
+            f"lies outside steps 0..{run['steps']} of the run") in err
 
 
 @pytest.mark.parametrize("field,value", [
