@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from typing import IO, NoReturn, Optional
 
 from . import faults
@@ -351,6 +351,9 @@ def convergence_check(prog, trace: tr.Trace,
     return report
 
 
+_DEP_LIFE_KINDS = frozenset((tr.EV_RC, tr.EV_DCREATE, tr.EV_DREMOVE, tr.EV_FAULT))
+
+
 def scan_dep_lifetimes(prog, trace: tr.Trace,
                        report: Optional[VerificationReport] = None
                        ) -> VerificationReport:
@@ -378,7 +381,9 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
             return False
         return True
 
-    for ev in trace.events:
+    # only these kinds move a cell's life; the C iterators skip the rest
+    kinds = map(itemgetter(1), trace.events)
+    for ev in compress(trace.events, map(_DEP_LIFE_KINDS.__contains__, kinds)):
         kind = ev.kind
         if kind == tr.EV_RC:
             for (p, coll, cid) in list(live):
@@ -411,9 +416,9 @@ def max_region_gap(trace: tr.Trace) -> int:
     gap = 0
 
     def probe(regions, g_region):
-        spread = max(regions) - min(regions)
-        to_global = max(abs(r - g_region) for r in regions)
-        return max(spread, to_global)
+        # the spread of the regions together with the global one is the
+        # larger of their own spread and their largest distance to it
+        return max(max(regions), g_region) - min(min(regions), g_region)
 
     for snap in trace.snapshots.values():
         gap = max(gap, probe(snap["regions"], snap["g_region"]))

@@ -137,9 +137,13 @@ def lift_free(residue: int, region: int, params: CounterParams) -> int:
     happens after corruption). O(1): the window is narrower than the modulus,
     so one candidate suffices.
     """
-    lo, hi = free_window(region, params)
+    if region < 0:
+        free_window(region, params)  # raises the window's ConfigError
+    # free_window's bounds, computed in place: lifts run on every read
+    mi = params.maxinc
+    lo = 3 * region * mi
     y = lo + (residue - lo) % params.maxbound
-    return y if y <= hi else lo
+    return y if y <= lo + 5 * mi - 1 else lo
 
 
 def lift_dep(residue: int, region: int, params: CounterParams) -> int:
@@ -148,9 +152,13 @@ def lift_dep(residue: int, region: int, params: CounterParams) -> int:
     Same scheme as :func:`lift_free` over the (wider) dependent window. The
     window is exactly a third of the modulus, so the lift is still unique.
     """
-    lo, hi = dep_window(region, params)
+    # dep_window's bounds, computed in place as in lift_free
+    mi = params.maxinc
+    lo = 3 * (region - 2 - params.max_r) * mi
+    if lo < 0:
+        dep_window(region, params)  # raises the window's ConfigError
     y = lo + (residue - lo) % params.maxbound
-    return y if y <= hi else lo
+    return y if y <= 3 * (region + 1) * mi + 2 * mi - 1 else lo
 
 
 def fits_free(residue: int, region: int, params: CounterParams) -> bool:

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 from typing import Optional
 
 from . import trace as tr
@@ -41,7 +43,6 @@ from .regions import (
     RegionParams,
     advance_clocks,
     draw,
-    region_of,
 )
 from .sim import Ctx, Msg, MsgView, Sim
 from .transform import (
@@ -53,6 +54,9 @@ from .transform import (
     write_dep,
     write_free,
 )
+
+
+_NEW_EVENT = tr.NEW_EVENT
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,13 @@ class BoundedCtx(Ctx):
 
     def set_free(self, name: str, value: int) -> None:
         fam = self.sim.free_fams[name]
-        if value < self.free(name):
+        region = self.proc.region
+        now = lift_free(self.proc.free[name], region, fam)
+        if value < now:
             raise ProtocolBug(
                 f"step {self.step}: pid {self.pid} writes free counter "
-                f"{name!r} down from {self.free(name)} to {value}")
-        res, lifted, corrected = write_free(value, self.proc.region, fam)
+                f"{name!r} down from {now} to {value}")
+        res, lifted, corrected = write_free(value, region, fam)
         self.proc.free[name] = res
         self.sim.emit(tr.EV_WFREE, pid=self.pid, name=name, residue=res,
                       lifted=lifted, corrected=corrected)
@@ -198,8 +204,15 @@ class Kernel(Sim):
         self.step = 0
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
+        self._maxinc = prog.families[prog.budget_family].maxinc
+        # step -> the faults scheduled at that step, in scenario order
+        self._step_faults: dict[int, list] = {}
+        for entry in cfg.faults:
+            if entry.when_kind == "step":
+                self._step_faults.setdefault(entry.when, []).append(entry)
 
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
+        self._record = self.trace.events.append
 
     def _init_proc(self, pid: int) -> ProcState:
         prog = self.prog
@@ -228,8 +241,7 @@ class Kernel(Sim):
     # -- trace plumbing ----------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        self.trace.events.append(
-            tr.NEW_EVENT[kind]((self.step, kind, *payload.values())))
+        self._record(_NEW_EVENT[kind]((self.step, kind, *payload.values())))
 
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
@@ -251,12 +263,14 @@ class Kernel(Sim):
         for fld in sorted(cells):
             if fld not in decl.cell_fields:
                 raise ProtocolBug(f"message {kind!r} has no field {fld!r}")
-            res_cells[fld] = to_residue(cells[fld], fams[fld])
-        vars = tr.canon(vars)
+            res_cells[fld] = cells[fld] % fams[fld].maxbound  # to_residue
+        vars = tr.canon(vars) if vars else {}
         src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
+        rng = self.rng
+        max_delay, loss = self.cfg.max_delay_steps, self.cfg.loss_probability
         for dst in dsts:
-            delay = draw(self.rng, 1, self.cfg.max_delay_steps)
-            lost = self.rng.random() < self.cfg.loss_probability
+            delay = draw(rng, 1, max_delay)
+            lost = rng.random() < loss
             arrival = None if lost else step + delay
             drop = step + delay if lost else None
             mid = self.next_mid
@@ -276,8 +290,8 @@ class Kernel(Sim):
         clocks = advance_clocks(ClockState(self.t, self.locals), 1, self.rp,
                                 self.cfg.drift, self.rng)
         rs = self.rp.rs
-        regions = [x // rs for x in clocks.local]
-        g_region = region_of(clocks.t, self.rp)
+        regions = list(map(floordiv, clocks.local, repeat(rs)))
+        g_region = clocks.t // rs
         self.emit(tr.EV_CLOCK, t=clocks.t, g_region=g_region,
                   locals=tuple(clocks.local), regions=tuple(regions))
         self._move_clocks(clocks.t, g_region, clocks.local, regions)
@@ -303,38 +317,41 @@ class Kernel(Sim):
                   applied=applied)
 
     def _act(self) -> None:
-        if self.step % self.prog.n == 0:
-            self._order = list(range(self.prog.n))
-            self.rng.shuffle(self._order)
-        pid = self._order[self.step % self.prog.n]
-        maxinc = self.prog.families[self.prog.budget_family].maxinc
-        d = draw(self.rng, 1, maxinc)
-        u1 = self.rng.random()
-        u2 = self.rng.random()
+        step, n, rng = self.step, self.prog.n, self.rng
+        if step % n == 0:
+            self._order = list(range(n))
+            rng.shuffle(self._order)
+        pid = self._order[step % n]
+        d = draw(rng, 1, self._maxinc)
+        u1 = rng.random()
+        u2 = rng.random()
         proc = self.procs[pid]
         self._sweep_before_act(proc)
-        ctx = BoundedCtx(self, proc, self.step, d, u1, u2)
-        idx = choose_action(self.prog.actions, ctx)
+        ctx = BoundedCtx(self, proc, step, d, u1, u2)
+        actions = self.prog.actions
+        idx = choose_action(actions, ctx)
         if idx is None:
-            self.trace.rows.append((self.step, pid, tr.SELF_LOOP, "", d, u1, u2))
+            self.trace.rows.append((step, pid, tr.SELF_LOOP, "", d, u1, u2))
         else:
-            act = self.prog.actions[idx]
-            self.trace.rows.append((self.step, pid, idx, act.name, d, u1, u2))
+            act = actions[idx]
+            self.trace.rows.append((step, pid, idx, act.name, d, u1, u2))
             act.body(ctx)
 
     def run(self) -> tr.Trace:
         self._pending_snapshot = "start"
+        sptu, due, step_faults = self.cfg.sptu, self.due, self._step_faults
         for step in range(self.cfg.total_steps):
             self.step = step
             if self._pending_snapshot is not None:
                 self._snapshot(self._pending_snapshot)
                 self._pending_snapshot = None
-            if step and step % self.cfg.sptu == 0:
+            if step and step % sptu == 0:
                 self._advance_clocks()
-            for entry in self.cfg.faults:
-                if entry.when_kind == "step" and entry.when == step:
+            if step in step_faults:
+                for entry in step_faults[step]:
                     self._apply_fault(entry)
-            self._arrivals()
+            if step in due:
+                self._arrivals()
             self._act()
         self.step = self.cfg.total_steps
         self._snapshot("final")

@@ -34,6 +34,9 @@ unbounded dynamics started from the lifted state.
 
 from __future__ import annotations
 
+from itertools import compress, count, islice, repeat
+from operator import eq, floordiv, itemgetter, ne
+
 from . import trace as tr
 from .counters import lift_dep, lift_free
 from .errors import ProtocolBug
@@ -115,8 +118,9 @@ class Replayer(Sim):
         # pids already activated in the block of n steps the replay starts in
         self._acted = {pid for _, pid, *_ in
                        trace.rows[start_step - start_step % prog.n:start_step]}
-        self._bucket: list = []
-        self._cursor = 0
+        # the events of the step being replayed: events[_cursor:_end]
+        self._events = trace.events
+        self._cursor = self._end = 0
 
     def _load(self, snap: dict) -> None:
         self.t = snap["t"]
@@ -166,16 +170,20 @@ class Replayer(Sim):
         raise OracleDivergence(self.step, detail)
 
     def _next(self) -> tuple:
-        if self._cursor >= len(self._bucket):
+        if self._cursor >= self._end:
             self._fail("bounded trace records no event where the reference "
                        "run produces one")
-        ev = self._bucket[self._cursor]
+        ev = self._events[self._cursor]
         self._cursor += 1
         return ev
 
     def emit(self, kind: str, **payload) -> None:
         expected = tr.NEW_EVENT[kind]((self.step, kind, *payload.values()))
-        got = self._next()
+        if self._cursor < self._end:  # self._next(), inline
+            got = self._events[self._cursor]
+            self._cursor += 1
+        else:
+            got = self._next()
         if got != expected:
             self._fail(f"recorded event {got!r} != reference {expected!r}")
 
@@ -185,7 +193,7 @@ class Replayer(Sim):
                   vars: dict) -> None:
         """Encode the payload once, then check and post one message to
         each of ``dsts`` in order."""
-        vars = tr.canon(vars)
+        vars = tr.canon(vars) if vars else {}
         fams = self.msg_fams[kind]
         res_cells = {fld: cells[fld] % fams[fld].maxbound
                      for fld in sorted(cells)}
@@ -213,14 +221,14 @@ class Replayer(Sim):
     # -- phases ------------------------------------------------------------
 
     def _phase_clock(self) -> None:
-        if not (self.step and self.step % self.sptu == 0):
-            return
+        """Enter the clocks of this tick step's ``clock`` record."""
         got = self._next()
         if got.kind != tr.EV_CLOCK:
             self._fail(f"expected a clock record, got {got!r}")
         rs = self.rs
+        regions = list(map(floordiv, got.locals, repeat(rs)))
         if (got.t != self.t + 1 or got.t // rs != got.g_region
-                or any(x // rs != r for x, r in zip(got.locals, got.regions))):
+                or regions != list(got.regions)):
             self._fail(f"clock record {got!r} is internally inconsistent")
         self._move_clocks(got.t, got.g_region, got.locals, got.regions)
 
@@ -288,28 +296,39 @@ class Replayer(Sim):
         recorded bounded run and the unbounded reference dynamics.
         """
         rows = self.trace.rows
-        events = self.trace.events
-        lo = 0
-        while lo < len(events) and events[lo].step < self.start_step:
-            lo += 1
+        events = self._events
+        nev = len(events)
+        # A step's events are the run of consecutive events at the cursor
+        # recorded at that step. ``ends`` holds where each run ends, in order.
+        step_of = itemgetter(0)
+        ends = list(compress(count(1), map(ne, map(step_of, events),
+                                           map(step_of, islice(events, 1, None)))))
+        ends.append(nev)
+        lo = k = 0
+        while lo < nev and events[lo].step < self.start_step:
+            lo = ends[k]
+            k += 1
+        kinds = map(itemgetter(1), islice(events, lo, None))
+        fault_at = next(compress(count(lo), map(eq, kinds, repeat(tr.EV_FAULT))),
+                        nev)
         checked = 0
         for row in rows[self.start_step:]:
-            self.step = row[0]
-            hi = lo
-            while hi < len(events) and events[hi].step == self.step:
-                hi += 1
-            self._bucket = events[lo:hi]
-            self._cursor = 0
-            lo = hi
-            for ev in self._bucket:
-                if ev.kind == tr.EV_FAULT:
+            self.step = step = row[0]
+            self._cursor = lo
+            if lo < nev and events[lo].step == step:
+                lo = ends[k]
+                k += 1
+                if lo > fault_at:
                     self._fail("fault injection inside the replayed segment")
-            self._phase_clock()
-            self._arrivals()
+            self._end = lo
+            if step and step % self.sptu == 0:
+                self._phase_clock()
+            if step in self.due:
+                self._arrivals()
             self._phase_act(row)
-            if self._cursor != len(self._bucket):
+            if self._cursor != lo:
                 self._fail(f"bounded trace records extra event "
-                           f"{self._bucket[self._cursor]!r}")
+                           f"{events[self._cursor]!r}")
             checked += 1
             final_step = self.step + 1
             if final_step in self.trace.snapshots:

@@ -11,6 +11,7 @@ residues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Callable, Optional
 
 from ..counters import CounterParams, DepSpec
@@ -122,8 +123,11 @@ def on_msg(name: str, kind: str, body: Callable,
     It is enabled while such a message is in the inbox and ``also(ctx)``, if
     given, holds. It consumes the message, then runs ``body(ctx, m)``.
     """
-    def guard(ctx):
-        return ctx.has_msg(kind) and (also is None or also(ctx))
+    if also is None:
+        guard = methodcaller("has_msg", kind)  # ctx.has_msg(kind), no frame
+    else:
+        def guard(ctx):
+            return ctx.has_msg(kind) and also(ctx)
 
     def run(ctx):
         m = ctx.first_msg(kind)

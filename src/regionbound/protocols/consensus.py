@@ -213,7 +213,7 @@ def build(info: BuildInfo) -> ProtocolDef:
     def g_propose(ctx):
         return (ctx.u1 < 0.3 and ctx.var("phase") == "idle"
                 and ctx.var("decided") is None and ctx.can_spend(ctx.d)
-                and ctx.first_cell("pend") is None)
+                and not ctx.has_cell("pend"))
 
     def b_propose(ctx):
         ctx.spend(ctx.d)
@@ -234,7 +234,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.broadcast("PREPARE", {"bseq": seq})
 
     def g_reset(ctx):
-        return ctx.var("phase") != "idle" and ctx.first_cell("pend") is None
+        return ctx.var("phase") != "idle" and not ctx.has_cell("pend")
 
     def b_reset(ctx):
         ctx.set_var("phase", "idle")

@@ -112,7 +112,7 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def g_start(ctx):
         return (ctx.pid == 0 and ctx.can_spend(ctx.d)
-                and ctx.first_cell("wave", "root") is None)
+                and not ctx.has_cell("wave", "root"))
 
     def b_start(ctx):
         ctx.spend(ctx.d)

@@ -100,7 +100,7 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def g_request(ctx):
         return (ctx.u1 < 0.4 and not ctx.var("in_cs")
-                and ctx.can_spend(ctx.d) and own_request(ctx) is None)
+                and ctx.can_spend(ctx.d) and not ctx.has_cell("req", "own"))
 
     def b_request(ctx):
         ctx.spend(ctx.d)
@@ -112,11 +112,14 @@ def build(info: BuildInfo) -> ProtocolDef:
     def g_enter(ctx):
         if ctx.var("in_cs"):
             return False
+        nbrs = ctx.neighbors
+        for peer in nbrs:  # each peer's grant must be there before any is read
+            if not ctx.has_cell("grants", peer):
+                return False
         mine = own_request(ctx)
         if mine is None:
             return False
         # each peer's first grant, as grant_for finds it, from one read
-        nbrs = ctx.neighbors
         firsts = {}
         for _cid, value, tag, _age in ctx.cells("grants"):
             if tag in nbrs:
@@ -134,7 +137,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         # lets peers whose blocking request has since retired grant after
         # all; it mints nothing, so it costs no budget.
         return (ctx.u1 < 0.2 and not ctx.var("in_cs")
-                and own_request(ctx) is not None)
+                and ctx.has_cell("req", "own"))
 
     def b_renew(ctx):
         mine = own_request(ctx)

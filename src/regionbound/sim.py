@@ -31,6 +31,7 @@ only a flagged process is swept again before it acts.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Optional
 
 from . import trace as tr
@@ -159,6 +160,17 @@ class Ctx:
         c = store[cid]
         return (cid, self._value(coll, c), c.tag,
                 self.proc.region - c.created_local)
+
+    def has_cell(self, coll: str, tag=_ANY) -> bool:
+        """Whether ``coll`` holds a live cell, tagged ``tag`` when one is
+        given; lifts nothing."""
+        store = self.proc.colls[coll]
+        if tag is _ANY:
+            return bool(store)
+        for c in store.values():
+            if c.tag == tag:
+                return True
+        return False
 
     def has_msg(self, kind: str) -> bool:
         """Whether a ``kind`` message waits in the inbox; builds no view."""
@@ -314,11 +326,12 @@ class Sim:
         region refills the budgets and drops expired messages."""
         before = self.regions
         self.t, self.locals, self.regions = t, locals, regions
-        for proc, old, new in zip(self.procs, before, regions):
-            if new > old:
-                self.emit(tr.EV_RC, pid=proc.pid, new_region=new,
-                          changes=tuple(self._shift(proc, new)))
-                self._expire_cells(proc)
+        if any(map(gt, regions, before)):
+            for proc, old, new in zip(self.procs, before, regions):
+                if new > old:
+                    self.emit(tr.EV_RC, pid=proc.pid, new_region=new,
+                              changes=tuple(self._shift(proc, new)))
+                    self._expire_cells(proc)
         if g_region != self.g_region:
             self.g_region = g_region
             self._on_global_region()

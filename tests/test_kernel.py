@@ -10,6 +10,7 @@ from regionbound import trace as tr
 from regionbound.errors import ConfigError
 from regionbound.kernel import BoundedCtx, Kernel
 from regionbound.oracle import Replayer
+from regionbound.sim import Ctx
 
 from conftest import PROTOCOLS, build_scenario, run_scenario
 
@@ -206,6 +207,29 @@ def test_every_emit_passes_its_fields_in_declared_order(monkeypatch):
         trace = run_scenario(sc)
         assert analysis.check(sc, trace).ok
     assert set(seen) == set(tr.EVENTS)
+
+
+def test_has_cell_answers_as_first_cell_does(monkeypatch):
+    """Guards test a collection through ``has_cell`` in place of
+    ``first_cell(...) is None``. On both sides, over a run and check of
+    every protocol and of the two faulted shipped scenarios, each call
+    gives the answer the lifting read gives."""
+    has_cell = Ctx.has_cell
+    calls = Counter()
+
+    def checked(ctx, coll, *tag):
+        got = has_cell(ctx, coll, *tag)
+        assert got == (ctx.first_cell(coll, *tag) is not None), (coll, tag)
+        calls[got] += 1
+        return got
+
+    monkeypatch.setattr(Ctx, "has_cell", checked)
+    scens = [build_scenario(p) for p in PROTOCOLS]
+    scens += [scenario.load(f"scenarios/{name}.json")
+              for name in ("mutex_fault_recovery", "diffusing_ring_faults")]
+    for sc in scens:
+        assert analysis.check(sc, run_scenario(sc)).ok
+    assert calls[True] and calls[False]
 
 
 def test_kernel_and_replayer_are_freed_by_reference_counting(any_protocol):

@@ -56,6 +56,30 @@ def test_deleted_event_is_caught():
         replay(sc, doctored)
 
 
+def test_an_event_recorded_under_the_next_step_is_caught():
+    sc = build_scenario("mutual_exclusion")
+    doctored = copy.deepcopy(run_scenario(sc))
+    idx = next(i for i, ev in enumerate(doctored.events)
+               if ev.kind == tr.EV_CONSUME)
+    step = doctored.events[idx].step
+    doctored.events[idx] = doctored.events[idx]._replace(step=step + 1)
+    with pytest.raises(OracleDivergence, match="records no event") as exc:
+        replay(sc, doctored)
+    assert exc.value.step == step
+
+
+def test_an_event_repeated_at_the_end_of_its_step_is_caught():
+    sc = build_scenario("mutual_exclusion")
+    doctored = copy.deepcopy(run_scenario(sc))
+    events = doctored.events
+    idx = next(i for i, ev in enumerate(events)
+               if ev.kind == tr.EV_SEND and events[i + 1].step != ev.step)
+    events.insert(idx + 1, events[idx])
+    with pytest.raises(OracleDivergence, match="extra event") as exc:
+        replay(sc, doctored)
+    assert exc.value.step == events[idx].step
+
+
 def test_tampered_snapshot_is_caught():
     sc = build_scenario("vector_clocks")
     trace = run_scenario(sc)
