@@ -56,9 +56,6 @@ from .transform import (
 )
 
 
-_NEW_EVENT = tr.NEW_EVENT
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one simulation needs besides the seed."""
@@ -212,7 +209,6 @@ class Kernel(Sim):
                 self._step_faults.setdefault(entry.when, []).append(entry)
 
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
-        self._record = self.trace.events.append
 
     def _init_proc(self, pid: int) -> ProcState:
         prog = self.prog
@@ -241,7 +237,8 @@ class Kernel(Sim):
     # -- trace plumbing ----------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        self._record(_NEW_EVENT[kind]((self.step, kind, *payload.values())))
+        self.trace.events.append(
+            tr.NEW_EVENT[kind]((self.step, kind, *payload.values())))
 
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
@@ -264,7 +261,7 @@ class Kernel(Sim):
             if fld not in decl.cell_fields:
                 raise ProtocolBug(f"message {kind!r} has no field {fld!r}")
             res_cells[fld] = cells[fld] % fams[fld].maxbound  # to_residue
-        vars = tr.canon(vars) if vars else {}
+        vars = tr.canon(vars)
         src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
         rng = self.rng
         max_delay, loss = self.cfg.max_delay_steps, self.cfg.loss_probability

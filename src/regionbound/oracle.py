@@ -179,11 +179,7 @@ class Replayer(Sim):
 
     def emit(self, kind: str, **payload) -> None:
         expected = tr.NEW_EVENT[kind]((self.step, kind, *payload.values()))
-        if self._cursor < self._end:  # self._next(), inline
-            got = self._events[self._cursor]
-            self._cursor += 1
-        else:
-            got = self._next()
+        got = self._next()
         if got != expected:
             self._fail(f"recorded event {got!r} != reference {expected!r}")
 
@@ -193,7 +189,7 @@ class Replayer(Sim):
                   vars: dict) -> None:
         """Encode the payload once, then check and post one message to
         each of ``dsts`` in order."""
-        vars = tr.canon(vars) if vars else {}
+        vars = tr.canon(vars)
         fams = self.msg_fams[kind]
         res_cells = {fld: cells[fld] % fams[fld].maxbound
                      for fld in sorted(cells)}
