@@ -92,49 +92,40 @@ def validate(prog, trace: tr.Trace) -> None:
     There must be a snapshot at step 0, and every snapshot must have the
     layout the kernel writes for ``prog``. No event may be recorded before
     step 0, nor a snapshot before step 0 or after the last step, where no
-    replay looks. Events must name processes in
-    ``0..n-1`` and the free counters, collections, message kinds and cell
-    fields, families and fault kinds that ``prog`` and :mod:`.faults`
-    declare; a fault's detail must hold what the scans read of it. A
-    failure raises ConfigError("malformed trace: ..."). What the kernel's
-    schedule could not have drawn is left to the replay, which fails on it.
+    replay looks. Every event and message row field declared with a
+    :class:`.trace.Name` must name what ``prog`` and :mod:`.faults` declare
+    in its domain, and a message's cells must be fields of its kind; a
+    fault's detail must hold what the scans read of it. A failure raises
+    ConfigError("malformed trace: ..."). What the kernel's schedule could
+    not have drawn is left to the replay, which fails on it.
     """
     if 0 not in trace.snapshots:
         raise ConfigError("malformed trace: no snapshot at step 0")
+    pids = dict.fromkeys(range(prog.n))
+    declared = {tr.PID: pids, tr.OPT_PID: {None: None, **pids},
+                tr.FREE: prog.free_cells, tr.COLL: prog.colls,
+                tr.MSG_KIND: prog.msgs, tr.FAMILY: prog.families,
+                tr.FAULT_KIND: faults._KINDS}
     for step, snap in sorted(trace.snapshots.items()):
         if not 0 <= step <= trace.steps():
             raise ConfigError(f"malformed trace: snapshot at step {step} lies "
                               f"outside steps 0..{trace.steps()} of the run")
-        if fault := _snapshot_misfit(prog, snap):
+        if fault := _snapshot_misfit(prog, declared, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
     first = min(trace.events, key=attrgetter("step"), default=None)
     if first is not None and first.step < 0:
         _refuse(first, "is recorded before step 0")
-    n, pids = prog.n, range(prog.n)
     free, colls = list(prog.free_cells), list(prog.colls)
     events = {kind: [] for kind in tr.EVENTS}
     for ev in trace.events:
         events[ev.kind].append(ev)
-    # the fields of each event kind that name something declared
-    names = {tr.EV_RC: {"pid": pids}, tr.EV_CONSUME: {"pid": pids},
-             tr.EV_VAR: {"pid": pids}, tr.EV_MARK: {"pid": pids},
-             tr.EV_WFREE: {"pid": pids, "name": free},
-             tr.EV_DCREATE: {"pid": pids, "coll": colls},
-             tr.EV_DREMOVE: {"pid": pids, "coll": colls},
-             tr.EV_SEND: {"src": pids, "dst": pids, "msg_kind": prog.msgs},
-             tr.EV_SPEND: {"family": prog.families},
-             tr.EV_FAULT: {"fault_kind": faults._KINDS, "pid": [None, *pids]}}
-    for kind, fields in names.items():
-        for fld, known in fields.items():
-            if not set(known).issuperset(map(attrgetter(fld), events[kind])):
-                ev = next(ev for ev in events[kind]
-                          if getattr(ev, fld) not in known)
-                _refuse(ev, f"{fld} {getattr(ev, fld)!r} is not among "
-                        f"{list(known)}")
+    for kind, event in tr.EVENTS.items():
+        if stranger := _stranger(declared, event, events[kind]):
+            _refuse(*stranger)
     for ev in events[tr.EV_CLOCK]:
-        if not len(ev.locals) == len(ev.regions) == n:
-            _refuse(ev, f"needs {n} locals and regions")
+        if not len(ev.locals) == len(ev.regions) == prog.n:
+            _refuse(ev, f"needs {prog.n} locals and regions")
     for ev in events[tr.EV_RC]:
         for slot, coll, key, *_ in ev.changes:
             if not ((slot == "free" and key in free)
@@ -166,6 +157,17 @@ def _refuse(ev, fault: str) -> NoReturn:
                       f"{fault}")
 
 
+def _stranger(declared: dict, layout: type, items: list) -> Optional[tuple]:
+    """The first ``layout`` tuple of ``items`` naming, in a field, what
+    ``declared`` lacks in the field's domain, with the fault; or None."""
+    for fld, domain in layout.names.items():
+        known, get = declared[domain], attrgetter(fld)
+        if not all(map(known.__contains__, map(get, items))):
+            item = next(item for item in items if get(item) not in known)
+            return item, f"{fld} {get(item)!r} is not among {list(known)}"
+    return None
+
+
 def _int_map(d: dict, keys) -> bool:
     """``d`` maps exactly the names ``keys`` to integers."""
     return d.keys() == set(keys) and all(map(is_int, d.values()))
@@ -176,14 +178,14 @@ def _cells_fit(prog, kind: str, cells: dict) -> bool:
             and all(map(is_int, cells.values())))
 
 
-def _snapshot_misfit(prog, snap: dict) -> Optional[str]:
+def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
     """What keeps ``snap`` from the layout the kernel writes for ``prog``,
     or None: :data:`.trace.SNAPSHOT` with a value per process, each proc a
     :data:`.trace.PROC` of the program's counters and collections, and rows
     as :class:`.trace.CellRow` and :class:`.trace.MsgRow` lay them out."""
     if fault := tr.misfit(tr.SNAPSHOT, snap):
         return fault
-    n, pids = prog.n, range(prog.n)
+    n = prog.n
     parts = ("regions", "locals", "procs", "inboxes")
     if not (all(len(snap[part]) == n for part in parts)
             and _int_map(snap["budgets"], prog.families)):
@@ -205,13 +207,13 @@ def _snapshot_misfit(prog, snap: dict) -> Optional[str]:
         if type(box) is not list:
             return f"inbox {box!r} is not a list of message rows"
         for row in box:
-            if not (tr.fits(tr.MsgRow, row)
-                    and (msg := tr.MsgRow._make(row)).src in pids
-                    and msg.dst in pids and msg.kind in prog.msgs
-                    and _cells_fit(prog, msg.kind, msg.cells)):
+            msg = tr.fits(tr.MsgRow, row) and tr.MsgRow._make(row)
+            if msg and (stranger := _stranger(declared, tr.MsgRow, [msg])):
+                return f"message row {row!r}: {stranger[1]}"
+            if not (msg and _cells_fit(prog, msg.kind, msg.cells)):
                 return (f"message row {row!r} is no "
-                        f"[{', '.join(tr.MsgRow._fields)}] row with pids "
-                        "in range and cells of a declared kind")
+                        f"[{', '.join(tr.MsgRow._fields)}] row with cells "
+                        "of its kind")
     return None
 
 

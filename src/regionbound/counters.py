@@ -89,18 +89,16 @@ def free_window(region: int, params: CounterParams) -> tuple[int, int]:
 def dep_window(region: int, params: CounterParams) -> tuple[int, int]:
     """Inclusive bounds a dependent cell can legitimately hold at ``region``.
 
-    Only defined once ``region >= 2 + max_r``; before that the lower bound
-    would be negative and no dependent cell can legitimately exist that early
-    in a run that starts at a later region anyway.
+    Only defined from ``params.min_usable_region()`` on; before that the
+    lower bound would be negative and no dependent cell can legitimately
+    exist that early in a run that starts at a later region anyway.
     """
-    if region < 2 + params.max_r:
+    floor = params.min_usable_region()
+    if region < floor:
         raise ConfigError(
-            f"dependent window needs region >= {2 + params.max_r}, got {region}"
-        )
+            f"dependent window needs region >= {floor}, got {region}")
     mi = params.maxinc
-    lo = 3 * (region - 2 - params.max_r) * mi
-    hi = 3 * (region + 1) * mi + 2 * mi - 1
-    return lo, hi
+    return 3 * (region - floor) * mi, 3 * (region + 1) * mi + 2 * mi - 1
 
 
 def to_residue(value: int, params: CounterParams) -> int:

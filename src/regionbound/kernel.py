@@ -125,8 +125,8 @@ class BoundedCtx(Ctx):
                 f"{name!r} down from {now} to {value}")
         res, lifted, corrected = write_free(value, region, fam)
         self.proc.free[name] = res
-        self.sim.emit(tr.EV_WFREE, pid=self.pid, name=name, residue=res,
-                      lifted=lifted, corrected=corrected)
+        self.sim.emit_wfree(pid=self.pid, name=name, residue=res,
+                            lifted=lifted, corrected=corrected)
 
     def spend(self, amount: int) -> None:
         fam = self.sim.prog.budget_family
@@ -135,7 +135,7 @@ class BoundedCtx(Ctx):
             raise KernelInvariantError(
                 f"step {self.step}: family {fam!r} spent past its per-region "
                 f"growth budget")
-        self.sim.emit(tr.EV_SPEND, family=fam, amount=amount)
+        self.sim.emit_spend(family=fam, amount=amount)
 
     def cells(self, coll: str) -> list[tuple]:
         """Live cells as (cid, value, tag, age) with age in owner regions."""
@@ -164,11 +164,10 @@ class BoundedCtx(Ctx):
         tag = tr.canon(tag)
         self.proc.colls[coll][cid] = Cell(res, self.proc.region,
                                           self.sim.g_region, tag)
-        self.sim.emit(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
-                      residue=res, lifted=lifted,
-                      created_local=self.proc.region,
-                      created_global=self.sim.g_region,
-                      tag=tag, corrected=corrected)
+        self.sim.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=res,
+                              lifted=lifted, created_local=self.proc.region,
+                              created_global=self.sim.g_region, tag=tag,
+                              corrected=corrected)
         return cid
 
     def _view(self, msg: Msg) -> MsgView:
@@ -209,6 +208,7 @@ class Kernel(Sim):
                 self._step_faults.setdefault(entry.when, []).append(entry)
 
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
+        self.emit = self.trace.events.append  # the kernel records each event
 
     def _init_proc(self, pid: int) -> ProcState:
         prog = self.prog
@@ -235,10 +235,6 @@ class Kernel(Sim):
         return proc
 
     # -- trace plumbing ----------------------------------------------------
-
-    def emit(self, kind: str, **payload) -> None:
-        self.trace.events.append(
-            tr.NEW_EVENT[kind]((self.step, kind, *payload.values())))
 
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
@@ -276,10 +272,10 @@ class Kernel(Sim):
             msg_cells = dict(res_cells)
             self._put_in_flight(Msg(mid, src, dst, kind, msg_cells, vars,
                                     step, region, g_region, arrival, drop))
-            self.emit(tr.EV_SEND, mid=mid, src=src, dst=dst, msg_kind=kind,
-                      cells=msg_cells, vars=vars, send_region_local=region,
-                      send_region_global=g_region, arrival_step=arrival,
-                      drop_step=drop)
+            self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
+                           cells=msg_cells, vars=vars, send_region_local=region,
+                           send_region_global=g_region, arrival_step=arrival,
+                           drop_step=drop)
 
     # -- per-step phases ---------------------------------------------------
 
@@ -289,8 +285,8 @@ class Kernel(Sim):
         rs = self.rp.rs
         regions = list(map(floordiv, clocks.local, repeat(rs)))
         g_region = clocks.t // rs
-        self.emit(tr.EV_CLOCK, t=clocks.t, g_region=g_region,
-                  locals=tuple(clocks.local), regions=tuple(regions))
+        self.emit_clock(t=clocks.t, g_region=g_region,
+                        locals=tuple(clocks.local), regions=tuple(regions))
         self._move_clocks(clocks.t, g_region, clocks.local, regions)
 
     def _shift(self, proc: ProcState, new_region: int) -> list[tuple]:
@@ -309,9 +305,9 @@ class Kernel(Sim):
         if entry.pid is not None:
             self.may_hold_stale.add(entry.pid)
         detail["g_region"] = self.g_region
-        self.emit(tr.EV_FAULT, fault_kind=entry.kind, pid=entry.pid,
-                  target=tr.canon(entry.target), detail=tr.canon(detail),
-                  applied=applied)
+        self.emit_fault(fault_kind=entry.kind, pid=entry.pid,
+                        target=tr.canon(entry.target), detail=tr.canon(detail),
+                        applied=applied)
 
     def _act(self) -> None:
         step, n, rng = self.step, self.prog.n, self.rng

@@ -66,13 +66,13 @@ class OracleCtx(Ctx):
                 f"{name!r} down from {self.proc.free[name]} to {value}")
         self.proc.free[name] = value
         m = self.sim.free_fams[name].maxbound
-        self.sim.emit(tr.EV_WFREE, pid=self.pid, name=name,
-                      residue=value % m, lifted=value, corrected=False)
+        self.sim.emit_wfree(pid=self.pid, name=name, residue=value % m,
+                            lifted=value, corrected=False)
 
     def spend(self, amount: int) -> None:
         fam = self.sim.prog.budget_family
         self.sim.budgets[fam] -= amount
-        self.sim.emit(tr.EV_SPEND, family=fam, amount=amount)
+        self.sim.emit_spend(family=fam, amount=amount)
 
     def cells(self, coll: str) -> list[tuple]:
         r = self.proc.region
@@ -90,10 +90,9 @@ class OracleCtx(Ctx):
         self.proc.colls[coll][cid] = Cell(value, self.proc.region,
                                           rep.g_region, tag)
         m = rep.coll_fams[coll].maxbound
-        rep.emit(tr.EV_DCREATE, pid=self.pid, coll=coll, cid=cid,
-                 residue=value % m, lifted=value,
-                 created_local=self.proc.region,
-                 created_global=rep.g_region, tag=tag, corrected=False)
+        rep.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=value % m,
+                         lifted=value, created_local=self.proc.region,
+                         created_global=rep.g_region, tag=tag, corrected=False)
         return cid
 
     def _view(self, msg: Msg) -> MsgView:
@@ -177,11 +176,9 @@ class Replayer(Sim):
         self._cursor += 1
         return ev
 
-    def emit(self, kind: str, **payload) -> None:
-        expected = tr.NEW_EVENT[kind]((self.step, kind, *payload.values()))
-        got = self._next()
-        if got != expected:
-            self._fail(f"recorded event {got!r} != reference {expected!r}")
+    def emit(self, ev: tuple) -> None:
+        if (got := self._next()) != ev:
+            self._fail(f"recorded event {got!r} != reference {ev!r}")
 
     # -- messaging ---------------------------------------------------------
 
@@ -193,21 +190,18 @@ class Replayer(Sim):
         fams = self.msg_fams[kind]
         res_cells = {fld: cells[fld] % fams[fld].maxbound
                      for fld in sorted(cells)}
-        new_send = tr.NEW_EVENT[tr.EV_SEND]
         src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
         for dst in dsts:
             mid = self.next_mid
             self.next_mid += 1
-            got = self._next()
             # the delivery draws are the kernel's: take them from the record
+            got = self._events[self._cursor] if self._cursor < self._end else None
             arrival = getattr(got, "arrival_step", None)
             drop = getattr(got, "drop_step", None)
-            expected = new_send((step, tr.EV_SEND, mid, src, dst, kind,
-                                 res_cells, vars, region, g_region, arrival,
-                                 drop))
-            if got != expected:
-                self._fail(f"recorded send {got!r} != reference {expected!r} "
-                           "(ignoring delivery draws)")
+            self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
+                           cells=res_cells, vars=vars, send_region_local=region,
+                           send_region_global=g_region, arrival_step=arrival,
+                           drop_step=drop)
             if (arrival is None) == (drop is None):
                 self._fail(f"send event {got!r} must set exactly one of "
                            "arrival_step and drop_step")

@@ -68,12 +68,6 @@ class ClockState:
         return cls(t=t0, local=[t0] * n)
 
 
-def region_of(t: int, params: RegionParams) -> int:
-    if t < 0:
-        raise ConfigError(f"time must be >= 0, got {t}")
-    return t // params.rs
-
-
 def draw(rng: random.Random, lo: int, hi: int) -> int:
     """``rng.randint(lo, hi)``: the same value, the same generator state.
 

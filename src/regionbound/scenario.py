@@ -170,7 +170,7 @@ def parse(doc: dict) -> Scenario:
     drift = _parse_drift(doc.get("drift_policy"))
 
     families, bounds = _parse_families(_require(doc, "scenario", "families"))
-    min_start = 2 + max(p.max_r for p in families.values())
+    min_start = max(p.min_usable_region() for p in families.values())
     start_region = doc.get("start_region", min_start)
     if not is_int(start_region) or start_region < min_start:
         raise ConfigError(

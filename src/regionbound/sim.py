@@ -23,10 +23,10 @@ only a flagged process is swept again before it acts.
   counter value, ``_shift``, which moves a process into a new region and
   returns its change rows, and ``send_from``, which encodes a payload once
   and posts one message per destination.
-* Every effect goes through :meth:`Sim.emit`: the kernel appends it to the
-  trace, the replayer checks it against the next recorded event. Both build
-  the event positionally (``trace.NEW_EVENT``), so every caller passes the
-  fields in the order ``trace.EVENTS[kind]`` declares them.
+* Every effect is built by its kind's emitter, ``Sim.emit_<kind>``, which
+  takes the fields ``trace.EVENTS`` declares by name, and goes to ``emit``:
+  the kernel appends it to the trace, the replayer checks it against the
+  next recorded event.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ class Ctx:
 
     def remove_cell(self, coll: str, cid: int) -> None:
         del self.proc.colls[coll][cid]
-        self.sim.emit(tr.EV_DREMOVE, pid=self.pid, coll=coll, cid=cid,
-                      reason="stmt")
+        self.sim.emit_dremove(pid=self.pid, coll=coll, cid=cid, reason="stmt")
 
     def var(self, name: str):
         return self.proc.vars[name]
@@ -144,7 +143,7 @@ class Ctx:
     def set_var(self, name: str, value) -> None:
         value = tr.canon(value)
         self.proc.vars[name] = value
-        self.sim.emit(tr.EV_VAR, pid=self.pid, name=name, value=value)
+        self.sim.emit_var(pid=self.pid, name=name, value=value)
 
     def first_cell(self, coll: str, tag=_ANY) -> Optional[tuple]:
         """The live cell of ``coll`` with the lowest id, among those tagged
@@ -189,7 +188,7 @@ class Ctx:
 
     def consume(self, mid: int) -> None:
         del self.sim.inboxes[self.pid][mid]
-        self.sim.emit(tr.EV_CONSUME, mid=mid, pid=self.pid)
+        self.sim.emit_consume(mid=mid, pid=self.pid)
 
     def send(self, dst: int, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
         self.sim.send_from(self, (dst,), kind, cells, vars or {})
@@ -202,8 +201,7 @@ class Ctx:
                                    self.d, self.u1, self.u2))
 
     def mark(self, kind: str, data=None) -> None:
-        self.sim.emit(tr.EV_MARK, mark_kind=kind, pid=self.pid,
-                      data=tr.canon(data))
+        self.sim.emit_mark(mark_kind=kind, pid=self.pid, data=tr.canon(data))
 
 
 class Sim:
@@ -211,7 +209,7 @@ class Sim:
 
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
-    ``locals`` and ``regions``) and implement :meth:`emit`, :meth:`_stored`,
+    ``locals`` and ``regions``) and implement ``emit(ev)``, :meth:`_stored`,
     :meth:`_shift` and ``send_from(ctx, dsts, kind, cells, vars)``, which
     both :meth:`Ctx.send` and :meth:`Ctx.broadcast` call. A message enters
     ``in_flight`` only through :meth:`_put_in_flight`, which files it under
@@ -233,11 +231,6 @@ class Sim:
         self.due: dict[int, list[int]] = {}
         # pids that may hold a stale cell no region change has swept yet
         self.may_hold_stale: set[int] = set()
-
-    def emit(self, kind: str, **payload) -> None:
-        """Handle one effect of the current step, fields named as
-        ``trace.EVENTS[kind]`` declares them."""
-        raise NotImplementedError
 
     def _stored(self, fam, value: int) -> int:
         """The residue a bounded run stores for counter ``value``."""
@@ -285,8 +278,8 @@ class Sim:
                      if cell.created_local < oldest]
             for cid in sorted(stale):
                 del store[cid]
-                self.emit(tr.EV_DREMOVE, pid=proc.pid, coll=coll, cid=cid,
-                          reason="expired")
+                self.emit_dremove(pid=proc.pid, coll=coll, cid=cid,
+                                  reason="expired")
 
     def _sweep_before_act(self, proc) -> None:
         """Expire ``proc``'s cells before it acts, if something from outside
@@ -310,10 +303,10 @@ class Sim:
             if msg is None:  # dropped or delivered already
                 continue
             if msg.drop_step == self.step:
-                self.emit(tr.EV_DROP, mid=mid, reason="lost")
+                self.emit_drop(mid=mid, reason="lost")
             else:
                 self.inboxes[msg.dst][mid] = msg
-                self.emit(tr.EV_ARRIVE, mid=mid)
+                self.emit_arrive(mid=mid)
 
     def _shift(self, proc, new_region: int) -> list[tuple]:
         """Move ``proc`` into ``new_region`` in this side's arithmetic;
@@ -329,8 +322,8 @@ class Sim:
         if any(map(gt, regions, before)):
             for proc, old, new in zip(self.procs, before, regions):
                 if new > old:
-                    self.emit(tr.EV_RC, pid=proc.pid, new_region=new,
-                              changes=tuple(self._shift(proc, new)))
+                    self.emit_rc(pid=proc.pid, new_region=new,
+                                 changes=tuple(self._shift(proc, new)))
                     self._expire_cells(proc)
         if g_region != self.g_region:
             self.g_region = g_region
@@ -349,9 +342,18 @@ class Sim:
         for mid in sorted(self.in_flight):
             if self.in_flight[mid].send_region_global < horizon:
                 del self.in_flight[mid]
-                self.emit(tr.EV_DROP, mid=mid, reason="expired")
+                self.emit_drop(mid=mid, reason="expired")
         for box in self.inboxes:
             for mid in sorted(box):
                 if box[mid].send_region_global < horizon:
                     del box[mid]
-                    self.emit(tr.EV_DROP, mid=mid, reason="expired")
+                    self.emit_drop(mid=mid, reason="expired")
+
+
+# Sim.emit_<kind>: takes the kind's declared fields by name only
+for _kind, _event in tr.EVENTS.items():
+    _fields = ", ".join(_event._fields[2:])
+    exec(f"def emit_{_kind}(self, *, {_fields}):\n"
+         f"    self.emit(_new(_event, (self.step, {_kind!r}, {_fields})))",
+         _scope := {"_new": tuple.__new__, "_event": _event})
+    setattr(Sim, f"emit_{_kind}", _scope[f"emit_{_kind}"])

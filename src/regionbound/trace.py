@@ -9,11 +9,12 @@ either.
 
 Each event kind is declared once below with :func:`_kind`: a named tuple
 ``(step, kind, ...)`` whose field names are also its keys in the file and
-whose field types the loader checks. Producers build events through
-:data:`NEW_EVENT`, from the field values in declared order; checkers read
-them by field name. The rows a snapshot stores as JSON lists, a message and
-a dependent cell, are declared the same way with :func:`_layout`, and so
-are the rows of an ``rc`` event's changes.
+whose field types the loader checks, a :class:`Name` type where a field
+names a process, a counter or the like, which :func:`.analysis.validate`
+checks. Emitters made from each (``Sim.emit_<kind>``) build events from
+the fields by name; checkers read them by field name. The rows a snapshot
+stores as JSON lists, a message and a dependent cell, are declared the same
+way with :func:`_layout`, and so are the rows of an ``rc`` event's changes.
 
 The file form is JSON-lines: each line is exactly one JSON value, a record
 ``{"rec": tag, "data": {...}}``, with stable field names and integers in
@@ -32,14 +33,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, islice, repeat
 from operator import contains, eq, itemgetter
-from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
 
 from .errors import TraceFormatError
 
 EVENTS: dict[str, type] = {}
-# kind -> builds that kind's event from an iterable of all its field values,
-# in declared order, without the named tuple's Python-level keyword __new__
-NEW_EVENT: dict[str, Callable[[Iterable], tuple]] = {}
 
 
 class _List(NamedTuple):
@@ -54,6 +52,16 @@ _JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
 _INT = frozenset((int,))
 _OPT_INT = (int, type(None))
 
+# the type of a field that names something of the program, and what it names
+Name = namedtuple("Name", "type domain")
+PID = Name(int, "pid")
+OPT_PID = Name(_OPT_INT, "optional pid")
+FREE = Name(str, "free counter")
+COLL = Name(str, "collection")
+MSG_KIND = Name(str, "message kind")
+FAMILY = Name(str, "family")
+FAULT_KIND = Name(str, "fault kind")
+
 
 def _admits(t) -> frozenset:
     """The JSON value types a field declared ``t`` may hold. A value's type
@@ -62,14 +70,17 @@ def _admits(t) -> frozenset:
         return _JSON_TYPES
     if isinstance(t, _List):
         return frozenset((list,))
+    if isinstance(t, Name):
+        t = t.type
     return frozenset(t if isinstance(t, tuple) else (t,))
 
 
 def _layout(name: str, /, **types) -> type:
     """Declare a row stored as a JSON list of these fields in this order: a
-    named tuple to read it by, with each field's declared type."""
+    named tuple to read it by, with the fields' declared types and names."""
     row = namedtuple(name, types)
     row.admits = tuple(map(_admits, types.values()))
+    row.names = {key: t for key, t in types.items() if isinstance(t, Name)}
     return row
 
 
@@ -115,19 +126,19 @@ def _kind(name: str, /, **types) -> str:
 
     Each type is what a field holds after loading: a :class:`_List` for a
     JSON list whose items are checked, ``object`` for any JSON value (the
-    replayer checks it), otherwise the type or types of the JSON value.
+    replayer checks it), otherwise the type or types of the JSON value, as
+    a :class:`Name` when the value names something of the program.
     """
-    event = namedtuple(name, ("step", "kind", *types))
+    event = _layout(name, step=int, kind=str, **types)
     event.types = types
     EVENTS[name] = event
-    NEW_EVENT[name] = partial(tuple.__new__, event)
     return name
 
 
 # a snapshot's in-flight and inbox messages, and its processes' cells; a
 # message's cells map each field to its residue
-MsgRow = _layout("MsgRow", mid=int, src=int, dst=int, kind=str, cells=dict,
-                 vars=dict, send_step=int, send_region_local=int,
+MsgRow = _layout("MsgRow", mid=int, src=PID, dst=PID, kind=MSG_KIND,
+                 cells=dict, vars=dict, send_step=int, send_region_local=int,
                  send_region_global=int, arrival_step=_OPT_INT,
                  drop_step=_OPT_INT)
 CellRow = _layout("CellRow", cid=int, residue=int, created_local=int,
@@ -139,25 +150,25 @@ RcChange = _layout("RcChange", slot=str, coll=(str, type(None)),
                    corrected=bool)
 
 EV_CLOCK = _kind("clock", t=int, g_region=int, locals=_INTS, regions=_INTS)
-EV_RC = _kind("rc", pid=int, new_region=int, changes=_rows_of(RcChange))
-EV_FAULT = _kind("fault", fault_kind=str, pid=_OPT_INT, target=object,
+EV_RC = _kind("rc", pid=PID, new_region=int, changes=_rows_of(RcChange))
+EV_FAULT = _kind("fault", fault_kind=FAULT_KIND, pid=OPT_PID, target=object,
                  detail=dict, applied=bool)
 EV_ARRIVE = _kind("arrive", mid=int)
 EV_DROP = _kind("drop", mid=int, reason=str)
 # cells: {field: residue}, keys sorted
-EV_SEND = _kind("send", mid=int, src=int, dst=int, msg_kind=str, cells=dict,
-                vars=dict, send_region_local=int, send_region_global=int,
+EV_SEND = _kind("send", mid=int, src=PID, dst=PID, msg_kind=MSG_KIND,
+                cells=dict, vars=dict, send_region_local=int, send_region_global=int,
                 arrival_step=_OPT_INT, drop_step=_OPT_INT)
-EV_CONSUME = _kind("consume", mid=int, pid=int)
-EV_WFREE = _kind("wfree", pid=int, name=str, residue=int, lifted=int,
+EV_CONSUME = _kind("consume", mid=int, pid=PID)
+EV_WFREE = _kind("wfree", pid=PID, name=FREE, residue=int, lifted=int,
                  corrected=bool)
-EV_DCREATE = _kind("dcreate", pid=int, coll=str, cid=int, residue=int,
+EV_DCREATE = _kind("dcreate", pid=PID, coll=COLL, cid=int, residue=int,
                    lifted=int, created_local=int, created_global=int,
                    tag=object, corrected=bool)
-EV_DREMOVE = _kind("dremove", pid=int, coll=str, cid=int, reason=str)
-EV_VAR = _kind("var", pid=int, name=str, value=object)
-EV_SPEND = _kind("spend", family=str, amount=int)
-EV_MARK = _kind("mark", mark_kind=str, pid=int, data=object)
+EV_DREMOVE = _kind("dremove", pid=PID, coll=COLL, cid=int, reason=str)
+EV_VAR = _kind("var", pid=PID, name=str, value=object)
+EV_SPEND = _kind("spend", family=FAMILY, amount=int)
+EV_MARK = _kind("mark", mark_kind=str, pid=PID, data=object)
 
 # a snapshot's state, as the kernel writes it; each of its procs is a PROC
 SNAPSHOT = {"t": int, "g_region": int, "regions": _INTS, "locals": _INTS,

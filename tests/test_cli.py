@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from regionbound import trace as tr
 from regionbound.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 from conftest import scenario_doc
@@ -497,6 +498,39 @@ def test_trace_that_does_not_fit_its_program_is_a_config_error(
     assert code == EXIT_CONFIG
     assert err.startswith("config error: malformed trace: ")
     assert fault in err
+    assert "Traceback" not in err
+
+
+# every field whose declaration says it names something, of each event kind
+# and of a snapshot's message rows
+_NAME_FIELDS = [(kind, fld, name) for kind, event in tr.EVENTS.items()
+                for fld, name in event.names.items()]
+_NAME_FIELDS += [("MsgRow", fld, name) for fld, name in tr.MsgRow.names.items()]
+
+
+@pytest.mark.parametrize("kind,fld,name", _NAME_FIELDS,
+                         ids=[f"{kind}-{fld}" for kind, fld, _ in _NAME_FIELDS])
+def test_a_name_the_program_does_not_declare_is_refused(run_cli, tmp_path,
+                                                        kind, fld, name):
+    """A shipped trace with one named field set to a name its program does
+    not declare is a config error naming the kind, the field and the
+    value."""
+    value = "zz" if name.type is str else 99
+
+    def change(recs):
+        if kind == "MsgRow":
+            row = next(r["data"]["state"]["in_flight"][0] for r in recs
+                       if r["rec"] == "snapshot"
+                       and r["data"]["state"]["in_flight"])
+            row[tr.MsgRow._fields.index(fld)] = value
+        else:
+            _events(recs, kind)[0][fld] = value
+
+    code, _, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1], change)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace: ")
+    what = "message row [" if kind == "MsgRow" else f"{kind} event "
+    assert what in err and f"{fld} {value!r} is not among" in err
     assert "Traceback" not in err
 
 

@@ -10,7 +10,7 @@ from regionbound import trace as tr
 from regionbound.errors import ConfigError
 from regionbound.kernel import BoundedCtx, Kernel
 from regionbound.oracle import Replayer
-from regionbound.sim import Ctx
+from regionbound.sim import Ctx, Sim
 
 from conftest import PROTOCOLS, build_scenario, run_scenario
 
@@ -184,29 +184,55 @@ def test_run_config_rejects_low_start_region():
         build_scenario("logical_clocks", start_region=3)
 
 
-def test_every_emit_passes_its_fields_in_declared_order(monkeypatch):
-    """Both sides build events positionally from the keywords of an emit
-    call, so each call must name the fields in the order the event kind
-    declares them. Checked on a run and check of every protocol and of the
-    two faulted shipped scenarios, which between them emit all 13 kinds."""
-    seen = Counter()
+def test_every_kind_is_emitted_by_name_through_its_emitter(monkeypatch):
+    """Each event kind has one emitter, ``Sim.emit_<kind>``, generated from
+    its declaration. Over a run and check of every protocol and of the two
+    faulted shipped scenarios, the kernel emits all 13 kinds through them
+    and the replayer every kind it does not read from the trace (clock and
+    fault), and each recorded event holds its fields as they were named."""
+    seen = set()
 
-    def checked(emit):
-        def wrapper(self, kind, **payload):
-            assert tuple(payload) == tr.EVENTS[kind]._fields[2:], kind
-            seen[kind] += 1
-            emit(self, kind, **payload)
+    def checked(kind, emitter):
+        def wrapper(self, **fields):
+            emitter(self, **fields)
+            seen.add((type(self), kind))
+            if type(self) is Kernel:
+                ev = self.trace.events[-1]
+                assert ev._asdict() == {"step": self.step, "kind": kind,
+                                        **fields}
         return wrapper
 
-    for cls in (Kernel, Replayer):
-        monkeypatch.setattr(cls, "emit", checked(cls.emit))
+    for kind in tr.EVENTS:
+        name = f"emit_{kind}"
+        monkeypatch.setattr(Sim, name, checked(kind, getattr(Sim, name)))
     scens = [build_scenario(p) for p in PROTOCOLS]
     scens += [scenario.load(f"scenarios/{name}.json")
               for name in ("mutex_fault_recovery", "diffusing_ring_faults")]
     for sc in scens:
         trace = run_scenario(sc)
         assert analysis.check(sc, trace).ok
-    assert set(seen) == set(tr.EVENTS)
+    replayed = set(tr.EVENTS) - {tr.EV_CLOCK, tr.EV_FAULT}
+    assert seen == ({(Kernel, kind) for kind in tr.EVENTS}
+                    | {(Replayer, kind) for kind in replayed})
+
+
+@pytest.mark.parametrize("kind", tr.EVENTS)
+def test_an_emitter_refuses_a_misspelled_or_missing_field(kind):
+    """An emitter takes exactly the declared fields, by name only; any other
+    call raises before an event is built."""
+    kern = Kernel(build_scenario("logical_clocks").cfg, 5)
+    emit = getattr(kern, f"emit_{kind}")
+    fields = dict.fromkeys(tr.EVENTS[kind]._fields[2:], 0)
+    first, *_ = fields
+    missing = {k: v for k, v in fields.items() if k != first}
+    for call in ({**missing, f"{first}_": 0}, missing):
+        with pytest.raises(TypeError, match=first):
+            emit(**call)
+    with pytest.raises(TypeError, match="positional"):
+        emit(*fields.values())
+    assert kern.trace.events == []
+    emit(**fields)
+    assert kern.trace.events == [(0, kind, *fields.values())]
 
 
 def test_has_cell_answers_as_first_cell_does(monkeypatch):

@@ -10,31 +10,9 @@ from regionbound.regions import (
     RegionParams,
     advance_clocks,
     draw,
-    region_of,
 )
 
 RS100 = RegionParams(rs=100, start_region=7)
-
-
-def test_region_of_examples():
-    assert region_of(0, RS100) == 0
-    assert region_of(250, RS100) == 2
-    assert region_of(3600, RS100) == 36
-
-
-def test_region_of_rejects_negative_time():
-    with pytest.raises(ConfigError):
-        region_of(-1, RS100)
-
-
-def test_region_of_monotone_and_periodic():
-    params = RegionParams(rs=7, start_region=3)
-    prev = 0
-    for t in range(0, 400):
-        r = region_of(t, params)
-        assert r >= prev
-        assert r == t // 7
-        prev = r
 
 
 def test_initial_clocks_share_the_start_region():
