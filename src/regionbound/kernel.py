@@ -37,13 +37,7 @@ from typing import Optional
 from . import trace as tr
 from .counters import free_window, lift_dep, lift_free, to_residue
 from .errors import ConfigError, KernelInvariantError, ProtocolBug
-from .regions import (
-    ClockState,
-    DriftPolicy,
-    RegionParams,
-    advance_clocks,
-    draw,
-)
+from .regions import DriftPolicy, RegionParams, advance_clocks, draw
 from .sim import Ctx, Msg, MsgView, Sim
 from .transform import (
     Cell,
@@ -186,8 +180,8 @@ class Kernel(Sim):
         self.rp = RegionParams(rs=cfg.rs, start_region=cfg.start_region)
 
         prog = self.prog
-        start = ClockState.at_region_start(prog.n, self.rp)
-        self.t, self.locals = start.t, start.local
+        self.t = cfg.start_region * cfg.rs
+        self.locals = [self.t] * prog.n
         self.g_region = cfg.start_region
         self.regions = [cfg.start_region] * prog.n
         self.next_cid = 0
@@ -280,14 +274,14 @@ class Kernel(Sim):
     # -- per-step phases ---------------------------------------------------
 
     def _advance_clocks(self) -> None:
-        clocks = advance_clocks(ClockState(self.t, self.locals), 1, self.rp,
-                                self.cfg.drift, self.rng)
-        rs = self.rp.rs
-        regions = list(map(floordiv, clocks.local, repeat(rs)))
-        g_region = clocks.t // rs
-        self.emit_clock(t=clocks.t, g_region=g_region,
-                        locals=tuple(clocks.local), regions=tuple(regions))
-        self._move_clocks(clocks.t, g_region, clocks.local, regions)
+        local = advance_clocks(self.t, self.locals, 1, self.rp,
+                               self.cfg.drift, self.rng)
+        t, rs = self.t + 1, self.rp.rs
+        regions = list(map(floordiv, local, repeat(rs)))
+        g_region = t // rs
+        self.emit_clock(t=t, g_region=g_region, locals=tuple(local),
+                        regions=tuple(regions))
+        self._move_clocks(t, g_region, local, regions)
 
     def _shift(self, proc: ProcState, new_region: int) -> list[tuple]:
         return region_shift(proc, new_region, self.free_fams, self.coll_fams)

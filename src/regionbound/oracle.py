@@ -220,7 +220,7 @@ class Replayer(Sim):
         if (got.t != self.t + 1 or got.t // rs != got.g_region
                 or regions != list(got.regions)):
             self._fail(f"clock record {got!r} is internally inconsistent")
-        self._move_clocks(got.t, got.g_region, got.locals, got.regions)
+        self._move_clocks(got.t, got.g_region, got.locals, regions)
 
     def _shift(self, proc, new_r: int) -> list[tuple]:
         """Raise each free counter to the new window floor, in integers."""

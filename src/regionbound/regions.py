@@ -8,8 +8,10 @@ guarantees that the drift model must never break:
 * any two process clocks are at most one region apart.
 
 Drift is generated, then clamped (never rejected) so both invariants hold at
-every instant. Clamping runs in process-id order, which makes the outcome a
-pure function of the RNG stream.
+every instant. The clamp is specified in process-id order, which makes the
+outcome a pure function of the RNG stream. While every clock is in the new
+global region or the one above it, that clamp is one shared cap, and only a
+tick on which some clock lags the global region runs it pid by pid.
 """
 
 from __future__ import annotations
@@ -55,19 +57,6 @@ class DriftPolicy:
             raise ConfigError("bounded_jitter needs max_step_skew >= 1")
 
 
-@dataclass
-class ClockState:
-    """Global time plus one local clock per process."""
-
-    t: int
-    local: list[int]
-
-    @classmethod
-    def at_region_start(cls, n: int, params: RegionParams) -> "ClockState":
-        t0 = params.start_region * params.rs
-        return cls(t=t0, local=[t0] * n)
-
-
 def draw(rng: random.Random, lo: int, hi: int) -> int:
     """``rng.randint(lo, hi)``: the same value, the same generator state.
 
@@ -105,13 +94,15 @@ def draw_onto(rng: random.Random, lo: int, hi: int, bases: list[int]) -> list[in
 
 
 def advance_clocks(
-    clocks: ClockState,
+    t: int,
+    local: list[int],
     dt: int,
     params: RegionParams,
     policy: DriftPolicy,
     rng: random.Random,
-) -> ClockState:
-    """Advance global time by ``dt`` and every local clock by roughly ``dt``.
+) -> list[int]:
+    """The local clocks after global time moves from ``t`` to ``t + dt`` and
+    every local clock by roughly ``dt``.
 
     Local clocks never decrease. Each is clamped, in process-id order, so that
     after the update its region stays within 1 of the new global region and
@@ -124,29 +115,34 @@ def advance_clocks(
         # a single advance must not be able to skip a whole region
         raise ConfigError(f"dt must be < region size {params.rs}, got {dt}")
     rs = params.rs
-    t2 = clocks.t + dt
-    gr = t2 // rs
-    old = clocks.local
+    gr = (t + dt) // rs
     if policy.kind == "none":
-        moved = [x + dt for x in old]
+        moved = [x + dt for x in local]
     else:
         lo_step = max(0, dt - policy.max_step_skew)
         hi_step = dt + policy.max_step_skew
-        moved = draw_onto(rng, lo_step, hi_step, old)
-    # No clock moves backwards, so every region a clamp compares lies between
-    # the lowest old one and the highest drifted one. When those and ``gr``
-    # span at most two adjacent regions, no bound binds and both skew
-    # guarantees hold as drawn.
-    if max(max(moved) // rs, gr) - min(min(old) // rs, gr) <= 1:
-        return ClockState(t=t2, local=moved)
-    return ClockState(t=t2, local=_clamp(old, moved, gr, rs))
+        moved = draw_onto(rng, lo_step, hi_step, local)
+    # When every old clock is in region ``gr`` or ``gr + 1``, the pid-order
+    # clamp is one cap for all. No clock moves backwards, so every region it
+    # compares, old or new, is at least ``gr``: its lower bound ``lo`` is
+    # ``gr``. The cap then keeps each new region at most ``gr + 1``, so the
+    # upper bound ``hi`` is too, and the floor ``(hi - 1)*rs <= gr*rs``
+    # never rises above an old clock. What is left is the cap
+    # ``(lo + 2)*rs - 1``, and it puts every clock in ``gr`` or ``gr + 1``,
+    # which is both skew guarantees. (A comprehension, since a builtin
+    # ``min`` call per clock costs several times as much.)
+    cap = (gr + 2) * rs - 1
+    if gr * rs <= min(local) and max(local) <= cap:
+        return [x if x < cap else cap for x in moved]
+    return _clamp(local, moved, gr, rs)
 
 
 def _clamp(old: list[int], moved: list[int], gr: int, rs: int) -> list[int]:
     """Clamp each drifted clock, in process-id order, against the global
     region and every other clock: the new value of clocks before it, the
-    old value of clocks after it. The same pass asserts both skew
-    guarantees on the result."""
+    old value of clocks after it. :func:`advance_clocks` calls it only on a
+    tick where some old clock is outside regions ``gr`` and ``gr + 1``. The
+    same pass asserts both skew guarantees on the result."""
     n = len(old)
     # extremes of the old regions of clocks j..n-1, seeded with ``gr`` so
     # the global bound folds into the same max/min

@@ -31,7 +31,6 @@ only a flagged process is swept again before it acts.
 
 from __future__ import annotations
 
-from operator import gt
 from typing import Optional
 
 from . import trace as tr
@@ -319,7 +318,7 @@ class Sim:
         region refills the budgets and drops expired messages."""
         before = self.regions
         self.t, self.locals, self.regions = t, locals, regions
-        if any(map(gt, regions, before)):
+        if regions != before:  # both lists, so equal regions compare equal
             for proc, old, new in zip(self.procs, before, regions):
                 if new > old:
                     self.emit_rc(pid=proc.pid, new_region=new,

@@ -124,6 +124,25 @@ def test_region_gap_scan_with_drift_stays_within_one():
     assert report.ok
 
 
+def test_region_gap_scan_catches_a_clock_two_regions_ahead():
+    # the kernel's shared-cap tick asserts nothing itself, so this scan is
+    # the independent check of the skew guarantee
+    sc = build_scenario("logical_clocks")
+    trace = run_scenario(sc)
+    doctored = copy.deepcopy(trace)
+    rs = trace.meta["rs"]
+    i, ev = next((i, ev) for i, ev in enumerate(doctored.events)
+                 if ev.kind == tr.EV_CLOCK and min(ev.regions) == ev.g_region)
+    locals_ = list(ev.locals)
+    locals_[0] = (ev.g_region + 2) * rs  # two regions past the lowest clock
+    doctored.events[i] = ev._replace(
+        locals=tuple(locals_), regions=tuple(x // rs for x in locals_))
+    report = analysis.scan_region_gaps(doctored, 1)
+    assert report.lines() == [
+        "FAIL region-gaps: max inter-process region gap 2 (allowed 1)"]
+    assert analysis.scan_region_gaps(trace, 1).ok
+
+
 def test_msg_lifetime_scan_passes_real_runs(any_protocol):
     sc = build_scenario(any_protocol)
     report = analysis.scan_msg_lifetime(run_scenario(sc))

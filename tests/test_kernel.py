@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from regionbound import analysis, faults, scenario
+from regionbound import kernel as kernel_mod
 from regionbound import trace as tr
 from regionbound.errors import ConfigError
 from regionbound.kernel import BoundedCtx, Kernel
@@ -144,6 +145,27 @@ def test_region_entry_follows_each_tick_in_pid_order(any_protocol):
     assert entered
     if any(decl.expiry is not None for decl in sc.prog.colls.values()):
         assert swept
+
+
+def test_run_calls_advance_clocks_once_per_tick_step(monkeypatch):
+    """The kernel reaches the tick through the module-level name
+    ``kernel.advance_clocks``, once at each step ``step > 0`` with
+    ``step % sptu == 0``; perfbench times the tick by wrapping that name."""
+    sc = build_scenario("logical_clocks", run_regions=6)
+    k = Kernel(sc.cfg, 3)
+    calls = []
+    real = kernel_mod.advance_clocks
+
+    def counting(*args):
+        calls.append(k.step)
+        return real(*args)
+
+    monkeypatch.setattr(kernel_mod, "advance_clocks", counting)
+    trace = k.run()
+    sptu = sc.cfg.sptu
+    assert calls == [step for step in range(1, sc.cfg.total_steps)
+                     if step % sptu == 0]
+    assert calls == [ev.step for ev in trace.iter_events(tr.EV_CLOCK)]
 
 
 def test_snapshots_bracket_the_run(any_protocol):

@@ -1,44 +1,71 @@
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regionbound import kernel, regions
 from regionbound.errors import ConfigError
-from regionbound.regions import (
-    ClockState,
-    DriftPolicy,
-    RegionParams,
-    advance_clocks,
-    draw,
-)
+from regionbound.regions import DriftPolicy, RegionParams, advance_clocks, draw
 
-RS100 = RegionParams(rs=100, start_region=7)
+from conftest import build_scenario
+
+
+class Clocks(NamedTuple):
+    """Global time and the local clocks at one instant."""
+
+    t: int
+    local: list
+
+
+def at_region_start(n, params):
+    t0 = params.start_region * params.rs
+    return Clocks(t0, [t0] * n)
+
+
+def tick(clocks, dt, params, policy, rng):
+    return Clocks(clocks.t + dt,
+                  advance_clocks(clocks.t, clocks.local, dt, params, policy,
+                                 rng))
 
 
 def test_initial_clocks_share_the_start_region():
-    clocks = ClockState.at_region_start(4, RegionParams(rs=10, start_region=9))
-    assert clocks.t == 90
-    assert clocks.local == [90, 90, 90, 90]
+    sc = build_scenario("logical_clocks")
+    k = kernel.Kernel(sc.cfg, 0)
+    start = sc.cfg.start_region
+    assert k.t == start * sc.cfg.rs
+    assert k.locals == [k.t] * sc.prog.n
+    assert k.regions == [start] * sc.prog.n
+    assert k.regions == [x // sc.cfg.rs for x in k.locals]
 
 
 def test_lockstep_advance_keeps_zero_gap():
     params = RegionParams(rs=10, start_region=3)
-    clocks = ClockState.at_region_start(3, params)
+    clocks = at_region_start(3, params)
     rng = random.Random(0)
     policy = DriftPolicy("none")
     for _ in range(250):
-        clocks = advance_clocks(clocks, 1, params, policy, rng)
+        clocks = tick(clocks, 1, params, policy, rng)
         assert all(x == clocks.t for x in clocks.local)
+
+
+def test_advance_leaves_its_input_alone():
+    params = RegionParams(rs=10, start_region=3)
+    local = [30, 31, 35]
+    advance_clocks(31, local, 1, params,
+                   DriftPolicy("bounded_jitter", max_step_skew=3),
+                   random.Random(0))
+    assert local == [30, 31, 35]
 
 
 def drive(seed, steps, n=3, rs=10, skew=4):
     params = RegionParams(rs=rs, start_region=5)
-    clocks = ClockState.at_region_start(n, params)
+    clocks = at_region_start(n, params)
     rng = random.Random(seed)
     policy = DriftPolicy("bounded_jitter", max_step_skew=skew)
     states = [clocks]
     for _ in range(steps):
-        clocks = advance_clocks(clocks, 1, params, policy, rng)
+        clocks = tick(clocks, 1, params, policy, rng)
         states.append(clocks)
     return params, states
 
@@ -79,11 +106,11 @@ def test_clamp_holds_leader_back():
     # one process about to leave region 5 while another sits in region 4:
     # the leader gets pinned to the last instant of region 5
     params = RegionParams(rs=10, start_region=4)
-    clocks = ClockState(t=59, local=[59, 40, 59])
+    clocks = Clocks(t=59, local=[59, 40, 59])
     rng = random.Random(1)
     policy = DriftPolicy("bounded_jitter", max_step_skew=3)
     for _ in range(40):
-        clocks = advance_clocks(clocks, 1, params, policy, rng)
+        clocks = tick(clocks, 1, params, policy, rng)
         rlist = [x // params.rs for x in clocks.local]
         assert max(rlist) - min(rlist) <= 1
 
@@ -98,9 +125,9 @@ def test_advance_is_deterministic_per_seed():
 
 def test_dt_must_stay_below_region_size():
     params = RegionParams(rs=5, start_region=1)
-    clocks = ClockState.at_region_start(2, params)
     with pytest.raises(ConfigError):
-        advance_clocks(clocks, 5, params, DriftPolicy("none"), random.Random(0))
+        advance_clocks(5, [5, 5], 5, params, DriftPolicy("none"),
+                       random.Random(0))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -137,23 +164,42 @@ def _reference_advance(clocks, dt, params, policy, rng):
                 others_hi = min(others_hi, rk + 1)
         tj = max(tj, others_lo * rs, clocks.local[j])
         new_local[j] = min(tj, (others_hi + 1) * rs - 1)
-    return ClockState(t=t2, local=new_local)
+    return Clocks(t2, new_local)
 
 
 @pytest.mark.parametrize("n,rs,skew", [(1, 4, 3), (3, 4, 3), (4, 25, 3),
-                                       (5, 6, 5), (9, 3, 2), (32, 10, 9)])
-def test_advance_matches_pairwise_reference(n, rs, skew):
+                                       (5, 6, 5), (9, 3, 2), (32, 10, 9),
+                                       (8, 10, 1), (64, 25, 1)])
+def test_advance_matches_pairwise_reference(n, rs, skew, monkeypatch):
+    # skew 1 draws increments from [0, 2], so clocks lag the global region
+    # on some ticks and the pid-order clamp runs beside the shared cap
+    clamps = {}
+    real_clamp = regions._clamp
+
+    def counting_clamp(*args):
+        clamps[policy.kind] = clamps.get(policy.kind, 0) + 1
+        return real_clamp(*args)
+
+    monkeypatch.setattr(regions, "_clamp", counting_clamp)
     params = RegionParams(rs=rs, start_region=3)
+    ticks = 300
     for policy in (DriftPolicy("none"),
                    DriftPolicy("bounded_jitter", max_step_skew=skew)):
         for seed in range(5):
             fast_rng, ref_rng = random.Random(seed), random.Random(seed)
-            clocks = ClockState.at_region_start(n, params)
-            for _ in range(300):
+            clocks = at_region_start(n, params)
+            for _ in range(ticks):
                 want = _reference_advance(clocks, 1, params, policy, ref_rng)
-                clocks = advance_clocks(clocks, 1, params, policy, fast_rng)
-                assert (clocks.t, clocks.local) == (want.t, want.local)
-            assert fast_rng.random() == ref_rng.random()
+                clocks = tick(clocks, 1, params, policy, fast_rng)
+                assert clocks == want
+            assert fast_rng.getstate() == ref_rng.getstate()
+    # lockstep enters each new region through the clamp and stays in one
+    # region through the cap in between
+    assert clamps["none"] == 5 * (ticks // rs)
+    jittered = clamps.get("bounded_jitter", 0)
+    assert jittered < 5 * ticks
+    if skew == 1:
+        assert jittered > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
