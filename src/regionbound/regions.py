@@ -107,7 +107,9 @@ def advance_clocks(
     Local clocks never decrease. Each is clamped, in process-id order, so that
     after the update its region stays within 1 of the new global region and
     within 1 of every other clock's region (already-updated clocks count with
-    their new value, the rest with their old one).
+    their new value, the rest with their old one). While every old clock is
+    in the new global region or the one above it, that clamp is one shared
+    cap; otherwise :func:`_clamp` runs it clock by clock.
     """
     if dt < 1:
         raise ConfigError(f"dt must be >= 1, got {dt}")
