@@ -35,11 +35,12 @@ def build(info: BuildInfo) -> ProtocolDef:
     adopt_cap = fam.max_r + 1 - expiry
     n = info.n
 
-    def view_entry(ctx, peer):
-        for cid, value, tag, age in ctx.cells("view"):
-            if tag[0] == peer:
-                return cid, value
-        return None
+    def view_entries(ctx):
+        """Each peer's view entry with the lowest cid, as (cid, value)."""
+        entries = {}
+        for cid, value, tag, age in ctx.cells("view"):  # in cid order
+            entries.setdefault(tag[0], (cid, value))
+        return entries
 
     def can_spend(ctx):
         return ctx.can_spend(ctx.d)
@@ -48,6 +49,9 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.spend(ctx.d)
         ctx.set_free("own", ctx.free("own") + ctx.d)
         ages = m.var("ages")
+        # each field names another peer, so the loop's removes and creates
+        # never touch an entry a later field looks up
+        view = view_entries(ctx)
         for fld in m.cell_fields():
             peer = int(fld[1:])
             if peer == ctx.pid:
@@ -56,7 +60,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             if eff > adopt_cap:
                 continue
             value = m.cell(fld)
-            cur = view_entry(ctx, peer)
+            cur = view.get(peer)
             if cur is not None:
                 if cur[1] >= value:
                     continue

@@ -17,12 +17,18 @@ stores as JSON lists, a message and a dependent cell, are declared the same
 way with :func:`_layout`, and so are the rows of an ``rc`` event's changes.
 
 The file form is JSON-lines: each line is exactly one JSON value, a record
-``{"rec": tag, "data": {...}}``, with stable field names and integers in
-decimal; blank lines are skipped. Field order within a line is fixed by
-construction (dicts are built in a fixed order), so identical runs serialize
-identically. A trace is written a bounded chunk of lines at a time, and read
-one line at a time, so neither direction holds a second copy of the whole
-trace; the json module's C encoder and decoder do the per-record JSON work.
+``{"rec": tag, "data": {...}}``, with the fields in declaration order under
+their names and integers in decimal; blank lines are skipped. Every line is
+the text ``json.dumps(record, separators=(",", ":"))`` gives it, so
+identical runs serialize identically. The row, each event kind and the
+snapshot are written and read by a codec generated once from their declared
+types (:func:`_codec`): a ``%`` template with the keys as constant text and
+a renderer per field type, the json module's C encoder for nested values;
+and a loader that checks each field's type inline. A trace is written a
+bounded chunk of lines at a time, and read one line at a time, by the json
+module's C decoder, so neither direction holds a second copy of the whole
+trace. A line holding ``NaN`` or an infinity, which are not JSON, or a
+second meta or summary record or snapshot of a step, is refused.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import contains, eq, itemgetter
 from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
 
@@ -185,24 +191,19 @@ SELF_LOOP = -1
 
 
 class _Record:
-    """How a row, an event or a snapshot is stored: its keys in the file, in
-    field order, and how it loads back. ``get`` takes a record's field
-    values from its data, ``admits`` holds the JSON value types each may
-    have, and ``make`` builds the loaded tuple, or returns None when a list
-    field's items are wrong. A record that fails any of these goes to
+    """How a row, an event kind or a snapshot is stored, as two functions
+    generated once from its declared types: ``render`` gives a record's
+    line, and ``load`` reads a record's data back into its tuple, or
+    returns None when a field does not have its declared type (a missing
+    field raises KeyError). A record that fails to load goes to
     :meth:`refuse`, which names its first fault in field order."""
 
-    __slots__ = ("tag", "what", "types", "keys", "get", "admits", "make")
+    __slots__ = ("tag", "what", "types", "render", "load")
 
-    def __init__(self, tag: str, what: str, types: dict, cls: type):
+    def __init__(self, tag: str, what: str, types: dict, cls: type,
+                 kind: str | None = None):
         self.tag, self.what, self.types = tag, what, types
-        self.keys = ("step", *types)
-        self.get = itemgetter(*self.keys)
-        self.admits = tuple(map(_admits, (int, *types.values())))
-        lists = tuple((i, t.load) for i, t in enumerate(types.values(), 1)
-                      if isinstance(t, _List))
-        new = tuple if cls is tuple else partial(tuple.__new__, cls)
-        self.make = partial(_make_with_lists, new, lists) if lists else new
+        self.render, self.load = _codec(tag, types, cls, kind)
 
     def refuse(self, d: dict, lineno: int) -> NoReturn:
         if type(d.get("step")) is not int:
@@ -212,24 +213,103 @@ class _Record:
             f"line {lineno}: {self.what} {misfit(self.types, d)}")
 
 
-def _make_with_lists(new, lists, vals):
-    vals = list(vals)
-    for i, load in lists:
-        if (item := load(vals[i])) is None:
-            return None
-        vals[i] = item
-    return new(vals)
+# json.dumps(separators=(",", ":"))'s C encoder, built once: JSONEncoder.encode
+# builds a new one on every call. Called as _encode(value, 0), it returns the
+# value's text in chunks.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+if c_make_encoder is None:  # no C accelerator: the same text, slower
+    def _encode(val, _level):
+        return (_ENCODER.encode(val),)
+else:
+    _encode = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii,
+                             None, ":", ",", False, False, True)
+
+
+def _dumps(val) -> str:
+    return "".join(_encode(val, 0))
+
+
+def _field_text(t, v: str) -> tuple[str, str]:
+    """The template text of a field declared ``t`` and the expression that
+    fills it from the variable ``v``: exactly the text json.dumps gives a
+    value of that type."""
+    if isinstance(t, Name):
+        t = t.type
+    if t is int:
+        return "%d", v
+    if t == (int, float):
+        return "%r", v  # float.__repr__, as json's, for every finite float
+    if t is str:
+        return "%s", f"_str({v})"
+    if t is bool:
+        return "%s", f'("true" if {v} else "false")'
+    if t is _INTS:
+        return "[%s]", f"_commas(_map(_int, {v}))"
+    if t == _OPT_INT:
+        return "%s", f'("null" if {v} is None else _int({v}))'
+    return "%s", f"_join(_encode({v}, 0))"  # a nested value
+
+
+def _codec(tag: str, types: dict, cls: type, kind: str | None):
+    """A record's line renderer and its loader, generated as Python source
+    from its declared types. The record's tuple is ``(step, *types)``; an
+    event's is ``(step, kind, *types)``, its kind stored under ``ev``."""
+    scope = {"_str": encode_basestring_ascii, "_int": int.__repr__,
+             "_map": map, "_commas": ",".join, "_join": "".join,
+             "_encode": _encode, "_type": type, "_new": tuple.__new__,
+             "_cls": cls}
+    fields = [("step", int), *types.items()]
+    names = [f"v{i}" for i in range(len(fields))]
+    text, exprs, loads, checks = [], [], [], []
+    for (key, t), v in zip(fields, names):
+        fmt, expr = _field_text(t, v)
+        text.append(f"{encode_basestring_ascii(key)}:{fmt}")
+        exprs.append(expr)
+        loads.append(f"{v} = d[{key!r}]")
+        if isinstance(t, _List):
+            scope[f"_load_{v}"] = t.load
+            checks.append(f"_type({v}) is list and "
+                          f"({v} := _load_{v}({v})) is not None")
+        elif t is not object:  # a decoded JSON value is any JSON type
+            admits = _admits(t)
+            if len(admits) == 1:
+                scope[f"_t_{v}"], = admits
+                checks.append(f"_type({v}) is _t_{v}")
+            else:
+                scope[f"_t_{v}"] = admits
+                checks.append(f"_type({v}) in _t_{v}")
+    unpack = made = names
+    if kind is not None:
+        text.insert(1, f'"ev":{encode_basestring_ascii(kind)}')
+        unpack = [names[0], "_", *names[1:]]
+        made = [names[0], repr(kind), *names[1:]]
+    scope["_TEXT"] = (f'{{"rec":{encode_basestring_ascii(tag)},"data":'
+                      f'{{{",".join(text)}}}}}\n')
+    made = ", ".join(made)
+    exec(f"def render(r, /):\n"
+         f"    {', '.join(unpack)}, = r\n"
+         f"    return _TEXT % ({', '.join(exprs)},)\n"
+         f"def load(d, /):\n"
+         f"    {'; '.join(loads)}\n"
+         f"    if {' and '.join(checks)}:\n"
+         f"        return {f'({made},)' if cls is tuple else f'_new(_cls, ({made}))'}\n"
+         f"    return None\n", scope)
+    return scope["render"], scope["load"]
 
 
 _ROW = _Record("row", "row", _ROW_TYPES, tuple)
 _SNAPSHOT_RECORD = _Record("snapshot", "snapshot", {"state": dict}, tuple)
-_EVENT_RECORDS = {kind: _Record("event", f"{kind} event",
-                                {"ev": str, **cls.types}, cls)
+_EVENT_RECORDS = {kind: _Record("event", f"{kind} event", cls.types, cls, kind)
                   for kind, cls in EVENTS.items()}
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-_decode = json.JSONDecoder().raw_decode
-# records per fp.write: bounds the text a writer holds besides the trace
+
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# NaN and the infinities are not JSON: a line holding one is refused
+_decode = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
+# lines per fp.write: bounds the text a writer holds besides the trace
 _CHUNK_LINES = 256
 
 
@@ -258,34 +338,36 @@ class Trace:
         """Write the trace as JSON lines, at most ``_CHUNK_LINES`` lines per
         ``fp.write``; ``fp`` needs nothing but ``write``."""
         fp.write(_line("meta", self.meta))
-        keys = _ROW.keys
-        for chunk in _chunks("row", (dict(zip(keys, row)) for row in self.rows)):
-            fp.write(chunk)
-        keys = {kind: rec.keys for kind, rec in _EVENT_RECORDS.items()}
-        for chunk in _chunks("event", (dict(zip(keys[ev.kind], ev))
-                                       for ev in self.events)):
-            fp.write(chunk)
+        rows, render = self.rows, _ROW.render
+        for i in range(0, len(rows), _CHUNK_LINES):
+            fp.write("".join(map(render, rows[i:i + _CHUNK_LINES])))
+        events = self.events
+        renders = {kind: rec.render for kind, rec in _EVENT_RECORDS.items()}
+        for i in range(0, len(events), _CHUNK_LINES):
+            fp.write("".join([renders[ev[1]](ev)
+                              for ev in events[i:i + _CHUNK_LINES]]))
+        render = _SNAPSHOT_RECORD.render
         for step in sorted(self.snapshots):
-            fp.write(_line("snapshot", {"step": step, "state": self.snapshots[step]}))
+            fp.write(render((step, self.snapshots[step])))
         fp.write(_line("summary", self.summary))
 
     @classmethod
     def read_jsonl(cls, fp: IO[str]) -> "Trace":
-        """Load a trace from JSON lines; a malformed line raises
+        """Load a trace from JSON lines; a malformed line, or a second meta
+        or summary record or snapshot of a step, raises
         :class:`TraceFormatError` naming its line number."""
-        meta: dict | None = None
+        singles: dict[str, dict] = {}  # the meta and summary records
         rows: list[tuple] = []
         events: list[tuple] = []
-        snapshots: list[tuple] = []  # (step, state) pairs
-        summary: dict = {}
-        row, records = _ROW, _EVENT_RECORDS
+        snapshots: dict[int, dict] = {}
+        row, records, snapshot = _ROW, _EVENT_RECORDS, _SNAPSHOT_RECORD
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec, end = _decode(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a non-finite or too long number
                 raise TraceFormatError(f"line {lineno}: not valid JSON: {exc}") from None
             if end != len(line):
                 raise TraceFormatError(
@@ -305,27 +387,31 @@ class Trace:
             elif tag == "row":
                 record, out = row, rows
             elif tag == "snapshot":
-                record, out = _SNAPSHOT_RECORD, snapshots
-            elif tag == "meta":
-                meta = d
-                continue
-            elif tag == "summary":
-                summary = d
+                record, out = snapshot, None
+            elif tag == "meta" or tag == "summary":
+                if tag in singles:
+                    raise TraceFormatError(f"line {lineno}: a second {tag} record")
+                singles[tag] = d
                 continue
             else:
                 raise TraceFormatError(f"line {lineno}: unknown record tag {tag!r}")
             try:
-                vals = record.get(d)
+                loaded = record.load(d)
             except KeyError:
+                loaded = None
+            if loaded is None:
                 record.refuse(d, lineno)
-            if (not all(map(contains, record.admits, map(type, vals)))
-                    or (loaded := record.make(vals)) is None):
-                record.refuse(d, lineno)
-            out.append(loaded)
-        if meta is None:
+            if out is not None:
+                out.append(loaded)
+            elif (step := loaded[0]) in snapshots:
+                raise TraceFormatError(
+                    f"line {lineno}: a second snapshot at step {step}")
+            else:
+                snapshots[step] = loaded[1]
+        if "meta" not in singles:
             raise TraceFormatError("trace has no meta record")
-        return cls(meta=meta, rows=rows, events=events,
-                   snapshots=dict(snapshots), summary=summary)
+        return cls(meta=singles["meta"], rows=rows, events=events,
+                   snapshots=snapshots, summary=singles.get("summary", {}))
 
 
 def save(trace: Trace, path: str) -> None:
@@ -348,35 +434,8 @@ def _refuse_event(d: dict, lineno: int) -> NoReturn:
     raise TraceFormatError(f"line {lineno}: unknown event kind {d['ev']!r}")
 
 
-def _head(tag: str) -> str:
-    """The text of a record's line before its data."""
-    return f'{{"rec":{_encode(tag)},"data":'
-
-
 def _line(tag: str, data: dict) -> str:
-    return f"{_head(tag)}{_encode(data)}}}\n"
-
-
-# Rows and events are encoded a chunk at a time, as one JSON list of their
-# data objects, each of which opens with its "step" key. So the list's item
-# separators all read _SEP. Inside a JSON string a quote is always escaped,
-# so _SEP can occur elsewhere only where a nested object opens with a "step"
-# key; the chunk then holds more than one _SEP per separator and is encoded
-# record by record instead.
-_SEP = '},{"step":'
-
-
-def _chunks(tag: str, datas: Iterator[dict]) -> Iterator[str]:
-    """The lines of the records ``tag`` with data ``datas``, joined
-    ``_CHUNK_LINES`` at a time."""
-    head = _head(tag)
-    joint = f'}}}}\n{head}{{"step":'
-    while batch := list(islice(datas, _CHUNK_LINES)):
-        text = _encode(batch)
-        if text.count(_SEP) == len(batch) - 1:
-            yield f"{head}{text[1:-1].replace(_SEP, joint)}}}\n"
-        else:
-            yield "".join(f"{head}{_encode(d)}}}\n" for d in batch)
+    return f'{{"rec":{encode_basestring_ascii(tag)},"data":{_dumps(data)}}}\n'
 
 
 def canon(val: Any) -> Any:

@@ -689,3 +689,40 @@ def test_a_meta_value_matches_only_its_own_json_type(run_cli, tmp_path):
             "drift"].update(max_step_skew=3.0))
     assert code == EXIT_CONFIG
     assert "does not match scenario; drift: trace has" in err
+
+
+def _nan_u1_at_step_5(recs):
+    at = next(i for i, r in enumerate(recs)
+              if r["rec"] == "row" and r["data"]["step"] == 5)
+    recs[at]["data"]["u1"] = float("nan")
+    return at
+
+
+def _second_meta(recs):
+    recs.insert(1, recs[0])
+    return 1
+
+
+def _forged_start_before_the_real_one(recs):
+    at = next(i for i, r in enumerate(recs) if r["rec"] == "snapshot")
+    forged = json.loads(json.dumps(recs[at]))
+    forged["data"]["state"]["t"] += 100
+    recs.insert(at, forged)
+    return at + 1
+
+
+@pytest.mark.parametrize("change,fault", [
+    (_nan_u1_at_step_5, "not valid JSON: NaN is not a JSON number"),
+    (_second_meta, "a second meta record"),
+    (_forged_start_before_the_real_one, "a second snapshot at step 0"),
+], ids=["nan", "meta", "snapshot"])
+def test_a_non_finite_number_or_a_duplicate_record_is_refused(
+        run_cli, tmp_path, change, fault):
+    """Each of these once loaded and went on to the checks: the NaN failed
+    the replay, and the duplicates passed."""
+    where = []
+    code, stdout, err = _check_doctored(
+        run_cli, tmp_path, SCENARIOS[0], lambda r: where.append(change(r)))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err.endswith(f".jsonl: line {where[0] + 1}: {fault}\n")

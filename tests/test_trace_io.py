@@ -1,6 +1,7 @@
 """Trace files: the bytes written, the round trip, and line-exact refusals."""
 import io
 import json
+from itertools import cycle
 
 import pytest
 
@@ -51,36 +52,77 @@ def written(trace):
     return "".join(sink.parts)
 
 
+# the edge values of each declared type, which the fields take in turn
+INTS = (0, 7, -1, -(2 ** 63) - 1, 2 ** 64, 3 ** 90)
+DRAWS = (5e-324, 1e-07, 0.1, -0.0, 3, 0.5)  # u1 and u2: floats and an int
+OPT_INTS = (None, 3, 2 ** 64, -1)
+TEXTS = ("", "act", "é☃\U0001f600", '"\\/\n\t\x00\x1f', '},{"step":',
+         "\u2028")
+PAYLOADS = (None, True, -(2 ** 70), 5e-324, '},{"step":', "é\"\\\n",
+            [{"step": 1}, {"step": 2}], {"step": 3, "a": [1.25, -2]})
+
+
+def pick(values, s):
+    return values[s % len(values)]
+
+
+def edge_fields(kind, s):
+    """The fields of a ``kind`` event at step ``s``, each an edge value of
+    its declared type; an optional field is None at some steps, and a list
+    field empty at some."""
+    def i(k):
+        return pick(INTS, s + k)
+
+    def t(k):
+        return pick(TEXTS, s + k)
+
+    def o(k):
+        return pick(OPT_INTS, s + k)
+
+    def p(k):
+        return pick(PAYLOADS, s + k)
+    yes = bool(s % 2)
+    ints = INTS[:s % (len(INTS) + 1)]
+    changes = ((t(0), None, t(1), i(0), i(1), i(2), yes),
+               (t(2), t(3), i(3), i(4), i(5), i(6), not yes))[:s % 3]
+    return {
+        "clock": lambda: dict(t=i(0), g_region=i(1), locals=ints,
+                              regions=ints[::-1]),
+        "rc": lambda: dict(pid=i(0), new_region=i(1), changes=changes),
+        "fault": lambda: dict(fault_kind=t(0), pid=o(0), target=p(0),
+                              detail={t(1): p(1)}, applied=yes),
+        "arrive": lambda: dict(mid=i(0)),
+        "drop": lambda: dict(mid=i(0), reason=t(0)),
+        "send": lambda: dict(mid=i(0), src=i(1), dst=i(2), msg_kind=t(0),
+                             cells={t(1): i(3)}, vars={t(2): p(0)},
+                             send_region_local=i(4), send_region_global=i(5),
+                             arrival_step=o(0), drop_step=o(1)),
+        "consume": lambda: dict(mid=i(0), pid=i(1)),
+        "wfree": lambda: dict(pid=i(0), name=t(0), residue=i(1), lifted=i(2),
+                              corrected=yes),
+        "dcreate": lambda: dict(pid=i(0), coll=t(0), cid=i(1), residue=i(2),
+                                lifted=i(3), created_local=i(4),
+                                created_global=i(5), tag=p(0), corrected=yes),
+        "dremove": lambda: dict(pid=i(0), coll=t(0), cid=i(1), reason=t(1)),
+        "var": lambda: dict(pid=i(0), name=t(0), value=p(0)),
+        "spend": lambda: dict(family=t(0), amount=i(0)),
+        "mark": lambda: dict(mark_kind=t(0), pid=i(0), data=p(0)),
+    }[kind]()
+
+
 def synthetic(records):
-    """A trace of ``records`` rows and as many events of every kind, with
-    payloads that hold the text and the nesting a record boundary has."""
-    rows = [(s, s % 3, s % 2 - 1, "act" if s % 2 else "", 1 + s % 4,
-             s / 7, 0.5) for s in range(records)]
-    E = tr.EVENTS
-    payloads = [None, '},{"step":', "é\"\\\n", [{"step": 1}, {"step": 2}],
-                {"step": 3, "a": [1.25, -2]}]
-    makers = [
-        lambda s: E["clock"](s, "clock", t=s, g_region=s // 5,
-                             locals=(s, s + 1), regions=(0, 1)),
-        lambda s: E["rc"](s, "rc", pid=1, new_region=2, changes=(
-            ("free", None, "c", 1, 2, 3, False),
-            ("dep", "pend", 7, 1, 2, 3, True))),
-        lambda s: E["send"](s, "send", mid=s, src=0, dst=1, msg_kind="REQ",
-                            cells={"stamp": 3}, vars={"v": [1, 2]},
-                            send_region_local=1, send_region_global=1,
-                            arrival_step=s + 3, drop_step=None),
-        lambda s: E["mark"](s, "mark", mark_kind="m", pid=0,
-                            data=payloads[s % len(payloads)]),
-        lambda s: E["var"](s, "var", pid=2, name="x",
-                           value=payloads[(s + 1) % len(payloads)]),
-        lambda s: E["fault"](s, "fault", fault_kind="overwrite_free", pid=None,
-                             target="clk", detail={"new": 5}, applied=True),
-    ]
-    events = [makers[s % len(makers)](s) for s in range(records)]
-    return tr.Trace(meta={"n": 3, "name": "synthetic"}, rows=rows,
+    """A trace of ``records`` rows and as many events, of every kind in
+    turn, whose fields take the edge values of their declared types."""
+    rows = [(s, pick(INTS, s), pick(INTS, s + 1), pick(TEXTS, s),
+             pick(INTS, s + 2), pick(DRAWS, s), pick(DRAWS, s + 1))
+            for s in range(records)]
+    kinds = list(tr.EVENTS)
+    events = [tr.EVENTS[kind](s, kind, **edge_fields(kind, s))
+              for s, kind in zip(range(records), cycle(kinds))]
+    return tr.Trace(meta={"n": 3, "name": "synthétic\n"}, rows=rows,
                     events=events, snapshots={0: {"label": "start"},
                                               records: {"label": "final"}},
-                    summary={"steps": records})
+                    summary={"steps": records, "u": [5e-324, -0.0]})
 
 
 def kernel_trace(path, seed=3):
@@ -165,3 +207,71 @@ def test_a_malformed_line_deep_in_a_kernel_trace_names_its_line():
     bad = lines[:deep] + ['{"rec":"event","data":{"step":1,"ev":"zz"}}\n'] \
         + lines[deep + 1:]
     assert refusal(bad) == f"line {deep + 1}: unknown event kind 'zz'"
+
+
+def test_the_synthetic_trace_holds_every_kind_and_edge_value():
+    trace = synthetic(2 * CHUNK + 3)
+    assert {ev.kind for ev in trace.events} == set(tr.EVENTS)
+    assert {repr(row[5]) for row in trace.rows} == set(map(repr, DRAWS))
+    for kind in tr.EVENTS:
+        evs = list(trace.iter_events(kind))
+        for fld, t in tr.EVENTS[kind].types.items():
+            vals = [getattr(ev, fld) for ev in evs]
+            if t == tr._OPT_INT or t is tr.OPT_PID:
+                assert None in vals, (kind, fld)
+            elif t is tr._INTS:
+                assert () in vals, (kind, fld)
+            elif t is str or isinstance(t, tr.Name) and t.type is str:
+                assert set(TEXTS) <= set(vals), (kind, fld)
+            elif t is int or isinstance(t, tr.Name) and t.type is int:
+                assert set(INTS) <= set(vals), (kind, fld)
+
+
+def row_line(lines, step):
+    head = f'{{"rec":"row","data":{{"step":{step},'
+    return next(i for i, line in enumerate(lines) if line.startswith(head))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_number_is_not_valid_json(constant):
+    lines = lines_of(synthetic(20))
+    at = row_line(lines, 5)
+    rec = json.loads(lines[at])
+    rec["data"]["u1"] = float(constant.lower().replace("infinity", "inf"))
+    bad = lines[:at] + [json.dumps(rec, separators=(",", ":")) + "\n"] \
+        + lines[at + 1:]
+    assert f'"u1":{constant},' in bad[at]
+    assert refusal(bad) == (f"line {at + 1}: not valid JSON: {constant} "
+                            "is not a JSON number")
+    mark = ('{"rec":"event","data":{"step":3,"ev":"mark","mark_kind":"m",'
+            f'"pid":0,"data":{{"x":[1,{constant}]}}}}}}\n')
+    assert refusal(lines[:at] + [mark] + lines[at + 1:]) == (
+        f"line {at + 1}: not valid JSON: {constant} is not a JSON number")
+
+
+def test_a_number_too_long_to_read_is_refused_with_its_line():
+    lines = lines_of(synthetic(20))
+    at = row_line(lines, 5)
+    bad = lines[:at] + [lines[at].replace('"d":', '"d":' + "9" * 5000, 1)] \
+        + lines[at + 1:]
+    assert refusal(bad).startswith(f"line {at + 1}: not valid JSON: Exceeds")
+
+
+def test_a_second_meta_or_summary_record_is_refused():
+    lines = lines_of(synthetic(20))
+    assert refusal(lines[:5] + lines[:1] + lines[5:]) == (
+        "line 6: a second meta record")
+    assert refusal(lines + lines[-1:]) == (
+        f"line {len(lines) + 1}: a second summary record")
+
+
+def test_a_second_snapshot_of_a_step_is_refused():
+    trace = synthetic(20)
+    lines = lines_of(trace)
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith('{"rec":"snapshot"'))
+    forged = lines[at].replace('"start"', '"forged"')
+    assert tr.Trace.read_jsonl(lines[:at] + [forged] + lines[at + 1:]) \
+        .snapshots[0] == {"label": "forged"}
+    assert refusal(lines[:at] + [forged] + lines[at:]) == (
+        f"line {at + 2}: a second snapshot at step 0")
