@@ -225,10 +225,6 @@ else:
                              None, ":", ",", False, False, True)
 
 
-def _dumps(val) -> str:
-    return "".join(_encode(val, 0))
-
-
 def _field_text(t, v: str) -> tuple[str, str]:
     """The template text of a field declared ``t`` and the expression that
     fills it from the variable ``v``: exactly the text json.dumps gives a
@@ -278,21 +274,22 @@ def _codec(tag: str, types: dict, cls: type, kind: str | None):
             else:
                 scope[f"_t_{v}"] = admits
                 checks.append(f"_type({v}) in _t_{v}")
-    unpack = made = names
+    unpack = values = names
     if kind is not None:
         text.insert(1, f'"ev":{encode_basestring_ascii(kind)}')
         unpack = [names[0], "_", *names[1:]]
-        made = [names[0], repr(kind), *names[1:]]
+        values = [names[0], repr(kind), *names[1:]]
     scope["_TEXT"] = (f'{{"rec":{encode_basestring_ascii(tag)},"data":'
                       f'{{{",".join(text)}}}}}\n')
-    made = ", ".join(made)
+    values = ", ".join(values)
+    build = f"({values},)" if cls is tuple else f"_new(_cls, ({values}))"
     exec(f"def render(r, /):\n"
          f"    {', '.join(unpack)}, = r\n"
          f"    return _TEXT % ({', '.join(exprs)},)\n"
          f"def load(d, /):\n"
          f"    {'; '.join(loads)}\n"
          f"    if {' and '.join(checks)}:\n"
-         f"        return {f'({made},)' if cls is tuple else f'_new(_cls, ({made}))'}\n"
+         f"        return {build}\n"
          f"    return None\n", scope)
     return scope["render"], scope["load"]
 
@@ -435,7 +432,8 @@ def _refuse_event(d: dict, lineno: int) -> NoReturn:
 
 
 def _line(tag: str, data: dict) -> str:
-    return f'{{"rec":{encode_basestring_ascii(tag)},"data":{_dumps(data)}}}\n'
+    text = "".join(_encode(data, 0))
+    return f'{{"rec":{encode_basestring_ascii(tag)},"data":{text}}}\n'
 
 
 def canon(val: Any) -> Any:
