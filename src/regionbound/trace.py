@@ -20,11 +20,13 @@ The file form is JSON-lines: each line is exactly one JSON value, a record
 ``{"rec": tag, "data": {...}}``, with the fields in declaration order under
 their names and integers in decimal; blank lines are skipped. Every line is
 the text ``json.dumps(record, separators=(",", ":"))`` gives it, so
-identical runs serialize identically. The row, each event kind and the
-snapshot are written and read by a codec generated once from their declared
-types (:func:`_codec`): a ``%`` template with the keys as constant text and
-a renderer per field type, the json module's C encoder for nested values;
-and a loader that checks each field's type inline. A trace is written a
+identical runs serialize identically; that holds for values of their
+declared types and finite floats, and a value of another type makes the
+writer raise or write a line the loader refuses. The row, each event kind
+and the snapshot are written and read by a codec generated once from their
+declared types (:func:`_codec`): a ``%`` template with the keys as constant
+text and a renderer per field type, the json module's C encoder for nested
+values; and a loader that checks each field's type inline. A trace is written a
 bounded chunk of lines at a time, and read one line at a time, by the json
 module's C decoder, so neither direction holds a second copy of the whole
 trace. A line holding ``NaN`` or an infinity, which are not JSON, or a
@@ -216,33 +218,32 @@ class _Record:
 # json.dumps(separators=(",", ":"))'s C encoder, built once: JSONEncoder.encode
 # builds a new one on every call. Called as _encode(value, 0), it returns the
 # value's text in chunks.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-if c_make_encoder is None:  # no C accelerator: the same text, slower
-    def _encode(val, _level):
-        return (_ENCODER.encode(val),)
-else:
-    _encode = c_make_encoder(None, _ENCODER.default, encode_basestring_ascii,
-                             None, ":", ",", False, False, True)
+_encode = c_make_encoder(None, json.JSONEncoder().default,
+                         encode_basestring_ascii, None, ":", ",", False, False,
+                         True)
 
 
 def _field_text(t, v: str) -> tuple[str, str]:
     """The template text of a field declared ``t`` and the expression that
     fills it from the variable ``v``: exactly the text json.dumps gives a
-    value of that type."""
+    value of that type. A value of another type raises TypeError or gives
+    text the loader refuses: integers are written by ``repr``, so neither a
+    float nor a bool can pass for one, and only True and False for a bool."""
     if isinstance(t, Name):
         t = t.type
     if t is int:
-        return "%d", v
+        return "%r", v
     if t == (int, float):
         return "%r", v  # float.__repr__, as json's, for every finite float
     if t is str:
         return "%s", f"_str({v})"
     if t is bool:
-        return "%s", f'("true" if {v} else "false")'
+        return "%s", (f'("true" if {v} is True else "false" if {v} is False '
+                      f'else _repr({v}))')
     if t is _INTS:
-        return "[%s]", f"_commas(_map(_int, {v}))"
+        return "[%s]", f"_commas(_map(_repr, {v}))"
     if t == _OPT_INT:
-        return "%s", f'("null" if {v} is None else _int({v}))'
+        return "%s", f'("null" if {v} is None else _repr({v}))'
     return "%s", f"_join(_encode({v}, 0))"  # a nested value
 
 
@@ -250,7 +251,7 @@ def _codec(tag: str, types: dict, cls: type, kind: str | None):
     """A record's line renderer and its loader, generated as Python source
     from its declared types. The record's tuple is ``(step, *types)``; an
     event's is ``(step, kind, *types)``, its kind stored under ``ev``."""
-    scope = {"_str": encode_basestring_ascii, "_int": int.__repr__,
+    scope = {"_str": encode_basestring_ascii, "_repr": repr,
              "_map": map, "_commas": ",".join, "_join": "".join,
              "_encode": _encode, "_type": type, "_new": tuple.__new__,
              "_cls": cls}

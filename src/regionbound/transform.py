@@ -27,6 +27,7 @@ from typing import Callable, Optional
 from .counters import (
     CounterParams,
     check_dep,
+    check_free,
     free_window,
     lift_dep,
     lift_free,
@@ -142,11 +143,9 @@ def choose_action(actions: list[ActionSpec], ctx) -> Optional[int]:
 def write_free(value: int, region: int, fam: CounterParams) -> tuple[int, int, bool]:
     """Range-check then store a free-counter write.
 
-    Returns (residue, checked_value, corrected). :func:`.counters.check_free`
-    in place, as the kernel writes free counters on every step."""
-    lo, hi = free_window(region, fam)
-    checked = value if lo <= value <= hi else lo
-    return checked % fam.maxbound, checked, checked != value
+    Returns (residue, checked_value, corrected)."""
+    checked = check_free(value, region, fam)
+    return to_residue(checked, fam), checked, checked != value
 
 
 def write_dep(value: int, region: int, fam: CounterParams) -> tuple[int, int, bool]:

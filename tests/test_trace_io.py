@@ -227,6 +227,48 @@ def test_the_synthetic_trace_holds_every_kind_and_edge_value():
                 assert set(INTS) <= set(vals), (kind, fld)
 
 
+# values to put where they do not belong; a list field also gets a list
+# holding one that is not an item of it
+WRONG = (2.5, 2.0, True, False, None, "5", "true", "null", 1, 0, {"a": 1})
+
+
+def misplaced(types):
+    """Each (field, value) pair where the value is not of the field's
+    declared type; fields of any JSON value are left out."""
+    for fld, t in types.items():
+        if t is object:
+            continue
+        admits = tr._admits(t)
+        wrong = [w for w in WRONG if type(w) not in admits]
+        if isinstance(t, tr._List):
+            wrong += [[w] for w in WRONG if t.load([w]) is None]
+        for w in wrong:
+            yield fld, w
+
+
+def test_a_value_of_another_type_is_never_written_as_its_declared_type():
+    """Writing raises TypeError, or gives a line the loader refuses."""
+    base = synthetic(len(tr.EVENTS))
+    cases = [(0, dict(zip(ROW_KEYS, base.rows[0])), fld, w)
+             for fld, w in misplaced({"step": int, **tr._ROW_TYPES})]
+    for s, ev in enumerate(base.events):
+        cases += [(s, ev, fld, w)
+                  for fld, w in misplaced({"step": int, **ev.types})]
+    assert len(cases) > 300
+    for s, rec, fld, w in cases:
+        trace = synthetic(len(tr.EVENTS))
+        if isinstance(rec, dict):
+            trace.rows[s] = tuple({**rec, fld: w}.values())
+        else:
+            trace.events[s] = rec._replace(**{fld: w})
+        try:
+            lines = lines_of(trace)
+        except TypeError:
+            continue
+        with pytest.raises(TraceFormatError):
+            tr.Trace.read_jsonl(lines)
+
+
 def row_line(lines, step):
     head = f'{{"rec":"row","data":{{"step":{step},'
     return next(i for i, line in enumerate(lines) if line.startswith(head))
