@@ -128,7 +128,7 @@ def _apply_overwrite_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
         fld = flds[k % len(flds)]
     old = msg.cells[fld]
     # a new dict: the message shares its old one with the recorded send
-    msg.cells = {**msg.cells, fld: entry.value}
+    kern.in_flight[msg.mid] = msg._replace(cells={**msg.cells, fld: entry.value})
     return True, {"mid": msg.mid, "field": fld, "old": old, "new": entry.value}
 
 

@@ -37,8 +37,8 @@ from typing import Optional
 from . import trace as tr
 from .counters import free_window, lift_dep, lift_free, to_residue
 from .errors import ConfigError, KernelInvariantError, ProtocolBug
-from .regions import DriftPolicy, RegionParams, advance_clocks, draw
-from .sim import Ctx, Msg, MsgView, Sim
+from .regions import DriftPolicy, advance_clocks, draw
+from .sim import Ctx, MsgView, Sim
 from .transform import (
     Cell,
     ProcState,
@@ -164,7 +164,7 @@ class BoundedCtx(Ctx):
                               corrected=corrected)
         return cid
 
-    def _view(self, msg: Msg) -> MsgView:
+    def _view(self, msg: tr.MsgRow) -> MsgView:
         r = self.proc.region
         lifted = {fld: lift_dep(res, r, self.sim.msg_fams[msg.kind][fld])
                   for fld, res in msg.cells.items()}
@@ -175,9 +175,7 @@ class Kernel(Sim):
     def __init__(self, cfg: RunConfig, seed: int):
         super().__init__(cfg.prog, cfg.lifetime_regions)
         self.cfg = cfg
-        self.seed = seed
         self.rng = random.Random(seed)
-        self.rp = RegionParams(rs=cfg.rs, start_region=cfg.start_region)
 
         prog = self.prog
         self.t = cfg.start_region * cfg.rs
@@ -186,20 +184,18 @@ class Kernel(Sim):
         self.regions = [cfg.start_region] * prog.n
         self.next_cid = 0
         self.procs = [self._init_proc(pid) for pid in range(prog.n)]
-        self.inboxes: list[dict[int, Msg]] = [{} for _ in range(prog.n)]
-        self.in_flight: dict[int, Msg] = {}
+        self.inboxes: list[dict[int, tr.MsgRow]] = [{} for _ in range(prog.n)]
+        self.in_flight: dict[int, tr.MsgRow] = {}
         self.next_mid = 0
         self.budgets = {fam: params.maxinc
                         for fam, params in prog.families.items()}
         self.step = 0
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
-        self._maxinc = prog.families[prog.budget_family].maxinc
-        # step -> the faults scheduled at that step, in scenario order
-        self._step_faults: dict[int, list] = {}
+        # when_kind -> when -> the faults scheduled then, in scenario order
+        self._faults: dict[str, dict[int, list]] = {"step": {}, "region": {}}
         for entry in cfg.faults:
-            if entry.when_kind == "step":
-                self._step_faults.setdefault(entry.when, []).append(entry)
+            self._faults[entry.when_kind].setdefault(entry.when, []).append(entry)
 
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
         self.emit = self.trace.events.append  # the kernel records each event
@@ -263,20 +259,20 @@ class Kernel(Sim):
             mid = self.next_mid
             self.next_mid += 1
             # the message and its send record share a cells dict of their own
-            msg_cells = dict(res_cells)
-            self._put_in_flight(Msg(mid, src, dst, kind, msg_cells, vars,
-                                    step, region, g_region, arrival, drop))
+            msg = tr.MsgRow(mid, src, dst, kind, dict(res_cells), vars, step,
+                            region, g_region, arrival, drop)
+            self._put_in_flight(msg)
             self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
-                           cells=msg_cells, vars=vars, send_region_local=region,
+                           cells=msg.cells, vars=vars, send_region_local=region,
                            send_region_global=g_region, arrival_step=arrival,
                            drop_step=drop)
 
     # -- per-step phases ---------------------------------------------------
 
     def _advance_clocks(self) -> None:
-        local = advance_clocks(self.t, self.locals, 1, self.rp,
-                               self.cfg.drift, self.rng)
-        t, rs = self.t + 1, self.rp.rs
+        t, rs = self.t + 1, self.cfg.rs
+        local = advance_clocks(self.t, self.locals, rs, self.cfg.drift,
+                               self.rng)
         regions = list(map(floordiv, local, repeat(rs)))
         g_region = t // rs
         self.emit_clock(t=t, g_region=g_region, locals=tuple(local),
@@ -288,9 +284,8 @@ class Kernel(Sim):
 
     def _on_global_region(self) -> None:
         super()._on_global_region()
-        for entry in self.cfg.faults:
-            if entry.when_kind == "region" and entry.when == self.g_region:
-                self._apply_fault(entry)
+        for entry in self._faults["region"].get(self.g_region, ()):
+            self._apply_fault(entry)
         if self.g_region in self.cfg.snapshot_regions:
             self._pending_snapshot = f"region:{self.g_region}"
 
@@ -309,7 +304,7 @@ class Kernel(Sim):
             self._order = list(range(n))
             rng.shuffle(self._order)
         pid = self._order[step % n]
-        d = draw(rng, 1, self._maxinc)
+        d = draw(rng, 1, self.maxinc)
         u1 = rng.random()
         u2 = rng.random()
         proc = self.procs[pid]
@@ -326,7 +321,7 @@ class Kernel(Sim):
 
     def run(self) -> tr.Trace:
         self._pending_snapshot = "start"
-        sptu, due, step_faults = self.cfg.sptu, self.due, self._step_faults
+        sptu, due, step_faults = self.cfg.sptu, self.due, self._faults["step"]
         for step in range(self.cfg.total_steps):
             self.step = step
             if self._pending_snapshot is not None:

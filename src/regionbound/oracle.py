@@ -40,7 +40,7 @@ from operator import eq, floordiv, itemgetter, ne
 from . import trace as tr
 from .counters import lift_dep, lift_free
 from .errors import ProtocolBug
-from .sim import Ctx, Msg, MsgView, Sim
+from .sim import Ctx, MsgView, Sim
 from .transform import Cell, ProcState, choose_action
 
 
@@ -95,7 +95,7 @@ class OracleCtx(Ctx):
                          created_global=rep.g_region, tag=tag, corrected=False)
         return cid
 
-    def _view(self, msg: Msg) -> MsgView:
+    def _view(self, msg: tr.MsgRow) -> MsgView:
         return MsgView(msg.mid, msg.src, msg.kind, msg.cells, msg.vars)
 
 
@@ -113,7 +113,6 @@ class Replayer(Sim):
         self.rs = trace.meta["rs"]
         self._load(trace.snapshots[start_step])
         self.step = start_step
-        self.maxinc = prog.families[prog.budget_family].maxinc
         # pids already activated in the block of n steps the replay starts in
         self._acted = {pid for _, pid, *_ in
                        trace.rows[start_step - start_step % prog.n:start_step]}
@@ -147,21 +146,19 @@ class Replayer(Sim):
             self.procs.append(proc)
         # the snapshot comes from outside the program: any cell may be stale
         self.may_hold_stale.update(range(len(self.procs)))
-        self.in_flight: dict[int, Msg] = {}
+        self.in_flight: dict[int, tr.MsgRow] = {}
         for row in snap["in_flight"]:
             self._put_in_flight(self._load_msg(row))
-        self.inboxes: list[dict[int, Msg]] = [{} for _ in range(self.prog.n)]
-        for pid, rows in enumerate(snap["inboxes"]):
-            for row in rows:
-                msg = self._load_msg(row)
-                self.inboxes[pid][msg.mid] = msg
+        self.inboxes: list[dict[int, tr.MsgRow]] = [
+            {msg.mid: msg for msg in map(self._load_msg, rows)}
+            for rows in snap["inboxes"]]
 
-    def _load_msg(self, row: list) -> Msg:
+    def _load_msg(self, row: list) -> tr.MsgRow:
         row = tr.MsgRow._make(row)
         fams = self.msg_fams[row.kind]
         lifted = {fld: lift_dep(res, self.regions[row.dst], fams[fld])
                   for fld, res in row.cells.items()}
-        return Msg(*row._replace(cells=lifted))
+        return row._replace(cells=lifted)
 
     # -- trace comparison --------------------------------------------------
 
@@ -205,8 +202,8 @@ class Replayer(Sim):
             if (arrival is None) == (drop is None):
                 self._fail(f"send event {got!r} must set exactly one of "
                            "arrival_step and drop_step")
-            self._put_in_flight(Msg(mid, src, dst, kind, dict(cells), vars,
-                                    step, region, g_region, arrival, drop))
+            self._put_in_flight(tr.MsgRow(mid, src, dst, kind, dict(cells), vars,
+                                          step, region, g_region, arrival, drop))
 
     # -- phases ------------------------------------------------------------
 

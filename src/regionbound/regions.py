@@ -23,26 +23,12 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class RegionParams:
-    """Region size and the region the run starts in."""
-
-    rs: int
-    start_region: int
-
-    def __post_init__(self) -> None:
-        if self.rs < 1:
-            raise ConfigError(f"region size must be >= 1, got {self.rs}")
-        if self.start_region < 0:
-            raise ConfigError(f"start_region must be >= 0, got {self.start_region}")
-
-
-@dataclass(frozen=True)
 class DriftPolicy:
     """How process clocks move relative to global time.
 
     ``none``: lockstep, every local clock equals global time.
     ``bounded_jitter``: each advance draws a per-process increment from
-    ``[dt - max_step_skew, dt + max_step_skew]`` (floored at 0), then clamps.
+    ``[1 - max_step_skew, 1 + max_step_skew]`` (floored at 0), then clamps.
     """
 
     kind: str = "none"
@@ -96,13 +82,12 @@ def draw_onto(rng: random.Random, lo: int, hi: int, bases: list[int]) -> list[in
 def advance_clocks(
     t: int,
     local: list[int],
-    dt: int,
-    params: RegionParams,
+    rs: int,
     policy: DriftPolicy,
     rng: random.Random,
 ) -> list[int]:
-    """The local clocks after global time moves from ``t`` to ``t + dt`` and
-    every local clock by roughly ``dt``.
+    """The local clocks after global time moves from ``t`` to ``t + 1`` and
+    every local clock by about 1, in regions of ``rs`` (at least 2) units.
 
     Local clocks never decrease. Each is clamped, in process-id order, so that
     after the update its region stays within 1 of the new global region and
@@ -111,19 +96,11 @@ def advance_clocks(
     in the new global region or the one above it, that clamp is one shared
     cap; otherwise :func:`_clamp` runs it clock by clock.
     """
-    if dt < 1:
-        raise ConfigError(f"dt must be >= 1, got {dt}")
-    if dt >= params.rs:
-        # a single advance must not be able to skip a whole region
-        raise ConfigError(f"dt must be < region size {params.rs}, got {dt}")
-    rs = params.rs
-    gr = (t + dt) // rs
+    gr = (t + 1) // rs
     if policy.kind == "none":
-        moved = [x + dt for x in local]
-    else:
-        lo_step = max(0, dt - policy.max_step_skew)
-        hi_step = dt + policy.max_step_skew
-        moved = draw_onto(rng, lo_step, hi_step, local)
+        moved = [x + 1 for x in local]
+    else:  # bounded_jitter's skew s >= 1 floors 1 - s at 0
+        moved = draw_onto(rng, 0, 1 + policy.max_step_skew, local)
     # When every old clock is in region ``gr`` or ``gr + 1``, the pid-order
     # clamp is one cap for all. No clock moves backwards, so every region it
     # compares, old or new, is at least ``gr``: its lower bound ``lo`` is
@@ -171,7 +148,7 @@ def _clamp(old: list[int], moved: list[int], gr: int, rs: int) -> list[int]:
             tj = (hi - 1) * rs
         if tj > (lo + 2) * rs - 1:
             tj = (lo + 2) * rs - 1
-        if tj < old[j]:  # pragma: no cover - guarded by dt < rs
+        if tj < old[j]:  # pragma: no cover - guarded by rs >= 2
             raise ConfigError("drift clamp would move a clock backwards")
         new_local[j] = tj
         rj = tj // rs

@@ -19,6 +19,7 @@ from .errors import ConfigError, is_int
 from .protocols import REGISTRY
 from .protocols.base import BuildInfo
 from .regions import DriftPolicy
+from .trace import refuse_constant
 
 _TOPOLOGIES = ("complete", "ring", "line", "star")
 
@@ -281,12 +282,12 @@ def parse(doc: dict) -> Scenario:
 
 
 def load(path: str) -> Scenario:
-    """Parse the scenario file at ``path``."""
+    """Parse the scenario file at ``path``, which must be JSON: no NaN."""
     try:
         with open(path, encoding="utf-8") as fp:
-            doc = json.load(fp)
+            doc = json.load(fp, parse_constant=refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error or a refused constant
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse(doc)

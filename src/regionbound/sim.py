@@ -7,6 +7,10 @@ message-lifetime drop at every global region change, the action-facing
 context API and the snapshot form of the state. They differ only in counter
 arithmetic and in what becomes of an effect.
 
+A message in flight or in an inbox is a ``trace.MsgRow`` tuple, its cells
+in this side's arithmetic; a change puts a new tuple in its place, never
+mutating one. Protocols read messages through the lifted :class:`MsgView`.
+
 A cell expires once its owner's region passes its creation region by more
 than the collection's expiry. The program creates a cell at its owner's
 current region, so only a region change can age one, and every region change
@@ -34,24 +38,6 @@ from __future__ import annotations
 from typing import Optional
 
 from . import trace as tr
-
-
-class Msg:
-    __slots__ = tr.MsgRow._fields  # in the order of its snapshot row
-
-    def __init__(self, mid, src, dst, kind, cells, vars, send_step,
-                 send_region_local, send_region_global, arrival_step, drop_step):
-        self.mid = mid
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.cells = cells
-        self.vars = vars
-        self.send_step = send_step
-        self.send_region_local = send_region_local
-        self.send_region_global = send_region_global
-        self.arrival_step = arrival_step
-        self.drop_step = drop_step
 
 
 class MsgView:
@@ -218,6 +204,7 @@ class Sim:
     def __init__(self, prog, lifetime: int):
         self.prog = prog
         self.lifetime = lifetime  # message lifetime in global regions
+        self.maxinc = prog.families[prog.budget_family].maxinc  # the largest d
         self.free_fams = {name: prog.families[fam]
                           for name, fam in prog.free_cells.items()}
         self.coll_fams = {coll: prog.families[decl.family]
@@ -255,16 +242,13 @@ class Sim:
                 "next_mid": self.next_mid, "next_cid": self.next_cid,
                 "budgets": dict(self.budgets)}
 
-    def _msg_rows(self, store: dict[int, Msg]) -> list:
+    def _msg_rows(self, store: dict[int, tr.MsgRow]) -> list:
         rows = []
         for mid, m in sorted(store.items()):
             fams = self.msg_fams[m.kind]
-            cells = {fld: self._stored(fams[fld], value)
-                     for fld, value in sorted(m.cells.items())}
-            rows.append(list(tr.MsgRow(
-                mid, m.src, m.dst, m.kind, cells, m.vars, m.send_step,
-                m.send_region_local, m.send_region_global, m.arrival_step,
-                m.drop_step)))
+            rows.append(list(m._replace(cells={
+                fld: self._stored(fams[fld], value)
+                for fld, value in sorted(m.cells.items())})))
         return rows
 
     def _expire_cells(self, proc) -> None:
@@ -287,7 +271,7 @@ class Sim:
             self.may_hold_stale.discard(proc.pid)
             self._expire_cells(proc)
 
-    def _put_in_flight(self, msg: Msg) -> None:
+    def _put_in_flight(self, msg: tr.MsgRow) -> None:
         self.in_flight[msg.mid] = msg
         for step in (msg.arrival_step, msg.drop_step):
             if step is not None:

@@ -40,6 +40,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import isfinite
 from operator import contains, eq, itemgetter
 from typing import Any, Callable, IO, Iterator, NamedTuple, NoReturn
 
@@ -301,12 +302,13 @@ _EVENT_RECORDS = {kind: _Record("event", f"{kind} event", cls.types, cls, kind)
                   for kind, cls in EVENTS.items()}
 
 
-def _refuse_constant(name: str) -> NoReturn:
+def refuse_constant(name: str) -> NoReturn:
+    """A json decoder's ``parse_constant``: refuses NaN and the infinities."""
     raise ValueError(f"{name} is not a JSON number")
 
 
 # NaN and the infinities are not JSON: a line holding one is refused
-_decode = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
+_decode = json.JSONDecoder(parse_constant=refuse_constant).raw_decode
 # lines per fp.write: bounds the text a writer holds besides the trace
 _CHUNK_LINES = 256
 
@@ -442,9 +444,11 @@ def canon(val: Any) -> Any:
 
     Tuples become lists, sets become sorted lists, dict keys must be strings.
     Recording only canonical values keeps a freshly produced trace equal to
-    its own serialize/parse round trip.
+    its own serialize/parse round trip. ``NaN`` and the infinities are not
+    JSON, and are refused.
     """
-    if val is None or isinstance(val, (bool, int, float, str)):
+    if val is None or isinstance(val, (bool, int, str)) or (
+            isinstance(val, float) and isfinite(val)):
         return val
     if isinstance(val, (tuple, list)):
         return [canon(v) for v in val]

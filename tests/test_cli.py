@@ -616,6 +616,28 @@ def test_an_event_past_the_last_row_fails_the_replay(run_cli, tmp_path):
     assert "FAIL protocol-safety: not judged, replay failed" in stdout
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_a_send_setting_both_or_neither_delivery_step_fails_the_replay(
+        run_cli, tmp_path, both):
+    """The replayer takes a message's delivery step from its send record;
+    the kernel sets exactly one of the two."""
+    def change(recs):
+        send = _events(recs, "send")[0]
+        step = send["arrival_step"]
+        if step is None:
+            step = send["drop_step"]
+        send["arrival_step"] = send["drop_step"] = step if both else None
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[0],
+                                        change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    fail = [line for line in stdout.splitlines()
+            if line.startswith("FAIL closure-replay")]
+    assert len(fail) == 1
+    assert fail[0].endswith(
+        "must set exactly one of arrival_step and drop_step"), stdout
+
+
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
     """A fault's recorded region is not where check reads the fault stop."""
     code, stdout, _ = _check_doctored(

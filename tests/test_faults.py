@@ -193,20 +193,33 @@ def test_faulted_runs_are_reproducible():
 
 
 def test_fault_events_record_the_plan():
+    """One schedule fires every fault: on entering a region, that region's
+    faults in scenario order; then, in the same step, that step's faults,
+    although the plan lists the step fault first."""
+    cfg = build_scenario("logical_clocks").cfg
+    entry = (12 - cfg.start_region) * cfg.rs * cfg.sptu  # enters region 12
+
+    def overwrite(when_kind, when, pid, value):
+        return {"when_kind": when_kind, "when": when, "kind": "overwrite_free",
+                "target": "cl", "pid": pid, "value": value}
+
     doc = scenario_doc("logical_clocks", faults={
         "mode": "list",
-        "entries": [{"when_kind": "region", "when": 12,
-                     "kind": "overwrite_free", "target": "cl",
-                     "pid": 2, "value": 9}],
+        "entries": [overwrite("step", entry, 0, 5),
+                    overwrite("region", 12, 2, 9),
+                    overwrite("region", 12, 1, 7)],
     })
     sc = scenario.parse(doc)
     trace = run_scenario(sc)
-    fired = list(trace.iter_events(tr.EV_FAULT))
-    assert len(fired) == 1
-    ev = fired[0]
-    assert (ev.fault_kind, ev.pid, ev.target, ev.applied) == (
-        "overwrite_free", 2, "cl", True)
-    assert ev.detail["new"] == 9
+    clock = next(ev for ev in trace.iter_events(tr.EV_CLOCK)
+                 if ev.g_region == 12)
+    assert clock.step == entry
+    fired = [(ev.step, ev.fault_kind, ev.pid, ev.target, ev.applied,
+              ev.detail["new"], ev.detail["g_region"])
+             for ev in trace.iter_events(tr.EV_FAULT)]
+    assert fired == [(entry, "overwrite_free", 2, "cl", True, 9, 12),
+                     (entry, "overwrite_free", 1, "cl", True, 7, 12),
+                     (entry, "overwrite_free", 0, "cl", True, 5, 12)]
 
 
 # Fault plans on the shipped mutual-exclusion scenario (start region 11,

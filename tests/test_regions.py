@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionbound import kernel, regions
-from regionbound.errors import ConfigError
-from regionbound.regions import DriftPolicy, RegionParams, advance_clocks, draw
+from regionbound.regions import DriftPolicy, advance_clocks, draw
 
 from conftest import build_scenario
 
@@ -18,15 +17,14 @@ class Clocks(NamedTuple):
     local: list
 
 
-def at_region_start(n, params):
-    t0 = params.start_region * params.rs
+def at_region_start(n, rs, start_region):
+    t0 = start_region * rs
     return Clocks(t0, [t0] * n)
 
 
-def tick(clocks, dt, params, policy, rng):
-    return Clocks(clocks.t + dt,
-                  advance_clocks(clocks.t, clocks.local, dt, params, policy,
-                                 rng))
+def tick(clocks, rs, policy, rng):
+    return Clocks(clocks.t + 1,
+                  advance_clocks(clocks.t, clocks.local, rs, policy, rng))
 
 
 def test_initial_clocks_share_the_start_region():
@@ -40,43 +38,40 @@ def test_initial_clocks_share_the_start_region():
 
 
 def test_lockstep_advance_keeps_zero_gap():
-    params = RegionParams(rs=10, start_region=3)
-    clocks = at_region_start(3, params)
+    clocks = at_region_start(3, rs=10, start_region=3)
     rng = random.Random(0)
     policy = DriftPolicy("none")
     for _ in range(250):
-        clocks = tick(clocks, 1, params, policy, rng)
+        clocks = tick(clocks, 10, policy, rng)
         assert all(x == clocks.t for x in clocks.local)
 
 
 def test_advance_leaves_its_input_alone():
-    params = RegionParams(rs=10, start_region=3)
     local = [30, 31, 35]
-    advance_clocks(31, local, 1, params,
+    advance_clocks(31, local, 10,
                    DriftPolicy("bounded_jitter", max_step_skew=3),
                    random.Random(0))
     assert local == [30, 31, 35]
 
 
 def drive(seed, steps, n=3, rs=10, skew=4):
-    params = RegionParams(rs=rs, start_region=5)
-    clocks = at_region_start(n, params)
+    clocks = at_region_start(n, rs, start_region=5)
     rng = random.Random(seed)
     policy = DriftPolicy("bounded_jitter", max_step_skew=skew)
     states = [clocks]
     for _ in range(steps):
-        clocks = tick(clocks, 1, params, policy, rng)
+        clocks = tick(clocks, rs, policy, rng)
         states.append(clocks)
-    return params, states
+    return rs, states
 
 
 def test_drift_respects_both_skew_invariants():
-    params, states = drive(seed=42, steps=1000)
+    rs, states = drive(seed=42, steps=1000)
     max_pair = 0
     max_global = 0
     for s in states:
-        gr = s.t // params.rs
-        rlist = [x // params.rs for x in s.local]
+        gr = s.t // rs
+        rlist = [x // rs for x in s.local]
         max_pair = max(max_pair, max(rlist) - min(rlist))
         max_global = max(max_global, max(abs(r - gr) for r in rlist))
     assert max_pair == 1
@@ -92,10 +87,10 @@ def test_local_clocks_never_run_backwards():
 
 def test_all_processes_visit_every_region():
     # nobody enters region r+1 until everyone has been inside region r
-    params, states = drive(seed=3, steps=1500)
+    rs, states = drive(seed=3, steps=1500)
     first_seen = {}
     for s in states:
-        rlist = [x // params.rs for x in s.local]
+        rlist = [x // rs for x in s.local]
         hi = max(rlist)
         if hi not in first_seen:
             first_seen[hi] = True
@@ -105,13 +100,12 @@ def test_all_processes_visit_every_region():
 def test_clamp_holds_leader_back():
     # one process about to leave region 5 while another sits in region 4:
     # the leader gets pinned to the last instant of region 5
-    params = RegionParams(rs=10, start_region=4)
     clocks = Clocks(t=59, local=[59, 40, 59])
     rng = random.Random(1)
     policy = DriftPolicy("bounded_jitter", max_step_skew=3)
     for _ in range(40):
-        clocks = tick(clocks, 1, params, policy, rng)
-        rlist = [x // params.rs for x in clocks.local]
+        clocks = tick(clocks, 10, policy, rng)
+        rlist = [x // 10 for x in clocks.local]
         assert max(rlist) - min(rlist) <= 1
 
 
@@ -123,39 +117,31 @@ def test_advance_is_deterministic_per_seed():
     assert [s.local for s in a] != [s.local for s in c]
 
 
-def test_dt_must_stay_below_region_size():
-    params = RegionParams(rs=5, start_region=1)
-    with pytest.raises(ConfigError):
-        advance_clocks(5, [5, 5], 5, params, DriftPolicy("none"),
-                       random.Random(0))
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_drift_invariants_hold_for_arbitrary_seeds(seed):
-    params, states = drive(seed=seed, steps=200, n=4, rs=8, skew=7)
+    rs, states = drive(seed=seed, steps=200, n=4, rs=8, skew=7)
     for s in states:
-        gr = s.t // params.rs
-        rlist = [x // params.rs for x in s.local]
+        gr = s.t // rs
+        rlist = [x // rs for x in s.local]
         assert max(rlist) - min(rlist) <= 1
         assert all(abs(r - gr) <= 1 for r in rlist)
 
 
-def _reference_advance(clocks, dt, params, policy, rng):
+def _reference_advance(clocks, rs, policy, rng):
     """The clamp as specified: clock j against every other clock one pair at
     a time (new value for k < j, old value for k > j) and the global region."""
-    rs = params.rs
-    t2 = clocks.t + dt
+    t2 = clocks.t + 1
     gr = t2 // rs
     n = len(clocks.local)
     new_local = list(clocks.local)
     regions = [x // rs for x in clocks.local]
     for j in range(n):
         if policy.kind == "none":
-            tj = clocks.local[j] + dt
+            tj = clocks.local[j] + 1
         else:
-            lo_step = max(0, dt - policy.max_step_skew)
-            tj = clocks.local[j] + rng.randint(lo_step, dt + policy.max_step_skew)
+            lo_step = max(0, 1 - policy.max_step_skew)
+            tj = clocks.local[j] + rng.randint(lo_step, 1 + policy.max_step_skew)
         others_lo, others_hi = gr - 1, gr + 1
         for k in range(n):
             if k != j:
@@ -181,16 +167,15 @@ def test_advance_matches_pairwise_reference(n, rs, skew, monkeypatch):
         return real_clamp(*args)
 
     monkeypatch.setattr(regions, "_clamp", counting_clamp)
-    params = RegionParams(rs=rs, start_region=3)
     ticks = 300
     for policy in (DriftPolicy("none"),
                    DriftPolicy("bounded_jitter", max_step_skew=skew)):
         for seed in range(5):
             fast_rng, ref_rng = random.Random(seed), random.Random(seed)
-            clocks = at_region_start(n, params)
+            clocks = at_region_start(n, rs, start_region=3)
             for _ in range(ticks):
-                want = _reference_advance(clocks, 1, params, policy, ref_rng)
-                clocks = tick(clocks, 1, params, policy, fast_rng)
+                want = _reference_advance(clocks, rs, policy, ref_rng)
+                clocks = tick(clocks, rs, policy, fast_rng)
                 assert clocks == want
             assert fast_rng.getstate() == ref_rng.getstate()
     # lockstep enters each new region through the clamp and stays in one

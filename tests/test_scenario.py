@@ -179,6 +179,22 @@ def test_load_rejects_invalid_json(tmp_path):
         scenario.load(str(p))
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_refuses_a_constant_that_is_not_json(tmp_path, constant):
+    """A fault tag of NaN once ran, and wrote a trace that ``check``
+    refused as not JSON."""
+    with open("scenarios/mutex_fault_recovery.json", encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["faults"] = {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 14, "target": "req", "kind":
+         "insert_dep", "pid": 1, "value": 5, "tag": "TAG"}]}
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(doc).replace('"TAG"', constant), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"not valid JSON .*{constant} is "
+                                          "not a JSON number"):
+        scenario.load(str(p))
+
+
 def test_load_round_trips_a_shipped_file():
     sc = scenario.load("scenarios/consensus_clean.json")
     assert sc.protocol == "consensus"

@@ -291,6 +291,17 @@ def test_a_non_finite_number_is_not_valid_json(constant):
         f"line {at + 1}: not valid JSON: {constant} is not a JSON number")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_canon_refuses_a_number_that_is_not_json(value):
+    """A run stops at the value instead of writing a trace that its own
+    check refuses."""
+    for payload in (value, [1, value], {"x": (value,)}, {"y": {value}}):
+        with pytest.raises(TraceFormatError, match="cannot be recorded in a trace"):
+            tr.canon(payload)
+    assert tr.canon([0.5, -2.0, 1e308]) == [0.5, -2.0, 1e308]
+
+
 def test_a_number_too_long_to_read_is_refused_with_its_line():
     lines = lines_of(synthetic(20))
     at = row_line(lines, 5)
