@@ -94,8 +94,10 @@ def validate(prog, trace: tr.Trace) -> None:
     step 0, nor a snapshot before step 0 or after the last step, where no
     replay looks. Every event and message row field declared with a
     :class:`.trace.Name` must name what ``prog`` and :mod:`.faults` declare
-    in its domain, and a message's cells must be fields of its kind; a
-    fault's detail must hold what the scans read of it. A failure raises
+    in its domain, a message's cells must be fields of its kind, and a
+    ``send`` event or message row must set exactly one of its arrival and
+    drop steps; a fault's detail must hold what the scans read of it. A
+    failure raises
     ConfigError("malformed trace: ..."). What the kernel's schedule could
     not have drawn is left to the replay, which fails on it.
     """
@@ -127,15 +129,17 @@ def validate(prog, trace: tr.Trace) -> None:
         if not len(ev.locals) == len(ev.regions) == prog.n:
             _refuse(ev, f"needs {prog.n} locals and regions")
     for ev in events[tr.EV_RC]:
-        for slot, coll, key, *_ in ev.changes:
-            if not ((slot == "free" and key in free)
-                    or (slot == "dep" and coll in colls)):
-                _refuse(ev, f"change {slot!r} {coll!r} {key!r} names no "
-                        "free counter or collection of the program")
+        for ch in ev.changes:
+            if not ((ch.slot == "free" and ch.key in free)
+                    or (ch.slot == "dep" and ch.coll in colls)):
+                _refuse(ev, f"change {ch.slot!r} {ch.coll!r} {ch.key!r} names "
+                        "no free counter or collection of the program")
     for ev in events[tr.EV_SEND]:
         if not _cells_fit(prog, ev.msg_kind, ev.cells):
             _refuse(ev, f"cells {ev.cells} are no residues of declared "
                     f"{ev.msg_kind} fields")
+        if not _delivers_once(ev):
+            _refuse(ev, _DELIVERY)
     # what fault_stop_region reads of a fault, and the scans of an applied
     # one of these kinds
     reads = {"overwrite_free": {"pid": pids.__contains__,
@@ -166,6 +170,14 @@ def _stranger(declared: dict, layout: type, items: list) -> Optional[tuple]:
             item = next(item for item in items if get(item) not in known)
             return item, f"{fld} {get(item)!r} is not among {list(known)}"
     return None
+
+
+_DELIVERY = "must set exactly one of arrival_step and drop_step"
+
+
+def _delivers_once(msg) -> bool:
+    """A ``send`` event or message row ``msg`` arrives or drops, not both."""
+    return (msg.arrival_step is None) != (msg.drop_step is None)
 
 
 def _int_map(d: dict, keys) -> bool:
@@ -214,6 +226,8 @@ def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
                 return (f"message row {row!r} is no "
                         f"[{', '.join(tr.MsgRow._fields)}] row with cells "
                         "of its kind")
+            if not _delivers_once(msg):
+                return f"message row {row!r} {_DELIVERY}"
     return None
 
 
@@ -315,9 +329,9 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
         kind = ev.kind
         if kind == tr.EV_RC:
             regions[ev.pid] = ev.new_region
-            for slot, _coll, key, _old, new_res, _lift, _corr in ev.changes:
-                if slot == "free":
-                    free[ev.pid][key] = new_res
+            for ch in ev.changes:
+                if ch.slot == "free":
+                    free[ev.pid][ch.key] = ch.new_res
             written = (list(free[ev.pid].items()) if ev.new_region >= settle
                        else ())
         elif kind == tr.EV_WFREE:
@@ -359,11 +373,12 @@ _DEP_LIFE_KINDS = frozenset((tr.EV_RC, tr.EV_DCREATE, tr.EV_DREMOVE, tr.EV_FAULT
 def scan_dep_lifetimes(prog, trace: tr.Trace,
                        report: Optional[VerificationReport] = None
                        ) -> VerificationReport:
-    """No dependent cell may be seen alive more than its collection's
-    declared forward reach (r_f) regions past its creation region."""
+    """No dependent cell may be seen alive more than its family's declared
+    forward reach (r_f) regions past its creation region."""
     if report is None:
         report = VerificationReport()
-    caps = {coll: decl.dep.r_f for coll, decl in prog.colls.items()}
+    caps = {coll: prog.families[decl.family].r_f
+            for coll, decl in prog.colls.items()}
     live: dict[tuple[int, str, int], int] = {}
     for pid, pstate in enumerate(trace.snapshots[0]["procs"]):
         for coll, rows in pstate["colls"].items():

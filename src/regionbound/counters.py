@@ -43,39 +43,30 @@ def maxbound_of(maxinc: int, max_r: int) -> int:
 
 @dataclass(frozen=True)
 class CounterParams:
-    """Per-family constants. ``maxbound`` is derived, never set directly."""
+    """One counter family's declared bounds, the only place they are held.
+
+    ``maxinc`` bounds a free counter's growth per global region. Every
+    dependent collection of the family shares ``r_b`` and ``r_f``: a cell's
+    value was copied from a free counter at most r_b regions before the
+    cell was created, and the cell is removed within r_f global regions of
+    its creation. ``max_r`` (r_b + r_f) and ``maxbound`` are derived.
+    """
 
     maxinc: int
-    max_r: int
+    r_b: int
+    r_f: int
+    max_r: int = field(init=False)
     maxbound: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.r_b < 0 or self.r_f < 0:
+            raise ConfigError(f"dependent bounds must be >= 0, got ({self.r_b}, {self.r_f})")
+        object.__setattr__(self, "max_r", self.r_b + self.r_f)
         object.__setattr__(self, "maxbound", maxbound_of(self.maxinc, self.max_r))
 
     def min_usable_region(self) -> int:
         """Smallest region where dependent windows are defined (non-negative)."""
         return 2 + self.max_r
-
-
-@dataclass(frozen=True)
-class DepSpec:
-    """Origination/lifetime bounds for one dependent collection.
-
-    ``r_b``: the value was copied from a free counter at most r_b regions ago
-    when the cell was created. ``r_f``: the cell is removed within r_f global
-    regions of its creation.
-    """
-
-    r_b: int
-    r_f: int
-
-    def __post_init__(self) -> None:
-        if self.r_b < 0 or self.r_f < 0:
-            raise ConfigError(f"dependent bounds must be >= 0, got ({self.r_b}, {self.r_f})")
-
-    @property
-    def span(self) -> int:
-        return self.r_b + self.r_f
 
 
 def free_window(region: int, params: CounterParams) -> tuple[int, int]:

@@ -191,7 +191,8 @@ class Replayer(Sim):
         for dst in dsts:
             mid = self.next_mid
             self.next_mid += 1
-            # the delivery draws are the kernel's: take them from the record
+            # the delivery draws are the kernel's: take them from the record,
+            # which analysis.validate has checked sets exactly one of them
             got = self._events[self._cursor] if self._cursor < self._end else None
             arrival = getattr(got, "arrival_step", None)
             drop = getattr(got, "drop_step", None)
@@ -199,9 +200,6 @@ class Replayer(Sim):
                            cells=res_cells, vars=vars, send_region_local=region,
                            send_region_global=g_region, arrival_step=arrival,
                            drop_step=drop)
-            if (arrival is None) == (drop is None):
-                self._fail(f"send event {got!r} must set exactly one of "
-                           "arrival_step and drop_step")
             self._put_in_flight(tr.MsgRow(mid, src, dst, kind, dict(cells), vars,
                                           step, region, g_region, arrival, drop))
 
@@ -219,7 +217,7 @@ class Replayer(Sim):
             self._fail(f"clock record {got!r} is internally inconsistent")
         self._move_clocks(got.t, got.g_region, got.locals, regions)
 
-    def _shift(self, proc, new_r: int) -> list[tuple]:
+    def _shift(self, proc, new_r: int) -> list[tr.RcChange]:
         """Raise each free counter to the new window floor, in integers."""
         changes = []
         for name in proc.free:
@@ -228,7 +226,9 @@ class Replayer(Sim):
             new = max(old, 3 * new_r * fam.maxinc)
             m = fam.maxbound
             if new % m != old % m:
-                changes.append(("free", None, name, old % m, new % m, new, False))
+                changes.append(tr.RcChange(
+                    slot="free", coll=None, key=name, old_res=old % m,
+                    new_res=new % m, lifted=new, corrected=False))
             proc.free[name] = new
         proc.region = new_r
         return changes

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Callable, Optional
 
-from ..counters import CounterParams, DepSpec
+from ..counters import CounterParams
 from ..errors import ConfigError
 from ..transform import ActionSpec
 
@@ -23,17 +23,17 @@ from ..transform import ActionSpec
 class CollDecl:
     """A named collection of dependent cells.
 
-    ``dep`` declares how stale a value may be at cell creation (r_b) and how
-    many regions the cell may then live (r_f). ``expiry`` is the automatic
-    removal age in owner regions. The kernel sweeps out older cells whenever
+    Its ``family`` bounds how stale a value may be at cell creation (r_b)
+    and how many regions the cell may then live (r_f). ``expiry`` is the
+    automatic removal age in owner regions, which must be below the family's
+    r_f. The kernel sweeps out older cells whenever
     the owner changes region, and before an activation only when a fault or
     a snapshot load has touched the owner since it last acted: no other
     cell can age between region changes.
     """
 
     family: str
-    dep: DepSpec
-    expiry: Optional[int]
+    expiry: int
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,17 @@ class ProtocolDef:
 class BuildInfo:
     """Everything a protocol builder gets from the scenario.
 
-    ``families`` carries the derived CounterParams (maxinc, max_r = r_b+r_f)
-    and ``family_bounds`` the declared (r_b, r_f) split. ``params`` holds
-    every name of the protocol module's ``PARAMS``, scenario values over
-    defaults. Builders validate that the declared bounds cover their
-    staleness and lifetime needs and raise ConfigError naming the family
-    otherwise.
+    ``families`` carries each family's CounterParams (maxinc, r_b, r_f).
+    ``params`` holds every name of the protocol module's ``PARAMS``,
+    scenario values over defaults. Builders validate that a family's
+    bounds cover their staleness and reach needs and raise ConfigError
+    naming the family otherwise; :func:`..transform.wrap_program` checks
+    each collection's expiry against its family's r_f.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     families: dict[str, CounterParams]
-    family_bounds: dict[str, tuple[int, int]]
     start_region: int
     lifetime_regions: int
     params: dict
@@ -100,20 +99,11 @@ class BuildInfo:
         except KeyError:
             raise ConfigError(f"scenario declares no counter family {name!r}") from None
 
-    def bounds(self, name: str) -> tuple[int, int]:
-        return self.family_bounds[name]
-
     def require_lookback(self, fam: str, needed: int, why: str) -> None:
-        r_b, _ = self.family_bounds[fam]
+        r_b = self.families[fam].r_b
         if r_b < needed:
             raise ConfigError(
                 f"family {fam!r}: r_b={r_b} too small for {why} (needs >= {needed})")
-
-    def require_lifetime(self, fam: str, needed: int, why: str) -> None:
-        _, r_f = self.family_bounds[fam]
-        if r_f < needed:
-            raise ConfigError(
-                f"family {fam!r}: r_f={r_f} too small for {why} (needs >= {needed})")
 
 
 def on_msg(name: str, kind: str, body: Callable,

@@ -27,8 +27,8 @@ from __future__ import annotations
 from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg, replace_single)
+from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
+                   floor_value, on_msg, replace_single)
 
 # acceptor_expiry None means r_f - 1 of the aseq family
 PARAMS = {"proposal_expiry": 2, "acceptor_expiry": None}
@@ -71,19 +71,13 @@ def build(info: BuildInfo) -> ProtocolDef:
         raise ConfigError(
             f"proposal_expiry {pend_expiry} exceeds the message staleness "
             f"bound {lt2}; reply candidates could outlive their window")
-    acc_r_b, acc_r_f = info.bounds("aseq")
     acc_expiry = info.params["acceptor_expiry"]
     if acc_expiry is None:
-        acc_expiry = acc_r_f - 1
-    pend_r_b, pend_r_f = info.bounds("pending")
+        acc_expiry = info.families["aseq"].r_f - 1
     info.require_lookback("pending", 2 * lt2,
                           "ballot sequences echoed in replies")
-    info.require_lifetime("pending", pend_expiry + 1,
-                          "proposals reaching their expiry")
     info.require_lookback("aseq", 2 * lt2,
                           "promised/accepted sequences in replies")
-    info.require_lifetime("aseq", acc_expiry + 1,
-                          "acceptor memory reaching its expiry")
     majority = n // 2 + 1
 
     def clear(ctx, coll, phase=None):
@@ -250,13 +244,11 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"nseq": "nextseq"},
         colls={
-            "pend": CollDecl("pending", DepSpec(pend_r_b, pend_r_f),
-                             pend_expiry),
-            "votes": CollDecl("pending", DepSpec(pend_r_b, pend_r_f),
-                              pend_expiry),
-            "prom": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry),
-            "acc": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), acc_expiry),
-            "cand": CollDecl("aseq", DepSpec(acc_r_b, acc_r_f), pend_expiry),
+            "pend": CollDecl("pending", pend_expiry),
+            "votes": CollDecl("pending", pend_expiry),
+            "prom": CollDecl("aseq", acc_expiry),
+            "acc": CollDecl("aseq", acc_expiry),
+            "cand": CollDecl("aseq", pend_expiry),
         },
         msgs={
             "PREPARE": MsgDecl(cell_fields={"bseq": "pending"}),

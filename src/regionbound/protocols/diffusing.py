@@ -20,8 +20,8 @@ from collections import deque
 
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg)
+from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
+                   floor_value, on_msg)
 
 PARAMS = {"wave_expiry": 3}
 
@@ -48,8 +48,6 @@ def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("wave")
     lt2 = info.lifetime_regions + 2
     expiry = info.params["wave_expiry"]
-    r_b, r_f = info.bounds("wave")
-    info.require_lifetime("wave", expiry + 1, "wave cells reaching expiry")
     diam = _diameter(info.neighbors)
     # a wave number travels down and echoes back up: each hop costs at most
     # one message lifetime plus one full cell residency of holding
@@ -129,8 +127,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"seq": "wave"},
         colls={
-            "wave": CollDecl("wave", DepSpec(r_b, r_f), expiry),
-            "acks": CollDecl("wave", DepSpec(r_b, r_f), expiry),
+            "wave": CollDecl("wave", expiry),
+            "acks": CollDecl("wave", expiry),
         },
         msgs={
             "WAVE": MsgDecl(cell_fields={"wseq": "wave"}),

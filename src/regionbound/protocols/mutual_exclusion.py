@@ -26,8 +26,8 @@ from __future__ import annotations
 from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg)
+from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
+                   floor_value, on_msg)
 
 PARAMS = {"request_expiry": 2}
 
@@ -64,9 +64,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                 f"neighbours, wants {n - 1})")
     lt2 = info.lifetime_regions + 2
     expiry = info.params["request_expiry"]
-    r_b, r_f = info.bounds("clk")
     info.require_lookback("clk", 2 * lt2, "round-tripped request stamps")
-    info.require_lifetime("clk", expiry + 1, "requests reaching their expiry")
 
     def own_request(ctx):
         return ctx.first_cell("req", "own")
@@ -163,8 +161,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"clk": "clk"},
         colls={
-            "req": CollDecl("clk", DepSpec(r_b, r_f), expiry),
-            "grants": CollDecl("clk", DepSpec(r_b, r_f), expiry),
+            "req": CollDecl("clk", expiry),
+            "grants": CollDecl("clk", expiry),
         },
         msgs={
             "REQ": MsgDecl(cell_fields={"stamp": "clk"}),

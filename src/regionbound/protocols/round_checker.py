@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg, replace_single)
+from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
+                   floor_value, on_msg, replace_single)
 
 PARAMS = {"round_expiry": 3}
 
@@ -34,8 +34,6 @@ def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("round")
     lt2 = info.lifetime_regions + 2
     expiry = info.params["round_expiry"]
-    r_b, r_f = info.bounds("round")
-    info.require_lifetime("round", expiry + 1, "round cells reaching expiry")
     # a re-report echoes a held round: adoption staleness, a residency, and
     # one more flight, then the report cell itself must sit out its residency
     need = 2 * lt2 + 2 * (expiry + 1)
@@ -114,9 +112,9 @@ def build(info: BuildInfo) -> ProtocolDef:
         families=dict(info.families),
         free_cells={"nr": "round"},
         colls={
-            "cr": CollDecl("round", DepSpec(r_b, r_f), expiry),
-            "lr": CollDecl("round", DepSpec(r_b, r_f), expiry),
-            "reports": CollDecl("round", DepSpec(r_b, r_f), expiry),
+            "cr": CollDecl("round", expiry),
+            "lr": CollDecl("round", expiry),
+            "reports": CollDecl("round", expiry),
         },
         msgs={
             "ROUND": MsgDecl(cell_fields={"rnd": "round"}),

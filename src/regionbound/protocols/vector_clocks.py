@@ -17,8 +17,8 @@ fresh as the window can prove it.
 from __future__ import annotations
 
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, DepSpec, MsgDecl, ProcInit,
-                   ProtocolDef, floor_value, on_msg)
+from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
+                   floor_value, on_msg)
 
 PARAMS = {"view_expiry": 2}
 
@@ -27,9 +27,7 @@ def build(info: BuildInfo) -> ProtocolDef:
     fam = info.family("vc")
     lt2 = info.lifetime_regions + 2
     expiry = info.params["view_expiry"]
-    r_b, r_f = info.bounds("vc")
     info.require_lookback("vc", lt2, "adopting a neighbour's own component")
-    info.require_lifetime("vc", expiry + 1, "view cells reaching their expiry")
     # staleness budget an entry may have accumulated and still be held for
     # its whole residency without leaving the dependent window
     adopt_cap = fam.max_r + 1 - expiry
@@ -93,7 +91,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         n=n,
         families=dict(info.families),
         free_cells={"own": "vc"},
-        colls={"view": CollDecl("vc", DepSpec(r_b, r_f), expiry)},
+        colls={"view": CollDecl("vc", expiry)},
         msgs={"VIEW": MsgDecl(cell_fields=fields)},
         actions=[
             on_msg("receive", "VIEW", b_recv, also=can_spend),

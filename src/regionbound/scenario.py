@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import analysis, faults, kernel
-from .counters import CounterParams, bits_required, maxbound_of
+from .counters import CounterParams, bits_required
 from .errors import ConfigError, is_int
 from .protocols import REGISTRY
 from .protocols.base import BuildInfo
@@ -91,10 +91,10 @@ def _parse_drift(raw) -> DriftPolicy:
                       "kind/max_step_skew")
 
 
-def _parse_families(raw: dict) -> tuple[dict, dict]:
+def _parse_families(raw: dict) -> dict:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("families must be a non-empty object")
-    families, bounds = {}, {}
+    families = {}
     for name, spec in raw.items():
         where = f"families.{name}"
         if not isinstance(spec, dict):
@@ -103,9 +103,8 @@ def _parse_families(raw: dict) -> tuple[dict, dict]:
         maxinc = _int_field(spec, where, "maxinc", 1)
         r_b = _int_field(spec, where, "r_b", 0)
         r_f = _int_field(spec, where, "r_f", 0)
-        families[name] = CounterParams(maxinc=maxinc, max_r=r_b + r_f)
-        bounds[name] = (r_b, r_f)
-    return families, bounds
+        families[name] = CounterParams(maxinc=maxinc, r_b=r_b, r_f=r_f)
+    return families
 
 
 def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
@@ -170,7 +169,7 @@ def parse(doc: dict) -> Scenario:
     seed = _int_field(doc, "scenario", "seed", 0)
     drift = _parse_drift(doc.get("drift_policy"))
 
-    families, bounds = _parse_families(_require(doc, "scenario", "families"))
+    families = _parse_families(_require(doc, "scenario", "families"))
     min_start = max(p.min_usable_region() for p in families.values())
     start_region = doc.get("start_region", min_start)
     if not is_int(start_region) or start_region < min_start:
@@ -197,7 +196,7 @@ def parse(doc: dict) -> Scenario:
         lifetime = analysis.lifetime_regions_for(delay_units, rs)
 
     info = BuildInfo(n=n, neighbors=nbrs, families=families,
-                     family_bounds=bounds, start_region=start_region,
+                     start_region=start_region,
                      lifetime_regions=lifetime,
                      params={**module.PARAMS, **given})
     prog = module.build(info)
@@ -270,7 +269,7 @@ def parse(doc: dict) -> Scenario:
         "lifetime_regions": lifetime,
         "families": {
             name: {"max_r": p.max_r,
-                   "maxbound": maxbound_of(p.maxinc, p.max_r),
+                   "maxbound": p.maxbound,
                    "bits": bits_required(p.maxinc, p.max_r)}
             for name, p in families.items()},
         "fault_count": len(entries),

@@ -253,8 +253,6 @@ class Sim:
 
     def _expire_cells(self, proc) -> None:
         for coll, decl in self.prog.colls.items():
-            if decl.expiry is None:
-                continue
             store = proc.colls[coll]
             oldest = proc.region - decl.expiry  # cells created before it expire
             stale = [cid for cid, cell in store.items()

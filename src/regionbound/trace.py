@@ -114,10 +114,10 @@ def fits(layout: type, row) -> bool:
 
 
 def _rows_of(layout: type) -> _List:
-    """A list of ``layout`` rows, read back as tuples."""
+    """A list of ``layout`` rows, read back as ``layout`` tuples."""
     def load(val: list) -> tuple | None:
         if all(map(fits, repeat(layout), val)):
-            return tuple(map(tuple, val))
+            return tuple(map(layout._make, val))
         return None
     return _List(f"list of [{', '.join(layout._fields)}] rows", load)
 

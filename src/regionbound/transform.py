@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import trace as tr
 from .counters import (
     CounterParams,
     check_dep,
@@ -86,7 +87,7 @@ def region_shift(
     new_region: int,
     free_fams: dict[str, CounterParams],
     coll_fams: dict[str, CounterParams],
-) -> list[tuple]:
+) -> list[tr.RcChange]:
     """Re-anchor every stored residue when ``proc`` enters ``new_region``.
 
     Free counters: lift at the new region and range-check; a counter that
@@ -95,13 +96,13 @@ def region_shift(
     incremented at will). Dependent cells keep their value whenever it still
     lifts congruently; otherwise they are reset to the window floor.
 
-    Returns change records ``(slot, coll, key, old_res, new_res, lifted,
-    corrected)``. ``corrected`` is True only when the outcome is *not*
-    explainable as normal unbounded behaviour (a pure raise for free
-    counters, no change for dependent cells), i.e. only after corruption.
+    Returns :class:`.trace.RcChange` records. ``corrected`` is True only
+    when the outcome is *not* explainable as normal unbounded behaviour (a
+    pure raise for free counters, no change for dependent cells), i.e. only
+    after corruption.
     """
     old_region = proc.region
-    changes: list[tuple] = []
+    changes: list[tr.RcChange] = []
 
     for name in proc.free:
         fam = free_fams[name]
@@ -113,8 +114,9 @@ def region_shift(
         mirror = max(old_lift, free_window(new_region, fam)[0])
         new_res = to_residue(lifted, fam)
         if new_res != old_res or lifted != mirror:
-            changes.append(("free", None, name, old_res, new_res,
-                            lifted, lifted != mirror))
+            changes.append(tr.RcChange(
+                slot="free", coll=None, key=name, old_res=old_res,
+                new_res=new_res, lifted=lifted, corrected=lifted != mirror))
             proc.free[name] = new_res
 
     for coll, cells in proc.colls.items():
@@ -125,7 +127,9 @@ def region_shift(
             lifted = lift_dep(old_res, new_region, fam)
             new_res = to_residue(lifted, fam)
             if new_res != old_res:
-                changes.append(("dep", coll, cid, old_res, new_res, lifted, True))
+                changes.append(tr.RcChange(
+                    slot="dep", coll=coll, key=cid, old_res=old_res,
+                    new_res=new_res, lifted=lifted, corrected=True))
                 cell.value = new_res
 
     proc.region = new_region
@@ -157,10 +161,10 @@ def write_dep(value: int, region: int, fam: CounterParams) -> tuple[int, int, bo
 def wrap_program(prog) -> None:
     """Validate a protocol's counter declarations; raises ConfigError.
 
-    Every collection and message field must reference a declared family, a
-    collection's origination+lifetime span must fit inside its family's
-    ``max_r``, and auto-expiry (when set) must fire strictly before the
-    declared lifetime runs out, with one region of slack for clock skew.
+    Every collection and message field must reference a declared family,
+    and a collection's auto-expiry must fire strictly before its family's
+    lifetime bound ``r_f`` runs out, with one region of slack for clock
+    skew.
     """
     if prog.n < 1:
         raise ConfigError(f"protocol {prog.name}: needs at least one process")
@@ -175,14 +179,11 @@ def wrap_program(prog) -> None:
             raise ConfigError(
                 f"protocol {prog.name}: collection {coll_name!r} references "
                 f"undeclared family {decl.family!r}")
-        if decl.dep.span > fam.max_r:
-            raise ConfigError(
-                f"protocol {prog.name}: collection {coll_name!r} span "
-                f"{decl.dep.span} exceeds family max_r {fam.max_r}")
-        if decl.expiry is not None and not (1 <= decl.expiry <= decl.dep.r_f - 1):
+        if not 1 <= decl.expiry < fam.r_f:
             raise ConfigError(
                 f"protocol {prog.name}: collection {coll_name!r} expiry "
-                f"{decl.expiry} must sit in [1, r_f-1] = [1, {decl.dep.r_f - 1}]")
+                f"{decl.expiry} must be at least 1 and below r_f={fam.r_f} "
+                f"of family {decl.family!r}")
     for kind, mdecl in prog.msgs.items():
         for field_name, fam_name in mdecl.cell_fields.items():
             if fam_name not in prog.families:

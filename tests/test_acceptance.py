@@ -43,7 +43,7 @@ def test_criterion_1_worked_example_sizes():
 
 
 def test_criterion_2_free_window_bounds():
-    params = CounterParams(maxinc=10, max_r=5)
+    params = CounterParams(maxinc=10, r_b=5, r_f=0)
     t0 = time.perf_counter()
     bad = [r for r in range(101)
            if free_window(r, params) != (30 * r, 30 * (r + 1) + 19)]
@@ -59,7 +59,7 @@ def test_criterion_3_lifts_match_brute_force():
     mismatches = checked = 0
     for maxinc in (1, 2, 10):
         for max_r in (0, 2, 5):
-            params = CounterParams(maxinc=maxinc, max_r=max_r)
+            params = CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)
             m = params.maxbound
             start = 2 + max_r
             for region in range(start, start + 51):

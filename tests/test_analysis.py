@@ -17,22 +17,22 @@ from conftest import build_scenario, run_scenario, scenario_doc
 
 
 def test_interval_index_frozen_examples():
-    narrow = CounterParams(maxinc=1, max_r=0)  # cycle spans 11 regions
+    narrow = CounterParams(maxinc=1, r_b=0, r_f=0)  # cycle spans 11 regions
     assert [analysis.interval_index(r, narrow) for r in (0, 3, 4, 7, 8)] \
         == [0, 0, 1, 1, 2]
-    wide = CounterParams(maxinc=5, max_r=4)  # cycle spans 23 regions
+    wide = CounterParams(maxinc=5, r_b=4, r_f=0)  # cycle spans 23 regions
     assert analysis.interval_index(7, wide) == 0
     assert analysis.interval_index(8, wide) == 1
 
 
 def test_convergence_boundary_single_family():
-    fams = {"f": CounterParams(maxinc=1, max_r=0)}
+    fams = {"f": CounterParams(maxinc=1, r_b=0, r_f=0)}
     assert analysis.convergence_boundary(fams, 5) == 15
 
 
 def test_convergence_boundary_takes_the_slowest_family():
-    fams = {"fast": CounterParams(maxinc=1, max_r=0),
-            "slow": CounterParams(maxinc=1, max_r=6)}
+    fams = {"fast": CounterParams(maxinc=1, r_b=0, r_f=0),
+            "slow": CounterParams(maxinc=1, r_b=6, r_f=0)}
     b = analysis.convergence_boundary(fams, 9)
     for p in fams.values():
         assert (analysis.interval_index(b, p)
@@ -45,7 +45,7 @@ def test_convergence_boundary_takes_the_slowest_family():
        st.integers(min_value=0, max_value=8),
        st.integers(min_value=1, max_value=20))
 def test_convergence_boundary_is_tight(fstop, max_r, maxinc):
-    fams = {"f": CounterParams(maxinc=maxinc, max_r=max_r)}
+    fams = {"f": CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)}
     b = analysis.convergence_boundary(fams, fstop)
     p = fams["f"]
     want = analysis.interval_index(fstop, p) + 3

@@ -617,25 +617,34 @@ def test_an_event_past_the_last_row_fails_the_replay(run_cli, tmp_path):
 
 
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
-def test_a_send_setting_both_or_neither_delivery_step_fails_the_replay(
-        run_cli, tmp_path, both):
-    """The replayer takes a message's delivery step from its send record;
-    the kernel sets exactly one of the two."""
+@pytest.mark.parametrize("where", ["send", "snapshot"])
+def test_a_message_setting_both_or_neither_delivery_step_is_refused(
+        run_cli, tmp_path, where, both):
+    """The kernel sets exactly one of a message's arrival and drop steps, in
+    its send record and in a snapshot's message row; a record setting both
+    or neither is refused before the replay, naming its step."""
+    at = {}
+
     def change(recs):
-        send = _events(recs, "send")[0]
-        step = send["arrival_step"]
-        if step is None:
-            step = send["drop_step"]
-        send["arrival_step"] = send["drop_step"] = step if both else None
-    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[0],
-                                        change)
-    assert code == EXIT_FAIL
+        if where == "send":
+            msg = _events(recs, "send")[0]
+            arrival, drop = "arrival_step", "drop_step"
+            at["where"] = f"step {msg['step']}: send event"
+        else:
+            snap = next(r["data"] for r in recs if r["rec"] == "snapshot"
+                        and r["data"]["state"]["in_flight"])
+            msg = snap["state"]["in_flight"][0]
+            arrival, drop = map(tr.MsgRow._fields.index,
+                                ("arrival_step", "drop_step"))
+            at["where"] = f"snapshot at step {snap['step']}: message row"
+        step = msg[arrival] if msg[arrival] is not None else msg[drop]
+        msg[arrival] = msg[drop] = step if both else None
+    code, _, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1], change)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: malformed trace: ")
+    assert at["where"] in err
+    assert "must set exactly one of arrival_step and drop_step" in err
     assert "Traceback" not in err
-    fail = [line for line in stdout.splitlines()
-            if line.startswith("FAIL closure-replay")]
-    assert len(fail) == 1
-    assert fail[0].endswith(
-        "must set exactly one of arrival_step and drop_step"), stdout
 
 
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from regionbound.counters import (
     CounterParams,
-    DepSpec,
     check_dep,
     check_free,
     dep_window,
@@ -15,8 +14,8 @@ from regionbound.counters import (
 )
 from regionbound.errors import ConfigError
 
-P10_5 = CounterParams(maxinc=10, max_r=5)
-P1_0 = CounterParams(maxinc=1, max_r=0)
+P10_5 = CounterParams(maxinc=10, r_b=5, r_f=0)
+P1_0 = CounterParams(maxinc=1, r_b=0, r_f=0)
 
 
 def brute_lift(residue, lo, hi, m):
@@ -122,17 +121,18 @@ def test_lift_dep_examples():
     assert lift_dep(85, 10, P10_5) == 90
 
 
-def test_depspec_validation():
-    assert DepSpec(0, 5).span == 5
-    with pytest.raises(ConfigError):
-        DepSpec(-1, 2)
+def test_counter_params_validation():
+    assert CounterParams(maxinc=10, r_b=2, r_f=3).max_r == 5
+    for r_b, r_f in ((-1, 2), (2, -1)):
+        with pytest.raises(ConfigError):
+            CounterParams(maxinc=10, r_b=r_b, r_f=r_f)
 
 
 @pytest.mark.parametrize("maxinc", [1, 2, 10])
 @pytest.mark.parametrize("max_r", [0, 2, 5])
 def test_lifts_match_brute_force_oracle(maxinc, max_r):
     """Exhaustive agreement with the window-scan oracle over all residues."""
-    params = CounterParams(maxinc=maxinc, max_r=max_r)
+    params = CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)
     m = params.maxbound
     start = params.min_usable_region()
     for region in range(start, start + 12):
@@ -153,7 +153,7 @@ def test_lifts_match_brute_force_oracle(maxinc, max_r):
 )
 @settings(max_examples=300, deadline=None)
 def test_round_trip_and_idempotence(maxinc, max_r, region, value):
-    params = CounterParams(maxinc=maxinc, max_r=max_r)
+    params = CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)
     region = max(region, params.min_usable_region())
 
     lo, hi = free_window(region, params)
@@ -177,7 +177,7 @@ def test_round_trip_and_idempotence(maxinc, max_r, region, value):
 )
 @settings(max_examples=200, deadline=None)
 def test_window_algebra(maxinc, max_r):
-    params = CounterParams(maxinc=maxinc, max_r=max_r)
+    params = CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)
     r = params.min_usable_region() + 3
     flo, fhi = free_window(r, params)
     dlo, dhi = dep_window(r, params)

@@ -54,7 +54,7 @@ def test_campaign_entries_pass_static_validation(any_protocol):
 
 
 def test_campaign_refuses_a_family_with_no_slot():
-    fam = CounterParams(maxinc=2, max_r=3)
+    fam = CounterParams(maxinc=2, r_b=3, r_f=0)
     prog = ProtocolDef(
         name="toy", n=2,
         families={"f": fam, "orphan": fam},

@@ -11,7 +11,8 @@ from regionbound.protocols import REGISTRY
 from regionbound.protocols import consensus, mutual_exclusion
 from regionbound.protocols.base import BuildInfo
 
-from conftest import PROTOCOLS, build_scenario, run_scenario, scenario_doc
+from conftest import (BASE_DOCS, PROTOCOLS, build_scenario, run_scenario,
+                      scenario_doc)
 
 
 def parse(protocol, **over):
@@ -78,12 +79,40 @@ def test_builders_name_a_missing_family():
               families={"klok": {"maxinc": 3, "r_b": 3, "r_f": 1}})
 
 
+# each family whose collections expire, the first such collection, and the
+# parameter setting its expiry
+@pytest.mark.parametrize("protocol,fam,coll,param", [
+    ("vector_clocks", "vc", "view", "view_expiry"),
+    ("mutual_exclusion", "clk", "req", "request_expiry"),
+    ("diffusing", "wave", "wave", "wave_expiry"),
+    ("round_checker", "round", "cr", "round_expiry"),
+    ("consensus", "pending", "pend", "proposal_expiry"),
+    ("consensus", "aseq", "prom", "acceptor_expiry"),
+], ids=["vector_clocks", "mutual_exclusion", "diffusing", "round_checker",
+        "consensus-pending", "consensus-aseq"])
+def test_a_family_lifetime_not_past_a_collection_expiry_is_refused(
+        protocol, fam, coll, param):
+    """A family's r_f bounds every collection of it, so an r_f just below
+    a collection's expiry + 1 is a config error naming both. The family
+    keeps its reach (r_b takes what r_f gives up), so the protocol's own
+    checks pass."""
+    doc = BASE_DOCS[protocol]
+    expiry = doc["protocol_params"][param]
+    families = {name: dict(spec) for name, spec in doc["families"].items()}
+    spec = families[fam]
+    spec["r_b"] += spec["r_f"] - expiry
+    spec["r_f"] = expiry
+    with pytest.raises(ConfigError, match=(
+            rf"collection {coll!r} expiry {expiry} .* r_f={expiry} of "
+            rf"family {fam!r}")):
+        parse(protocol, families=families)
+
+
 def test_diffusing_rejects_disconnected_topology():
     info = BuildInfo(
         n=4,
         neighbors=((1,), (0,), (3,), (2,)),
-        families={"wave": CounterParams(maxinc=2, max_r=22)},
-        family_bounds={"wave": (18, 4)},
+        families={"wave": CounterParams(maxinc=2, r_b=18, r_f=4)},
         start_region=24,
         lifetime_regions=1,
         params={"wave_expiry": 3})

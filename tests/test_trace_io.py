@@ -164,6 +164,20 @@ def test_save_and_load_round_trip(tmp_path):
     assert tr.load(path) == trace
 
 
+def test_rc_changes_load_back_as_rc_change_rows(tmp_path):
+    """Both sides hold an rc event's changes as declared RcChange rows, so
+    they are read by name, and a reloaded row equals the one written."""
+    trace = kernel_trace(SCENARIOS[1])
+    path = str(tmp_path / "t.jsonl")
+    tr.save(trace, path)
+    written_rows, loaded_rows = (
+        [ch for ev in t.iter_events(tr.EV_RC) for ch in ev.changes]
+        for t in (trace, tr.load(path)))
+    assert {ch.slot for ch in written_rows} == {"free", "dep"}
+    assert loaded_rows == written_rows
+    assert all(type(ch) is tr.RcChange for ch in written_rows + loaded_rows)
+
+
 def lines_of(trace):
     return written(trace).splitlines(keepends=True)
 

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from regionbound.counters import (
     CounterParams,
-    DepSpec,
     dep_window,
     free_window,
     lift_dep,
@@ -23,12 +22,13 @@ from regionbound.transform import (
     write_free,
 )
 
-FAM = CounterParams(maxinc=5, max_r=4)
+FAM = CounterParams(maxinc=5, r_b=2, r_f=2)
 
 params_st = st.builds(
     CounterParams,
     maxinc=st.integers(min_value=1, max_value=12),
-    max_r=st.integers(min_value=0, max_value=6),
+    r_b=st.integers(min_value=0, max_value=6),
+    r_f=st.just(0),
 )
 
 
@@ -176,7 +176,7 @@ def minimal_prog(**overrides):
         n=2,
         families={"f": FAM},
         free_cells={"x": "f"},
-        colls={"q": CollDecl("f", DepSpec(2, 2), 1)},
+        colls={"q": CollDecl("f", 1)},
         msgs={"M": MsgDecl(cell_fields={"v": "f"})},
         actions=[ActionSpec("noop", lambda ctx: False, lambda ctx: None)],
         budget_family="f",
@@ -196,16 +196,10 @@ def test_wrap_program_rejects_unknown_free_family():
         wrap_program(minimal_prog(free_cells={"x": "ghost"}))
 
 
-def test_wrap_program_rejects_span_beyond_family():
-    with pytest.raises(ConfigError, match="span"):
-        wrap_program(minimal_prog(
-            colls={"q": CollDecl("f", DepSpec(4, 2), 1)}))
-
-
 def test_wrap_program_rejects_expiry_at_lifetime():
     with pytest.raises(ConfigError, match="expiry"):
         wrap_program(minimal_prog(
-            colls={"q": CollDecl("f", DepSpec(2, 2), 2)}))
+            colls={"q": CollDecl("f", 2)}))
 
 
 def test_wrap_program_rejects_unknown_msg_family():
