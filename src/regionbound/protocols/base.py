@@ -11,7 +11,6 @@ residues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import methodcaller
 from typing import Callable, Optional
 
 from ..counters import CounterParams
@@ -113,18 +112,12 @@ def on_msg(name: str, kind: str, body: Callable,
     It is enabled while such a message is in the inbox and ``also(ctx)``, if
     given, holds. It consumes the message, then runs ``body(ctx, m)``.
     """
-    if also is None:
-        guard = methodcaller("has_msg", kind)  # ctx.has_msg(kind), no frame
-    else:
-        def guard(ctx):
-            return ctx.has_msg(kind) and also(ctx)
-
     def run(ctx):
         m = ctx.first_msg(kind)
         ctx.consume(m.mid)
         body(ctx, m)
 
-    return ActionSpec(name, guard, run)
+    return ActionSpec(name, also, run, msg_kind=kind)
 
 
 def replace_single(ctx, coll: str, value: int, tag=None) -> None:

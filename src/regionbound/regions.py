@@ -27,8 +27,9 @@ class DriftPolicy:
     """How process clocks move relative to global time.
 
     ``none``: lockstep, every local clock equals global time.
-    ``bounded_jitter``: each advance draws a per-process increment from
-    ``[1 - max_step_skew, 1 + max_step_skew]`` (floored at 0), then clamps.
+    ``bounded_jitter``: each advance draws a per-process increment
+    uniformly from ``[0, 1 + max_step_skew]``, with mean
+    ``(1 + max_step_skew) / 2``, then clamps.
     """
 
     kind: str = "none"

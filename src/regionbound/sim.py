@@ -156,13 +156,6 @@ class Ctx:
                 return True
         return False
 
-    def has_msg(self, kind: str) -> bool:
-        """Whether a ``kind`` message waits in the inbox; builds no view."""
-        for msg in self.sim.inboxes[self.pid].values():
-            if msg.kind == kind:
-                return True
-        return False
-
     def first_msg(self, kind: str) -> Optional[MsgView]:
         inbox = self.sim.inboxes[self.pid]
         first = None

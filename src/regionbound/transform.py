@@ -8,9 +8,9 @@ kernel:
 * what happens to every stored residue when a process enters a new region
   (:func:`region_shift`) and the range check on every write
   (:func:`write_free`, :func:`write_dep`), both used by the kernel only,
-* deterministic guard evaluation (:func:`choose_action`), shared by both, and
-* static validation of a protocol's counter declarations
-  (:func:`wrap_program`).
+* deterministic action selection (:func:`choose_action`), shared by both,
+  which tests for a handler's waiting message kind before its guard, and
+* static validation of a protocol's declarations (:func:`wrap_program`).
 
 Guard and statement code never sees residues directly. The kernel hands it a
 context whose accessors lift residues into plain integers on read and push
@@ -42,12 +42,16 @@ class ActionSpec:
     """One guarded action: ``guard(ctx) -> bool`` and ``body(ctx) -> None``.
 
     Bodies run only when their guard held; both must be deterministic in the
-    context (state plus the step's pre-drawn randomness).
+    context (state plus the step's pre-drawn randomness), and guards only
+    read it. A message handler names the ``msg_kind`` it consumes: it is
+    enabled while such a message waits and its ``guard``, if not None, holds.
+    :func:`choose_action` reads the inbox once per activation.
     """
 
     name: str
-    guard: Callable
+    guard: Optional[Callable]
     body: Callable
+    msg_kind: Optional[str] = None
 
 
 class Cell:
@@ -137,9 +141,23 @@ def region_shift(
 
 
 def choose_action(actions: list[ActionSpec], ctx) -> Optional[int]:
-    """Index of the first enabled action, or None for a self-loop."""
+    """Index of the first enabled action, or None for a self-loop. The inbox
+    is read at the first handler, so a handler-free list needs no context."""
+    inbox = None
     for idx, act in enumerate(actions):
-        if act.guard(ctx):
+        kind = act.msg_kind
+        if kind is not None:
+            if inbox is None:
+                inbox = ctx.sim.inboxes[ctx.pid]
+            if not inbox:
+                continue
+            for msg in inbox.values():
+                if msg.kind == kind:
+                    break
+            else:
+                continue
+        guard = act.guard
+        if guard is None or guard(ctx):
             return idx
     return None
 
@@ -159,12 +177,12 @@ def write_dep(value: int, region: int, fam: CounterParams) -> tuple[int, int, bo
 
 
 def wrap_program(prog) -> None:
-    """Validate a protocol's counter declarations; raises ConfigError.
+    """Validate a protocol's declarations; raises ConfigError.
 
     Every collection and message field must reference a declared family,
     and a collection's auto-expiry must fire strictly before its family's
     lifetime bound ``r_f`` runs out, with one region of slack for clock
-    skew.
+    skew. Every message handler must consume a declared message kind.
     """
     if prog.n < 1:
         raise ConfigError(f"protocol {prog.name}: needs at least one process")
@@ -190,6 +208,11 @@ def wrap_program(prog) -> None:
                 raise ConfigError(
                     f"protocol {prog.name}: message {kind!r} field {field_name!r} "
                     f"references undeclared family {fam_name!r}")
+    for act in prog.actions:
+        if act.msg_kind is not None and act.msg_kind not in prog.msgs:
+            raise ConfigError(
+                f"protocol {prog.name}: action {act.name!r} handles "
+                f"undeclared message kind {act.msg_kind!r}")
     if prog.budget_family is not None and prog.budget_family not in prog.families:
         raise ConfigError(
             f"protocol {prog.name}: budget family {prog.budget_family!r} undeclared")

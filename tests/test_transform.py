@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from regionbound.counters import (
 )
 from regionbound.errors import ConfigError
 from regionbound.protocols.base import CollDecl, MsgDecl, ProcInit, ProtocolDef
+from regionbound.trace import MsgRow
 from regionbound.transform import (
     ActionSpec,
     Cell,
@@ -167,6 +170,45 @@ def test_choose_action_none_when_all_disabled():
     assert choose_action(acts, ctx=None) is None
 
 
+def inbox_ctx(*kinds):
+    """A context whose process 0 holds one waiting message of each kind."""
+    rows = {mid: MsgRow(mid, 1, 0, kind, {}, {}, 0, 0, 0, 0, None)
+            for mid, kind in enumerate(kinds)}
+    return SimpleNamespace(sim=SimpleNamespace(inboxes=[rows]), pid=0)
+
+
+def refuse(ctx):
+    raise AssertionError("guard of a handler with no waiting message called")
+
+
+def handler(name, kind, guard=None):
+    return ActionSpec(name, guard, lambda ctx: None, msg_kind=kind)
+
+
+@pytest.mark.parametrize("kinds", [(), ("B",)], ids=["empty", "other-kind"])
+def test_choose_action_skips_a_handler_whose_kind_is_absent(kinds):
+    acts = [handler("a", "A", refuse), handler("a2", "A"),
+            ActionSpec("b", lambda ctx: True, lambda ctx: None)]
+    assert choose_action(acts, inbox_ctx(*kinds)) == 2
+
+
+def test_choose_action_falls_through_a_present_handler_whose_guard_fails():
+    calls = []
+    acts = [handler("a", "A", lambda ctx: calls.append(ctx) and False),
+            ActionSpec("b", lambda ctx: True, lambda ctx: None)]
+    ctx = inbox_ctx("B", "A")
+    assert choose_action(acts, ctx) == 1
+    assert calls == [ctx]
+
+
+def test_choose_action_takes_the_first_present_handler_whose_guard_holds():
+    acts = [handler("a", "A", lambda ctx: False), handler("b", "B", refuse),
+            handler("c", "C"), handler("d", "D")]
+    assert choose_action(acts, inbox_ctx("D", "A", "C")) == 2
+    acts[2] = handler("c", "C", lambda ctx: True)
+    assert choose_action(acts, inbox_ctx("C")) == 2
+
+
 # --- program validation -----------------------------------------------------
 
 
@@ -206,6 +248,13 @@ def test_wrap_program_rejects_unknown_msg_family():
     with pytest.raises(ConfigError, match="M"):
         wrap_program(minimal_prog(
             msgs={"M": MsgDecl(cell_fields={"v": "ghost"})}))
+
+
+def test_wrap_program_rejects_a_handler_for_an_undeclared_kind():
+    with pytest.raises(ConfigError, match="action 'h' handles undeclared "
+                                          "message kind 'GHOST'"):
+        wrap_program(minimal_prog(actions=[handler("h", "GHOST")]))
+    wrap_program(minimal_prog(actions=[handler("h", "M")]))
 
 
 def test_wrap_program_rejects_wrong_neighbor_count():
