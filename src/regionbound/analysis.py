@@ -96,8 +96,8 @@ def validate(prog, trace: tr.Trace) -> None:
     :class:`.trace.Name` must name what ``prog`` and :mod:`.faults` declare
     in its domain, a message's cells must be fields of its kind, and a
     ``send`` event or message row must set exactly one of its arrival and
-    drop steps; a fault's detail must hold what the scans read of it. A
-    failure raises
+    drop steps; a fault's detail must hold what the scans read of it; every
+    residue must fit its register, which a fault may fill. A failure raises
     ConfigError("malformed trace: ..."). What the kernel's schedule could
     not have drawn is left to the replay, which fails on it.
     """
@@ -108,6 +108,7 @@ def validate(prog, trace: tr.Trace) -> None:
                 tr.FREE: prog.free_cells, tr.COLL: prog.colls,
                 tr.MSG_KIND: prog.msgs, tr.FAMILY: prog.families,
                 tr.FAULT_KIND: faults._KINDS}
+    free_cap, coll_cap, msg_cap = _registers(prog)
     for step, snap in sorted(trace.snapshots.items()):
         if not 0 <= step <= trace.steps():
             raise ConfigError(f"malformed trace: snapshot at step {step} lies "
@@ -118,7 +119,6 @@ def validate(prog, trace: tr.Trace) -> None:
     first = min(trace.events, key=attrgetter("step"), default=None)
     if first is not None and first.step < 0:
         _refuse(first, "is recorded before step 0")
-    free, colls = list(prog.free_cells), list(prog.colls)
     events = {kind: [] for kind in tr.EVENTS}
     for ev in trace.events:
         events[ev.kind].append(ev)
@@ -130,23 +130,33 @@ def validate(prog, trace: tr.Trace) -> None:
             _refuse(ev, f"needs {prog.n} locals and regions")
     for ev in events[tr.EV_RC]:
         for ch in ev.changes:
-            if not ((ch.slot == "free" and ch.key in free)
-                    or (ch.slot == "dep" and ch.coll in colls)):
+            if not ((ch.slot == "free" and ch.key in free_cap)
+                    or (ch.slot == "dep" and ch.coll in coll_cap)):
                 _refuse(ev, f"change {ch.slot!r} {ch.coll!r} {ch.key!r} names "
                         "no free counter or collection of the program")
+            cap = free_cap[ch.key] if ch.slot == "free" else coll_cap[ch.coll]
+            for res in (ch.old_res, ch.new_res):
+                if not 0 <= res < cap:
+                    _refuse(ev, _UNHELD.format(res, cap))
+    for ev in events[tr.EV_WFREE]:
+        if not 0 <= ev.residue < free_cap[ev.name]:
+            _refuse(ev, _UNHELD.format(ev.residue, free_cap[ev.name]))
+    for ev in events[tr.EV_DCREATE]:
+        if not 0 <= ev.residue < coll_cap[ev.coll]:
+            _refuse(ev, _UNHELD.format(ev.residue, coll_cap[ev.coll]))
     for ev in events[tr.EV_SEND]:
-        if not _cells_fit(prog, ev.msg_kind, ev.cells):
-            _refuse(ev, f"cells {ev.cells} are no residues of declared "
-                    f"{ev.msg_kind} fields")
+        if not _cells_fit(msg_cap[ev.msg_kind], ev.cells):
+            _refuse(ev, f"cells {ev.cells} are no residues that registers of "
+                    f"declared {ev.msg_kind} fields hold")
         if not _delivers_once(ev):
             _refuse(ev, _DELIVERY)
     # what fault_stop_region reads of a fault, and the scans of an applied
     # one of these kinds
     reads = {"overwrite_free": {"pid": pids.__contains__,
-                                "target": free.__contains__, "new": is_int},
-             "insert_dep": {"coll": colls.__contains__, "cid": is_int,
+                                "target": free_cap.__contains__, "new": is_int},
+             "insert_dep": {"coll": coll_cap.__contains__, "cid": is_int,
                             "created_local": is_int},
-             "delete_dep": {"coll": colls.__contains__, "cid": is_int}}
+             "delete_dep": {"coll": coll_cap.__contains__, "cid": is_int}}
     for ev in events[tr.EV_FAULT]:
         got = {**ev.detail, "pid": ev.pid, "target": ev.target}
         for key, fits in {"g_region": is_int, **(
@@ -173,6 +183,7 @@ def _stranger(declared: dict, layout: type, items: list) -> Optional[tuple]:
 
 
 _DELIVERY = "must set exactly one of arrival_step and drop_step"
+_UNHELD = "residue {} lies outside [0, {}), what its register holds"
 
 
 def _delivers_once(msg) -> bool:
@@ -185,9 +196,23 @@ def _int_map(d: dict, keys) -> bool:
     return d.keys() == set(keys) and all(map(is_int, d.values()))
 
 
-def _cells_fit(prog, kind: str, cells: dict) -> bool:
-    return (cells.keys() <= prog.msgs[kind].cell_fields.keys()
-            and all(map(is_int, cells.values())))
+def _registers(prog) -> tuple[dict, dict, dict]:
+    """One past the largest residue a register holds, ``2**bits`` of its
+    family: by free counter, by collection, and by message kind and field."""
+    cap = {fam: 1 << bits_required(p.maxinc, p.max_r)
+           for fam, p in prog.families.items()}
+    return ({name: cap[fam] for name, fam in prog.free_cells.items()},
+            {coll: cap[d.family] for coll, d in prog.colls.items()},
+            {kind: {fld: cap[fam] for fld, fam in d.cell_fields.items()}
+             for kind, d in prog.msgs.items()})
+
+
+def _cells_fit(caps: dict[str, int], cells: dict) -> bool:
+    """``cells`` are residues of fields whose registers hold ``caps``."""
+    for fld, res in cells.items():
+        if not (is_int(res) and 0 <= res < caps.get(fld, 0)):
+            return False
+    return True
 
 
 def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
@@ -197,6 +222,7 @@ def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
     as :class:`.trace.CellRow` and :class:`.trace.MsgRow` lay them out."""
     if fault := tr.misfit(tr.SNAPSHOT, snap):
         return fault
+    free_cap, coll_cap, msg_cap = _registers(prog)
     n = prog.n
     parts = ("regions", "locals", "procs", "inboxes")
     if not (all(len(snap[part]) == n for part in parts)
@@ -207,14 +233,18 @@ def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
         free = prog.init(pid).free
         if not (type(proc) is dict and tr.misfit(tr.PROC, proc) is None
                 and _int_map(proc["free"], free)
+                and all(0 <= res < free_cap[name]
+                        for name, res in proc["free"].items())
                 and proc["colls"].keys() <= prog.colls.keys()
                 and all(type(rows) is list
-                        and all(tr.fits(tr.CellRow, row) for row in rows)
-                        for rows in proc["colls"].values())):
-            return (f"pid {pid}: it needs free counters {list(free)} as "
-                    f"integer residues, collections among {list(prog.colls)}"
-                    f" as lists of [{', '.join(tr.CellRow._fields)}] rows, "
-                    "and vars")
+                        and all(tr.fits(tr.CellRow, row)
+                                and 0 <= row[1] < coll_cap[coll]
+                                for row in rows)
+                        for coll, rows in proc["colls"].items())):
+            return (f"pid {pid}: it needs free counters {list(free)} and "
+                    f"collections among {list(prog.colls)}, as lists of "
+                    f"[{', '.join(tr.CellRow._fields)}] rows, with residues "
+                    "their registers hold, and vars")
     for box in (snap["in_flight"], *snap["inboxes"]):
         if type(box) is not list:
             return f"inbox {box!r} is not a list of message rows"
@@ -222,10 +252,10 @@ def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
             msg = tr.fits(tr.MsgRow, row) and tr.MsgRow._make(row)
             if msg and (stranger := _stranger(declared, tr.MsgRow, [msg])):
                 return f"message row {row!r}: {stranger[1]}"
-            if not (msg and _cells_fit(prog, msg.kind, msg.cells)):
+            if not (msg and _cells_fit(msg_cap[msg.kind], msg.cells)):
                 return (f"message row {row!r} is no "
-                        f"[{', '.join(tr.MsgRow._fields)}] row with cells "
-                        "of its kind")
+                        f"[{', '.join(tr.MsgRow._fields)}] row with residues "
+                        "its kind's registers hold")
             if not _delivers_once(msg):
                 return f"message row {row!r} {_DELIVERY}"
     return None

@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 class ProtocolBug(RuntimeError):
     """A protocol action did something the counter discipline forbids,
-    e.g. decreasing a permanent counter or writing to an undeclared slot.
+    e.g. sending to a non-neighbour or writing to an undeclared slot.
 
     This aborts the run: it indicates a bug in the protocol definition,
     not a property of the system under test.

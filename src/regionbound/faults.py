@@ -255,7 +255,7 @@ def _third_bounds(maxbound: int, third: int) -> tuple[int, int]:
 
 
 def make_campaign(prog, *, fault_regions, seed: int,
-                  per_family: int = 1) -> tuple[list[FaultEntry], int]:
+                  per_family: int = 1) -> list[FaultEntry]:
     """Build a corruption campaign guaranteed to hit every counter family in
     every third of its modulus.
 
@@ -267,8 +267,7 @@ def make_campaign(prog, *, fault_regions, seed: int,
     overwrite_msg, delete_msg) adds churn; those may hit nothing and then
     record applied=False.
 
-    Returns (entries, fstop) where fstop is the last region any entry fires
-    in. Schedules are drawn from ``fault_regions``, which must be non-empty.
+    Schedules are drawn from ``fault_regions``, which must be non-empty.
     """
     regions = sorted(fault_regions)
     if not regions:
@@ -338,5 +337,4 @@ def make_campaign(prog, *, fault_regions, seed: int,
             "region", rng.choice(regions), "delete_msg", rng.randrange(4)))
 
     validate_entries(prog, entries)
-    fstop = max(e.when for e in entries)
-    return entries, fstop
+    return entries

@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import trace as tr
 from .counters import free_window, lift_dep, lift_free, to_residue
-from .errors import ConfigError, KernelInvariantError, ProtocolBug
+from .errors import ConfigError, ProtocolBug
 from .regions import DriftPolicy, advance_clocks, draw
 from .sim import Ctx, MsgView, Sim
 from .transform import (
@@ -109,27 +109,14 @@ class BoundedCtx(Ctx):
         return lift_free(self.proc.free[name], self.proc.region,
                          self.sim.free_fams[name])
 
-    def set_free(self, name: str, value: int) -> None:
-        fam = self.sim.free_fams[name]
-        region = self.proc.region
-        now = lift_free(self.proc.free[name], region, fam)
-        if value < now:
-            raise ProtocolBug(
-                f"step {self.step}: pid {self.pid} writes free counter "
-                f"{name!r} down from {now} to {value}")
-        res, lifted, corrected = write_free(value, region, fam)
+    def _raise_free(self, name: str, floor: int, inc: int) -> int:
+        value = max(self.free(name), floor) + inc
+        res, lifted, corrected = write_free(value, self.proc.region,
+                                            self.sim.free_fams[name])
         self.proc.free[name] = res
         self.sim.emit_wfree(pid=self.pid, name=name, residue=res,
                             lifted=lifted, corrected=corrected)
-
-    def spend(self, amount: int) -> None:
-        fam = self.sim.prog.budget_family
-        self.sim.budgets[fam] -= amount
-        if self.sim.budgets[fam] < 0:
-            raise KernelInvariantError(
-                f"step {self.step}: family {fam!r} spent past its per-region "
-                f"growth budget")
-        self.sim.emit_spend(family=fam, amount=amount)
+        return value
 
     def cells(self, coll: str) -> list[tuple]:
         """Live cells as (cid, value, tag, age) with age in owner regions."""

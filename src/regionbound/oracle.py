@@ -39,7 +39,6 @@ from operator import eq, floordiv, itemgetter, ne
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
-from .errors import ProtocolBug
 from .sim import Ctx, MsgView, Sim
 from .transform import Cell, ProcState, choose_action
 
@@ -59,20 +58,13 @@ class OracleCtx(Ctx):
     def free(self, name: str) -> int:
         return self.proc.free[name]
 
-    def set_free(self, name: str, value: int) -> None:
-        if value < self.proc.free[name]:
-            raise ProtocolBug(
-                f"step {self.step}: pid {self.pid} writes free counter "
-                f"{name!r} down from {self.proc.free[name]} to {value}")
+    def _raise_free(self, name: str, floor: int, inc: int) -> int:
+        value = max(self.proc.free[name], floor) + inc
         self.proc.free[name] = value
         m = self.sim.free_fams[name].maxbound
         self.sim.emit_wfree(pid=self.pid, name=name, residue=value % m,
                             lifted=value, corrected=False)
-
-    def spend(self, amount: int) -> None:
-        fam = self.sim.prog.budget_family
-        self.sim.budgets[fam] -= amount
-        self.sim.emit_spend(family=fam, amount=amount)
+        return value
 
     def cells(self, coll: str) -> list[tuple]:
         r = self.proc.region

@@ -89,11 +89,6 @@ def build(info: BuildInfo) -> ProtocolDef:
         return sum(1 for _cid, value, tag, _age in ctx.cells("votes")
                    if value == seq and tag[1] == phase)
 
-    def bump_seq(ctx, floor):
-        seq = max(ctx.free("nseq"), floor) + ctx.d
-        ctx.set_free("nseq", seq)
-        return seq
-
     def accept_locally(ctx, seq, bpid, val):
         replace_single(ctx, "prom", seq, bpid)
         replace_single(ctx, "acc", seq, bpid)
@@ -156,8 +151,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         # Fold the rejecting promise into the sequence source so the next
         # proposal leapfrogs it; folding alone never raises the family
         # maximum, so it costs no budget.
-        merged = max(ctx.free("nseq"), m.cell("promised"))
-        ctx.set_free("nseq", merged)
+        ctx.fold("nseq", m.cell("promised"))
         pend = ctx.first_cell("pend")
         if pend is not None and m.cell("bseq") == pend[1]:
             ctx.remove_cell("pend", pend[0])
@@ -206,12 +200,11 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def g_propose(ctx):
         return (ctx.u1 < 0.3 and ctx.var("phase") == "idle"
-                and ctx.var("decided") is None and ctx.can_spend(ctx.d)
+                and ctx.var("decided") is None and ctx.can_mint()
                 and not ctx.has_cell("pend"))
 
     def b_propose(ctx):
-        ctx.spend(ctx.d)
-        seq = bump_seq(ctx, 0)
+        seq = ctx.mint("nseq")
         ctx.create_cell("pend", seq, tag="own")
         clear(ctx, "cand")
         # The proposer's own acceptor is part of its promising majority,

@@ -109,13 +109,11 @@ def build(info: BuildInfo) -> ProtocolDef:
             ctx.send(q, "WAVE", {"wseq": wseq})
 
     def g_start(ctx):
-        return (ctx.pid == 0 and ctx.can_spend(ctx.d)
+        return (ctx.pid == 0 and ctx.can_mint()
                 and not ctx.has_cell("wave", "root"))
 
     def b_start(ctx):
-        ctx.spend(ctx.d)
-        wseq = ctx.free("seq") + ctx.d
-        ctx.set_free("seq", wseq)
+        wseq = ctx.mint("seq")
         ctx.create_cell("wave", wseq, tag="root")
         ctx.broadcast("WAVE", {"wseq": wseq})
 

@@ -9,6 +9,7 @@ message lifetime.
 
 from __future__ import annotations
 
+from ..sim import Ctx
 from ..transform import ActionSpec
 from .base import (BuildInfo, MsgDecl, ProcInit, ProtocolDef, floor_value,
                    on_msg)
@@ -21,17 +22,11 @@ def build(info: BuildInfo) -> ProtocolDef:
     info.require_lookback("clock", info.lifetime_regions + 2,
                           "in-flight clock stamps")
 
-    def can_spend(ctx):
-        return ctx.can_spend(ctx.d)
-
     def b_receive(ctx, m):
-        ctx.spend(ctx.d)
-        ctx.set_free("cl", max(ctx.free("cl"), m.cell("stamp")) + ctx.d)
+        ctx.mint("cl", m.cell("stamp"))
 
     def b_tick(ctx):
-        ctx.spend(ctx.d)
-        cl = ctx.free("cl") + ctx.d
-        ctx.set_free("cl", cl)
+        cl = ctx.mint("cl")
         if ctx.neighbors:
             dst = ctx.neighbors[int(ctx.u2 * len(ctx.neighbors))]
             ctx.send(dst, "TICK", {"stamp": cl})
@@ -46,8 +41,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         colls={},
         msgs={"TICK": MsgDecl(cell_fields={"stamp": "clock"})},
         actions=[
-            on_msg("receive", "TICK", b_receive, also=can_spend),
-            ActionSpec("tick", can_spend, b_tick),
+            on_msg("receive", "TICK", b_receive, also=Ctx.can_mint),
+            ActionSpec("tick", Ctx.can_mint, b_tick),
         ],
         budget_family="clock",
         init=lambda pid: ProcInit(free={"cl": start}),

@@ -72,14 +72,9 @@ def build(info: BuildInfo) -> ProtocolDef:
     def grant_for(ctx, peer):
         return ctx.first_cell("grants", peer)
 
-    def fold(ctx, stamp):
-        clk = max(ctx.free("clk"), stamp)
-        ctx.set_free("clk", clk)
-        return clk
-
     def b_handle_req(ctx, m):
         stamp = m.cell("stamp")
-        clk = fold(ctx, stamp)
+        clk = ctx.fold("clk", stamp)
         mine = own_request(ctx)
         ahead_of_me = (mine is not None
                        and (mine[1], ctx.pid) < (stamp, m.src))
@@ -87,7 +82,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             ctx.send(m.src, "GRANT", {"stamp": clk, "req_stamp": stamp})
 
     def b_handle_grant(ctx, m):
-        fold(ctx, m.cell("stamp"))
+        ctx.fold("clk", m.cell("stamp"))
         mine = own_request(ctx)
         if mine is None or m.cell("req_stamp") != mine[1]:
             return
@@ -98,12 +93,10 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def g_request(ctx):
         return (ctx.u1 < 0.4 and not ctx.var("in_cs")
-                and ctx.can_spend(ctx.d) and not ctx.has_cell("req", "own"))
+                and ctx.can_mint() and not ctx.has_cell("req", "own"))
 
     def b_request(ctx):
-        ctx.spend(ctx.d)
-        clk = ctx.free("clk") + ctx.d
-        ctx.set_free("clk", clk)
+        clk = ctx.mint("clk")
         ctx.create_cell("req", clk, tag="own")
         ctx.broadcast("REQ", {"stamp": clk})
 

@@ -83,13 +83,11 @@ def build(info: BuildInfo) -> ProtocolDef:
             ctx.set_var("done", True)
 
     def g_start(ctx):
-        return (ctx.pid == 0 and ctx.can_spend(ctx.d)
+        return (ctx.pid == 0 and ctx.can_mint()
                 and (ctx.var("done") or ctx.u1 < 0.15))
 
     def b_start(ctx):
-        ctx.spend(ctx.d)
-        nr = ctx.free("nr") + ctx.d
-        ctx.set_free("nr", nr)
+        nr = ctx.mint("nr")
         real = ctx.u2 < 0.5
         ctx.set_var("cur_real", real)
         ctx.set_var("done", False)

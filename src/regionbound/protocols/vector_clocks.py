@@ -16,6 +16,7 @@ fresh as the window can prove it.
 
 from __future__ import annotations
 
+from ..sim import Ctx
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
                    floor_value, on_msg)
@@ -40,12 +41,8 @@ def build(info: BuildInfo) -> ProtocolDef:
             entries.setdefault(tag[0], (cid, value))
         return entries
 
-    def can_spend(ctx):
-        return ctx.can_spend(ctx.d)
-
     def b_recv(ctx, m):
-        ctx.spend(ctx.d)
-        ctx.set_free("own", ctx.free("own") + ctx.d)
+        ctx.mint("own")
         ages = m.var("ages")
         # each field names another peer, so the loop's removes and creates
         # never touch an entry a later field looks up
@@ -66,9 +63,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             ctx.create_cell("view", value, tag=[peer, eff])
 
     def b_gossip(ctx):
-        ctx.spend(ctx.d)
-        own = ctx.free("own") + ctx.d
-        ctx.set_free("own", own)
+        own = ctx.mint("own")
         if not ctx.neighbors:
             return
         rot = ctx.var("rot")
@@ -94,8 +89,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         colls={"view": CollDecl("vc", expiry)},
         msgs={"VIEW": MsgDecl(cell_fields=fields)},
         actions=[
-            on_msg("receive", "VIEW", b_recv, also=can_spend),
-            ActionSpec("gossip", can_spend, b_gossip),
+            on_msg("receive", "VIEW", b_recv, also=Ctx.can_mint),
+            ActionSpec("gossip", Ctx.can_mint, b_gossip),
         ],
         budget_family="vc",
         init=lambda pid: ProcInit(free={"own": start}, vars={"rot": 0}),

@@ -223,7 +223,7 @@ def parse(doc: dict) -> Scenario:
                           if "per_family" in fault_doc else 1)
             campaign_seed = (_int_field(fault_doc, "faults", "seed", 0)
                              if "seed" in fault_doc else seed)
-            entries, _ = faults.make_campaign(
+            entries = faults.make_campaign(
                 prog, fault_regions=tuple(regions), seed=campaign_seed,
                 per_family=per_family)
         elif mode == "list":

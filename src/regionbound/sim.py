@@ -21,7 +21,7 @@ only a flagged process is swept again before it acts.
 
 * Counter arithmetic lives in the context subclasses: the kernel's stores
   residues, lifting on read and range-checking on write; the oracle's keeps
-  plain integers. Each supplies ``free``, ``set_free``, ``spend``, ``cells``,
+  plain integers. Each supplies ``free``, ``_raise_free``, ``cells``,
   ``_value`` (one cell's value), ``create_cell`` and ``_view``; each
   simulator supplies ``_stored``, the residue a snapshot records for a
   counter value, ``_shift``, which moves a process into a new region and
@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import trace as tr
+from .errors import KernelInvariantError
 
 
 class MsgView:
@@ -84,9 +85,10 @@ _ANY = object()  # Ctx.first_cell's "any tag"
 class Ctx:
     """Action-facing API over one process's state during one activation.
 
-    This base holds every accessor that touches no counter value; subclasses
-    add ``free``, ``set_free``, ``spend``, ``cells``, ``_value``,
-    ``create_cell`` and ``_view`` in their own arithmetic.
+    This base holds every accessor that touches no counter value, and
+    :meth:`mint` and :meth:`fold`, the two writes of a free counter, neither
+    of which lowers it. Subclasses add ``free``, ``_raise_free``, ``cells``,
+    ``_value``, ``create_cell`` and ``_view`` in their own arithmetic.
     """
 
     __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")
@@ -115,8 +117,26 @@ class Ctx:
     def has_free(self, name: str) -> bool:
         return name in self.proc.free
 
-    def can_spend(self, amount: int) -> bool:
-        return self.sim.budgets[self.sim.prog.budget_family] >= amount
+    def can_mint(self) -> bool:
+        """Whether the family budget still pays for one :meth:`mint`."""
+        return self.sim.budgets[self.sim.prog.budget_family] >= self.d
+
+    def mint(self, name: str, floor: int = 0) -> int:
+        """Spend ``d`` from the family budget and raise free counter
+        ``name`` to ``max(value, floor) + d``; returns that value."""
+        sim, fam = self.sim, self.sim.prog.budget_family
+        sim.budgets[fam] -= self.d
+        if sim.budgets[fam] < 0:
+            raise KernelInvariantError(
+                f"step {self.step}: family {fam!r} spent past its per-region "
+                f"growth budget")
+        sim.emit_spend(family=fam, amount=self.d)
+        return self._raise_free(name, floor, self.d)
+
+    def fold(self, name: str, value: int) -> int:
+        """Raise free counter ``name`` to ``max(value_now, value)``, which
+        costs no budget; returns that value."""
+        return self._raise_free(name, value, 0)
 
     def remove_cell(self, coll: str, cid: int) -> None:
         del self.proc.colls[coll][cid]

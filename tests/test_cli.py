@@ -647,6 +647,115 @@ def test_a_message_setting_both_or_neither_delivery_step_is_refused(
     assert "Traceback" not in err
 
 
+def _first_dcreate_from_step_600(recs):
+    ev = next(e for e in _events(recs, "dcreate") if e["step"] >= 600)
+    ev["residue"] += 10 ** 6
+    return ev["step"]
+
+
+def _rc_change(i, value):
+    def change(recs):
+        ev = next(e for e in _events(recs, "rc") if e["changes"])
+        ev["changes"][0][i] = value
+        return ev["step"]
+    return change
+
+
+def _first_event(kind, key, value):
+    def change(recs):
+        ev = _events(recs, kind)[0]
+        if key == "cells":
+            ev["cells"] = {fld: value for fld in ev["cells"]}
+        else:
+            ev[key] = value
+        return ev["step"]
+    return change
+
+
+def _first_cell_row(recs):
+    return next(rows[0] for r in recs if r["rec"] == "snapshot"
+                for p in r["data"]["state"]["procs"]
+                for rows in p["colls"].values() if rows)
+
+
+def _first_msg_row(recs):
+    return next(r["data"]["state"]["in_flight"][0] for r in recs
+                if r["rec"] == "snapshot" and r["data"]["state"]["in_flight"])
+
+
+@pytest.mark.parametrize("change,fault", [
+    (_first_dcreate_from_step_600,
+     "dcreate event residue 1000351 lies outside [0, 512)"),
+    (_first_event("wfree", "residue", 512),
+     "wfree event residue 512 lies outside [0, 512)"),
+    (_first_event("wfree", "residue", -1),
+     "wfree event residue -1 lies outside [0, 512)"),
+    (_rc_change(3, 512), "rc event residue 512 lies outside [0, 512)"),
+    (_rc_change(4, 600), "rc event residue 600 lies outside [0, 512)"),
+    (_first_event("send", "cells", 512), "send event cells {'stamp': 512}"),
+    (lambda r: _start(r)["procs"][1]["free"].update(clk=512),
+     "snapshot at step 0: pid 1: it needs free counters"),
+    (lambda r: _first_cell_row(r).__setitem__(
+        tr.CellRow._fields.index("residue"), 512),
+     ": it needs free counters"),
+    (lambda r: _first_msg_row(r)[tr.MsgRow._fields.index("cells")].update(
+        stamp=-3), "with residues its kind's registers hold"),
+], ids=["dcreate", "wfree", "wfree-negative", "rc-old", "rc-new", "send",
+        "snapshot-free", "snapshot-cell", "snapshot-message"])
+def test_a_residue_no_register_holds_is_refused(run_cli, tmp_path, change,
+                                                fault):
+    """Every residue a trace records must fit its family's register, as a
+    fault's value must: a doctored one is refused before any check runs,
+    naming its step."""
+    at = {}
+    code, stdout, err = _check_doctored(
+        run_cli, tmp_path, SCENARIOS[1],
+        lambda recs: at.update(step=change(recs)))
+    assert code == EXIT_CONFIG, stdout
+    assert err.startswith("config error: malformed trace: ")
+    if at["step"] is not None:
+        assert f"step {at['step']}: " in err
+    assert fault in err
+    assert "Traceback" not in err
+
+
+def test_a_fault_may_fill_a_register_above_the_modulus(run_cli, tmp_path):
+    """A fault may write any residue a register holds, 510 here where the
+    modulus is 456; the residue it leaves is recorded and checked like any
+    other."""
+    doc = json.loads(open(SCENARIOS[1], encoding="utf-8").read())
+    doc["seed"] = 1
+    doc["faults"] = {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 15, "kind": "insert_dep",
+         "target": "req", "pid": 0, "value": 510}]}
+    path, out = tmp_path / "s.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("run", "--scenario", str(path), "--out", str(out))[0] == 0
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    assert any(ch[3] == 510 for ev in _events(recs, "rc")
+               for ch in ev["changes"])
+    code, stdout, _ = run_cli("check", "--trace", str(out),
+                              "--scenario", str(path))
+    assert code == EXIT_OK, stdout
+
+
+@pytest.mark.parametrize("budget", [0, -5, 1])
+def test_a_doctored_budget_fails_the_suffix_replay(run_cli, tmp_path, budget):
+    """The replay reads a snapshot's budget as the kernel would have: one
+    too small to pay for the recorded action fails the action selection."""
+    def change(recs):
+        next(r["data"]["state"] for r in recs if r["rec"] == "snapshot"
+             and r["data"]["state"]["label"] == "region:51")[
+                 "budgets"]["clk"] = budget
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
+                                        change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert "FAIL suffix-replay" in stdout
+    assert "action selection differs" in stdout
+
+
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
     """A fault's recorded region is not where check reads the fault stop."""
     code, stdout, _ = _check_doctored(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import weakref
@@ -8,10 +9,11 @@ import pytest
 from regionbound import analysis, faults, scenario
 from regionbound import kernel as kernel_mod
 from regionbound import trace as tr
-from regionbound.errors import ConfigError
+from regionbound.errors import ConfigError, KernelInvariantError
 from regionbound.kernel import BoundedCtx, Kernel
-from regionbound.oracle import Replayer
+from regionbound.oracle import OracleCtx, Replayer
 from regionbound.sim import Ctx, Sim
+from regionbound.transform import ActionSpec
 
 from conftest import PROTOCOLS, build_scenario, run_scenario
 
@@ -324,3 +326,88 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
         if mid != hit:
             assert kern.in_flight[mid].cells == cells
     assert [dict(ev.cells) for ev in sends] == sent
+
+
+def _mint_side(side: str, d: int):
+    """A logical-clocks context over pid 0 at step 0 on ``side``, with the
+    events it emits collected in a list, and that list."""
+    sc = build_scenario("logical_clocks")
+    kern = Kernel(sc.cfg, 5)
+    if side == "kernel":
+        sim, ctx_type = kern, BoundedCtx
+    else:
+        kern._snapshot("start")
+        sim, ctx_type = Replayer(sc.prog, kern.trace, 0), OracleCtx
+    events = []
+    sim.emit = events.append  # record every effect instead of checking it
+    return ctx_type(sim, sim.procs[0], 0, d, 0.5, 0.5), events
+
+
+SIDES = ("kernel", "oracle")
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("above", [-1, 0, 1])
+def test_mint_spends_d_then_raises_the_counter_past_its_floor(side, above):
+    ctx, events = _mint_side(side, d=2)
+    before = ctx.free("cl")
+    budget = ctx.sim.budgets["clock"]
+    assert ctx.can_mint()
+    got = ctx.mint("cl", before + above)
+    want = max(before, before + above) + 2
+    assert got == want == ctx.free("cl")
+    assert ctx.sim.budgets["clock"] == budget - 2
+    spend, wfree = events
+    assert (spend.kind, spend.family, spend.amount) == ("spend", "clock", 2)
+    assert (wfree.kind, wfree.name, wfree.lifted, wfree.corrected) == (
+        "wfree", "cl", want, False)
+    assert wfree.residue == want % ctx.sim.free_fams["cl"].maxbound
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_fold_spends_nothing_and_never_lowers_a_counter(side):
+    ctx, events = _mint_side(side, d=2)
+    before = ctx.free("cl")
+    budget = ctx.sim.budgets["clock"]
+    assert ctx.fold("cl", before - 5) == before == ctx.free("cl")
+    assert ctx.fold("cl", before + 1) == before + 1 == ctx.free("cl")
+    assert ctx.sim.budgets["clock"] == budget
+    assert [(ev.kind, ev.lifted) for ev in events] == [
+        ("wfree", before), ("wfree", before + 1)]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_mint_returns_the_requested_value_even_when_the_write_corrects_it(
+        side):
+    """A request past the free window is reset to the window floor by the
+    kernel's write and kept by the oracle's; either way ``mint`` returns
+    what was requested."""
+    ctx, events = _mint_side(side, d=1)
+    floor = ctx.free("cl")  # the start value is the window floor
+    requested = floor + 100 + 1
+    assert ctx.mint("cl", floor + 100) == requested
+    wfree = events[-1]
+    if side == "kernel":
+        assert (wfree.lifted, wfree.corrected) == (floor, True)
+        assert ctx.free("cl") == floor
+    else:
+        assert (wfree.lifted, wfree.corrected) == (requested, False)
+        assert ctx.free("cl") == requested
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_minting_past_the_budget_is_a_kernel_invariant_error(side):
+    ctx, events = _mint_side(side, d=2)
+    ctx.sim.budgets["clock"] = 1
+    assert not ctx.can_mint()
+    with pytest.raises(KernelInvariantError, match="spent past its per-region"):
+        ctx.mint("cl")
+    assert events == []
+
+
+def test_a_body_that_mints_unguarded_overspends_in_the_kernel():
+    sc = build_scenario("logical_clocks")
+    prog = dataclasses.replace(
+        sc.prog, actions=[ActionSpec("tick", None, lambda ctx: ctx.mint("cl"))])
+    with pytest.raises(KernelInvariantError, match="spent past its per-region"):
+        kernel_mod.run(dataclasses.replace(sc.cfg, prog=prog), 5)
