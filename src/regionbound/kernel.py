@@ -118,15 +118,13 @@ class BoundedCtx(Ctx):
                             lifted=lifted, corrected=corrected)
         return value
 
-    def cells(self, coll: str) -> list[tuple]:
-        """Live cells as (cid, value, tag, age) with age in owner regions."""
-        fam = self.sim.coll_fams[coll]
-        r = self.proc.region
-        return [(cid, lift_dep(c.value, r, fam), c.tag, r - c.created_local)
-                for cid, c in sorted(self.proc.colls[coll].items())]
-
     def _value(self, coll: str, cell: Cell) -> int:
         return lift_dep(cell.value, self.proc.region, self.sim.coll_fams[coll])
+
+    def _write_dep(self, coll: str, value: int) -> tuple:
+        res, lifted, corrected = write_dep(value, self.proc.region,
+                                           self.sim.coll_fams[coll])
+        return res, res, lifted, corrected
 
     def send(self, dst: int, kind: str, cells: dict,
              vars: Optional[dict] = None) -> None:
@@ -134,22 +132,6 @@ class BoundedCtx(Ctx):
             raise ProtocolBug(
                 f"step {self.step}: pid {self.pid} sends to non-neighbor {dst}")
         super().send(dst, kind, cells, vars)
-
-    def create_cell(self, coll: str, value: int, tag=None) -> int:
-        if coll not in self.proc.colls:
-            raise ProtocolBug(f"undeclared collection {coll!r}")
-        fam = self.sim.coll_fams[coll]
-        res, lifted, corrected = write_dep(value, self.proc.region, fam)
-        cid = self.sim.next_cid
-        self.sim.next_cid += 1
-        tag = tr.canon(tag)
-        self.proc.colls[coll][cid] = Cell(res, self.proc.region,
-                                          self.sim.g_region, tag)
-        self.sim.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=res,
-                              lifted=lifted, created_local=self.proc.region,
-                              created_global=self.sim.g_region, tag=tag,
-                              corrected=corrected)
-        return cid
 
     def _view(self, msg: tr.MsgRow) -> MsgView:
         r = self.proc.region
@@ -221,38 +203,18 @@ class Kernel(Sim):
 
     # -- messaging ---------------------------------------------------------
 
-    def send_from(self, ctx: BoundedCtx, dsts, kind: str, cells: dict,
-                  vars: dict) -> None:
-        """Encode the payload once, then post one message to each of
-        ``dsts`` in order, each drawing its own delay and loss."""
-        decl = self.prog.msgs.get(kind)
-        if decl is None:
-            raise ProtocolBug(f"undeclared message kind {kind!r}")
+    def _encode(self, kind: str, cells: dict) -> tuple[dict, dict]:
         fams = self.msg_fams[kind]
-        res_cells = {}
-        for fld in sorted(cells):
-            if fld not in decl.cell_fields:
-                raise ProtocolBug(f"message {kind!r} has no field {fld!r}")
-            res_cells[fld] = cells[fld] % fams[fld].maxbound  # to_residue
-        vars = tr.canon(vars)
-        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
-        rng = self.rng
-        max_delay, loss = self.cfg.max_delay_steps, self.cfg.loss_probability
-        for dst in dsts:
-            delay = draw(rng, 1, max_delay)
-            lost = rng.random() < loss
-            arrival = None if lost else step + delay
-            drop = step + delay if lost else None
-            mid = self.next_mid
-            self.next_mid += 1
-            # the message and its send record share a cells dict of their own
-            msg = tr.MsgRow(mid, src, dst, kind, dict(res_cells), vars, step,
-                            region, g_region, arrival, drop)
-            self._put_in_flight(msg)
-            self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
-                           cells=msg.cells, vars=vars, send_region_local=region,
-                           send_region_global=g_region, arrival_step=arrival,
-                           drop_step=drop)
+        res = {fld: cells[fld] % fams[fld].maxbound  # to_residue
+               for fld in sorted(cells)}
+        return res, res
+
+    def _delivery(self) -> tuple:
+        """Draw one destination's delay, then whether it is lost."""
+        step = self.step + draw(self.rng, 1, self.cfg.max_delay_steps)
+        if self.rng.random() < self.cfg.loss_probability:
+            return None, step
+        return step, None
 
     # -- per-step phases ---------------------------------------------------
 

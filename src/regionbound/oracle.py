@@ -66,26 +66,11 @@ class OracleCtx(Ctx):
                             lifted=value, corrected=False)
         return value
 
-    def cells(self, coll: str) -> list[tuple]:
-        r = self.proc.region
-        return [(cid, c.value, c.tag, r - c.created_local)
-                for cid, c in sorted(self.proc.colls[coll].items())]
-
     def _value(self, coll: str, cell: Cell) -> int:
         return cell.value
 
-    def create_cell(self, coll: str, value: int, tag=None) -> int:
-        rep = self.sim
-        cid = rep.next_cid
-        rep.next_cid += 1
-        tag = tr.canon(tag)
-        self.proc.colls[coll][cid] = Cell(value, self.proc.region,
-                                          rep.g_region, tag)
-        m = rep.coll_fams[coll].maxbound
-        rep.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=value % m,
-                         lifted=value, created_local=self.proc.region,
-                         created_global=rep.g_region, tag=tag, corrected=False)
-        return cid
+    def _write_dep(self, coll: str, value: int) -> tuple:
+        return value, value % self.sim.coll_fams[coll].maxbound, value, False
 
     def _view(self, msg: tr.MsgRow) -> MsgView:
         return MsgView(msg.mid, msg.src, msg.kind, msg.cells, msg.vars)
@@ -171,29 +156,15 @@ class Replayer(Sim):
 
     # -- messaging ---------------------------------------------------------
 
-    def send_from(self, ctx: OracleCtx, dsts, kind: str, cells: dict,
-                  vars: dict) -> None:
-        """Encode the payload once, then check and post one message to
-        each of ``dsts`` in order."""
-        vars = tr.canon(vars)
+    def _encode(self, kind: str, cells: dict) -> tuple[dict, dict]:
         fams = self.msg_fams[kind]
-        res_cells = {fld: cells[fld] % fams[fld].maxbound
-                     for fld in sorted(cells)}
-        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
-        for dst in dsts:
-            mid = self.next_mid
-            self.next_mid += 1
-            # the delivery draws are the kernel's: take them from the record,
-            # which analysis.validate has checked sets exactly one of them
-            got = self._events[self._cursor] if self._cursor < self._end else None
-            arrival = getattr(got, "arrival_step", None)
-            drop = getattr(got, "drop_step", None)
-            self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
-                           cells=res_cells, vars=vars, send_region_local=region,
-                           send_region_global=g_region, arrival_step=arrival,
-                           drop_step=drop)
-            self._put_in_flight(tr.MsgRow(mid, src, dst, kind, dict(cells), vars,
-                                          step, region, g_region, arrival, drop))
+        return {fld: cells[fld] % fams[fld].maxbound
+                for fld in sorted(cells)}, cells
+
+    def _delivery(self) -> tuple:
+        # the kernel's draws, from the record validate checked sets one
+        got = self._events[self._cursor] if self._cursor < self._end else None
+        return getattr(got, "arrival_step", None), getattr(got, "drop_step", None)
 
     # -- phases ------------------------------------------------------------
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import trace as tr
-from .errors import KernelInvariantError
+from .errors import KernelInvariantError, ProtocolBug
+from .transform import Cell
 
 
 class MsgView:
@@ -137,6 +138,29 @@ class Ctx:
         """Raise free counter ``name`` to ``max(value_now, value)``, which
         costs no budget; returns that value."""
         return self._raise_free(name, value, 0)
+
+    def cells(self, coll: str) -> list[tuple]:
+        """Live cells as (cid, value, tag, age) with age in owner regions."""
+        r, value = self.proc.region, self._value
+        return [(cid, value(coll, c), c.tag, r - c.created_local)
+                for cid, c in sorted(self.proc.colls[coll].items())]
+
+    def create_cell(self, coll: str, value: int, tag=None) -> int:
+        """Create a cell of ``coll`` holding ``value`` at this process's
+        region; returns its id."""
+        if coll not in self.proc.colls:
+            raise ProtocolBug(f"undeclared collection {coll!r}")
+        held, res, lifted, corrected = self._write_dep(coll, value)
+        sim, r = self.sim, self.proc.region
+        cid = sim.next_cid
+        sim.next_cid += 1
+        tag = tr.canon(tag)
+        self.proc.colls[coll][cid] = Cell(held, r, sim.g_region, tag)
+        sim.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=res,
+                         lifted=lifted, created_local=r,
+                         created_global=sim.g_region, tag=tag,
+                         corrected=corrected)
+        return cid
 
     def remove_cell(self, coll: str, cid: int) -> None:
         del self.proc.colls[coll][cid]
@@ -281,6 +305,30 @@ class Sim:
         if proc.pid in self.may_hold_stale:
             self.may_hold_stale.discard(proc.pid)
             self._expire_cells(proc)
+
+    def send_from(self, ctx: Ctx, dsts, kind: str, cells: dict,
+                  vars: dict) -> None:
+        """Check and encode the payload once, then post one message to each
+        of ``dsts`` in order, each with its own delivery and ``cells``."""
+        decl = self.prog.msgs.get(kind)
+        if decl is None:
+            raise ProtocolBug(f"undeclared message kind {kind!r}")
+        extra = cells.keys() - decl.cell_fields.keys()
+        if extra:
+            raise ProtocolBug(f"message {kind!r} has no field {min(extra)!r}")
+        recorded, held = self._encode(kind, cells)
+        vars = tr.canon(vars)
+        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
+        for dst in dsts:
+            arrival, drop = self._delivery()
+            mid = self.next_mid
+            self.next_mid += 1
+            self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
+                           cells=recorded, vars=vars, send_region_local=region,
+                           send_region_global=g_region, arrival_step=arrival,
+                           drop_step=drop)
+            self._put_in_flight(tr.MsgRow(mid, src, dst, kind, dict(held), vars,
+                                          step, region, g_region, arrival, drop))
 
     def _put_in_flight(self, msg: tr.MsgRow) -> None:
         self.in_flight[msg.mid] = msg
