@@ -97,7 +97,8 @@ def validate(prog, trace: tr.Trace) -> None:
     in its domain, a message's cells must be fields of its kind, and a
     ``send`` event or message row must set exactly one of its arrival and
     drop steps; a fault's detail must hold what the scans read of it; every
-    residue must fit its register, which a fault may fill. A failure raises
+    residue, an applied fault's ``old`` and ``new`` included, must fit its
+    register, which a fault may fill. A failure raises
     ConfigError("malformed trace: ..."). What the kernel's schedule could
     not have drawn is left to the replay, which fails on it.
     """
@@ -152,11 +153,20 @@ def validate(prog, trace: tr.Trace) -> None:
             _refuse(ev, _DELIVERY)
     # what fault_stop_region reads of a fault, and the scans of an applied
     # one of these kinds
-    reads = {"overwrite_free": {"pid": pids.__contains__,
-                                "target": free_cap.__contains__, "new": is_int},
-             "insert_dep": {"coll": coll_cap.__contains__, "cid": is_int,
-                            "created_local": is_int},
-             "delete_dep": {"coll": coll_cap.__contains__, "cid": is_int}}
+    reads = {"overwrite_free": {"pid": pids.__contains__},
+             "insert_dep": {"cid": is_int, "created_local": is_int},
+             "delete_dep": {"cid": is_int}}
+    # an applied fault's residues, and the detail key naming their register:
+    # for a message field, its register in any kind that declares it
+    field_cap = {}
+    for caps in msg_cap.values():
+        for fld, cap in caps.items():
+            field_cap[fld] = max(cap, field_cap.get(fld, 0))
+    holds = {"overwrite_free": ("target", free_cap, ("old", "new")),
+             "overwrite_dep": ("coll", coll_cap, ("old", "new")),
+             "insert_dep": ("coll", coll_cap, ("new",)),
+             "delete_dep": ("coll", coll_cap, ("old",)),
+             "overwrite_msg": ("field", field_cap, ("old", "new"))}
     for ev in events[tr.EV_FAULT]:
         got = {**ev.detail, "pid": ev.pid, "target": ev.target}
         for key, fits in {"g_region": is_int, **(
@@ -164,6 +174,16 @@ def validate(prog, trace: tr.Trace) -> None:
             if not fits(got.get(key)):
                 _refuse(ev, f"{key} {got.get(key)!r} does not fit a "
                         f"{ev.fault_kind} fault")
+        if not (ev.applied and ev.fault_kind in holds):
+            continue
+        slot, caps, residues = holds[ev.fault_kind]
+        name = got.get(slot)
+        if not (type(name) is str and name in caps):
+            _refuse(ev, f"{slot} {name!r} does not fit a {ev.fault_kind} "
+                    "fault")
+        for key in residues:
+            if not (is_int(res := got.get(key)) and 0 <= res < caps[name]):
+                _refuse(ev, f"{key} " + _UNHELD.format(repr(res), caps[name]))
 
 
 def _refuse(ev, fault: str) -> NoReturn:

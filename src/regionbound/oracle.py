@@ -214,7 +214,10 @@ class Replayer(Sim):
         proc = self.procs[pid]
         self._sweep_before_act(proc)
         ctx = OracleCtx(self, proc, self.step, d, u1, u2)
-        my_idx = choose_action(self.prog.actions, ctx)
+        try:
+            my_idx = choose_action(self.prog.actions, ctx)
+        except Exception as exc:
+            self._fail(f"reference run raised {exc!r} in a guard")
         rec_idx = None if idx == tr.SELF_LOOP else idx
         if my_idx != rec_idx:
             my_name = ("" if my_idx is None
@@ -223,7 +226,13 @@ class Replayer(Sim):
                        f"{name or 'self-loop'!r}, reference enables "
                        f"{my_name or 'self-loop'!r}")
         if my_idx is not None:
-            self.prog.actions[my_idx].body(ctx)
+            act = self.prog.actions[my_idx]
+            try:
+                act.body(ctx)
+            except OracleDivergence:
+                raise
+            except Exception as exc:
+                self._fail(f"reference run raised {exc!r} in {act.name!r}")
 
     def _stored(self, fam, value: int) -> int:
         return value % fam.maxbound

@@ -740,6 +740,58 @@ def test_a_fault_may_fill_a_register_above_the_modulus(run_cli, tmp_path):
     assert code == EXIT_OK, stdout
 
 
+def _mutex_with_dep_faults(tmp_path):
+    """The mutex scenario with list-mode faults that insert a ``req`` cell
+    on pid 0 and then overwrite it, both applied."""
+    doc = json.loads(open(SCENARIOS[1], encoding="utf-8").read())
+    doc["faults"] = {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 15, "kind": kind, "target": target,
+         "pid": 0, "value": value}
+        for kind, target, value in [("insert_dep", "req", 5),
+                                    ("overwrite_dep", ["req", 0], 7)]]}
+    path = tmp_path / "dep_faults.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind,key,value,fault", [
+    ("overwrite_free", "new", 10 ** 6,
+     "new residue 1000000 lies outside [0, 512)"),
+    ("overwrite_free", "old", -1, "old residue -1 lies outside [0, 512)"),
+    ("delete_dep", "old", 512, "old residue 512 lies outside [0, 512)"),
+    ("overwrite_msg", "new", 512, "new residue 512 lies outside [0, 512)"),
+    ("overwrite_msg", "old", "x", "old residue 'x' lies outside [0, 512)"),
+    ("overwrite_msg", "field", "zz", "field 'zz' does not fit"),
+    ("insert_dep", "new", 512, "new residue 512 lies outside [0, 512)"),
+    ("overwrite_dep", "old", 10 ** 6,
+     "old residue 1000000 lies outside [0, 512)"),
+    ("overwrite_dep", "coll", ["req"], "coll ['req'] does not fit"),
+])
+def test_a_fault_detail_residue_no_register_holds_is_refused(
+        run_cli, tmp_path, kind, key, value, fault):
+    """An applied fault's recorded ``old`` and ``new`` must fit the register
+    of the counter, cell or message field it names, as every other recorded
+    residue must: the seed-2024 mutex trace with the ``new`` of its first
+    applied ``overwrite_free`` (step 96) doctored to 10**6 is refused."""
+    path = (_mutex_with_dep_faults(tmp_path)
+            if kind in ("insert_dep", "overwrite_dep") else SCENARIOS[1])
+    at = {}
+
+    def change(recs):
+        ev = next(e for e in _events(recs, "fault")
+                  if e["fault_kind"] == kind and e["applied"])
+        ev["detail"][key] = value
+        at["step"] = ev["step"]
+    code, stdout, err = _check_doctored(run_cli, tmp_path, path, change)
+    assert code == EXIT_CONFIG, stdout
+    assert err.startswith(f"config error: malformed trace: step {at['step']}: "
+                          "fault event ")
+    assert fault in err
+    assert "Traceback" not in err
+    if (kind, key) == ("overwrite_free", "new"):
+        assert at["step"] == 96
+
+
 @pytest.mark.parametrize("budget", [0, -5, 1])
 def test_a_doctored_budget_fails_the_suffix_replay(run_cli, tmp_path, budget):
     """The replay reads a snapshot's budget as the kernel would have: one
@@ -754,6 +806,33 @@ def test_a_doctored_budget_fails_the_suffix_replay(run_cli, tmp_path, budget):
     assert "Traceback" not in err
     assert "FAIL suffix-replay" in stdout
     assert "action selection differs" in stdout
+
+
+def test_an_exception_in_the_reference_run_is_a_divergence(run_cli,
+                                                          tmp_path):
+    """Protocol code that raises on a doctored state in the replay fails the
+    replay at that step, naming the exception and the action, with no
+    traceback: here every ``view`` cell tag in the boundary snapshot of a
+    vector-clocks run is 5, which ``gossip`` cannot unpack."""
+    doc = scenario_doc("vector_clocks", seed=2, faults={
+        "mode": "list", "entries": [
+            {"when_kind": "region", "when": 10, "kind": "overwrite_free",
+             "target": "own", "pid": 0, "value": 7}]})
+    path = tmp_path / "vc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def change(recs):
+        snap = next(r["data"]["state"] for r in recs if r["rec"] == "snapshot"
+                    and r["data"]["state"]["label"] == "region:39")
+        for proc in snap["procs"]:
+            for row in proc["colls"]["view"]:
+                row[tr.CellRow._fields.index("tag")] = 5
+    code, stdout, err = _check_doctored(run_cli, tmp_path, str(path), change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert ("FAIL suffix-replay: suffix from step 1551 (region 39) diverges "
+            "at step 1551: reference run raised TypeError(") in stdout
+    assert ") in 'gossip'" in stdout
 
 
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):

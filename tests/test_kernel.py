@@ -405,6 +405,33 @@ def test_minting_past_the_budget_is_a_kernel_invariant_error(side):
     assert events == []
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("lag", [True, False], ids=["lagging", "level"])
+def test_a_new_global_region_refills_one_short_while_a_process_lags(side,
+                                                                    lag):
+    """Entering a global region refills every family to ``maxinc - 1`` while
+    some process is still a region behind it, and to ``maxinc`` otherwise.
+    No shipped workload has such a laggard, so this is the only test that
+    tells the rule from a refill that always gives ``maxinc``."""
+    sc = build_scenario("consensus")
+    kern = Kernel(sc.cfg, 5)
+    if side == "kernel":
+        sim = kern
+    else:
+        kern._snapshot("start")
+        sim = Replayer(sc.prog, kern.trace, 0)
+    sim.emit = [].append
+    sim.g_region += 1
+    for proc in sim.procs:
+        proc.region = sim.g_region
+    if lag:
+        sim.procs[1].region -= 1
+    sim._on_global_region()
+    assert len(sc.prog.families) > 1
+    assert sim.budgets == {fam: params.maxinc - lag
+                           for fam, params in sc.prog.families.items()}
+
+
 def test_a_body_that_mints_unguarded_overspends_in_the_kernel():
     sc = build_scenario("logical_clocks")
     prog = dataclasses.replace(
