@@ -12,11 +12,13 @@ lifted integers and executes the first enabled action, or self-loops.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
-context API, the snapshot layout) comes from :mod:`.sim`.
-This module adds the residue side: :class:`BoundedCtx` lifts on read and
-range-checks on write, and :class:`Kernel` draws the randomness and the
-clocks, re-anchors residues on region change (``region_shift``), injects
-faults and records every effect in the trace.
+context API and send path, the snapshot layout) comes from :mod:`.sim`.
+This module adds the residue side through its hooks: :class:`BoundedCtx`
+lifts on read and range-checks on write, and checks that a unicast goes to
+a neighbour; :class:`Kernel` takes residues of a payload, draws the
+randomness (each message's delay and loss included) and the clocks,
+re-anchors residues on region change (``region_shift``), injects faults and
+records every effect in the trace.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the

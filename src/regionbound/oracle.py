@@ -16,10 +16,13 @@ trace's shape is not checked here: the replayer takes a kernel-made trace or
 one that :func:`.analysis.validate` has checked against the program.
 
 The network, inboxes, cell expiry, region entry, budget refill,
-message-horizon drop, context API and snapshot layout are the kernel's own,
-from :mod:`.sim`: the replayer reads each tick's clocks from the recorded
-``clock`` event and enters the regions it reaches as the kernel does, and
-its ``emit`` checks each effect instead of recording it. The counter algebra
+message-horizon drop, context API, send path and snapshot layout are the
+kernel's own, from :mod:`.sim`: the replayer reads each tick's clocks from
+the recorded ``clock`` event and enters the regions it reaches as the kernel
+does, reads each message's delivery from its recorded ``send``
+(:meth:`Replayer._delivery`), and its ``emit`` checks each effect instead of
+recording it. An exception that protocol code raises in the reference run
+is a divergence at its step, naming the action. The counter algebra
 stays independent of the kernel's: plain integers in :class:`OracleCtx`, its
 own region raise (:meth:`Replayer._shift`) in place of ``region_shift``, and
 residues taken with ``% maxbound`` for the comparison. Lifts are used only to
@@ -162,7 +165,8 @@ class Replayer(Sim):
                 for fld in sorted(cells)}, cells
 
     def _delivery(self) -> tuple:
-        # the kernel's draws, from the record validate checked sets one
+        """The kernel's draws, read off the send record at the cursor, which
+        :func:`.analysis.validate` has checked sets exactly one of them."""
         got = self._events[self._cursor] if self._cursor < self._end else None
         return getattr(got, "arrival_step", None), getattr(got, "drop_step", None)
 

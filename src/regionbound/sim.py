@@ -4,8 +4,9 @@ Both sides run the same protocol over the same network and clocks: messages
 in flight and in inboxes, cell expiry, arrivals, region entry after a clock
 tick (:meth:`Sim._move_clocks`) with the lag-aware budget refill and the
 message-lifetime drop at every global region change, the action-facing
-context API and the snapshot form of the state. They differ only in counter
-arithmetic and in what becomes of an effect.
+context API and send path, and the snapshot form of the state. They differ
+only in counter arithmetic, in where the delivery draws come from, and in
+what becomes of an effect.
 
 A message in flight or in an inbox is a ``trace.MsgRow`` tuple, its cells
 in this side's arithmetic; a change puts a new tuple in its place, never
@@ -19,14 +20,15 @@ program: a fault that inserts it with an old ``age``, or a snapshot the
 replayer loads. Such a process is flagged in ``Sim.may_hold_stale``, and
 only a flagged process is swept again before it acts.
 
-* Counter arithmetic lives in the context subclasses: the kernel's stores
-  residues, lifting on read and range-checking on write; the oracle's keeps
-  plain integers. Each supplies ``free``, ``_raise_free``, ``cells``,
-  ``_value`` (one cell's value), ``create_cell`` and ``_view``; each
-  simulator supplies ``_stored``, the residue a snapshot records for a
-  counter value, ``_shift``, which moves a process into a new region and
-  returns its change rows, and ``send_from``, which encodes a payload once
-  and posts one message per destination.
+* The context API and the send path are shared, checks included; only
+  counter arithmetic and the delivery draws stay per side, in small hooks.
+  The kernel's context stores residues, lifting on read and range-checking
+  on write; the oracle's keeps plain integers. Each supplies ``free``,
+  ``_raise_free``, ``_value`` (one cell's value), ``_write_dep`` (what a
+  new cell holds and records) and ``_view``. Each simulator supplies
+  ``_stored``, the residue a snapshot records for a counter value,
+  ``_shift``, which moves a process into a new region, ``_encode`` and
+  ``_delivery`` (see :class:`Sim`).
 * Every effect is built by its kind's emitter, ``Sim.emit_<kind>``, which
   takes the fields ``trace.EVENTS`` declares by name, and goes to ``emit``:
   the kernel appends it to the trace, the replayer checks it against the
@@ -86,10 +88,11 @@ _ANY = object()  # Ctx.first_cell's "any tag"
 class Ctx:
     """Action-facing API over one process's state during one activation.
 
-    This base holds every accessor that touches no counter value, and
-    :meth:`mint` and :meth:`fold`, the two writes of a free counter, neither
-    of which lowers it. Subclasses add ``free``, ``_raise_free``, ``cells``,
-    ``_value``, ``create_cell`` and ``_view`` in their own arithmetic.
+    This base holds the whole API, :meth:`mint` and :meth:`fold` (the two
+    writes of a free counter, neither of which lowers it), :meth:`cells` and
+    :meth:`create_cell` included. Subclasses add the hooks ``free``,
+    ``_raise_free``, ``_value``, ``_write_dep`` and ``_view`` in their own
+    arithmetic.
     """
 
     __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")
@@ -232,10 +235,12 @@ class Sim:
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
     ``locals`` and ``regions``) and implement ``emit(ev)``, :meth:`_stored`,
-    :meth:`_shift` and ``send_from(ctx, dsts, kind, cells, vars)``, which
-    both :meth:`Ctx.send` and :meth:`Ctx.broadcast` call. A message enters
-    ``in_flight`` only through :meth:`_put_in_flight`, which files it under
-    the step it arrives or is lost at; it may leave by any route.
+    :meth:`_shift` and the two hooks of :meth:`send_from`:
+    ``_encode(kind, cells)`` gives the residues a ``send`` records, in field
+    order, and the cells its messages hold; ``_delivery()`` gives the next
+    destination's ``(arrival, drop)`` step, one of them None. A message
+    enters ``in_flight`` only through :meth:`_put_in_flight`, which files it
+    under the step it arrives or is lost at; it may leave by any route.
     """
 
     def __init__(self, prog, lifetime: int):
@@ -309,7 +314,8 @@ class Sim:
     def send_from(self, ctx: Ctx, dsts, kind: str, cells: dict,
                   vars: dict) -> None:
         """Check and encode the payload once, then post one message to each
-        of ``dsts`` in order, each with its own delivery and ``cells``."""
+        of ``dsts`` in order, each with its own delivery and ``cells``.
+        :meth:`Ctx.send` and :meth:`Ctx.broadcast` both come here."""
         decl = self.prog.msgs.get(kind)
         if decl is None:
             raise ProtocolBug(f"undeclared message kind {kind!r}")
