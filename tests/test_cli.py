@@ -766,6 +766,7 @@ def _mutex_with_dep_faults(tmp_path):
     ("overwrite_dep", "old", 10 ** 6,
      "old residue 1000000 lies outside [0, 512)"),
     ("overwrite_dep", "coll", ["req"], "coll ['req'] does not fit"),
+    ("delete_dep", "coll", ["req"], "coll ['req'] does not fit"),
 ])
 def test_a_fault_detail_residue_no_register_holds_is_refused(
         run_cli, tmp_path, kind, key, value, fault):
