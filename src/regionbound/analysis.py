@@ -151,8 +151,8 @@ def validate(prog, trace: tr.Trace) -> None:
                     f"declared {ev.msg_kind} fields hold")
         if not _delivers_once(ev):
             _refuse(ev, _DELIVERY)
-    # what fault_stop_region reads of a fault, and the scans of an applied
-    # one of these kinds
+    # what the scans read of an applied fault of these kinds; every fault's
+    # recorded g_region must be an integer too, though no check uses it
     reads = {"overwrite_free": {"pid": pids.__contains__},
              "insert_dep": {"cid": is_int, "created_local": is_int},
              "delete_dep": {"cid": is_int}}
@@ -343,18 +343,6 @@ def suffix_check(prog, trace: tr.Trace, boundary_region: int,
 # --- scans ------------------------------------------------------------------
 
 
-def fault_stop_region(trace: tr.Trace) -> int:
-    """Last global region in which any fault fired (applied or not)."""
-    stop = None
-    for ev in trace.iter_events(tr.EV_FAULT):
-        g = ev.detail["g_region"]
-        stop = g if stop is None else max(stop, g)
-    if stop is None:
-        raise ConfigError("trace records no faults; nothing to derive "
-                          "fault_stop_region from")
-    return stop
-
-
 def scan_free_containment(prog, trace: tr.Trace, fstop: int,
                           report: Optional[VerificationReport] = None
                           ) -> VerificationReport:
@@ -388,6 +376,13 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
             written = [(ev.name, ev.residue)]
         elif (kind == tr.EV_FAULT and ev.fault_kind == "overwrite_free"
               and ev.applied):
+            held = free[ev.pid][ev.target]
+            if ev.detail["old"] != held:
+                report.add("free-containment", False,
+                           f"step {ev.step}: pid {ev.pid} fault records old "
+                           f"residue {ev.detail['old']} of {ev.target!r}, "
+                           f"which held {held}")
+                return report
             written = [(ev.target, ev.detail["new"])]
         else:
             continue
@@ -403,13 +398,10 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
     return report
 
 
-def convergence_check(prog, trace: tr.Trace,
-                      fstop: Optional[int] = None) -> VerificationReport:
+def convergence_check(prog, trace: tr.Trace, fstop: int) -> VerificationReport:
     """Both halves of the stabilization claim for a faulted run: free
-    counters contained 3 regions after the last fault, and the suffix
-    from 3 intervals after it replaying cleanly."""
-    if fstop is None:
-        fstop = fault_stop_region(trace)
+    counters contained 3 regions after the last fault, in global region
+    ``fstop``, and the suffix from 3 intervals after it replaying cleanly."""
     report = VerificationReport()
     scan_free_containment(prog, trace, fstop, report=report)
     suffix_check(prog, trace, convergence_boundary(prog.families, fstop),

@@ -12,13 +12,14 @@ lifted integers and executes the first enabled action, or self-loops.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
-context API and send path, the snapshot layout) comes from :mod:`.sim`.
-This module adds the residue side through its hooks: :class:`BoundedCtx`
-lifts on read and range-checks on write, and checks that a unicast goes to
-a neighbour; :class:`Kernel` takes residues of a payload, draws the
-randomness (each message's delay and loss included) and the clocks,
-re-anchors residues on region change (``region_shift``), injects faults and
-records every effect in the trace.
+context and send path, the snapshot layout) comes from :mod:`.sim`.
+:class:`Kernel` adds the residue side through the simulator hooks: its
+``_read_free``/``_read_dep`` lift, its ``_write_free``/``_write_dep``
+range-check and reduce, ``_encode`` takes residues of a payload and
+``_shift`` re-anchors residues on region change (``region_shift``). It
+also draws the randomness (each message's delay and loss included, in
+``_delivery``) and the clocks, injects faults and records every effect in
+the trace.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the
@@ -37,19 +38,12 @@ from operator import floordiv
 from typing import Optional
 
 from . import trace as tr
-from .counters import free_window, lift_dep, lift_free, to_residue
-from .errors import ConfigError, ProtocolBug
+from .counters import (check_dep, check_free, free_window, lift_dep, lift_free,
+                       to_residue)
+from .errors import ConfigError
 from .regions import DriftPolicy, advance_clocks, draw
-from .sim import Ctx, MsgView, Sim
-from .transform import (
-    Cell,
-    ProcState,
-    choose_action,
-    region_shift,
-    wrap_program,
-    write_dep,
-    write_free,
-)
+from .sim import Ctx, Sim
+from .transform import Cell, ProcState, choose_action, region_shift, wrap_program
 
 
 @dataclass(frozen=True)
@@ -100,46 +94,6 @@ def trace_meta(cfg: RunConfig, seed: int) -> dict:
         "fault_count": len(cfg.faults),
         "snapshot_regions": list(cfg.snapshot_regions),
     }
-
-
-class BoundedCtx(Ctx):
-    """Context over residue state: lifts on read, range-checks on write."""
-
-    __slots__ = ()
-
-    def free(self, name: str) -> int:
-        return lift_free(self.proc.free[name], self.proc.region,
-                         self.sim.free_fams[name])
-
-    def _raise_free(self, name: str, floor: int, inc: int) -> int:
-        value = max(self.free(name), floor) + inc
-        res, lifted, corrected = write_free(value, self.proc.region,
-                                            self.sim.free_fams[name])
-        self.proc.free[name] = res
-        self.sim.emit_wfree(pid=self.pid, name=name, residue=res,
-                            lifted=lifted, corrected=corrected)
-        return value
-
-    def _value(self, coll: str, cell: Cell) -> int:
-        return lift_dep(cell.value, self.proc.region, self.sim.coll_fams[coll])
-
-    def _write_dep(self, coll: str, value: int) -> tuple:
-        res, lifted, corrected = write_dep(value, self.proc.region,
-                                           self.sim.coll_fams[coll])
-        return res, res, lifted, corrected
-
-    def send(self, dst: int, kind: str, cells: dict,
-             vars: Optional[dict] = None) -> None:
-        if dst == self.pid or dst not in self.neighbors:
-            raise ProtocolBug(
-                f"step {self.step}: pid {self.pid} sends to non-neighbor {dst}")
-        super().send(dst, kind, cells, vars)
-
-    def _view(self, msg: tr.MsgRow) -> MsgView:
-        r = self.proc.region
-        lifted = {fld: lift_dep(res, r, self.sim.msg_fams[msg.kind][fld])
-                  for fld, res in msg.cells.items()}
-        return MsgView(msg.mid, msg.src, msg.kind, lifted, msg.vars)
 
 
 class Kernel(Sim):
@@ -195,10 +149,32 @@ class Kernel(Sim):
         proc.vars = {k: tr.canon(v) for k, v in init.vars.items()}
         return proc
 
-    # -- trace plumbing ----------------------------------------------------
+    # -- counter arithmetic ------------------------------------------------
+    # The read hooks look ``lift_free``/``lift_dep`` up when called, so a
+    # rebinding of this module's names sees every kernel lift.
+
+    def _read_free(self, held: int, region: int, fam) -> int:
+        return lift_free(held, region, fam)
+
+    def _read_dep(self, held: int, region: int, fam) -> int:
+        return lift_dep(held, region, fam)
+
+    def _write_free(self, value: int, region: int, fam) -> tuple:
+        """Range-check a free-counter write, then reduce it to a residue."""
+        checked = check_free(value, region, fam)
+        res = to_residue(checked, fam)
+        return res, res, checked, checked != value
+
+    def _write_dep(self, value: int, region: int, fam) -> tuple:
+        """Range-check a new cell's value, then reduce it to a residue."""
+        checked = check_dep(value, region, fam)
+        res = to_residue(checked, fam)
+        return res, res, checked, checked != value
 
     def _stored(self, fam, value: int) -> int:
         return value  # the kernel holds residues already
+
+    # -- trace plumbing ----------------------------------------------------
 
     def _snapshot(self, label: str) -> None:
         self.trace.snapshots[self.step] = {**self._state(), "label": label}
@@ -260,7 +236,7 @@ class Kernel(Sim):
         u2 = rng.random()
         proc = self.procs[pid]
         self._sweep_before_act(proc)
-        ctx = BoundedCtx(self, proc, step, d, u1, u2)
+        ctx = Ctx(self, proc, step, d, u1, u2)
         actions = self.prog.actions
         idx = choose_action(actions, ctx)
         if idx is None:

@@ -16,17 +16,19 @@ trace's shape is not checked here: the replayer takes a kernel-made trace or
 one that :func:`.analysis.validate` has checked against the program.
 
 The network, inboxes, cell expiry, region entry, budget refill,
-message-horizon drop, context API, send path and snapshot layout are the
+message-horizon drop, context, send path and snapshot layout are the
 kernel's own, from :mod:`.sim`: the replayer reads each tick's clocks from
 the recorded ``clock`` event and enters the regions it reaches as the kernel
 does, reads each message's delivery from its recorded ``send``
 (:meth:`Replayer._delivery`), and its ``emit`` checks each effect instead of
 recording it. An exception that protocol code raises in the reference run
 is a divergence at its step, naming the action. The counter algebra
-stays independent of the kernel's: plain integers in :class:`OracleCtx`, its
-own region raise (:meth:`Replayer._shift`) in place of ``region_shift``, and
-residues taken with ``% maxbound`` for the comparison. Lifts are used only to
-load the starting snapshot.
+stays independent of the kernel's, in the replayer's own simulator hooks:
+``_read_free``/``_read_dep`` return plain integers as held,
+``_write_free``/``_write_dep`` keep them and take residues with
+``% maxbound`` for the comparison, and its own region raise
+(:meth:`Replayer._shift`) stands in for ``region_shift``. Lifts are used
+only to load the starting snapshot.
 
 Replaying from the initial snapshot checks that a fault-free bounded run is
 the unbounded run reduced pointwise. Replaying a suffix from a later
@@ -42,7 +44,7 @@ from operator import eq, floordiv, itemgetter, ne
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
-from .sim import Ctx, MsgView, Sim
+from .sim import Ctx, Sim
 from .transform import Cell, ProcState, choose_action
 
 
@@ -51,32 +53,6 @@ class OracleDivergence(Exception):
         self.step = step
         self.detail = detail
         super().__init__(f"step {step}: {detail}")
-
-
-class OracleCtx(Ctx):
-    """Context over plain-integer state: no windows, checks or reductions."""
-
-    __slots__ = ()
-
-    def free(self, name: str) -> int:
-        return self.proc.free[name]
-
-    def _raise_free(self, name: str, floor: int, inc: int) -> int:
-        value = max(self.proc.free[name], floor) + inc
-        self.proc.free[name] = value
-        m = self.sim.free_fams[name].maxbound
-        self.sim.emit_wfree(pid=self.pid, name=name, residue=value % m,
-                            lifted=value, corrected=False)
-        return value
-
-    def _value(self, coll: str, cell: Cell) -> int:
-        return cell.value
-
-    def _write_dep(self, coll: str, value: int) -> tuple:
-        return value, value % self.sim.coll_fams[coll].maxbound, value, False
-
-    def _view(self, msg: tr.MsgRow) -> MsgView:
-        return MsgView(msg.mid, msg.src, msg.kind, msg.cells, msg.vars)
 
 
 class Replayer(Sim):
@@ -157,6 +133,18 @@ class Replayer(Sim):
         if (got := self._next()) != ev:
             self._fail(f"recorded event {got!r} != reference {ev!r}")
 
+    # -- counter arithmetic: plain integers, no windows, checks or reductions
+
+    def _read_free(self, held: int, region: int, fam) -> int:
+        return held
+
+    _read_dep = _read_free
+
+    def _write_free(self, value: int, region: int, fam) -> tuple:
+        return value, value % fam.maxbound, value, False
+
+    _write_dep = _write_free
+
     # -- messaging ---------------------------------------------------------
 
     def _encode(self, kind: str, cells: dict) -> tuple[dict, dict]:
@@ -217,7 +205,7 @@ class Replayer(Sim):
                        f"d in [1, {self.maxinc}] and u1, u2 in [0, 1)")
         proc = self.procs[pid]
         self._sweep_before_act(proc)
-        ctx = OracleCtx(self, proc, self.step, d, u1, u2)
+        ctx = Ctx(self, proc, self.step, d, u1, u2)
         try:
             my_idx = choose_action(self.prog.actions, ctx)
         except Exception as exc:

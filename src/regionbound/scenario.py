@@ -184,8 +184,9 @@ def parse(doc: dict) -> Scenario:
             ("max_delay_steps", "loss_probability", "lifetime_regions"))
     max_delay = _int_field(channel, "channel", "max_delay_steps", 1)
     loss = channel.get("loss_probability", 0.0)
-    if not isinstance(loss, (int, float)) or not 0.0 <= loss <= 1.0:
-        raise ConfigError("channel.loss_probability must be within [0, 1]")
+    if not (is_int(loss) or isinstance(loss, float)) or not 0.0 <= loss <= 1.0:
+        raise ConfigError("channel.loss_probability must be a number within "
+                          "[0, 1]")
     if "lifetime_regions" in channel:
         lifetime = channel["lifetime_regions"]
         if not is_int(lifetime) or lifetime < 0:

@@ -20,15 +20,11 @@ program: a fault that inserts it with an old ``age``, or a snapshot the
 replayer loads. Such a process is flagged in ``Sim.may_hold_stale``, and
 only a flagged process is swept again before it acts.
 
-* The context API and the send path are shared, checks included; only
-  counter arithmetic and the delivery draws stay per side, in small hooks.
-  The kernel's context stores residues, lifting on read and range-checking
-  on write; the oracle's keeps plain integers. Each supplies ``free``,
-  ``_raise_free``, ``_value`` (one cell's value), ``_write_dep`` (what a
-  new cell holds and records) and ``_view``. Each simulator supplies
-  ``_stored``, the residue a snapshot records for a counter value,
-  ``_shift``, which moves a process into a new region, ``_encode`` and
-  ``_delivery`` (see :class:`Sim`).
+* One context, :class:`Ctx`, and one send path serve both sides, checks
+  included. Counter arithmetic and the delivery draws stay per side, in
+  the simulator hooks ``_read_free``, ``_read_dep``, ``_write_free``,
+  ``_write_dep``, ``_stored``, ``_shift``, ``_encode`` and ``_delivery``
+  (see :class:`Sim`).
 * Every effect is built by its kind's emitter, ``Sim.emit_<kind>``, which
   takes the fields ``trace.EVENTS`` declares by name, and goes to ``emit``:
   the kernel appends it to the trace, the replayer checks it against the
@@ -68,7 +64,7 @@ class MsgView:
 
 class PeekView:
     """Read-only view of another process through a context over it, so its
-    counters read as the peeking side's arithmetic reads them."""
+    counters read in the peeking simulator's arithmetic."""
 
     __slots__ = ("_ctx",)
 
@@ -88,11 +84,10 @@ _ANY = object()  # Ctx.first_cell's "any tag"
 class Ctx:
     """Action-facing API over one process's state during one activation.
 
-    This base holds the whole API, :meth:`mint` and :meth:`fold` (the two
-    writes of a free counter, neither of which lowers it), :meth:`cells` and
-    :meth:`create_cell` included. Subclasses add the hooks ``free``,
-    ``_raise_free``, ``_value``, ``_write_dep`` and ``_view`` in their own
-    arithmetic.
+    The same class serves both sides, :meth:`mint` and :meth:`fold` (the
+    two writes of a free counter, neither of which lowers it) included. It
+    reads and writes counters only through its simulator's hooks
+    ``_read_free``, ``_read_dep``, ``_write_free`` and ``_write_dep``.
     """
 
     __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")
@@ -121,6 +116,10 @@ class Ctx:
     def has_free(self, name: str) -> bool:
         return name in self.proc.free
 
+    def free(self, name: str) -> int:
+        return self.sim._read_free(self.proc.free[name], self.proc.region,
+                                   self.sim.free_fams[name])
+
     def can_mint(self) -> bool:
         """Whether the family budget still pays for one :meth:`mint`."""
         return self.sim.budgets[self.sim.prog.budget_family] >= self.d
@@ -142,10 +141,20 @@ class Ctx:
         costs no budget; returns that value."""
         return self._raise_free(name, value, 0)
 
+    def _raise_free(self, name: str, floor: int, inc: int) -> int:
+        sim, value = self.sim, max(self.free(name), floor) + inc
+        held, res, lifted, corrected = sim._write_free(
+            value, self.proc.region, sim.free_fams[name])
+        self.proc.free[name] = held
+        sim.emit_wfree(pid=self.pid, name=name, residue=res, lifted=lifted,
+                       corrected=corrected)
+        return value
+
     def cells(self, coll: str) -> list[tuple]:
         """Live cells as (cid, value, tag, age) with age in owner regions."""
-        r, value = self.proc.region, self._value
-        return [(cid, value(coll, c), c.tag, r - c.created_local)
+        sim, r = self.sim, self.proc.region
+        read, fam = sim._read_dep, sim.coll_fams[coll]
+        return [(cid, read(c.value, r, fam), c.tag, r - c.created_local)
                 for cid, c in sorted(self.proc.colls[coll].items())]
 
     def create_cell(self, coll: str, value: int, tag=None) -> int:
@@ -153,8 +162,9 @@ class Ctx:
         region; returns its id."""
         if coll not in self.proc.colls:
             raise ProtocolBug(f"undeclared collection {coll!r}")
-        held, res, lifted, corrected = self._write_dep(coll, value)
         sim, r = self.sim, self.proc.region
+        held, res, lifted, corrected = sim._write_dep(value, r,
+                                                      sim.coll_fams[coll])
         cid = sim.next_cid
         sim.next_cid += 1
         tag = tr.canon(tag)
@@ -188,9 +198,9 @@ class Ctx:
                 cid = key
         if cid is None:
             return None
-        c = store[cid]
-        return (cid, self._value(coll, c), c.tag,
-                self.proc.region - c.created_local)
+        c, r = store[cid], self.proc.region
+        return (cid, self.sim._read_dep(c.value, r, self.sim.coll_fams[coll]),
+                c.tag, r - c.created_local)
 
     def has_cell(self, coll: str, tag=_ANY) -> bool:
         """Whether ``coll`` holds a live cell, tagged ``tag`` when one is
@@ -209,21 +219,30 @@ class Ctx:
         for mid, msg in inbox.items():
             if msg.kind == kind and (first is None or mid < first):
                 first = mid
-        return None if first is None else self._view(inbox[first])
+        if first is None:
+            return None
+        msg, read, r = inbox[first], self.sim._read_dep, self.proc.region
+        fams = self.sim.msg_fams[kind]
+        return MsgView(first, msg.src, kind,
+                       {fld: read(held, r, fams[fld])
+                        for fld, held in msg.cells.items()}, msg.vars)
 
     def consume(self, mid: int) -> None:
         del self.sim.inboxes[self.pid][mid]
         self.sim.emit_consume(mid=mid, pid=self.pid)
 
     def send(self, dst: int, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
+        if dst == self.pid or dst not in self.neighbors:
+            raise ProtocolBug(
+                f"step {self.step}: pid {self.pid} sends to non-neighbor {dst}")
         self.sim.send_from(self, (dst,), kind, cells, vars or {})
 
     def broadcast(self, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
         self.sim.send_from(self, self.neighbors, kind, cells, vars or {})
 
     def peek(self, pid: int) -> PeekView:
-        return PeekView(type(self)(self.sim, self.sim.procs[pid], self.step,
-                                   self.d, self.u1, self.u2))
+        return PeekView(Ctx(self.sim, self.sim.procs[pid], self.step, self.d,
+                            self.u1, self.u2))
 
     def mark(self, kind: str, data=None) -> None:
         self.sim.emit_mark(mark_kind=kind, pid=self.pid, data=tr.canon(data))
@@ -234,12 +253,16 @@ class Sim:
 
     Subclasses own the state these phases read (``procs``, ``inboxes``,
     ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
-    ``locals`` and ``regions``) and implement ``emit(ev)``, :meth:`_stored`,
-    :meth:`_shift` and the two hooks of :meth:`send_from`:
-    ``_encode(kind, cells)`` gives the residues a ``send`` records, in field
-    order, and the cells its messages hold; ``_delivery()`` gives the next
-    destination's ``(arrival, drop)`` step, one of them None. A message
-    enters ``in_flight`` only through :meth:`_put_in_flight`, which files it
+    ``locals`` and ``regions``) and implement ``emit(ev)`` and the hooks of
+    their arithmetic: ``_read_free(held, region, fam)`` and ``_read_dep``
+    give the value a held counter stands for; ``_write_free(value, region,
+    fam)`` and ``_write_dep`` give ``(held, residue, lifted, corrected)``,
+    what a write holds and what its event records; :meth:`_stored` and
+    :meth:`_shift`; and the two of :meth:`send_from`: ``_encode(kind,
+    cells)`` gives the residues a ``send`` records, in field order, and the
+    cells its messages hold; ``_delivery()`` gives the next destination's
+    ``(arrival, drop)`` step, one of them None. A message enters
+    ``in_flight`` only through :meth:`_put_in_flight`, which files it
     under the step it arrives or is lost at; it may leave by any route.
     """
 

@@ -6,17 +6,17 @@ kernel:
 * process-local state (:class:`ProcState`, :class:`Cell`), holding residues
   in the kernel and plain integers in the unbounded reference replay,
 * what happens to every stored residue when a process enters a new region
-  (:func:`region_shift`) and the range check on every write
-  (:func:`write_free`, :func:`write_dep`), both used by the kernel only,
+  (:func:`region_shift`, the kernel's ``_shift``),
 * deterministic action selection (:func:`choose_action`), shared by both,
   which tests for a handler's waiting message kind before its guard, and
 * static validation of a protocol's declarations (:func:`wrap_program`).
 
-Guard and statement code never sees residues directly. The kernel hands it a
-context whose accessors lift residues into plain integers on read and push
-writes back through the range check + modulo on write; the reference replay
-hands it a context over plain integers with the same API (see :mod:`.sim`),
-so the same protocol code runs unchanged on both.
+Guard and statement code never sees residues directly. Both sides hand it
+the same context (:class:`.sim.Ctx`), which reads and writes counters
+through its simulator's hooks: the kernel's lift residues into plain
+integers on read and range-check then reduce on write, the reference
+replay's keep plain integers, so the same protocol code runs unchanged on
+both.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import trace as tr
-from .counters import (
-    CounterParams,
-    check_dep,
-    check_free,
-    free_window,
-    lift_dep,
-    lift_free,
-    to_residue,
-)
+from .counters import CounterParams, free_window, lift_dep, lift_free, to_residue
 from .errors import ConfigError
 
 
@@ -160,20 +152,6 @@ def choose_action(actions: list[ActionSpec], ctx) -> Optional[int]:
         if guard is None or guard(ctx):
             return idx
     return None
-
-
-def write_free(value: int, region: int, fam: CounterParams) -> tuple[int, int, bool]:
-    """Range-check then store a free-counter write.
-
-    Returns (residue, checked_value, corrected)."""
-    checked = check_free(value, region, fam)
-    return to_residue(checked, fam), checked, checked != value
-
-
-def write_dep(value: int, region: int, fam: CounterParams) -> tuple[int, int, bool]:
-    """Range-check then store a dependent-cell value at creation."""
-    checked = check_dep(value, region, fam)
-    return to_residue(checked, fam), checked, checked != value
 
 
 def wrap_program(prog) -> None:

@@ -77,19 +77,14 @@ def test_closure_check_refuses_faulted_traces():
         analysis.closure_check(sc.prog, trace)
 
 
-def test_fault_stop_region_needs_faults():
-    sc = build_scenario("logical_clocks")
-    with pytest.raises(ConfigError, match="no faults"):
-        analysis.fault_stop_region(run_scenario(sc))
-
-
 def test_convergence_check_on_a_campaign():
     doc = scenario_doc("mutual_exclusion", faults={
         "mode": "campaign", "regions": [14, 15], "seed": 3, "per_family": 1,
     }, run_regions=46)
     sc = scenario.parse(doc)
     trace = run_scenario(sc)
-    report = analysis.convergence_check(sc.prog, trace)
+    report = analysis.convergence_check(sc.prog, trace,
+                                        sc.derived["fault_stop_region"])
     assert report.ok, "\n".join(report.lines())
     names = {r.name for r in report.results}
     assert {"free-containment", "suffix-replay"} <= names

@@ -793,6 +793,24 @@ def test_a_fault_detail_residue_no_register_holds_is_refused(
         assert at["step"] == 96
 
 
+def test_a_fault_old_residue_the_counter_did_not_hold_fails_containment(
+        run_cli, tmp_path):
+    """An applied ``overwrite_free`` must record as ``old`` the residue the
+    trace says its counter held: the seed-2024 mutex trace with the ``old``
+    of its step-96 fault doctored from 180 to 181 fails free containment."""
+    def change(recs):
+        ev = next(e for e in _events(recs, "fault") if e["step"] == 96)
+        assert (ev["fault_kind"], ev["detail"]["old"]) == ("overwrite_free",
+                                                           180)
+        ev["detail"]["old"] = 181
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
+                                        change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert ("FAIL free-containment: step 96: pid 0 fault records old residue "
+            "181 of 'clk', which held 180") in stdout.splitlines()
+
+
 @pytest.mark.parametrize("budget", [0, -5, 1])
 def test_a_doctored_budget_fails_the_suffix_replay(run_cli, tmp_path, budget):
     """The replay reads a snapshot's budget as the kernel would have: one

@@ -249,7 +249,7 @@ def _entry(f: dict) -> dict:
     return entry
 
 
-def _outcome(cfg, prog, seed: int):
+def _outcome(sc, cfg, seed: int):
     """Trace bytes, convergence verdicts, and the replay from the snapshot
     taken right after the faults (stale cells included) -- or the error."""
     try:
@@ -258,10 +258,11 @@ def _outcome(cfg, prog, seed: int):
         return repr(exc)  # the same plan must abort the same way
     buf = io.StringIO()
     trace.write_jsonl(buf)
-    lines = analysis.convergence_check(prog, trace).lines()
+    lines = analysis.convergence_check(
+        sc.prog, trace, sc.derived["fault_stop_region"]).lines()
     start = analysis.snapshot_step_for_region(trace, 16)
     try:
-        replayed = oracle.Replayer(prog, trace, start).run()
+        replayed = oracle.Replayer(sc.prog, trace, start).run()
     except oracle.OracleDivergence as exc:
         replayed = str(exc)
     return buf.getvalue(), lines, replayed
@@ -282,9 +283,9 @@ def test_flagged_sweep_matches_sweeping_before_every_activation(plan, seed):
     sc = scenario.parse(doc)
     cfg = dataclasses.replace(
         sc.cfg, snapshot_regions=sc.cfg.snapshot_regions + (16,))
-    flagged = _outcome(cfg, sc.prog, seed)
+    flagged = _outcome(sc, cfg, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim.Sim, "_sweep_before_act",
                    lambda self, proc: self._expire_cells(proc))
-        every = _outcome(cfg, sc.prog, seed)
+        every = _outcome(sc, cfg, seed)
     assert flagged == every

@@ -152,7 +152,8 @@ def trace_digest(sc, trace) -> str:
     buf = io.StringIO()
     trace.write_jsonl(buf)
     if sc.has_faults:
-        report = analysis.convergence_check(sc.prog, trace)
+        report = analysis.convergence_check(sc.prog, trace,
+                                            sc.derived["fault_stop_region"])
     else:
         report = analysis.closure_check(sc.prog, trace)
     h = hashlib.sha256(buf.getvalue().encode("utf-8"))

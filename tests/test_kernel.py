@@ -9,9 +9,9 @@ import pytest
 from regionbound import analysis, faults, scenario
 from regionbound import kernel as kernel_mod
 from regionbound import trace as tr
-from regionbound.errors import ConfigError, KernelInvariantError
-from regionbound.kernel import BoundedCtx, Kernel
-from regionbound.oracle import OracleCtx, Replayer
+from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
+from regionbound.kernel import Kernel
+from regionbound.oracle import Replayer
 from regionbound.sim import Ctx, Sim
 from regionbound.transform import ActionSpec
 
@@ -308,7 +308,7 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
     sent."""
     sc = build_scenario("mutual_exclusion")
     kern = Kernel(sc.cfg, 5)
-    ctx = BoundedCtx(kern, kern.procs[0], 0, 1, 0.5, 0.5)
+    ctx = Ctx(kern, kern.procs[0], 0, 1, 0.5, 0.5)
     ctx.broadcast("REQ", {"stamp": ctx.free("clk")})
     sends = [ev for ev in kern.trace.events if ev.kind == tr.EV_SEND]
     assert [ev.dst for ev in sends] == [1, 2, 3]
@@ -328,22 +328,33 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
     assert [dict(ev.cells) for ev in sends] == sent
 
 
-def _mint_side(side: str, d: int):
-    """A logical-clocks context over pid 0 at step 0 on ``side``, with the
+def _mint_side(side: str, d: int, protocol: str = "logical_clocks"):
+    """A context over pid 0 of ``protocol`` at step 0 on ``side``, with the
     events it emits collected in a list, and that list."""
-    sc = build_scenario("logical_clocks")
+    sc = build_scenario(protocol)
     kern = Kernel(sc.cfg, 5)
     if side == "kernel":
-        sim, ctx_type = kern, BoundedCtx
+        sim = kern
     else:
         kern._snapshot("start")
-        sim, ctx_type = Replayer(sc.prog, kern.trace, 0), OracleCtx
+        sim = Replayer(sc.prog, kern.trace, 0)
     events = []
     sim.emit = events.append  # record every effect instead of checking it
-    return ctx_type(sim, sim.procs[0], 0, d, 0.5, 0.5), events
+    return Ctx(sim, sim.procs[0], 0, d, 0.5, 0.5), events
 
 
 SIDES = ("kernel", "oracle")
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_unicast_to_the_sender_itself_is_a_protocol_bug(side):
+    """Even on a complete graph a process is not its own neighbour, and both
+    sides refuse the send before it emits anything."""
+    ctx, events = _mint_side(side, d=1, protocol="mutual_exclusion")
+    assert ctx.neighbors == (1, 2, 3)
+    with pytest.raises(ProtocolBug, match="pid 0 sends to non-neighbor 0"):
+        ctx.send(0, "REQ", {"stamp": ctx.free("clk")})
+    assert events == []
 
 
 @pytest.mark.parametrize("side", SIDES)

@@ -57,8 +57,9 @@ def test_bounds_on_scalars():
         parse(steps_per_time_unit=0)
     with pytest.raises(ConfigError, match="maxinc"):
         parse(families={"clock": {"maxinc": 0, "r_b": 3, "r_f": 1}})
-    with pytest.raises(ConfigError, match="loss_probability"):
-        parse(channel={"max_delay_steps": 10, "loss_probability": 1.5})
+    for loss in (1.5, True, False):  # a bool is no number in a scenario
+        with pytest.raises(ConfigError, match="loss_probability"):
+            parse(channel={"max_delay_steps": 10, "loss_probability": loss})
 
 
 def test_topology_shapes():

@@ -12,6 +12,7 @@ from regionbound.counters import (
     to_residue,
 )
 from regionbound.errors import ConfigError
+from regionbound.kernel import Kernel
 from regionbound.protocols.base import CollDecl, MsgDecl, ProcInit, ProtocolDef
 from regionbound.trace import MsgRow
 from regionbound.transform import (
@@ -21,9 +22,9 @@ from regionbound.transform import (
     choose_action,
     region_shift,
     wrap_program,
-    write_dep,
-    write_free,
 )
+
+from conftest import build_scenario
 
 FAM = CounterParams(maxinc=5, r_b=2, r_f=2)
 
@@ -43,31 +44,36 @@ def make_proc(region, free=None, cells=None):
     return proc
 
 
-# --- write helpers ----------------------------------------------------------
+# --- the kernel's write hooks -----------------------------------------------
 
 
-def test_write_free_in_window_passes_through():
+@pytest.fixture(scope="module")
+def kern():
+    return Kernel(build_scenario("logical_clocks").cfg, 0)
+
+
+def test_write_free_in_window_passes_through(kern):
     region = 7
     lo, hi = free_window(region, FAM)
-    res, checked, corrected = write_free(hi, region, FAM)
+    held, res, checked, corrected = kern._write_free(hi, region, FAM)
     assert (res, checked, corrected) == (hi % FAM.maxbound, hi, False)
 
 
-def test_write_free_out_of_window_resets_to_floor():
+def test_write_free_out_of_window_resets_to_floor(kern):
     region = 7
     lo, _hi = free_window(region, FAM)
-    res, checked, corrected = write_free(lo - 1, region, FAM)
+    held, res, checked, corrected = kern._write_free(lo - 1, region, FAM)
     assert checked == lo
     assert res == lo % FAM.maxbound
     assert corrected
 
 
-def test_write_dep_uses_the_wider_window():
+def test_write_dep_uses_the_wider_window(kern):
     region = 9
     lo, hi = dep_window(region, FAM)
-    res, checked, corrected = write_dep(lo, region, FAM)
+    held, res, checked, corrected = kern._write_dep(lo, region, FAM)
     assert (checked, corrected) == (lo, False)
-    res, checked, corrected = write_dep(hi + 1, region, FAM)
+    held, res, checked, corrected = kern._write_dep(hi + 1, region, FAM)
     assert (checked, corrected) == (lo, True)
 
 
