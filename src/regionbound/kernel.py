@@ -5,16 +5,19 @@ re-anchoring for every process whose clock crossed a boundary, each followed
 by the removal of that process's expired cells, channel maintenance
 (expired-message drops, scheduled fault injections, arrivals), then exactly
 one process activation chosen by a seeded shuffled round-robin. Expired
-cells are swept again before an activation only when a fault has touched
-the acting process since it last acted: no other cell can age without a
-region change (see :mod:`.sim`). The acting process evaluates its guards on
-lifted integers and executes the first enabled action, or self-loops.
+cells are swept again before an activation only at a process's first one
+or when a fault has touched it since it last acted: no other cell can age
+without a region change (see :mod:`.sim`). The acting process evaluates
+its guards on lifted integers and executes the first enabled action, or
+self-loops.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
-context and send path, the snapshot layout) comes from :mod:`.sim`.
-:class:`Kernel` adds the residue side through the simulator hooks: its
-``_read_free``/``_read_dep`` lift, its ``_write_free``/``_write_dep``
+context and send path, the snapshot layout and the loading of state) comes
+from :mod:`.sim`. The kernel starts from :func:`start_state`, loaded like
+any snapshot. :class:`Kernel` adds the residue side through the simulator
+hooks: its ``_held_free``/``_held_dep`` keep loaded residues as they are,
+its ``_read_free``/``_read_dep`` lift, its ``_write_free``/``_write_dep``
 range-check and reduce, ``_encode`` takes residues of a payload and
 ``_shift`` re-anchors residues on region change (``region_shift``). It
 also draws the randomness (each message's delay and loss included, in
@@ -43,7 +46,7 @@ from .counters import (check_dep, check_free, free_window, lift_dep, lift_free,
 from .errors import ConfigError
 from .regions import DriftPolicy, advance_clocks, draw
 from .sim import Ctx, Sim
-from .transform import Cell, ProcState, choose_action, region_shift, wrap_program
+from .transform import ProcState, choose_action, region_shift, wrap_program
 
 
 @dataclass(frozen=True)
@@ -96,24 +99,27 @@ def trace_meta(cfg: RunConfig, seed: int) -> dict:
     }
 
 
+def start_state(cfg: RunConfig) -> dict:
+    """The step-0 state in snapshot form: every process at the start region,
+    the free counters it owns at their window floor; no cells or messages."""
+    prog, r, t = cfg.prog, cfg.start_region, cfg.start_region * cfg.rs
+    floor = {name: to_residue(free_window(r, prog.families[fam])[0],
+                              prog.families[fam])
+             for name, fam in prog.free_cells.items()}
+    procs = [{"free": {name: floor[name] for name in init.free}, "colls": {},
+              "vars": {k: tr.canon(v) for k, v in init.vars.items()}}
+             for init in map(prog.init, range(prog.n))]
+    return {"t": t, "g_region": r, "regions": [r] * prog.n,
+            "locals": [t] * prog.n, "procs": procs, "in_flight": [],
+            "inboxes": [[] for _ in procs], "next_mid": 0, "next_cid": 0,
+            "budgets": {fam: p.maxinc for fam, p in prog.families.items()}}
+
+
 class Kernel(Sim):
     def __init__(self, cfg: RunConfig, seed: int):
-        super().__init__(cfg.prog, cfg.lifetime_regions)
+        super().__init__(cfg.prog, cfg.lifetime_regions, start_state(cfg))
         self.cfg = cfg
         self.rng = random.Random(seed)
-
-        prog = self.prog
-        self.t = cfg.start_region * cfg.rs
-        self.locals = [self.t] * prog.n
-        self.g_region = cfg.start_region
-        self.regions = [cfg.start_region] * prog.n
-        self.next_cid = 0
-        self.procs = [self._init_proc(pid) for pid in range(prog.n)]
-        self.inboxes: list[dict[int, tr.MsgRow]] = [{} for _ in range(prog.n)]
-        self.in_flight: dict[int, tr.MsgRow] = {}
-        self.next_mid = 0
-        self.budgets = {fam: params.maxinc
-                        for fam, params in prog.families.items()}
         self.step = 0
         self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
@@ -125,33 +131,14 @@ class Kernel(Sim):
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
         self.emit = self.trace.events.append  # the kernel records each event
 
-    def _init_proc(self, pid: int) -> ProcState:
-        prog = self.prog
-        proc = ProcState(pid, self.cfg.start_region)
-        init = prog.init(pid)
-        for name, value in init.free.items():
-            fam = self.free_fams[name]
-            lo, hi = free_window(self.cfg.start_region, fam)
-            if not lo <= value <= hi:
-                raise ConfigError(
-                    f"initial value {value} for free counter {name!r} on pid "
-                    f"{pid} outside start window [{lo}, {hi}]")
-            proc.free[name] = to_residue(value, fam)
-        for coll in prog.colls:
-            proc.colls[coll] = {}
-        for coll, entries in init.cells.items():
-            fam = self.coll_fams[coll]
-            for value, tag in entries:
-                proc.colls[coll][self.next_cid] = Cell(
-                    to_residue(value, fam), self.cfg.start_region,
-                    self.cfg.start_region, tr.canon(tag))
-                self.next_cid += 1
-        proc.vars = {k: tr.canon(v) for k, v in init.vars.items()}
-        return proc
-
     # -- counter arithmetic ------------------------------------------------
     # The read hooks look ``lift_free``/``lift_dep`` up when called, so a
     # rebinding of this module's names sees every kernel lift.
+
+    def _held_free(self, res: int, region: int, fam) -> int:
+        return res  # the kernel holds residues as stored
+
+    _held_dep = _held_free
 
     def _read_free(self, held: int, region: int, fam) -> int:
         return lift_free(held, region, fam)

@@ -16,8 +16,8 @@ trace's shape is not checked here: the replayer takes a kernel-made trace or
 one that :func:`.analysis.validate` has checked against the program.
 
 The network, inboxes, cell expiry, region entry, budget refill,
-message-horizon drop, context, send path and snapshot layout are the
-kernel's own, from :mod:`.sim`: the replayer reads each tick's clocks from
+message-horizon drop, context, send path, snapshot layout and the loading
+of state are the kernel's own, from :mod:`.sim`: the replayer reads each tick's clocks from
 the recorded ``clock`` event and enters the regions it reaches as the kernel
 does, reads each message's delivery from its recorded ``send``
 (:meth:`Replayer._delivery`), and its ``emit`` checks each effect instead of
@@ -27,8 +27,9 @@ stays independent of the kernel's, in the replayer's own simulator hooks:
 ``_read_free``/``_read_dep`` return plain integers as held,
 ``_write_free``/``_write_dep`` keep them and take residues with
 ``% maxbound`` for the comparison, and its own region raise
-(:meth:`Replayer._shift`) stands in for ``region_shift``. Lifts are used
-only to load the starting snapshot.
+(:meth:`Replayer._shift`) stands in for ``region_shift``. The only lifts
+are in ``_held_free``/``_held_dep``, which hold the residues of the loaded
+snapshot as integers.
 
 Replaying from the initial snapshot checks that a fault-free bounded run is
 the unbounded run reduced pointwise. Replaying a suffix from a later
@@ -45,7 +46,7 @@ from operator import eq, floordiv, itemgetter, ne
 from . import trace as tr
 from .counters import lift_dep, lift_free
 from .sim import Ctx, Sim
-from .transform import Cell, ProcState, choose_action
+from .transform import choose_action
 
 
 class OracleDivergence(Exception):
@@ -62,12 +63,12 @@ class Replayer(Sim):
     def __init__(self, prog, trace: tr.Trace, start_step: int = 0):
         if start_step not in trace.snapshots:
             raise ValueError(f"trace has no snapshot at step {start_step}")
-        super().__init__(prog, trace.meta["lifetime_regions"])
+        super().__init__(prog, trace.meta["lifetime_regions"],
+                         trace.snapshots[start_step])
         self.trace = trace
         self.start_step = start_step
         self.sptu = trace.meta["sptu"]
         self.rs = trace.meta["rs"]
-        self._load(trace.snapshots[start_step])
         self.step = start_step
         # pids already activated in the block of n steps the replay starts in
         self._acted = {pid for _, pid, *_ in
@@ -75,46 +76,6 @@ class Replayer(Sim):
         # the events of the step being replayed: events[_cursor:_end]
         self._events = trace.events
         self._cursor = self._end = 0
-
-    def _load(self, snap: dict) -> None:
-        self.t = snap["t"]
-        self.g_region = snap["g_region"]
-        self.regions = list(snap["regions"])
-        self.locals = list(snap["locals"])
-        self.budgets = dict(snap["budgets"])
-        self.next_mid = snap["next_mid"]
-        self.next_cid = snap["next_cid"]
-        self.procs = []
-        for pid, pstate in enumerate(snap["procs"]):
-            proc = ProcState(pid, self.regions[pid])
-            for name, res in pstate["free"].items():
-                proc.free[name] = lift_free(res, proc.region,
-                                            self.free_fams[name])
-            for coll in self.prog.colls:
-                proc.colls[coll] = {}
-            for coll, rows in pstate["colls"].items():
-                fam = self.coll_fams[coll]
-                for row in map(tr.CellRow._make, rows):
-                    proc.colls[coll][row.cid] = Cell(
-                        lift_dep(row.residue, proc.region, fam),
-                        row.created_local, row.created_global, row.tag)
-            proc.vars = dict(pstate["vars"])
-            self.procs.append(proc)
-        # the snapshot comes from outside the program: any cell may be stale
-        self.may_hold_stale.update(range(len(self.procs)))
-        self.in_flight: dict[int, tr.MsgRow] = {}
-        for row in snap["in_flight"]:
-            self._put_in_flight(self._load_msg(row))
-        self.inboxes: list[dict[int, tr.MsgRow]] = [
-            {msg.mid: msg for msg in map(self._load_msg, rows)}
-            for rows in snap["inboxes"]]
-
-    def _load_msg(self, row: list) -> tr.MsgRow:
-        row = tr.MsgRow._make(row)
-        fams = self.msg_fams[row.kind]
-        lifted = {fld: lift_dep(res, self.regions[row.dst], fams[fld])
-                  for fld, res in row.cells.items()}
-        return row._replace(cells=lifted)
 
     # -- trace comparison --------------------------------------------------
 
@@ -134,6 +95,14 @@ class Replayer(Sim):
             self._fail(f"recorded event {got!r} != reference {ev!r}")
 
     # -- counter arithmetic: plain integers, no windows, checks or reductions
+    # The load hooks are the only lifts, and look ``lift_free``/``lift_dep``
+    # up when called, as the kernel's read hooks do.
+
+    def _held_free(self, res: int, region: int, fam) -> int:
+        return lift_free(res, region, fam)
+
+    def _held_dep(self, res: int, region: int, fam) -> int:
+        return lift_dep(res, region, fam)
 
     def _read_free(self, held: int, region: int, fam) -> int:
         return held

@@ -50,10 +50,10 @@ class MsgDecl:
 
 @dataclass(frozen=True)
 class ProcInit:
-    """Initial state for one process, with counters as plain integers."""
+    """One process's start: the free counters it owns, each of which starts
+    at its window floor in the start region, and its variables."""
 
-    free: dict[str, int] = field(default_factory=dict)
-    cells: dict[str, list[tuple]] = field(default_factory=dict)
+    free: tuple[str, ...] = ()
     vars: dict[str, object] = field(default_factory=dict)
 
 
@@ -127,7 +127,3 @@ def replace_single(ctx, coll: str, value: int, tag=None) -> None:
         ctx.remove_cell(coll, cur[0])
     ctx.create_cell(coll, value, tag=tag)
 
-
-def floor_value(info: BuildInfo, fam: str) -> int:
-    """Window floor at the start region, the canonical initial counter value."""
-    return 3 * info.start_region * info.families[fam].maxinc

@@ -28,7 +28,7 @@ from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
-                   floor_value, on_msg, replace_single)
+                   on_msg, replace_single)
 
 # acceptor_expiry None means r_f - 1 of the aseq family
 PARAMS = {"proposal_expiry": 2, "acceptor_expiry": None}
@@ -228,7 +228,6 @@ def build(info: BuildInfo) -> ProtocolDef:
         clear(ctx, "votes")
         clear(ctx, "cand")
 
-    start = floor_value(info, "nextseq")
     pids = tuple(range(n))
 
     return ProtocolDef(
@@ -265,7 +264,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         ],
         budget_family="nextseq",
         init=lambda pid: ProcInit(
-            free={"nseq": start},
+            free=("nseq",),
             vars={"phase": "idle", "decided": None, "accepted_val": None,
                   "cand_val": None, "chosen_val": None}),
         neighbors=info.neighbors,

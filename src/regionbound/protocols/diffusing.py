@@ -20,8 +20,7 @@ from collections import deque
 
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
-                   floor_value, on_msg)
+from .base import BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef, on_msg
 
 PARAMS = {"wave_expiry": 3}
 
@@ -117,8 +116,6 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.create_cell("wave", wseq, tag="root")
         ctx.broadcast("WAVE", {"wseq": wseq})
 
-    start = floor_value(info, "wave")
-
     return ProtocolDef(
         name="diffusing",
         n=info.n,
@@ -138,6 +135,6 @@ def build(info: BuildInfo) -> ProtocolDef:
             ActionSpec("start_wave", g_start, b_start),
         ],
         budget_family="wave",
-        init=lambda pid: ProcInit(free={"seq": start} if pid == 0 else {}),
+        init=lambda pid: ProcInit(free=("seq",) if pid == 0 else ()),
         neighbors=info.neighbors,
     )

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from ..sim import Ctx
 from ..transform import ActionSpec
-from .base import (BuildInfo, MsgDecl, ProcInit, ProtocolDef, floor_value,
-                   on_msg)
+from .base import BuildInfo, MsgDecl, ProcInit, ProtocolDef, on_msg
 
 PARAMS: dict = {}
 
@@ -31,8 +30,6 @@ def build(info: BuildInfo) -> ProtocolDef:
             dst = ctx.neighbors[int(ctx.u2 * len(ctx.neighbors))]
             ctx.send(dst, "TICK", {"stamp": cl})
 
-    start = floor_value(info, "clock")
-
     return ProtocolDef(
         name="logical_clocks",
         n=info.n,
@@ -45,6 +42,6 @@ def build(info: BuildInfo) -> ProtocolDef:
             ActionSpec("tick", Ctx.can_mint, b_tick),
         ],
         budget_family="clock",
-        init=lambda pid: ProcInit(free={"cl": start}),
+        init=lambda pid: ProcInit(free=("cl",)),
         neighbors=info.neighbors,
     )

@@ -26,8 +26,7 @@ from __future__ import annotations
 from .. import trace as tr
 from ..errors import ConfigError
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
-                   floor_value, on_msg)
+from .base import BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef, on_msg
 
 PARAMS = {"request_expiry": 2}
 
@@ -146,8 +145,6 @@ def build(info: BuildInfo) -> ProtocolDef:
         for cid, _value, _tag, _age in ctx.cells("grants"):
             ctx.remove_cell("grants", cid)
 
-    start = floor_value(info, "clk")
-
     return ProtocolDef(
         name="mutual_exclusion",
         n=n,
@@ -171,7 +168,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             ActionSpec("renew", g_renew, b_renew),
         ],
         budget_family="clk",
-        init=lambda pid: ProcInit(free={"clk": start},
+        init=lambda pid: ProcInit(free=("clk",),
                                   vars={"in_cs": False}),
         neighbors=info.neighbors,
         var_domains={"in_cs": (False, True)},

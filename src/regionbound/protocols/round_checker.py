@@ -9,9 +9,9 @@ number is re-answered only when the earlier report is not on record (so
 duplicate ROUNDs are acknowledged at most once); a lower number is stale and
 ignored.
 
-Each report carries a legitimacy bit obtained through an instantaneous peek
-at the issuer: the round being reported must not be ahead of the issuer's
-counter. That is an invariant of correct operation and goes false exactly
+Each report carries a legitimacy bit read from the issuer's own round
+counter at that instant (``Ctx.peek_free``): the round being reported must
+not be ahead of it. That is an invariant of correct operation and goes false exactly
 when corruption minted a round out of thin air. The issuer collects reports
 in a cell per process; when every process has reported its current round it
 marks the round complete (or suspect, if any legitimacy bit came back
@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..errors import ConfigError
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
-                   floor_value, on_msg, replace_single)
+                   on_msg, replace_single)
 
 PARAMS = {"round_expiry": 3}
 
@@ -48,8 +48,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                 "cannot reach in this topology")
 
     def legitimacy(ctx, rnd):
-        issuer = ctx.peek(0)
-        return issuer.has_free("nr") and rnd <= issuer.free("nr")
+        return rnd <= ctx.peek_free(0, "nr")
 
     def b_handle_round(ctx, m):
         rnd = m.cell("rnd")
@@ -96,11 +95,9 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.create_cell("reports", nr, tag=[0, True])
         ctx.broadcast("ROUND", {"rnd": nr}, {"real": real})
 
-    start = floor_value(info, "round")
-
     def init(pid):
         if pid == 0:
-            return ProcInit(free={"nr": start},
+            return ProcInit(free=("nr",),
                             vars={"done": True, "cur_real": False})
         return ProcInit()
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from ..sim import Ctx
 from ..transform import ActionSpec
-from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
-                   floor_value, on_msg)
+from .base import BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef, on_msg
 
 PARAMS = {"view_expiry": 2}
 
@@ -78,7 +77,6 @@ def build(info: BuildInfo) -> ProtocolDef:
                 ages[f"c{peer}"] = eff + age
         ctx.send(dst, "VIEW", cells, {"ages": ages})
 
-    start = floor_value(info, "vc")
     fields = {f"c{i}": "vc" for i in range(n)}
 
     return ProtocolDef(
@@ -93,7 +91,7 @@ def build(info: BuildInfo) -> ProtocolDef:
             ActionSpec("gossip", Ctx.can_mint, b_gossip),
         ],
         budget_family="vc",
-        init=lambda pid: ProcInit(free={"own": start}, vars={"rot": 0}),
+        init=lambda pid: ProcInit(free=("own",), vars={"rot": 0}),
         neighbors=info.neighbors,
         var_domains={"rot": tuple(range(max(1, n - 1)))},
     )

@@ -4,9 +4,10 @@ Both sides run the same protocol over the same network and clocks: messages
 in flight and in inboxes, cell expiry, arrivals, region entry after a clock
 tick (:meth:`Sim._move_clocks`) with the lag-aware budget refill and the
 message-lifetime drop at every global region change, the action-facing
-context API and send path, and the snapshot form of the state. They differ
-only in counter arithmetic, in where the delivery draws come from, and in
-what becomes of an effect.
+context API and send path, and the snapshot form of the state, which is
+also how both start (:meth:`Sim._load`). They differ only in counter
+arithmetic, in where the delivery draws come from, and in what becomes of
+an effect.
 
 A message in flight or in an inbox is a ``trace.MsgRow`` tuple, its cells
 in this side's arithmetic; a change puts a new tuple in its place, never
@@ -16,15 +17,16 @@ A cell expires once its owner's region passes its creation region by more
 than the collection's expiry. The program creates a cell at its owner's
 current region, so only a region change can age one, and every region change
 sweeps its process. A cell can also arrive already stale from outside the
-program: a fault that inserts it with an old ``age``, or a snapshot the
-replayer loads. Such a process is flagged in ``Sim.may_hold_stale``, and
-only a flagged process is swept again before it acts.
+program: a fault that inserts it with an old ``age``, or a loaded
+snapshot. Such a process is flagged in ``Sim.may_hold_stale``, and only a
+flagged process is swept again before it acts; the kernel's start is a
+loaded snapshot, so it sweeps each process once, emptily.
 
 * One context, :class:`Ctx`, and one send path serve both sides, checks
   included. Counter arithmetic and the delivery draws stay per side, in
-  the simulator hooks ``_read_free``, ``_read_dep``, ``_write_free``,
-  ``_write_dep``, ``_stored``, ``_shift``, ``_encode`` and ``_delivery``
-  (see :class:`Sim`).
+  the simulator hooks ``_held_free``, ``_held_dep``, ``_read_free``,
+  ``_read_dep``, ``_write_free``, ``_write_dep``, ``_stored``, ``_shift``,
+  ``_encode`` and ``_delivery`` (see :class:`Sim`).
 * Every effect is built by its kind's emitter, ``Sim.emit_<kind>``, which
   takes the fields ``trace.EVENTS`` declares by name, and goes to ``emit``:
   the kernel appends it to the trace, the replayer checks it against the
@@ -37,7 +39,7 @@ from typing import Optional
 
 from . import trace as tr
 from .errors import KernelInvariantError, ProtocolBug
-from .transform import Cell
+from .transform import Cell, ProcState
 
 
 class MsgView:
@@ -60,22 +62,6 @@ class MsgView:
 
     def var(self, name: str):
         return self._vars[name]
-
-
-class PeekView:
-    """Read-only view of another process through a context over it, so its
-    counters read in the peeking simulator's arithmetic."""
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-
-    def has_free(self, name: str) -> bool:
-        return self._ctx.has_free(name)
-
-    def free(self, name: str) -> int:
-        return self._ctx.free(name)
 
 
 _ANY = object()  # Ctx.first_cell's "any tag"
@@ -112,9 +98,6 @@ class Ctx:
     @property
     def neighbors(self) -> tuple:
         return self.sim.prog.neighbors[self.pid]
-
-    def has_free(self, name: str) -> bool:
-        return name in self.proc.free
 
     def free(self, name: str) -> int:
         return self.sim._read_free(self.proc.free[name], self.proc.region,
@@ -240,21 +223,25 @@ class Ctx:
     def broadcast(self, kind: str, cells: dict, vars: Optional[dict] = None) -> None:
         self.sim.send_from(self, self.neighbors, kind, cells, vars or {})
 
-    def peek(self, pid: int) -> PeekView:
-        return PeekView(Ctx(self.sim, self.sim.procs[pid], self.step, self.d,
-                            self.u1, self.u2))
+    def peek_free(self, pid: int, name: str) -> int:
+        """Free counter ``name`` of process ``pid``, read in this side's
+        arithmetic."""
+        sim, proc = self.sim, self.sim.procs[pid]
+        return sim._read_free(proc.free[name], proc.region, sim.free_fams[name])
 
     def mark(self, kind: str, data=None) -> None:
         self.sim.emit_mark(mark_kind=kind, pid=self.pid, data=tr.canon(data))
 
 
 class Sim:
-    """Program, per-name family maps and the phases that touch no counter.
+    """Program, family maps, state and the phases that touch no counter.
 
-    Subclasses own the state these phases read (``procs``, ``inboxes``,
-    ``in_flight``, ``budgets``, ``step`` and the clocks ``t``, ``g_region``,
-    ``locals`` and ``regions``) and implement ``emit(ev)`` and the hooks of
-    their arithmetic: ``_read_free(held, region, fam)`` and ``_read_dep``
+    :meth:`_load` builds the state (``procs``, ``inboxes``, ``in_flight``,
+    ``budgets``, the id counters and the clocks ``t``, ``g_region``,
+    ``locals`` and ``regions``) from a snapshot. Subclasses set ``step``
+    and implement ``emit(ev)`` and the hooks of their arithmetic:
+    ``_held_free(res, region, fam)`` and ``_held_dep`` give what a loaded
+    residue is held as; ``_read_free(held, region, fam)`` and ``_read_dep``
     give the value a held counter stands for; ``_write_free(value, region,
     fam)`` and ``_write_dep`` give ``(held, residue, lifted, corrected)``,
     what a write holds and what its event records; :meth:`_stored` and
@@ -266,7 +253,7 @@ class Sim:
     under the step it arrives or is lost at; it may leave by any route.
     """
 
-    def __init__(self, prog, lifetime: int):
+    def __init__(self, prog, lifetime: int, snap: dict):
         self.prog = prog
         self.lifetime = lifetime  # message lifetime in global regions
         self.maxinc = prog.families[prog.budget_family].maxinc  # the largest d
@@ -282,6 +269,49 @@ class Sim:
         self.due: dict[int, list[int]] = {}
         # pids that may hold a stale cell no region change has swept yet
         self.may_hold_stale: set[int] = set()
+        self._load(snap)
+
+    def _load(self, snap: dict) -> None:
+        """Build the state ``snap`` records, each residue held through
+        ``_held_free`` or ``_held_dep`` at its holder's region."""
+        self.t = snap["t"]
+        self.g_region = snap["g_region"]
+        self.regions = list(snap["regions"])
+        self.locals = list(snap["locals"])
+        self.budgets = dict(snap["budgets"])
+        self.next_mid = snap["next_mid"]
+        self.next_cid = snap["next_cid"]
+        self.procs = []
+        for pid, pstate in enumerate(snap["procs"]):
+            proc = ProcState(pid, self.regions[pid])
+            for name, res in pstate["free"].items():
+                proc.free[name] = self._held_free(res, proc.region,
+                                                  self.free_fams[name])
+            for coll in self.prog.colls:
+                proc.colls[coll] = {}
+            for coll, rows in pstate["colls"].items():
+                fam = self.coll_fams[coll]
+                for row in map(tr.CellRow._make, rows):
+                    proc.colls[coll][row.cid] = Cell(
+                        self._held_dep(row.residue, proc.region, fam),
+                        row.created_local, row.created_global, row.tag)
+            proc.vars = dict(pstate["vars"])
+            self.procs.append(proc)
+        # a snapshot comes from outside the program: any cell may be stale
+        self.may_hold_stale.update(range(len(self.procs)))
+
+        def msg(row: list) -> tr.MsgRow:
+            row = tr.MsgRow._make(row)
+            fams, region = self.msg_fams[row.kind], self.regions[row.dst]
+            return row._replace(cells={
+                fld: self._held_dep(res, region, fams[fld])
+                for fld, res in row.cells.items()})
+
+        self.in_flight: dict[int, tr.MsgRow] = {}
+        for row in snap["in_flight"]:
+            self._put_in_flight(msg(row))
+        self.inboxes: list[dict[int, tr.MsgRow]] = [
+            {m.mid: m for m in map(msg, rows)} for rows in snap["inboxes"]]
 
     def _stored(self, fam, value: int) -> int:
         """The residue a bounded run stores for counter ``value``."""

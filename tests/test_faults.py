@@ -60,7 +60,7 @@ def test_campaign_refuses_a_family_with_no_slot():
         free_cells={"x": "f"}, colls={}, msgs={},
         actions=[ActionSpec("noop", lambda ctx: False, lambda ctx: None)],
         budget_family="f",
-        init=lambda pid: ProcInit(free={"x": 0}),
+        init=lambda pid: ProcInit(free=("x",)),
         neighbors=((1,), (0,)))
     with pytest.raises(ConfigError, match="orphan"):
         faults.make_campaign(prog, fault_regions=[9], seed=1)

@@ -228,7 +228,7 @@ def minimal_prog(**overrides):
         msgs={"M": MsgDecl(cell_fields={"v": "f"})},
         actions=[ActionSpec("noop", lambda ctx: False, lambda ctx: None)],
         budget_family="f",
-        init=lambda pid: ProcInit(free={"x": 0}),
+        init=lambda pid: ProcInit(free=("x",)),
         neighbors=((1,), (0,)),
     )
     base.update(overrides)
