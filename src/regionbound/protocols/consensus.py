@@ -25,13 +25,25 @@ scans a trace suffix for two different decided values.
 from __future__ import annotations
 
 from .. import trace as tr
-from ..errors import ConfigError
+from ..errors import ConfigError, is_int
 from ..transform import ActionSpec
 from .base import (BuildInfo, CollDecl, MsgDecl, ProcInit, ProtocolDef,
                    on_msg, replace_single)
 
 # acceptor_expiry None means r_f - 1 of the aseq family
 PARAMS = {"proposal_expiry": 2, "acceptor_expiry": None}
+
+
+def ballot(seq: int, bpid) -> tuple:
+    """Sort key of the ballot (seq, bpid). A pid that is no integer, which
+    only a corrupted cell tag gives, ranks the ballot below every real one."""
+    return (1, seq, bpid) if is_int(bpid) else (0, seq)
+
+
+def phase_of(tag):
+    """The phase of a vote's ``[pid, phase]`` tag; None for any other tag,
+    which only corruption leaves on a vote."""
+    return tag[1] if type(tag) is list and len(tag) == 2 else None
 
 
 def check_agreement(trace, start_step: int = 0) -> tuple[bool, str]:
@@ -82,12 +94,12 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def clear(ctx, coll, phase=None):
         for cid, _value, tag, _age in ctx.cells(coll):
-            if phase is None or tag[1] == phase:
+            if phase is None or phase_of(tag) == phase:
                 ctx.remove_cell(coll, cid)
 
     def votes_for(ctx, seq, phase):
         return sum(1 for _cid, value, tag, _age in ctx.cells("votes")
-                   if value == seq and tag[1] == phase)
+                   if value == seq and phase_of(tag) == phase)
 
     def accept_locally(ctx, seq, bpid, val):
         replace_single(ctx, "prom", seq, bpid)
@@ -104,7 +116,7 @@ def build(info: BuildInfo) -> ProtocolDef:
     def b_handle_prepare(ctx, m):
         seq = m.cell("bseq")
         prom = ctx.first_cell("prom")
-        if prom is not None and (seq, m.src) <= (prom[1], prom[2]):
+        if prom is not None and ballot(seq, m.src) <= ballot(prom[1], prom[2]):
             ctx.send(m.src, "NACK", {"bseq": seq, "promised": prom[1]},
                      {"prom_bpid": prom[2]})
             return
@@ -132,7 +144,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         if m.var("has_acc"):
             cand = ctx.first_cell("cand")
             better = (cand is None
-                      or (m.cell("aseq"), m.var("acc_bpid")) > (cand[1], cand[2]))
+                      or ballot(m.cell("aseq"), m.var("acc_bpid"))
+                      > ballot(cand[1], cand[2]))
             if better:
                 replace_single(ctx, "cand", m.cell("aseq"), m.var("acc_bpid"))
                 ctx.set_var("cand_val", m.var("acc_val"))
@@ -162,7 +175,7 @@ def build(info: BuildInfo) -> ProtocolDef:
     def b_handle_accept(ctx, m):
         seq = m.cell("bseq")
         prom = ctx.first_cell("prom")
-        if prom is not None and (seq, m.src) < (prom[1], prom[2]):
+        if prom is not None and ballot(seq, m.src) < ballot(prom[1], prom[2]):
             ctx.send(m.src, "NACK", {"bseq": seq, "promised": prom[1]},
                      {"prom_bpid": prom[2]})
             return
@@ -216,7 +229,7 @@ def build(info: BuildInfo) -> ProtocolDef:
                     None if acc is None else ctx.var("accepted_val"))
         ctx.set_var("phase", "prepare")
         prom = ctx.first_cell("prom")
-        if prom is None or (seq, ctx.pid) > (prom[1], prom[2]):
+        if prom is None or ballot(seq, ctx.pid) > ballot(prom[1], prom[2]):
             replace_single(ctx, "prom", seq, ctx.pid)
         ctx.broadcast("PREPARE", {"bseq": seq})
 

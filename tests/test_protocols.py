@@ -220,3 +220,21 @@ def test_consensus_proposer_offers_its_own_acceptance(seed):
     sc = scenario.load("scenarios/consensus_clean.json")
     report = analysis.check(sc, kernel.run(sc.cfg, seed))
     assert report.ok, report.lines()
+
+
+def test_consensus_survives_corrupted_ballot_tags():
+    # Campaign seed 6 inserts ballot cells tagged ["bogus", k]; at kernel
+    # seed 6 a promise handler compared such a tag with an integer pid.
+    sc = parse("consensus", faults={"mode": "campaign", "regions": [19, 20],
+                                    "seed": 6}, run_regions=60)
+    report = analysis.check(sc, kernel.run(sc.cfg, 6))
+    assert report.ok, report.lines()
+
+
+def test_consensus_ranks_a_ballot_without_a_pid_below_every_real_one():
+    ballot = consensus.ballot
+    assert ballot(10**6, ["bogus", 2]) < ballot(0, 0) < ballot(0, 1)
+    assert ballot(5, None) < ballot(6, "own")
+    assert [consensus.phase_of(tag) for tag in ([3, "p"], ["bogus", 1], 4,
+                                                None, "own")] == \
+        ["p", 1, None, None, None]
