@@ -36,8 +36,8 @@ class FaultEntry:
         insert_dep: collection name.
         scramble_var: variable name.
         overwrite_msg: (k, field) picking the k-th in-flight message in mid
-            order; ``field`` falls back to the k-th declared cell field when
-            the message lacks it.
+            order; when the message lacks ``field``, the k-th of its fields
+            whose register holds ``value`` stands in, if it has one.
         delete_msg: k.
     value: what the corruption writes, where it applies: a residue that
         fits the target family's register for overwrite_free, insert_dep,
@@ -122,7 +122,9 @@ def _apply_overwrite_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
         return False, {}
     msg = kern.in_flight[mids[k % len(mids)]]
     if fld not in msg.cells:
-        flds = sorted(msg.cells)
+        fams = kern.msg_fams[msg.kind]
+        flds = [f for f in sorted(msg.cells) if entry.value
+                < 1 << bits_required(fams[f].maxinc, fams[f].max_r)]
         if not flds:
             return False, {}
         fld = flds[k % len(flds)]

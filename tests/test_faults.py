@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -171,6 +172,45 @@ def test_empty_selector_records_applied_false():
     assert [ev.applied for ev in fired] == [False, False]
     # nothing beyond the firing region gets recorded when nothing matched
     assert all(set(ev.detail) == {"g_region"} for ev in fired)
+
+
+def test_a_message_fault_stands_in_only_a_field_that_holds_its_value():
+    # PROMISE's aseq field has 11-bit registers and its bseq field 9-bit
+    # ones; neither message has the targeted "promised" field
+    regs = {"bseq": CounterParams(3, 6, 3), "aseq": CounterParams(3, 6, 30)}
+    msg = tr.MsgRow(4, 0, 1, "PROMISE", {"aseq": 7, "bseq": 8}, {}, 0, 38, 38,
+                    5, None)
+    kern = SimpleNamespace(in_flight={4: msg}, msg_fams={"PROMISE": regs})
+
+    def fire(k, value):
+        entry = faults.FaultEntry("region", 39, "overwrite_msg",
+                                  (k, "promised"), value=value)
+        return entry.apply(kern)
+
+    assert fire(1, 100) == (True, {"mid": 4, "field": "bseq", "old": 8,
+                                   "new": 100})
+    assert fire(1, 1500) == (True, {"mid": 4, "field": "aseq", "old": 7,
+                                    "new": 1500})
+    kern.in_flight[4] = msg._replace(cells={"bseq": 8})
+    assert fire(0, 1500) == (False, {})
+
+
+def test_a_message_fault_writes_no_residue_its_field_cannot_hold():
+    # With aseq at r_f 30 its registers take 11 bits and pending's keep 9.
+    # The fault finds a PREPARE in flight, which has no "promised" field,
+    # and it once wrote 1500 into the 9-bit bseq instead.
+    with open("scenarios/consensus_clean.json", encoding="utf-8") as fp:
+        doc = json.load(fp)
+    doc["families"]["aseq"]["r_f"] = 30
+    doc["run_regions"] = 100
+    doc["faults"] = {"mode": "list", "entries": [
+        {"when_kind": "region", "when": 39, "kind": "overwrite_msg",
+         "target": [0, "promised"], "value": 1500}]}
+    sc = scenario.parse(doc)
+    trace = kernel.run(sc.cfg, sc.seed)
+    assert [ev.applied for ev in trace.iter_events(tr.EV_FAULT)] == [False]
+    report = analysis.check(sc, trace)
+    assert report.ok, report.lines()
 
 
 def test_faulted_runs_are_reproducible():
