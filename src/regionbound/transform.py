@@ -160,7 +160,8 @@ def wrap_program(prog) -> None:
     Every collection and message field must reference a declared family,
     and a collection's auto-expiry must fire strictly before its family's
     lifetime bound ``r_f`` runs out, with one region of slack for clock
-    skew. Every message handler must consume a declared message kind.
+    skew. Every message handler must consume a declared message kind, and
+    the budget family must be declared.
     """
     if prog.n < 1:
         raise ConfigError(f"protocol {prog.name}: needs at least one process")
@@ -191,7 +192,7 @@ def wrap_program(prog) -> None:
             raise ConfigError(
                 f"protocol {prog.name}: action {act.name!r} handles "
                 f"undeclared message kind {act.msg_kind!r}")
-    if prog.budget_family is not None and prog.budget_family not in prog.families:
+    if prog.budget_family not in prog.families:
         raise ConfigError(
             f"protocol {prog.name}: budget family {prog.budget_family!r} undeclared")
     if len(prog.neighbors) != prog.n:

@@ -263,6 +263,12 @@ def test_wrap_program_rejects_a_handler_for_an_undeclared_kind():
     wrap_program(minimal_prog(actions=[handler("h", "M")]))
 
 
+@pytest.mark.parametrize("fam", [None, "ghost"])
+def test_wrap_program_rejects_a_missing_budget_family(fam):
+    with pytest.raises(ConfigError, match="budget family"):
+        wrap_program(minimal_prog(budget_family=fam))
+
+
 def test_wrap_program_rejects_wrong_neighbor_count():
     with pytest.raises(ConfigError, match="neighbor"):
         wrap_program(minimal_prog(neighbors=((1,),)))
