@@ -9,6 +9,7 @@ import pytest
 from regionbound import analysis, faults, scenario
 from regionbound import kernel as kernel_mod
 from regionbound import trace as tr
+from regionbound.counters import free_window, to_residue
 from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
 from regionbound.kernel import Kernel
 from regionbound.oracle import Replayer
@@ -177,6 +178,49 @@ def test_snapshots_bracket_the_run(any_protocol):
     assert {"start", "final"} <= labels
     assert trace.snapshots[0]["label"] == "start"
     assert trace.snapshots[sc.cfg.total_steps]["label"] == "final"
+
+
+def _unlabelled(snap):
+    return {key: value for key, value in snap.items() if key != "label"}
+
+
+def test_a_fresh_kernel_holds_the_start_snapshot(any_protocol):
+    """The kernel's start is a snapshot, loaded as the replayer loads one."""
+    sc = build_scenario(any_protocol)
+    trace = run_scenario(sc)
+    assert Kernel(sc.cfg, sc.seed)._state() == _unlabelled(trace.snapshots[0])
+
+
+def test_each_owned_free_counter_starts_at_its_window_floor(any_protocol):
+    sc = build_scenario(any_protocol)
+    prog, start = sc.prog, sc.cfg.start_region
+    procs = run_scenario(sc).snapshots[0]["procs"]
+    owned = 0
+    for pid, proc in enumerate(procs):
+        fams = {name: prog.families[prog.free_cells[name]]
+                for name in prog.init(pid).free}
+        assert proc["free"] == {
+            name: to_residue(free_window(start, fam)[0], fam)
+            for name, fam in fams.items()}
+        owned += len(fams)
+    assert owned
+
+
+def test_a_replayer_loads_every_snapshot_as_recorded(any_protocol):
+    """Loading a snapshot and writing the state back out gives the snapshot,
+    mid-run ones with cells and messages in flight included."""
+    sc = build_scenario(any_protocol)
+    regions = tuple(range(sc.cfg.start_region + 1, sc.cfg.start_region + 40, 4))
+    trace = kernel_mod.run(
+        dataclasses.replace(sc.cfg, snapshot_regions=regions), sc.seed)
+    assert len(trace.snapshots) == len(regions) + 2
+    snaps = trace.snapshots.values()
+    assert any(snap["in_flight"] for snap in snaps)
+    assert not sc.prog.colls or any(rows for snap in snaps
+                                    for proc in snap["procs"]
+                                    for rows in proc["colls"].values())
+    for step, snap in trace.snapshots.items():
+        assert Replayer(sc.prog, trace, step)._state() == _unlabelled(snap)
 
 
 def test_boundary_snapshot_taken_when_requested():
