@@ -17,14 +17,14 @@ one that :func:`.analysis.validate` has checked against the program.
 
 The network, inboxes, cell expiry, region entry, budget refill,
 message-horizon drop, context, send path, snapshot layout and the loading
-of state are the kernel's own, from :mod:`.sim`: the replayer reads each tick's clocks from
-the recorded ``clock`` event and enters the regions it reaches as the kernel
-does, reads each message's delivery from its recorded ``send``
-(:meth:`Replayer._delivery`), and its ``emit`` checks each effect instead of
-recording it. An exception that protocol code raises in the reference run
-is a divergence at its step, naming the action. The counter algebra
-stays independent of the kernel's, in the replayer's own simulator hooks:
-``_read_free``/``_read_dep`` return plain integers as held,
+of state are the kernel's own, from :mod:`.sim`: the replayer reads each
+tick's clocks from the recorded ``clock`` event and enters the regions it
+reaches as the kernel does, reads each message's delivery from its recorded
+``send`` (:meth:`Replayer._delivery`), and its ``emit`` checks each effect
+instead of recording it. An exception that protocol code raises in the
+reference run is a divergence at its step, naming the action. The counter
+algebra stays independent of the kernel's, in the replayer's own simulator
+hooks: ``_read_free``/``_read_dep`` return plain integers as held,
 ``_write_free``/``_write_dep`` keep them and take residues with
 ``% maxbound`` for the comparison, and its own region raise
 (:meth:`Replayer._shift`) stands in for ``region_shift``. The only lifts

@@ -11,13 +11,13 @@ ignored.
 
 Each report carries a legitimacy bit read from the issuer's own round
 counter at that instant (``Ctx.peek_free``): the round being reported must
-not be ahead of it. That is an invariant of correct operation and goes false exactly
-when corruption minted a round out of thin air. The issuer collects reports
-in a cell per process; when every process has reported its current round it
-marks the round complete (or suspect, if any legitimacy bit came back
-false) and is free to start the next. A round that stalls, for example
-because corruption erased report state, is abandoned by a low-probability
-restart rather than by waiting forever.
+not be ahead of it. That is an invariant of correct operation and goes
+false exactly when corruption minted a round out of thin air. The issuer
+collects reports in a cell per process; when every process has reported its
+current round it marks the round complete (or suspect, if any legitimacy
+bit came back false) and is free to start the next. A round that stalls,
+for example because corruption erased report state, is abandoned by a
+low-probability restart rather than by waiting forever.
 """
 
 from __future__ import annotations

@@ -227,7 +227,8 @@ class Ctx:
         """Free counter ``name`` of process ``pid``, read in this side's
         arithmetic."""
         sim, proc = self.sim, self.sim.procs[pid]
-        return sim._read_free(proc.free[name], proc.region, sim.free_fams[name])
+        return sim._read_free(proc.free[name], proc.region,
+                              sim.free_fams[name])
 
     def mark(self, kind: str, data=None) -> None:
         self.sim.emit_mark(mark_kind=kind, pid=self.pid, data=tr.canon(data))
