@@ -416,17 +416,31 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
                        report: Optional[VerificationReport] = None
                        ) -> VerificationReport:
     """No dependent cell may be seen alive more than its family's declared
-    forward reach (r_f) regions past its creation region."""
+    forward reach (r_f) regions past its creation region, nor be stamped in
+    a later region than its owner's, which would make its age negative."""
     if report is None:
         report = VerificationReport()
     caps = {coll: prog.families[decl.family].r_f
             for coll, decl in prog.colls.items()}
+    start = trace.snapshots[0]
+    regions = list(start["regions"])  # each owner's region, moved by rc
     live: dict[tuple[int, str, int], int] = {}
-    for pid, pstate in enumerate(trace.snapshots[0]["procs"]):
+    for pid, pstate in enumerate(start["procs"]):
         for coll, rows in pstate["colls"].items():
             for row in map(tr.CellRow._make, rows):
                 live[(pid, coll, row.cid)] = row.created_local
     worst = -1
+
+    def stamped_ahead(step, key) -> bool:
+        """Report cell ``key`` if its stamp lies past its owner's region."""
+        pid, coll, cid = key
+        if live[key] <= regions[pid]:
+            return False
+        report.add("dep-lifetime", False,
+                   f"step {step}: pid {pid} cell {cid} in {coll!r} stamped "
+                   f"in region {live[key]}, after its owner's region "
+                   f"{regions[pid]}")
+        return True
 
     def age_ok(step, pid, coll, cid, region) -> bool:
         nonlocal worst
@@ -440,23 +454,33 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
             return False
         return True
 
+    # a cell's age only grows from its creation on, so a stamp checked then
+    # needs no check at a later region change
+    if any(stamped_ahead(0, key) for key in live):
+        return report
     # only these kinds move a cell's life; the C iterators skip the rest
     kinds = map(itemgetter(1), trace.events)
     for ev in compress(trace.events, map(_DEP_LIFE_KINDS.__contains__, kinds)):
         kind = ev.kind
         if kind == tr.EV_RC:
+            regions[ev.pid] = ev.new_region
             for (p, coll, cid) in list(live):
                 if p == ev.pid and not age_ok(ev.step, p, coll, cid,
                                               ev.new_region):
                     return report
         elif kind == tr.EV_DCREATE:
-            live[(ev.pid, ev.coll, ev.cid)] = ev.created_local
+            key = (ev.pid, ev.coll, ev.cid)
+            live[key] = ev.created_local
+            if stamped_ahead(ev.step, key):
+                return report
         elif kind == tr.EV_DREMOVE:
             live.pop((ev.pid, ev.coll, ev.cid), None)
         elif kind == tr.EV_FAULT and ev.applied:
             key = (ev.pid, ev.detail.get("coll"), ev.detail.get("cid"))
             if ev.fault_kind == "insert_dep":
                 live[key] = ev.detail["created_local"]
+                if stamped_ahead(ev.step, key):
+                    return report
             elif ev.fault_kind == "delete_dep":
                 live.pop(key, None)
     if worst < 0:

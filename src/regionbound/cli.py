@@ -124,6 +124,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regionbound",

@@ -48,6 +48,8 @@ from .counters import lift_dep, lift_free
 from .sim import Ctx, Sim
 from .transform import choose_action
 
+_new = tuple.__new__  # builds a named tuple from its fields in order
+
 
 class OracleDivergence(Exception):
     def __init__(self, step: int, detail: str):
@@ -142,18 +144,20 @@ class Replayer(Sim):
         self._move_clocks(got.t, got.g_region, got.locals, regions)
 
     def _shift(self, proc, new_r: int) -> list[tr.RcChange]:
-        """Raise each free counter to the new window floor, in integers."""
+        """Raise each free counter below the new window floor to it, in
+        integers; a counter at or above the floor keeps its value."""
         changes = []
-        for name in proc.free:
+        free = proc.free
+        for name, old in free.items():
             fam = self.free_fams[name]
-            old = proc.free[name]
-            new = max(old, 3 * new_r * fam.maxinc)
-            m = fam.maxbound
-            if new % m != old % m:
-                changes.append(tr.RcChange(
-                    slot="free", coll=None, key=name, old_res=old % m,
-                    new_res=new % m, lifted=new, corrected=False))
-            proc.free[name] = new
+            floor = 3 * new_r * fam.maxinc
+            if old < floor:
+                m = fam.maxbound
+                if floor % m != old % m:
+                    changes.append(_new(tr.RcChange, (
+                        "free", None, name, old % m, floor % m, floor,
+                        False)))
+                free[name] = floor
         proc.region = new_r
         return changes
 

@@ -12,6 +12,11 @@ bound on top. Entries whose accounted staleness could outgrow the family's
 lookback are not adopted (and not forwarded), so every stored value always
 lifts. That makes relayed knowledge honest: a component is only kept as
 fresh as the window can prove it.
+
+A cell is read as a view entry only when its tag is such a pair: two
+integers (not booleans), the first naming a process. Any other tag, which
+only a fault can write, is skipped when entries are looked up and when they
+are gossiped, and the cell expires like any other.
 """
 
 from __future__ import annotations
@@ -33,11 +38,17 @@ def build(info: BuildInfo) -> ProtocolDef:
     adopt_cap = fam.max_r + 1 - expiry
     n = info.n
 
+    def is_entry(tag) -> bool:
+        """``tag`` is a ``[peer, age]`` pair of integers naming a peer."""
+        return (type(tag) is list and len(tag) == 2 and type(tag[0]) is int
+                and type(tag[1]) is int and 0 <= tag[0] < n)
+
     def view_entries(ctx):
         """Each peer's view entry with the lowest cid, as (cid, value)."""
         entries = {}
         for cid, value, tag, age in ctx.cells("view"):  # in cid order
-            entries.setdefault(tag[0], (cid, value))
+            if is_entry(tag):
+                entries.setdefault(tag[0], (cid, value))
         return entries
 
     def b_recv(ctx, m):
@@ -71,6 +82,8 @@ def build(info: BuildInfo) -> ProtocolDef:
         cells = {f"c{ctx.pid}": own}
         ages = {f"c{ctx.pid}": 0}
         for _cid, value, tag, age in ctx.cells("view"):
+            if not is_entry(tag):
+                continue
             peer, eff = tag
             if eff + age + lt2 <= adopt_cap:
                 cells[f"c{peer}"] = value

@@ -35,6 +35,8 @@ loaded snapshot, so it sweeps each process once, emptily.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import gt
 from typing import Optional
 
 from . import trace as tr
@@ -65,6 +67,7 @@ class MsgView:
 
 
 _ANY = object()  # Ctx.first_cell's "any tag"
+_new = tuple.__new__  # builds a named tuple from its fields in order
 
 
 class Ctx:
@@ -350,6 +353,8 @@ class Sim:
     def _expire_cells(self, proc) -> None:
         for coll, decl in self.prog.colls.items():
             store = proc.colls[coll]
+            if not store:
+                continue
             oldest = proc.region - decl.expiry  # cells created before it expire
             stale = [cid for cid, cell in store.items()
                      if cell.created_local < oldest]
@@ -387,14 +392,16 @@ class Sim:
                            cells=recorded, vars=vars, send_region_local=region,
                            send_region_global=g_region, arrival_step=arrival,
                            drop_step=drop)
-            self._put_in_flight(tr.MsgRow(mid, src, dst, kind, dict(held), vars,
-                                          step, region, g_region, arrival, drop))
+            self._put_in_flight(_new(tr.MsgRow, (
+                mid, src, dst, kind, dict(held), vars, step, region, g_region,
+                arrival, drop)))
 
     def _put_in_flight(self, msg: tr.MsgRow) -> None:
+        """File ``msg`` under the one step it arrives or is lost at: the
+        kernel draws exactly one, and ``validate`` refuses a row with two."""
         self.in_flight[msg.mid] = msg
-        for step in (msg.arrival_step, msg.drop_step):
-            if step is not None:
-                self.due.setdefault(step, []).append(msg.mid)
+        step = msg.arrival_step if msg.drop_step is None else msg.drop_step
+        self.due.setdefault(step, []).append(msg.mid)
 
     def _arrivals(self) -> None:
         due = self.due.pop(self.step, None)
@@ -422,11 +429,12 @@ class Sim:
         before = self.regions
         self.t, self.locals, self.regions = t, locals, regions
         if regions != before:  # both lists, so equal regions compare equal
-            for proc, old, new in zip(self.procs, before, regions):
-                if new > old:
-                    self.emit_rc(pid=proc.pid, new_region=new,
-                                 changes=tuple(self._shift(proc, new)))
-                    self._expire_cells(proc)
+            procs = self.procs
+            for pid in compress(count(), map(gt, regions, before)):
+                proc, new = procs[pid], regions[pid]
+                self.emit_rc(pid=pid, new_region=new,
+                             changes=tuple(self._shift(proc, new)))
+                self._expire_cells(proc)
         if g_region != self.g_region:
             self.g_region = g_region
             self._on_global_region()
@@ -457,5 +465,5 @@ for _kind, _event in tr.EVENTS.items():
     _fields = ", ".join(_event._fields[2:])
     exec(f"def emit_{_kind}(self, *, {_fields}):\n"
          f"    self.emit(_new(_event, (self.step, {_kind!r}, {_fields})))",
-         _scope := {"_new": tuple.__new__, "_event": _event})
+         _scope := {"_new": _new, "_event": _event})
     setattr(Sim, f"emit_{_kind}", _scope[f"emit_{_kind}"])

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import trace as tr
-from .counters import CounterParams, free_window, lift_dep, lift_free, to_residue
+from .counters import CounterParams, lift_dep, lift_free
 from .errors import ConfigError
+
+_new = tuple.__new__  # builds a named tuple from its fields in order
 
 
 @dataclass(frozen=True)
@@ -100,32 +102,34 @@ def region_shift(
     old_region = proc.region
     changes: list[tr.RcChange] = []
 
-    for name in proc.free:
+    free = proc.free
+    for name, old_res in free.items():
         fam = free_fams[name]
-        old_res = proc.free[name]
         lifted = lift_free(old_res, new_region, fam)
         # what an uncorrupted counter would do: keep its value, or be raised
-        # to the new window floor if it idled below it
-        old_lift = lift_free(old_res, old_region, fam)
-        mirror = max(old_lift, free_window(new_region, fam)[0])
-        new_res = to_residue(lifted, fam)
+        # to the new window floor (free_window's lower bound) if it idled
+        # below it
+        mirror = max(lift_free(old_res, old_region, fam),
+                     3 * new_region * fam.maxinc)
+        new_res = lifted % fam.maxbound  # to_residue
         if new_res != old_res or lifted != mirror:
-            changes.append(tr.RcChange(
-                slot="free", coll=None, key=name, old_res=old_res,
-                new_res=new_res, lifted=lifted, corrected=lifted != mirror))
-            proc.free[name] = new_res
+            changes.append(_new(tr.RcChange, (
+                "free", None, name, old_res, new_res, lifted,
+                lifted != mirror)))
+            free[name] = new_res
 
     for coll, cells in proc.colls.items():
+        if not cells:
+            continue
         fam = coll_fams[coll]
         for cid in sorted(cells):
             cell = cells[cid]
             old_res = cell.value
             lifted = lift_dep(old_res, new_region, fam)
-            new_res = to_residue(lifted, fam)
+            new_res = lifted % fam.maxbound  # to_residue
             if new_res != old_res:
-                changes.append(tr.RcChange(
-                    slot="dep", coll=coll, key=cid, old_res=old_res,
-                    new_res=new_res, lifted=lifted, corrected=True))
+                changes.append(_new(tr.RcChange, (
+                    "dep", coll, cid, old_res, new_res, lifted, True)))
                 cell.value = new_res
 
     proc.region = new_region

@@ -811,6 +811,23 @@ def test_a_fault_old_residue_the_counter_did_not_hold_fails_containment(
             "181 of 'clk', which held 180") in stdout.splitlines()
 
 
+def test_a_cell_stamped_after_its_owners_region_fails_dep_lifetime(
+        run_cli, tmp_path):
+    """A cell stamped in a later region than its owner's would have a
+    negative age and never expire: the seed-2024 mutex trace with its step-2
+    ``dcreate`` doctored from ``created_local`` 11 to 61 fails the scan."""
+    def change(recs):
+        ev = next(e for e in _events(recs, "dcreate") if e["step"] == 2)
+        assert (ev["pid"], ev["cid"], ev["created_local"]) == (0, 0, 11)
+        ev["created_local"] = 61
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
+                                        change)
+    assert code == EXIT_FAIL
+    assert "Traceback" not in err
+    assert ("FAIL dep-lifetime: step 2: pid 0 cell 0 in 'req' stamped in "
+            "region 61, after its owner's region 11") in stdout.splitlines()
+
+
 @pytest.mark.parametrize("budget", [0, -5, 1])
 def test_a_doctored_budget_fails_the_suffix_replay(run_cli, tmp_path, budget):
     """The replay reads a snapshot's budget as the kernel would have: one
@@ -831,8 +848,9 @@ def test_an_exception_in_the_reference_run_is_a_divergence(run_cli,
                                                           tmp_path):
     """Protocol code that raises on a doctored state in the replay fails the
     replay at that step, naming the exception and the action, with no
-    traceback: here every ``view`` cell tag in the boundary snapshot of a
-    vector-clocks run is 5, which ``gossip`` cannot unpack."""
+    traceback: here every ``rot`` variable in the boundary snapshot of a
+    vector-clocks run is a string, which ``gossip`` cannot take modulo the
+    neighbour count."""
     doc = scenario_doc("vector_clocks", seed=2, faults={
         "mode": "list", "entries": [
             {"when_kind": "region", "when": 10, "kind": "overwrite_free",
@@ -844,8 +862,7 @@ def test_an_exception_in_the_reference_run_is_a_divergence(run_cli,
         snap = next(r["data"]["state"] for r in recs if r["rec"] == "snapshot"
                     and r["data"]["state"]["label"] == "region:39")
         for proc in snap["procs"]:
-            for row in proc["colls"]["view"]:
-                row[tr.CellRow._fields.index("tag")] = 5
+            proc["vars"]["rot"] = "x"
     code, stdout, err = _check_doctored(run_cli, tmp_path, str(path), change)
     assert code == EXIT_FAIL
     assert "Traceback" not in err

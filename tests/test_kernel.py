@@ -461,6 +461,25 @@ def test_minting_past_the_budget_is_a_kernel_invariant_error(side):
 
 
 @pytest.mark.parametrize("side", SIDES)
+def test_only_the_grown_pids_enter_a_region_in_pid_order(side):
+    """A clock record in which pids 1 and 3 grow and pid 2 falls (a doctored
+    record: the kernel's clocks never go back) shifts pids 1 and 3 alone,
+    in pid order; pid 2 keeps its region and its counters."""
+    ctx, events = _mint_side(side, d=1, protocol="consensus")
+    sim, rs = ctx.sim, build_scenario("consensus").cfg.rs
+    r = sim.g_region
+    assert sim.regions == [r] * 5
+    free = [dict(proc.free) for proc in sim.procs]
+    regions = [r, r + 1, r - 1, r + 2, r]
+    sim._move_clocks(sim.t + 1, r, [x * rs for x in regions], regions)
+    assert [(ev.kind, ev.pid, ev.new_region) for ev in events] == [
+        ("rc", 1, r + 1), ("rc", 3, r + 2)]
+    assert [proc.region for proc in sim.procs] == [r, r + 1, r, r + 2, r]
+    assert sim.regions == regions
+    assert [proc.free for proc in sim.procs][::2] == free[::2]
+
+
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("lag", [True, False], ids=["lagging", "level"])
 def test_a_new_global_region_refills_one_short_while_a_process_lags(side,
                                                                     lag):

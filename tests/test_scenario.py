@@ -5,6 +5,7 @@ import json
 import pytest
 
 from regionbound import scenario
+from regionbound.cli import EXIT_OK, main
 from regionbound.counters import bits_required, maxbound_of
 from regionbound.errors import ConfigError
 
@@ -224,6 +225,25 @@ LIST_FAULTS = {"mode": "list", "entries": [
      "target": [0, "c1"], "value": 5},
     {"when_kind": "region", "when": 14, "kind": "delete_msg", "target": 1},
 ]}
+
+
+@pytest.mark.parametrize("tag", [5, None, ["x"], "s", [None, None],
+                                 [0, "bogus"]], ids=json.dumps)
+def test_vector_clocks_skips_a_view_cell_whose_tag_is_no_pair(tmp_path, tag,
+                                                              capsys):
+    """A fault may insert a view cell with any tag; vector clocks reads only
+    a ``[peer, age]`` pair of integers, so the run and its check pass."""
+    faults = copy.deepcopy(LIST_FAULTS)
+    insert = faults["entries"][1]
+    assert insert["kind"] == "insert_dep" and insert["target"] == "view"
+    insert["tag"] = tag
+    path, out = tmp_path / "s.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(scenario_doc("vector_clocks", faults=faults)),
+                    encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["check", "--trace", str(out), "--scenario",
+                 str(path)]) == EXIT_OK
+    assert "all 5 checks passed" in capsys.readouterr().out
 
 
 def _sweep_docs():

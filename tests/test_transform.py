@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from regionbound.counters import (
     CounterParams,
+    bits_required,
     dep_window,
     free_window,
     lift_dep,
@@ -13,8 +14,9 @@ from regionbound.counters import (
 )
 from regionbound.errors import ConfigError
 from regionbound.kernel import Kernel
+from regionbound.oracle import Replayer
 from regionbound.protocols.base import CollDecl, MsgDecl, ProcInit, ProtocolDef
-from regionbound.trace import MsgRow
+from regionbound.trace import MsgRow, RcChange
 from regionbound.transform import (
     ActionSpec,
     Cell,
@@ -159,6 +161,91 @@ def test_shift_orders_cell_changes_by_cid():
     changes = region_shift(proc, region + FAM.max_r + 3, {}, {"c": FAM})
     cids = [c[2] for c in changes if c[0] == "dep"]
     assert cids == sorted(cids)
+
+
+def _reference_shift(proc, new_region, free_fams, coll_fams):
+    """``region_shift`` written with the counter module's window and residue
+    functions, the form its in-place arithmetic must agree with."""
+    changes = []
+    for name in proc.free:
+        fam, old_res = free_fams[name], proc.free[name]
+        lifted = lift_free(old_res, new_region, fam)
+        mirror = max(lift_free(old_res, proc.region, fam),
+                     free_window(new_region, fam)[0])
+        new_res = to_residue(lifted, fam)
+        if new_res != old_res or lifted != mirror:
+            changes.append(RcChange(
+                slot="free", coll=None, key=name, old_res=old_res,
+                new_res=new_res, lifted=lifted, corrected=lifted != mirror))
+            proc.free[name] = new_res
+    for coll, cells in proc.colls.items():
+        fam = coll_fams[coll]
+        for cid in sorted(cells):
+            old_res = cells[cid].value
+            lifted = lift_dep(old_res, new_region, fam)
+            new_res = to_residue(lifted, fam)
+            if new_res != old_res:
+                changes.append(RcChange(
+                    slot="dep", coll=coll, key=cid, old_res=old_res,
+                    new_res=new_res, lifted=lifted, corrected=True))
+                cells[cid].value = new_res
+    proc.region = new_region
+    return changes
+
+
+FAMILIES = [CounterParams(maxinc=m, r_b=b, r_f=f)
+            for m in (1, 2, 3) for b in (1, 2, 3) for f in (1, 2, 3)]
+
+
+def _fam_id(p: CounterParams) -> str:
+    return f"maxinc{p.maxinc}-rb{p.r_b}-rf{p.r_f}"
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=_fam_id)
+def test_shift_matches_the_window_formulas_at_every_residue(fam):
+    """Every residue a register holds, as a free counter and as a dependent
+    cell, shifts by +1 to +3 regions to the rows, residues and region of
+    the reference."""
+    region = fam.min_usable_region() + 1
+    register = range(1 << bits_required(fam.maxinc, fam.max_r))
+    frees = {f"x{res}": fam for res in register}
+
+    def proc():
+        return make_proc(region, free={f"x{res}": res for res in register},
+                         cells={res: (res, region, region) for res in register})
+
+    for step in (1, 2, 3):
+        got, want = proc(), proc()
+        changes = region_shift(got, region + step, frees, {"c": fam})
+        assert changes == _reference_shift(want, region + step, frees,
+                                           {"c": fam})
+        assert any(c.slot == "dep" for c in changes)
+        assert any(c.corrected for c in changes if c.slot == "free")
+        assert (got.region, got.free) == (want.region, want.free)
+        assert ({cid: c.value for cid, c in got.colls["c"].items()}
+                == {cid: c.value for cid, c in want.colls["c"].items()})
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=_fam_id)
+def test_replayer_shift_raises_each_counter_to_the_new_floor(fam):
+    """By +1 to +3 regions, the replayer's shift holds ``max(old, floor)``
+    for every counter, and records a change exactly where that moves the
+    residue."""
+    region, m = fam.min_usable_region() + 1, fam.maxbound
+    for step in (1, 2, 3):
+        floor = free_window(region + step, fam)[0]
+        values = range(free_window(region, fam)[0] - m, floor + 2 * m)
+        proc = make_proc(region, free={f"x{v}": v for v in values})
+        sim = SimpleNamespace(free_fams={f"x{v}": fam for v in values})
+        changes = Replayer._shift(sim, proc, region + step)
+        want = {f"x{v}": max(v, floor) for v in values}
+        assert proc.free == want
+        assert proc.region == region + step
+        assert changes == [
+            RcChange("free", None, f"x{v}", v % m, want[f"x{v}"] % m,
+                     want[f"x{v}"], False)
+            for v in values if want[f"x{v}"] % m != v % m]
+        assert changes
 
 
 # --- guard selection --------------------------------------------------------
