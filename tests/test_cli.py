@@ -811,21 +811,32 @@ def test_a_fault_old_residue_the_counter_did_not_hold_fails_containment(
             "181 of 'clk', which held 180") in stdout.splitlines()
 
 
+def _stamp_step_2_cell(recs):
+    ev = next(e for e in _events(recs, "dcreate") if e["step"] == 2)
+    assert (ev["pid"], ev["cid"], ev["created_local"]) == (0, 0, 11)
+    ev["created_local"] = 61
+
+
+def _stamp_start_cell(recs):
+    assert _start(recs)["regions"][1] == 11
+    _start(recs)["procs"][1]["colls"]["req"].append([0, 136, 61, 11, "own"])
+
+
+@pytest.mark.parametrize("change,where", [
+    (_stamp_step_2_cell, "step 2: pid 0"), (_stamp_start_cell, "step 0: pid 1")],
+    ids=["dcreate", "start-snapshot"])
 def test_a_cell_stamped_after_its_owners_region_fails_dep_lifetime(
-        run_cli, tmp_path):
+        run_cli, tmp_path, change, where):
     """A cell stamped in a later region than its owner's would have a
     negative age and never expire: the seed-2024 mutex trace with its step-2
-    ``dcreate`` doctored from ``created_local`` 11 to 61 fails the scan."""
-    def change(recs):
-        ev = next(e for e in _events(recs, "dcreate") if e["step"] == 2)
-        assert (ev["pid"], ev["cid"], ev["created_local"]) == (0, 0, 11)
-        ev["created_local"] = 61
+    ``dcreate`` doctored from ``created_local`` 11 to 61, or with such a
+    cell added to its start snapshot, fails the scan."""
     code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
                                         change)
     assert code == EXIT_FAIL
     assert "Traceback" not in err
-    assert ("FAIL dep-lifetime: step 2: pid 0 cell 0 in 'req' stamped in "
-            "region 61, after its owner's region 11") in stdout.splitlines()
+    assert (f"FAIL dep-lifetime: {where} cell 0 in 'req' stamped in region "
+            "61, after its owner's region 11") in stdout.splitlines()
 
 
 @pytest.mark.parametrize("budget", [0, -5, 1])
