@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -201,12 +202,17 @@ def _fam_id(p: CounterParams) -> str:
     return f"maxinc{p.maxinc}-rb{p.r_b}-rf{p.r_f}"
 
 
+def _start_regions(fam: CounterParams) -> tuple[int, int]:
+    """The first usable region, and the one just before the free window's
+    floor reaches the modulus, so that +1 to +3 regions carry it past."""
+    return fam.min_usable_region() + 1, fam.maxbound // (3 * fam.maxinc) - 1
+
+
 @pytest.mark.parametrize("fam", FAMILIES, ids=_fam_id)
 def test_shift_matches_the_window_formulas_at_every_residue(fam):
     """Every residue a register holds, as a free counter and as a dependent
     cell, shifts by +1 to +3 regions to the rows, residues and region of
     the reference."""
-    region = fam.min_usable_region() + 1
     register = range(1 << bits_required(fam.maxinc, fam.max_r))
     frees = {f"x{res}": fam for res in register}
 
@@ -214,7 +220,7 @@ def test_shift_matches_the_window_formulas_at_every_residue(fam):
         return make_proc(region, free={f"x{res}": res for res in register},
                          cells={res: (res, region, region) for res in register})
 
-    for step in (1, 2, 3):
+    for region, step in product(_start_regions(fam), (1, 2, 3)):
         got, want = proc(), proc()
         changes = region_shift(got, region + step, frees, {"c": fam})
         assert changes == _reference_shift(want, region + step, frees,
@@ -231,8 +237,8 @@ def test_replayer_shift_raises_each_counter_to_the_new_floor(fam):
     """By +1 to +3 regions, the replayer's shift holds ``max(old, floor)``
     for every counter, and records a change exactly where that moves the
     residue."""
-    region, m = fam.min_usable_region() + 1, fam.maxbound
-    for step in (1, 2, 3):
+    m = fam.maxbound
+    for region, step in product(_start_regions(fam), (1, 2, 3)):
         floor = free_window(region + step, fam)[0]
         values = range(free_window(region, fam)[0] - m, floor + 2 * m)
         proc = make_proc(region, free={f"x{v}": v for v in values})
