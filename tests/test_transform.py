@@ -216,12 +216,12 @@ def test_shift_matches_the_window_formulas_at_every_residue(fam):
     register = range(1 << bits_required(fam.maxinc, fam.max_r))
     frees = {f"x{res}": fam for res in register}
 
-    def proc():
+    def proc(region):
         return make_proc(region, free={f"x{res}": res for res in register},
                          cells={res: (res, region, region) for res in register})
 
     for region, step in product(_start_regions(fam), (1, 2, 3)):
-        got, want = proc(), proc()
+        got, want = proc(region), proc(region)
         changes = region_shift(got, region + step, frees, {"c": fam})
         assert changes == _reference_shift(want, region + step, frees,
                                            {"c": fam})
