@@ -104,16 +104,25 @@ def check_free(value: int, region: int, params: CounterParams) -> int:
     the self-correction step: after corruption the counter restarts from the
     smallest value a well-behaved process in this region could hold.
     """
-    lo, hi = free_window(region, params)
-    if value < lo or value > hi:
+    if region < 0:
+        free_window(region, params)  # raises the window's ConfigError
+    # free_window's bounds, computed in place as in lift_free: checks run
+    # on every write
+    mi = params.maxinc
+    lo = 3 * region * mi
+    if value < lo or value > lo + 5 * mi - 1:
         return lo
     return value
 
 
 def check_dep(value: int, region: int, params: CounterParams) -> int:
     """Reset an out-of-window dependent value to the window minimum."""
-    lo, hi = dep_window(region, params)
-    if value < lo or value > hi:
+    # dep_window's bounds, computed in place as in lift_dep
+    mi = params.maxinc
+    lo = 3 * (region - 2 - params.max_r) * mi
+    if lo < 0:
+        dep_window(region, params)  # raises the window's ConfigError
+    if value < lo or value > 3 * (region + 1) * mi + 2 * mi - 1:
         return lo
     return value
 

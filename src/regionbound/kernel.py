@@ -9,7 +9,9 @@ cells are swept again before an activation only at a process's first one
 or when a fault has touched it since it last acted: no other cell can age
 without a region change (see :mod:`.sim`). The acting process evaluates
 its guards on lifted integers and executes the first enabled action, or
-self-loops.
+self-loops. :meth:`Kernel.run` makes one context for the run, a local of
+its step loop that no kernel attribute holds, and each activation rebinds
+it to the acting process, the step and the step's draws.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
@@ -36,8 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from operator import floordiv
 from typing import Optional
 
 from . import trace as tr
@@ -149,13 +149,13 @@ class Kernel(Sim):
     def _write_free(self, value: int, region: int, fam) -> tuple:
         """Range-check a free-counter write, then reduce it to a residue."""
         checked = check_free(value, region, fam)
-        res = to_residue(checked, fam)
+        res = checked % fam.maxbound  # to_residue
         return res, res, checked, checked != value
 
     def _write_dep(self, value: int, region: int, fam) -> tuple:
         """Range-check a new cell's value, then reduce it to a residue."""
         checked = check_dep(value, region, fam)
-        res = to_residue(checked, fam)
+        res = checked % fam.maxbound  # to_residue
         return res, res, checked, checked != value
 
     def _stored(self, fam, value: int) -> int:
@@ -187,7 +187,7 @@ class Kernel(Sim):
         t, rs = self.t + 1, self.cfg.rs
         local = advance_clocks(self.t, self.locals, rs, self.cfg.drift,
                                self.rng)
-        regions = list(map(floordiv, local, repeat(rs)))
+        regions = [x // rs for x in local]
         g_region = t // rs
         self.emit_clock(t=t, g_region=g_region, locals=tuple(local),
                         regions=tuple(regions))
@@ -212,7 +212,7 @@ class Kernel(Sim):
                         target=tr.canon(entry.target), detail=tr.canon(detail),
                         applied=applied)
 
-    def _act(self) -> None:
+    def _act(self, ctx: Ctx) -> None:
         step, n, rng = self.step, self.prog.n, self.rng
         if step % n == 0:
             self._order = list(range(n))
@@ -223,7 +223,8 @@ class Kernel(Sim):
         u2 = rng.random()
         proc = self.procs[pid]
         self._sweep_before_act(proc)
-        ctx = Ctx(self, proc, step, d, u1, u2)
+        ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
+            proc, pid, step, d, u1, u2)
         actions = self.prog.actions
         idx = choose_action(actions, ctx)
         if idx is None:
@@ -236,6 +237,9 @@ class Kernel(Sim):
     def run(self) -> tr.Trace:
         self._pending_snapshot = "start"
         sptu, due, step_faults = self.cfg.sptu, self.due, self._faults["step"]
+        # every activation rebinds its process and draws; a local, so no
+        # cycle through the kernel keeps either alive after the run
+        ctx = Ctx(self, self.procs[0], 0, 1, 0.0, 0.0)
         for step in range(self.cfg.total_steps):
             self.step = step
             if self._pending_snapshot is not None:
@@ -248,7 +252,7 @@ class Kernel(Sim):
                     self._apply_fault(entry)
             if step in due:
                 self._arrivals()
-            self._act()
+            self._act(ctx)
         self.step = self.cfg.total_steps
         self._snapshot("final")
         summary = self.trace.summary

@@ -21,10 +21,13 @@ of state are the kernel's own, from :mod:`.sim`: the replayer reads each
 tick's clocks from the recorded ``clock`` event and enters the regions it
 reaches as the kernel does, reads each message's delivery from its recorded
 ``send`` (:meth:`Replayer._delivery`), and its ``emit`` checks each effect
-instead of recording it. An exception that protocol code raises in the
-reference run is a divergence at its step, naming the action. The counter
-algebra stays independent of the kernel's, in the replayer's own simulator
-hooks: ``_read_free``/``_read_dep`` return plain integers as held,
+instead of recording it. As in the kernel, :meth:`Replayer.run` makes one
+context, a local that no replayer attribute holds, and each activation
+rebinds it to the recorded process, step and draws. An exception that
+protocol code raises in the reference run is a divergence at its step,
+naming the action. The counter algebra stays independent of the
+kernel's, in the replayer's own simulator hooks: ``_read_free``/
+``_read_dep`` return plain integers as held,
 ``_write_free``/``_write_dep`` keep them and take residues with
 ``% maxbound`` for the comparison, and its own region raise
 (:meth:`Replayer._shift`) stands in for ``region_shift``. The only lifts
@@ -41,7 +44,7 @@ unbounded dynamics started from the lifted state.
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
-from operator import eq, floordiv, itemgetter, ne
+from operator import eq, itemgetter, ne
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
@@ -49,6 +52,8 @@ from .sim import Ctx, Sim
 from .transform import choose_action
 
 _new = tuple.__new__  # builds a named tuple from its fields in order
+_NO_EVENT = ("bounded trace records no event where the reference run "
+             "produces one")
 
 
 class OracleDivergence(Exception):
@@ -86,14 +91,18 @@ class Replayer(Sim):
 
     def _next(self) -> tuple:
         if self._cursor >= self._end:
-            self._fail("bounded trace records no event where the reference "
-                       "run produces one")
+            self._fail(_NO_EVENT)
         ev = self._events[self._cursor]
         self._cursor += 1
         return ev
 
     def emit(self, ev: tuple) -> None:
-        if (got := self._next()) != ev:
+        # _next, in place: this runs at every effect the reference produces
+        i = self._cursor
+        if i >= self._end:
+            self._fail(_NO_EVENT)
+        self._cursor = i + 1
+        if (got := self._events[i]) != ev:
             self._fail(f"recorded event {got!r} != reference {ev!r}")
 
     # -- counter arithmetic: plain integers, no windows, checks or reductions
@@ -137,9 +146,9 @@ class Replayer(Sim):
         if got.kind != tr.EV_CLOCK:
             self._fail(f"expected a clock record, got {got!r}")
         rs = self.rs
-        regions = list(map(floordiv, got.locals, repeat(rs)))
+        regions = [x // rs for x in got.locals]
         if (got.t != self.t + 1 or got.t // rs != got.g_region
-                or regions != list(got.regions)):
+                or got.regions != tuple(regions)):
             self._fail(f"clock record {got!r} is internally inconsistent")
         self._move_clocks(got.t, got.g_region, got.locals, regions)
 
@@ -161,7 +170,7 @@ class Replayer(Sim):
         proc.region = new_r
         return changes
 
-    def _phase_act(self, row: tuple) -> None:
+    def _phase_act(self, row: tuple, ctx: Ctx) -> None:
         _, pid, idx, name, d, u1, u2 = row
         n = self.prog.n
         if not 0 <= pid < n:
@@ -178,7 +187,8 @@ class Replayer(Sim):
                        f"d in [1, {self.maxinc}] and u1, u2 in [0, 1)")
         proc = self.procs[pid]
         self._sweep_before_act(proc)
-        ctx = Ctx(self, proc, self.step, d, u1, u2)
+        ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
+            proc, pid, self.step, d, u1, u2)
         try:
             my_idx = choose_action(self.prog.actions, ctx)
         except Exception as exc:
@@ -236,6 +246,9 @@ class Replayer(Sim):
         fault_at = next(compress(count(lo), map(eq, kinds, repeat(tr.EV_FAULT))),
                         nev)
         checked = 0
+        # every activation rebinds its process and draws; a local, so no
+        # cycle through the replayer keeps either alive after the run
+        ctx = Ctx(self, self.procs[0], self.step, 1, 0.0, 0.0)
         for row in rows[self.start_step:]:
             self.step = step = row[0]
             self._cursor = lo
@@ -249,7 +262,7 @@ class Replayer(Sim):
                 self._phase_clock()
             if step in self.due:
                 self._arrivals()
-            self._phase_act(row)
+            self._phase_act(row, ctx)
             if self._cursor != lo:
                 self._fail(f"bounded trace records extra event "
                            f"{events[self._cursor]!r}")

@@ -16,7 +16,9 @@ fresh as the window can prove it.
 A cell is read as a view entry only when its tag is such a pair: two
 integers (not booleans), the first naming a process. Any other tag, which
 only a fault can write, is skipped when entries are looked up and when they
-are gossiped, and the cell expires like any other.
+are gossiped, and the cell expires like any other. A pair naming the holder
+itself, which also only a fault can write, is never gossiped: the own
+component a process sends is always its own counter.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def build(info: BuildInfo) -> ProtocolDef:
         cells = {f"c{ctx.pid}": own}
         ages = {f"c{ctx.pid}": 0}
         for _cid, value, tag, age in ctx.cells("view"):
-            if not is_entry(tag):
+            if not is_entry(tag) or tag[0] == ctx.pid:
                 continue
             peer, eff = tag
             if eff + age + lt2 <= adopt_cap:

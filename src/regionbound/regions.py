@@ -63,9 +63,10 @@ def draw(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def draw_onto(rng: random.Random, lo: int, hi: int, bases: list[int]) -> list[int]:
-    """``[b + draw(rng, lo, hi) for b in bases]``, the draws made in order,
-    in one call."""
+def draw_onto(rng: random.Random, lo: int, hi: int, bases: list[int],
+              cap: int) -> list[int]:
+    """``[min(b + draw(rng, lo, hi), cap) for b in bases]``, the draws made
+    in order, in one pass."""
     width = hi - lo + 1
     if width < 1:
         raise ValueError(f"empty range for draw({lo}, {hi})")
@@ -76,7 +77,8 @@ def draw_onto(rng: random.Random, lo: int, hi: int, bases: list[int]) -> list[in
         r = bits(k)
         while r >= width:
             r = bits(k)
-        out.append(b + lo + r)
+        b += lo + r
+        out.append(b if b < cap else cap)
     return out
 
 
@@ -98,10 +100,6 @@ def advance_clocks(
     cap; otherwise :func:`_clamp` runs it clock by clock.
     """
     gr = (t + 1) // rs
-    if policy.kind == "none":
-        moved = [x + 1 for x in local]
-    else:  # bounded_jitter's skew s >= 1 floors 1 - s at 0
-        moved = draw_onto(rng, 0, 1 + policy.max_step_skew, local)
     # When every old clock is in region ``gr`` or ``gr + 1``, the pid-order
     # clamp is one cap for all. No clock moves backwards, so every region it
     # compares, old or new, is at least ``gr``: its lower bound ``lo`` is
@@ -109,12 +107,18 @@ def advance_clocks(
     # upper bound ``hi`` is too, and the floor ``(hi - 1)*rs <= gr*rs``
     # never rises above an old clock. What is left is the cap
     # ``(lo + 2)*rs - 1``, and it puts every clock in ``gr`` or ``gr + 1``,
-    # which is both skew guarantees. (A comprehension, since a builtin
-    # ``min`` call per clock costs several times as much.)
+    # which is both skew guarantees.
     cap = (gr + 2) * rs - 1
-    if gr * rs <= min(local) and max(local) <= cap:
-        return [x if x < cap else cap for x in moved]
-    return _clamp(local, moved, gr, rs)
+    shared = gr * rs <= min(local) and max(local) <= cap
+    # Each clock is drawn and capped in one pass (a conditional, since a
+    # builtin ``min`` call per clock costs several times as much). The cap
+    # leaves :func:`_clamp`'s result alone: its own cap ``(lo + 2)*rs - 1``
+    # comes last and is at most this one, as its ``lo`` is at most ``gr``.
+    if policy.kind == "none":
+        moved = [x + 1 if x < cap else cap for x in local]
+    else:  # bounded_jitter's skew s >= 1 floors 1 - s at 0
+        moved = draw_onto(rng, 0, 1 + policy.max_step_skew, local, cap)
+    return moved if shared else _clamp(local, moved, gr, rs)
 
 
 def _clamp(old: list[int], moved: list[int], gr: int, rs: int) -> list[int]:

@@ -77,6 +77,13 @@ class Ctx:
     two writes of a free counter, neither of which lowers it) included. It
     reads and writes counters only through its simulator's hooks
     ``_read_free``, ``_read_dep``, ``_write_free`` and ``_write_dep``.
+
+    A run makes one context, a local of its step loop, and rebinds its
+    ``proc``, ``pid``, ``step``, ``d``, ``u1`` and ``u2`` at every
+    activation, so a guard or body must not keep it past the activation it
+    runs in. No simulator holds the context: the context holds its
+    simulator, and an attribute the other way would be a cycle that
+    outlives the run until the cycle collector finds it.
     """
 
     __slots__ = ("sim", "proc", "pid", "step", "d", "u1", "u2")

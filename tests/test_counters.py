@@ -101,6 +101,27 @@ def test_check_dep_examples():
     assert check_dep(400, 10, P10_5) == 90
 
 
+@pytest.mark.parametrize("maxinc,max_r", [(1, 0), (3, 2), (10, 5)])
+def test_checks_match_their_windows(maxinc, max_r):
+    """``check_free`` and ``check_dep`` compute their window in place: they
+    agree with ``free_window`` and ``dep_window`` at and around both edges,
+    and refuse a region the window refuses with the window's error."""
+    params = CounterParams(maxinc=maxinc, r_b=max_r, r_f=0)
+    for region in range(-2, params.min_usable_region() + 4):
+        for check, window in ((check_free, free_window),
+                              (check_dep, dep_window)):
+            try:
+                lo, hi = window(region, params)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    check(0, region, params)
+                assert str(got.value) == str(exc)
+                continue
+            for value in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+                expect = value if lo <= value <= hi else lo
+                assert check(value, region, params) == expect
+
+
 def test_to_residue_examples():
     assert to_residue(320, P10_5) == 320
     assert to_residue(910, P10_5) == 130

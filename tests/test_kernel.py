@@ -346,6 +346,38 @@ def test_kernel_and_replayer_are_freed_by_reference_counting(any_protocol):
         gc.enable()
 
 
+def test_every_activation_sees_its_own_process_and_draws(any_protocol):
+    """Each side makes one context per run and rebinds it at every
+    activation: every guard and body sees the acting process, the step and
+    the draws that the step's row records."""
+    sc = build_scenario(any_protocol)
+    seen = []  # (sim, sim.step, ctx.step, pid, d, u1, u2, proc) per call
+
+    def spy(fn):
+        def called(ctx):
+            seen.append((ctx.sim, ctx.sim.step, ctx.step, ctx.pid, ctx.d,
+                         ctx.u1, ctx.u2, ctx.proc))
+            return fn(ctx)
+        return called
+
+    sc.prog.actions[:] = [
+        dataclasses.replace(act, body=spy(act.body),
+                            guard=act.guard and spy(act.guard))
+        for act in sc.prog.actions]
+    kern = Kernel(sc.cfg, 5)
+    trace = kern.run()
+    rep = Replayer(sc.prog, trace)
+    assert rep.run() == sc.cfg.total_steps
+    acted = {row[0] for row in trace.rows if row[2] != tr.SELF_LOOP}
+    for sim in (kern, rep):
+        calls = [call[1:] for call in seen if call[0] is sim]
+        assert acted <= {call[0] for call in calls}
+        for step, *fields, proc in calls:
+            row = trace.rows[step]
+            assert fields == [row[0], row[1], *row[4:]]
+            assert proc is sim.procs[row[1]]
+
+
 def test_a_message_fault_leaves_its_broadcast_siblings_alone():
     """A broadcast encodes its payload once, yet every message holds its own
     cells: overwriting one leaves the others and every recorded send as

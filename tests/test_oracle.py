@@ -125,6 +125,25 @@ def test_schedule_the_kernel_cannot_draw_is_caught(field, value, msg):
     assert exc.value.step == at
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda ev: ev._replace(t=ev.t + 1),
+    lambda ev: ev._replace(g_region=ev.g_region + 1),
+    lambda ev: ev._replace(regions=(*ev.regions[:-1], ev.regions[-1] + 1)),
+], ids=["t", "g_region", "regions"])
+def test_a_clock_record_at_odds_with_itself_is_caught(tamper):
+    """Each tick's ``clock`` record must follow the last one and agree with
+    its own local clocks; a doctored field is caught at its step."""
+    sc = build_scenario("logical_clocks")
+    doctored = copy.deepcopy(run_scenario(sc))
+    idx = [i for i, ev in enumerate(doctored.events)
+           if ev.kind == tr.EV_CLOCK][2]
+    doctored.events[idx] = tamper(doctored.events[idx])
+    with pytest.raises(OracleDivergence,
+                       match="internally inconsistent") as exc:
+        replay(sc, doctored)
+    assert exc.value.step == doctored.events[idx].step
+
+
 def test_suffix_replay_knows_who_acted_earlier_in_its_block():
     doc = scenario_doc("logical_clocks", faults={
         "mode": "list",

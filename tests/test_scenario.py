@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from regionbound import scenario
+from regionbound import kernel, scenario
 from regionbound.cli import EXIT_OK, main
 from regionbound.counters import bits_required, maxbound_of
 from regionbound.errors import ConfigError
@@ -244,6 +244,29 @@ def test_vector_clocks_skips_a_view_cell_whose_tag_is_no_pair(tmp_path, tag,
     assert main(["check", "--trace", str(out), "--scenario",
                  str(path)]) == EXIT_OK
     assert "all 5 checks passed" in capsys.readouterr().out
+
+
+def test_vector_clocks_gossips_its_own_counter_over_a_view_cell_naming_it():
+    """A fault may insert a view cell tagged with its holder's own pid; the
+    holder's gossip still sends its own counter as its own component."""
+    faults = copy.deepcopy(LIST_FAULTS)
+    insert = faults["entries"][1]
+    assert insert["kind"] == "insert_dep" and insert["pid"] == 1
+    insert["tag"] = [1, 0]
+    sc = scenario.parse(scenario_doc("vector_clocks", faults=faults))
+    trace = kernel.run(sc.cfg, sc.seed)
+    assert any(ev.kind == "fault" and ev.fault_kind == "insert_dep"
+               and ev.applied for ev in trace.events)
+    own = {}  # step -> the residue pid 1's own counter was written to then
+    sends = []
+    for ev in trace.events:
+        if ev.kind == "wfree" and ev.pid == 1 and ev.name == "own":
+            own[ev.step] = ev.residue
+        elif ev.kind == "send" and ev.src == 1:
+            sends.append(ev)
+    assert any(ev.step > insert["when"] for ev in sends)
+    for ev in sends:
+        assert ev.cells["c1"] == own[ev.step], ev
 
 
 def _sweep_docs():
