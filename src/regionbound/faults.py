@@ -14,13 +14,13 @@ verbatim.
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import trace as tr
 from .counters import bits_required
 from .errors import ConfigError, is_int
-from .transform import Cell
 
 
 @dataclass(frozen=True)
@@ -56,91 +56,63 @@ class FaultEntry:
     age: int = 0
     note: dict = field(default_factory=dict)
 
-    def apply(self, kern) -> tuple[bool, dict]:
-        return _KINDS[self.kind].apply(self, kern)
-
-
-def _apply_overwrite_free(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    proc = kern.procs[entry.pid]
-    old = proc.free[entry.target]
-    proc.free[entry.target] = entry.value
-    return True, {"old": old, "new": entry.value}
-
-
-def _pick_cell(entry: FaultEntry, kern):
-    coll, k = entry.target
-    store = kern.procs[entry.pid].colls[coll]
-    cids = sorted(store)
-    if not cids:
-        return None, None
-    cid = cids[k % len(cids)]
-    return cid, store
-
-
-def _apply_overwrite_dep(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    cid, store = _pick_cell(entry, kern)
-    if cid is None:
-        return False, {}
-    old = store[cid].value
-    store[cid].value = entry.value
-    return True, {"coll": entry.target[0], "cid": cid,
-                  "old": old, "new": entry.value}
-
-
-def _apply_insert_dep(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    proc = kern.procs[entry.pid]
-    cid = kern.next_cid
-    kern.next_cid += 1
-    created_local = max(0, proc.region - entry.age)
-    created_global = max(0, kern.g_region - entry.age)
-    proc.colls[entry.target][cid] = Cell(entry.value, created_local,
-                                         created_global, tr.canon(entry.tag))
-    return True, {"coll": entry.target, "cid": cid, "new": entry.value,
-                  "tag": tr.canon(entry.tag), "created_local": created_local,
-                  "created_global": created_global}
-
-
-def _apply_delete_dep(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    cid, store = _pick_cell(entry, kern)
-    if cid is None:
-        return False, {}
-    old = store.pop(cid).value
-    return True, {"coll": entry.target[0], "cid": cid, "old": old}
-
-
-def _apply_scramble_var(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    proc = kern.procs[entry.pid]
-    old = proc.vars.get(entry.target)
-    proc.vars[entry.target] = tr.canon(entry.value)
-    return True, {"old": tr.canon(old), "new": tr.canon(entry.value)}
-
-
-def _apply_overwrite_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    k, fld = entry.target
-    mids = sorted(kern.in_flight)
-    if not mids:
-        return False, {}
-    msg = kern.in_flight[mids[k % len(mids)]]
-    if fld not in msg.cells:
-        fams = kern.msg_fams[msg.kind]
-        flds = [f for f in sorted(msg.cells) if entry.value
-                < 1 << bits_required(fams[f].maxinc, fams[f].max_r)]
-        if not flds:
-            return False, {}
-        fld = flds[k % len(flds)]
-    old = msg.cells[fld]
-    # a new dict: the message shares its old one with the recorded send
-    kern.in_flight[msg.mid] = msg._replace(cells={**msg.cells, fld: entry.value})
-    return True, {"mid": msg.mid, "field": fld, "old": old, "new": entry.value}
-
-
-def _apply_delete_msg(entry: FaultEntry, kern) -> tuple[bool, dict]:
-    k = entry.target
-    mids = sorted(kern.in_flight)
-    if not mids:
-        return False, {}
-    msg = kern.in_flight.pop(mids[k % len(mids)])
-    return True, {"mid": msg.mid, "dst": msg.dst, "msg_kind": msg.kind}
+    def apply(self, prog, part, region: Optional[int], g_region: int,
+              next_cid: int) -> Optional[dict]:
+        """This fault's edit of ``part`` of a snapshot, the
+        :data:`.trace.PROC` of process ``pid`` at ``region`` or, for a
+        message fault, the in-flight :class:`.trace.MsgRow` rows in mid
+        order, where it fires in ``g_region`` with ``next_cid`` the next
+        cell id. Returns the edited part as the fault event records it,
+        ``{"proc": ...}``, ``{"msg": row}`` or ``{"mid": m}`` of a deleted
+        message, or None when the selector finds nothing."""
+        part, kind, value = deepcopy(part), self.kind, self.value
+        if kind == "overwrite_free":
+            legacy = {"old": part["free"][self.target], "new": value}
+            part["free"][self.target] = value
+        elif kind == "insert_dep":
+            part["colls"][self.target].append([
+                next_cid, value, max(0, region - self.age),
+                max(0, g_region - self.age), tr.canon(self.tag)])
+            row = part["colls"][self.target][-1]
+            legacy = {"coll": self.target, "cid": next_cid, "new": value,
+                      "tag": row[4], "created_local": row[2],
+                      "created_global": row[3]}
+        elif kind == "scramble_var":
+            legacy = {"old": part["vars"].get(self.target),
+                      "new": tr.canon(value)}
+            part["vars"][self.target] = tr.canon(value)
+        elif kind in ("overwrite_dep", "delete_dep"):
+            coll, k = self.target
+            rows = part["colls"][coll]
+            if not rows:
+                return None
+            legacy = {"coll": coll, "cid": rows[k % len(rows)][0],
+                      "old": rows[k % len(rows)][1]}
+            if kind == "delete_dep":
+                del rows[k % len(rows)]
+            else:
+                rows[k % len(rows)][1] = value  # the cell's residue
+                legacy["new"] = value
+        else:  # a message fault picks the k-th row in flight
+            k = self.target if kind == "delete_msg" else self.target[0]
+            if not part:
+                return None
+            msg = tr.MsgRow._make(part[k % len(part)])
+            if kind == "delete_msg":
+                return {"mid": msg.mid, "dst": msg.dst, "msg_kind": msg.kind}
+            fld = self.target[1]
+            if fld not in msg.cells:  # the k-th that can hold value stands in
+                fams = {f: prog.families[fam] for f, fam
+                        in prog.msgs[msg.kind].cell_fields.items()}
+                flds = [f for f in sorted(msg.cells) if value
+                        < 1 << bits_required(fams[f].maxinc, fams[f].max_r)]
+                if not flds:
+                    return None
+                fld = flds[k % len(flds)]
+            return {"msg": list(msg._replace(cells={**msg.cells, fld: value})),
+                    "mid": msg.mid, "field": fld, "old": msg.cells[fld],
+                    "new": value}
+        return {"proc": part, **legacy}
 
 
 def _is_nat(v) -> bool:
@@ -157,28 +129,24 @@ def _pair(first, second):
 
 
 class _Kind(NamedTuple):
-    """How one fault kind fires, and the shape of its entries. Selectors
-    ``k`` are non-negative integers."""
+    """The shape of one fault kind's entries. Selectors ``k`` are
+    non-negative integers."""
 
-    apply: Callable
     target: str  # the shape ``target`` must have, as the error names it
     fits: Callable
     writes_residue: bool  # so ``value`` must be a register's residue
 
 
 _KINDS = {
-    "overwrite_free": _Kind(_apply_overwrite_free, "a free-counter name",
-                            _is_str, True),
-    "overwrite_dep": _Kind(_apply_overwrite_dep, "a [collection, k] pair",
-                           _pair(_is_str, _is_nat), True),
-    "insert_dep": _Kind(_apply_insert_dep, "a collection name", _is_str, True),
-    "delete_dep": _Kind(_apply_delete_dep, "a [collection, k] pair",
-                        _pair(_is_str, _is_nat), False),
-    "scramble_var": _Kind(_apply_scramble_var, "a variable name", _is_str,
-                          False),
-    "overwrite_msg": _Kind(_apply_overwrite_msg, "a [k, field] pair",
-                           _pair(_is_nat, _is_str), True),
-    "delete_msg": _Kind(_apply_delete_msg, "an integer k", _is_nat, False),
+    "overwrite_free": _Kind("a free-counter name", _is_str, True),
+    "overwrite_dep": _Kind("a [collection, k] pair", _pair(_is_str, _is_nat),
+                           True),
+    "insert_dep": _Kind("a collection name", _is_str, True),
+    "delete_dep": _Kind("a [collection, k] pair", _pair(_is_str, _is_nat),
+                        False),
+    "scramble_var": _Kind("a variable name", _is_str, False),
+    "overwrite_msg": _Kind("a [k, field] pair", _pair(_is_nat, _is_str), True),
+    "delete_msg": _Kind("an integer k", _is_nat, False),
 }
 
 

@@ -204,13 +204,26 @@ class Kernel(Sim):
             self._pending_snapshot = f"region:{self.g_region}"
 
     def _apply_fault(self, entry) -> None:
-        applied, detail = entry.apply(self)
-        if entry.pid is not None:
-            self.may_hold_stale.add(entry.pid)
+        """Edit the part of the state ``entry`` corrupts in snapshot form
+        and load it back."""
+        pid = entry.pid
+        if pid is None:
+            part, region = self._msg_rows(self.in_flight), None
+        else:
+            part, region = self._proc_state(self.procs[pid]), self.regions[pid]
+        edit = tr.canon(entry.apply(self.prog, part, region, self.g_region,
+                                    self.next_cid) or {})
+        if "proc" in edit:
+            self.procs[pid] = self._load_proc(pid, edit["proc"])
+        elif "msg" in edit:  # a row's first field is its mid
+            self.in_flight[edit["msg"][0]] = self._load_msg(edit["msg"])
+        elif "mid" in edit:
+            del self.in_flight[edit["mid"]]
+        detail = {k: v for k, v in edit.items() if k not in ("proc", "msg")}
         detail["g_region"] = self.g_region
-        self.emit_fault(fault_kind=entry.kind, pid=entry.pid,
-                        target=tr.canon(entry.target), detail=tr.canon(detail),
-                        applied=applied)
+        self.emit_fault(fault_kind=entry.kind, pid=pid,
+                        target=tr.canon(entry.target), detail=detail,
+                        applied=bool(edit))
 
     def _act(self, ctx: Ctx) -> None:
         step, n, rng = self.step, self.prog.n, self.rng

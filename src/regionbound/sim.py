@@ -283,8 +283,8 @@ class Sim:
         self._load(snap)
 
     def _load(self, snap: dict) -> None:
-        """Build the state ``snap`` records, each residue held through
-        ``_held_free`` or ``_held_dep`` at its holder's region."""
+        """Build the state ``snap`` records, through :meth:`_load_proc` and
+        :meth:`_load_msg`."""
         self.t = snap["t"]
         self.g_region = snap["g_region"]
         self.regions = list(snap["regions"])
@@ -292,37 +292,43 @@ class Sim:
         self.budgets = dict(snap["budgets"])
         self.next_mid = snap["next_mid"]
         self.next_cid = snap["next_cid"]
-        self.procs = []
-        for pid, pstate in enumerate(snap["procs"]):
-            proc = ProcState(pid, self.regions[pid])
-            for name, res in pstate["free"].items():
-                proc.free[name] = self._held_free(res, proc.region,
-                                                  self.free_fams[name])
-            for coll in self.prog.colls:
-                proc.colls[coll] = {}
-            for coll, rows in pstate["colls"].items():
-                fam = self.coll_fams[coll]
-                for row in map(tr.CellRow._make, rows):
-                    proc.colls[coll][row.cid] = Cell(
-                        self._held_dep(row.residue, proc.region, fam),
-                        row.created_local, row.created_global, row.tag)
-            proc.vars = dict(pstate["vars"])
-            self.procs.append(proc)
-        # a snapshot comes from outside the program: any cell may be stale
-        self.may_hold_stale.update(range(len(self.procs)))
-
-        def msg(row: list) -> tr.MsgRow:
-            row = tr.MsgRow._make(row)
-            fams, region = self.msg_fams[row.kind], self.regions[row.dst]
-            return row._replace(cells={
-                fld: self._held_dep(res, region, fams[fld])
-                for fld, res in row.cells.items()})
-
+        self.procs = [self._load_proc(pid, pstate)
+                      for pid, pstate in enumerate(snap["procs"])]
         self.in_flight: dict[int, tr.MsgRow] = {}
         for row in snap["in_flight"]:
-            self._put_in_flight(msg(row))
+            self._put_in_flight(self._load_msg(row))
         self.inboxes: list[dict[int, tr.MsgRow]] = [
-            {m.mid: m for m in map(msg, rows)} for rows in snap["inboxes"]]
+            {m.mid: m for m in map(self._load_msg, rows)}
+            for rows in snap["inboxes"]]
+
+    def _load_proc(self, pid: int, pstate: dict) -> ProcState:
+        """Process ``pid`` as ``pstate``, a :data:`.trace.PROC`, records it,
+        each residue held through ``_held_free`` or ``_held_dep`` at its
+        region, flagged in ``may_hold_stale`` (state from outside the program
+        may hold a stale cell); no loaded cell id is handed out again."""
+        proc = ProcState(pid, self.regions[pid])
+        for name, res in pstate["free"].items():
+            proc.free[name] = self._held_free(res, proc.region,
+                                              self.free_fams[name])
+        proc.colls = {coll: {} for coll in self.prog.colls}
+        for coll, rows in pstate["colls"].items():
+            fam = self.coll_fams[coll]
+            for row in map(tr.CellRow._make, rows):
+                proc.colls[coll][row.cid] = Cell(
+                    self._held_dep(row.residue, proc.region, fam),
+                    row.created_local, row.created_global, row.tag)
+                self.next_cid = max(self.next_cid, row.cid + 1)
+        proc.vars = dict(pstate["vars"])
+        self.may_hold_stale.add(pid)
+        return proc
+
+    def _load_msg(self, row: list) -> tr.MsgRow:
+        """The message of ``row``, a :class:`.trace.MsgRow`, each cell held
+        through ``_held_dep`` at its destination's region."""
+        row = tr.MsgRow._make(row)
+        fams, region = self.msg_fams[row.kind], self.regions[row.dst]
+        return row._replace(cells={fld: self._held_dep(res, region, fams[fld])
+                                   for fld, res in row.cells.items()})
 
     def _stored(self, fam, value: int) -> int:
         """The residue a bounded run stores for counter ``value``."""
@@ -330,23 +336,26 @@ class Sim:
 
     def _state(self) -> dict:
         """Clock, process and network state as a snapshot records it."""
-        res = self._stored
-        procs = [{"free": {name: res(self.free_fams[name], value)
-                           for name, value in proc.free.items()},
-                  "colls": {coll: [list(tr.CellRow(
-                                       cid, res(self.coll_fams[coll], c.value),
-                                       c.created_local, c.created_global,
-                                       tr.canon(c.tag)))
-                                   for cid, c in sorted(store.items())]
-                            for coll, store in proc.colls.items()},
-                  "vars": dict(proc.vars)}
-                 for proc in self.procs]
         return {"t": self.t, "g_region": self.g_region,
                 "regions": list(self.regions), "locals": list(self.locals),
-                "procs": procs, "in_flight": self._msg_rows(self.in_flight),
+                "procs": list(map(self._proc_state, self.procs)),
+                "in_flight": self._msg_rows(self.in_flight),
                 "inboxes": [self._msg_rows(box) for box in self.inboxes],
                 "next_mid": self.next_mid, "next_cid": self.next_cid,
                 "budgets": dict(self.budgets)}
+
+    def _proc_state(self, proc: ProcState) -> dict:
+        """``proc`` as a snapshot records it, a :data:`.trace.PROC`."""
+        res = self._stored
+        return {"free": {name: res(self.free_fams[name], value)
+                         for name, value in proc.free.items()},
+                "colls": {coll: [list(tr.CellRow(
+                                     cid, res(self.coll_fams[coll], c.value),
+                                     c.created_local, c.created_global,
+                                     tr.canon(c.tag)))
+                                 for cid, c in sorted(store.items())]
+                          for coll, store in proc.colls.items()},
+                "vars": dict(proc.vars)}
 
     def _msg_rows(self, store: dict[int, tr.MsgRow]) -> list:
         rows = []

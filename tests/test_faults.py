@@ -178,21 +178,23 @@ def test_a_message_fault_stands_in_only_a_field_that_holds_its_value():
     # PROMISE's aseq field has 11-bit registers and its bseq field 9-bit
     # ones; neither message has the targeted "promised" field
     regs = {"bseq": CounterParams(3, 6, 3), "aseq": CounterParams(3, 6, 30)}
-    msg = tr.MsgRow(4, 0, 1, "PROMISE", {"aseq": 7, "bseq": 8}, {}, 0, 38, 38,
-                    5, None)
-    kern = SimpleNamespace(in_flight={4: msg}, msg_fams={"PROMISE": regs})
+    prog = SimpleNamespace(families=regs, msgs={"PROMISE": SimpleNamespace(
+        cell_fields={"aseq": "aseq", "bseq": "bseq"})})
+    cells = tr.MsgRow._fields.index("cells")
+    row = list(tr.MsgRow(4, 0, 1, "PROMISE", {"aseq": 7, "bseq": 8}, {}, 0,
+                         38, 38, 5, None))
 
-    def fire(k, value):
+    def fire(k, value, rows):
         entry = faults.FaultEntry("region", 39, "overwrite_msg",
                                   (k, "promised"), value=value)
-        return entry.apply(kern)
+        edit = entry.apply(prog, rows, None, 39, 0)
+        return edit and edit["msg"][cells]
 
-    assert fire(1, 100) == (True, {"mid": 4, "field": "bseq", "old": 8,
-                                   "new": 100})
-    assert fire(1, 1500) == (True, {"mid": 4, "field": "aseq", "old": 7,
-                                    "new": 1500})
-    kern.in_flight[4] = msg._replace(cells={"bseq": 8})
-    assert fire(0, 1500) == (False, {})
+    assert fire(1, 100, [row]) == {"aseq": 7, "bseq": 100}
+    assert fire(1, 1500, [row]) == {"aseq": 1500, "bseq": 8}
+    assert row[cells] == {"aseq": 7, "bseq": 8}  # the part is left as it was
+    row[cells] = {"bseq": 8}
+    assert fire(0, 1500, [row]) is None
 
 
 def test_a_message_fault_writes_no_residue_its_field_cannot_hold():

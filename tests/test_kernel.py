@@ -390,13 +390,15 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
     assert [ev.dst for ev in sends] == [1, 2, 3]
     sent = [dict(ev.cells) for ev in sends]
     assert sent[0] == sent[1] == sent[2]
+    own = {id(m.cells) for m in kern.in_flight.values()}
+    assert len(own) == 3 and not own & {id(ev.cells) for ev in sends}
     hit = sorted(kern.in_flight)[1]
     modulus = kern.msg_fams["REQ"]["stamp"].maxbound
     entry = faults.FaultEntry(when_kind="step", when=0, kind="overwrite_msg",
                               target=[1, "stamp"],
                               value=(sent[1]["stamp"] + 1) % modulus)
-    applied, detail = entry.apply(kern)
-    assert applied and detail["mid"] == hit
+    kern._apply_fault(entry)
+    assert kern.trace.events[-1].applied
     assert kern.in_flight[hit].cells == {"stamp": entry.value}
     for mid, cells in zip(sorted(kern.in_flight), sent):
         if mid != hit:
