@@ -96,9 +96,10 @@ def validate(prog, trace: tr.Trace) -> None:
     :class:`.trace.Name` must name what ``prog`` and :mod:`.faults` declare
     in its domain, a message's cells must be fields of its kind, and a
     ``send`` event or message row must set exactly one of its arrival and
-    drop steps; a fault's detail must hold what the scans read of it; every
-    residue, an applied fault's ``old`` and ``new`` included, must fit its
-    register, which a fault may fill. A failure raises
+    drop steps. An applied fault's detail must record its edit, a process
+    or a message row passing the checks a snapshot's do, or a deleted
+    message's id. Every residue must fit its register, which a fault may
+    fill. A failure raises
     ConfigError("malformed trace: ..."). What the kernel's schedule could
     not have drawn is left to the replay, which fails on it.
     """
@@ -109,12 +110,12 @@ def validate(prog, trace: tr.Trace) -> None:
                 tr.FREE: prog.free_cells, tr.COLL: prog.colls,
                 tr.MSG_KIND: prog.msgs, tr.FAMILY: prog.families,
                 tr.FAULT_KIND: faults._KINDS}
-    free_cap, coll_cap, msg_cap = _registers(prog)
+    regs = free_cap, coll_cap, msg_cap = _registers(prog)
     for step, snap in sorted(trace.snapshots.items()):
         if not 0 <= step <= trace.steps():
             raise ConfigError(f"malformed trace: snapshot at step {step} lies "
                               f"outside steps 0..{trace.steps()} of the run")
-        if fault := _snapshot_misfit(prog, declared, snap):
+        if fault := _snapshot_misfit(prog, declared, regs, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
     first = min(trace.events, key=attrgetter("step"), default=None)
@@ -151,39 +152,22 @@ def validate(prog, trace: tr.Trace) -> None:
                     f"declared {ev.msg_kind} fields hold")
         if not _delivers_once(ev):
             _refuse(ev, _DELIVERY)
-    # what the scans read of an applied fault of these kinds; every fault's
-    # recorded g_region must be an integer too, though no check uses it
-    reads = {"overwrite_free": {"pid": pids.__contains__},
-             "insert_dep": {"cid": is_int, "created_local": is_int},
-             "delete_dep": {"cid": is_int}}
-    # an applied fault's residues, and the detail key naming their register:
-    # for a message field, its register in any kind that declares it
-    field_cap = {}
-    for caps in msg_cap.values():
-        for fld, cap in caps.items():
-            field_cap[fld] = max(cap, field_cap.get(fld, 0))
-    holds = {"overwrite_free": ("target", free_cap, ("old", "new")),
-             "overwrite_dep": ("coll", coll_cap, ("old", "new")),
-             "insert_dep": ("coll", coll_cap, ("new",)),
-             "delete_dep": ("coll", coll_cap, ("old",)),
-             "overwrite_msg": ("field", field_cap, ("old", "new"))}
     for ev in events[tr.EV_FAULT]:
-        got = {**ev.detail, "pid": ev.pid, "target": ev.target}
-        for key, fits in {"g_region": is_int, **(
-                reads.get(ev.fault_kind, {}) if ev.applied else {})}.items():
-            if not fits(got.get(key)):
-                _refuse(ev, f"{key} {got.get(key)!r} does not fit a "
-                        f"{ev.fault_kind} fault")
-        if not (ev.applied and ev.fault_kind in holds):
+        edit = ev.detail
+        key = ("proc" if ev.pid is not None else "msg" if "msg" in edit
+               else "mid")
+        if list(edit) != (want := [key] if ev.applied else []):
+            _refuse(ev, f"detail keys {list(edit)} are not {want}")
+        if "proc" in edit:
+            fault = _proc_misfit(prog, regs, ev.pid, edit["proc"])
+        elif "msg" in edit:
+            fault = _row_misfit(declared, msg_cap, edit["msg"])
+        elif "mid" in edit and not is_int(edit["mid"]):
+            fault = f"mid {edit['mid']!r} is no message id"
+        else:
             continue
-        slot, caps, residues = holds[ev.fault_kind]
-        name = got.get(slot)
-        if not (type(name) is str and name in caps):
-            _refuse(ev, f"{slot} {name!r} does not fit a {ev.fault_kind} "
-                    "fault")
-        for key in residues:
-            if not (is_int(res := got.get(key)) and 0 <= res < caps[name]):
-                _refuse(ev, f"{key} " + _UNHELD.format(repr(res), caps[name]))
+        if fault:
+            _refuse(ev, fault)
 
 
 def _refuse(ev, fault: str) -> NoReturn:
@@ -235,14 +219,14 @@ def _cells_fit(caps: dict[str, int], cells: dict) -> bool:
     return True
 
 
-def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
+def _snapshot_misfit(prog, declared: dict, regs: tuple,
+                     snap: dict) -> Optional[str]:
     """What keeps ``snap`` from the layout the kernel writes for ``prog``,
-    or None: :data:`.trace.SNAPSHOT` with a value per process, each proc a
-    :data:`.trace.PROC` of the program's counters and collections, and rows
-    as :class:`.trace.CellRow` and :class:`.trace.MsgRow` lay them out."""
+    or None: :data:`.trace.SNAPSHOT` with a value per process, each proc as
+    :func:`_proc_misfit` and each message row as :func:`_row_misfit` has
+    it."""
     if fault := tr.misfit(tr.SNAPSHOT, snap):
         return fault
-    free_cap, coll_cap, msg_cap = _registers(prog)
     n = prog.n
     parts = ("regions", "locals", "procs", "inboxes")
     if not (all(len(snap[part]) == n for part in parts)
@@ -250,34 +234,53 @@ def _snapshot_misfit(prog, declared: dict, snap: dict) -> Optional[str]:
         return (f"it needs {n} each of {', '.join(parts)}, and an integer "
                 f"budget for each of {list(prog.families)}")
     for pid, proc in enumerate(snap["procs"]):
-        free = prog.init(pid).free
-        if not (type(proc) is dict and tr.misfit(tr.PROC, proc) is None
-                and _int_map(proc["free"], free)
-                and all(0 <= res < free_cap[name]
-                        for name, res in proc["free"].items())
-                and proc["colls"].keys() <= prog.colls.keys()
-                and all(type(rows) is list
-                        and all(tr.fits(tr.CellRow, row)
-                                and 0 <= row[1] < coll_cap[coll]
-                                for row in rows)
-                        for coll, rows in proc["colls"].items())):
-            return (f"pid {pid}: it needs free counters {list(free)} and "
-                    f"collections among {list(prog.colls)}, as lists of "
-                    f"[{', '.join(tr.CellRow._fields)}] rows, with residues "
-                    "their registers hold, and vars")
+        if fault := _proc_misfit(prog, regs, pid, proc):
+            return fault
     for box in (snap["in_flight"], *snap["inboxes"]):
         if type(box) is not list:
             return f"inbox {box!r} is not a list of message rows"
         for row in box:
-            msg = tr.fits(tr.MsgRow, row) and tr.MsgRow._make(row)
-            if msg and (stranger := _stranger(declared, tr.MsgRow, [msg])):
-                return f"message row {row!r}: {stranger[1]}"
-            if not (msg and _cells_fit(msg_cap[msg.kind], msg.cells)):
-                return (f"message row {row!r} is no "
-                        f"[{', '.join(tr.MsgRow._fields)}] row with residues "
-                        "its kind's registers hold")
-            if not _delivers_once(msg):
-                return f"message row {row!r} {_DELIVERY}"
+            if fault := _row_misfit(declared, regs[2], row):
+                return fault
+    return None
+
+
+def _proc_misfit(prog, regs: tuple, pid: int, proc) -> Optional[str]:
+    """What keeps ``proc``, as a snapshot or a fault records process
+    ``pid``, from a :data:`.trace.PROC` of the program's counters and
+    collections, with :class:`.trace.CellRow` rows and residues their
+    registers (``regs``) hold; or None."""
+    free_cap, coll_cap, _ = regs
+    free = prog.init(pid).free
+    if (type(proc) is dict and tr.misfit(tr.PROC, proc) is None
+            and _int_map(proc["free"], free)
+            and all(0 <= res < free_cap[name]
+                    for name, res in proc["free"].items())
+            and proc["colls"].keys() <= prog.colls.keys()
+            and all(type(rows) is list
+                    and all(tr.fits(tr.CellRow, row)
+                            and 0 <= row[1] < coll_cap[coll] for row in rows)
+                    for coll, rows in proc["colls"].items())):
+        return None
+    return (f"pid {pid}: it needs free counters {list(free)} and "
+            f"collections among {list(prog.colls)}, as lists of "
+            f"[{', '.join(tr.CellRow._fields)}] rows, with residues "
+            "their registers hold, and vars")
+
+
+def _row_misfit(declared: dict, msg_cap: dict, row) -> Optional[str]:
+    """What keeps ``row``, as a snapshot or a fault records a message, from
+    a :class:`.trace.MsgRow` of the program (``declared``, ``msg_cap``); or
+    None."""
+    msg = tr.fits(tr.MsgRow, row) and tr.MsgRow._make(row)
+    if msg and (stranger := _stranger(declared, tr.MsgRow, [msg])):
+        return f"message row {row!r}: {stranger[1]}"
+    if not (msg and _cells_fit(msg_cap[msg.kind], msg.cells)):
+        return (f"message row {row!r} is no "
+                f"[{', '.join(tr.MsgRow._fields)}] row with residues "
+                "its kind's registers hold")
+    if not _delivers_once(msg):
+        return f"message row {row!r} {_DELIVERY}"
     return None
 
 
@@ -374,16 +377,17 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
                        else ())
         elif kind == tr.EV_WFREE:
             written = [(ev.name, ev.residue)]
-        elif (kind == tr.EV_FAULT and ev.fault_kind == "overwrite_free"
-              and ev.applied):
-            held = free[ev.pid][ev.target]
-            if ev.detail["old"] != held:
-                report.add("free-containment", False,
-                           f"step {ev.step}: pid {ev.pid} fault records old "
-                           f"residue {ev.detail['old']} of {ev.target!r}, "
-                           f"which held {held}")
-                return report
-            written = [(ev.target, ev.detail["new"])]
+        elif kind == tr.EV_FAULT and "proc" in ev.detail:
+            # only an overwrite_free's target may differ from what it held
+            written = ev.detail["proc"]["free"].items()
+            hit = ev.target if ev.fault_kind == "overwrite_free" else None
+            for name, res in written:
+                if name != hit and res != free[ev.pid][name]:
+                    report.add("free-containment", False,
+                               f"step {ev.step}: pid {ev.pid} fault records "
+                               f"residue {res} of {name!r}, which held "
+                               f"{free[ev.pid][name]}")
+                    return report
         else:
             continue
         for name, res in written:
@@ -424,65 +428,63 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
             for coll, decl in prog.colls.items()}
     start = trace.snapshots[0]
     regions = list(start["regions"])  # each owner's region, moved by rc
-    live: dict[tuple[int, str, int], int] = {}
-    for pid, pstate in enumerate(start["procs"]):
-        for coll, rows in pstate["colls"].items():
-            for row in map(tr.CellRow._make, rows):
-                live[(pid, coll, row.cid)] = row.created_local
+
+    def cells(pstate) -> dict:
+        """A recorded process's cells: (collection, id) -> stamp."""
+        return {(coll, row[0]): row[2]  # a CellRow's cid and created_local
+                for coll, rows in pstate["colls"].items() for row in rows}
+
+    live = list(map(cells, start["procs"]))  # each owner's cells
     worst = -1
 
-    def stamped_ahead(step, key) -> bool:
-        """Report cell ``key`` if its stamp lies past its owner's region."""
-        pid, coll, cid = key
-        if live[key] <= regions[pid]:
+    def stamped_ahead(step, pid, key) -> bool:
+        """Report cell ``key`` of ``pid`` if its stamp lies past its
+        owner's region."""
+        if live[pid][key] <= regions[pid]:
             return False
         report.add("dep-lifetime", False,
-                   f"step {step}: pid {pid} cell {cid} in {coll!r} stamped "
-                   f"in region {live[key]}, after its owner's region "
-                   f"{regions[pid]}")
+                   f"step {step}: pid {pid} cell {key[1]} in {key[0]!r} "
+                   f"stamped in region {live[pid][key]}, after its owner's "
+                   f"region {regions[pid]}")
         return True
 
-    def age_ok(step, pid, coll, cid, region) -> bool:
+    def age_ok(step, pid, key, region) -> bool:
         nonlocal worst
-        age = region - live[(pid, coll, cid)]
+        age = region - live[pid][key]
         worst = max(worst, age)
-        if age > caps[coll]:
+        if age > caps[key[0]]:
             report.add("dep-lifetime", False,
-                       f"step {step}: pid {pid} cell {cid} in {coll!r} alive "
-                       f"{age} regions after creation, past the declared "
-                       f"forward reach {caps[coll]}")
+                       f"step {step}: pid {pid} cell {key[1]} in {key[0]!r} "
+                       f"alive {age} regions after creation, past the "
+                       f"declared forward reach {caps[key[0]]}")
             return False
         return True
 
     # a cell's age only grows from its creation on, so a stamp checked then
     # needs no check at a later region change
-    if any(stamped_ahead(0, key) for key in live):
+    if any(stamped_ahead(0, pid, key) for pid, owned in enumerate(live)
+           for key in owned):
         return report
     # only these kinds move a cell's life; the C iterators skip the rest
     kinds = map(itemgetter(1), trace.events)
     for ev in compress(trace.events, map(_DEP_LIFE_KINDS.__contains__, kinds)):
-        kind = ev.kind
+        kind, pid = ev.kind, ev.pid
         if kind == tr.EV_RC:
-            regions[ev.pid] = ev.new_region
-            for (p, coll, cid) in list(live):
-                if p == ev.pid and not age_ok(ev.step, p, coll, cid,
-                                              ev.new_region):
-                    return report
+            regions[pid] = ev.new_region
+            if not all(age_ok(ev.step, pid, key, ev.new_region)
+                       for key in live[pid]):
+                return report
         elif kind == tr.EV_DCREATE:
-            key = (ev.pid, ev.coll, ev.cid)
-            live[key] = ev.created_local
-            if stamped_ahead(ev.step, key):
+            key = (ev.coll, ev.cid)
+            live[pid][key] = ev.created_local
+            if stamped_ahead(ev.step, pid, key):
                 return report
         elif kind == tr.EV_DREMOVE:
-            live.pop((ev.pid, ev.coll, ev.cid), None)
-        elif kind == tr.EV_FAULT and ev.applied:
-            key = (ev.pid, ev.detail.get("coll"), ev.detail.get("cid"))
-            if ev.fault_kind == "insert_dep":
-                live[key] = ev.detail["created_local"]
-                if stamped_ahead(ev.step, key):
-                    return report
-            elif ev.fault_kind == "delete_dep":
-                live.pop(key, None)
+            live[pid].pop((ev.coll, ev.cid), None)
+        elif kind == tr.EV_FAULT and "proc" in ev.detail:
+            live[pid] = cells(ev.detail["proc"])  # the process it left
+            if any(stamped_ahead(ev.step, pid, key) for key in live[pid]):
+                return report
     if worst < 0:
         report.add("dep-lifetime", True,
                    "no dependent cell crossed a region boundary")

@@ -67,39 +67,29 @@ class FaultEntry:
         message, or None when the selector finds nothing."""
         part, kind, value = deepcopy(part), self.kind, self.value
         if kind == "overwrite_free":
-            legacy = {"old": part["free"][self.target], "new": value}
             part["free"][self.target] = value
         elif kind == "insert_dep":
             part["colls"][self.target].append([
                 next_cid, value, max(0, region - self.age),
                 max(0, g_region - self.age), tr.canon(self.tag)])
-            row = part["colls"][self.target][-1]
-            legacy = {"coll": self.target, "cid": next_cid, "new": value,
-                      "tag": row[4], "created_local": row[2],
-                      "created_global": row[3]}
         elif kind == "scramble_var":
-            legacy = {"old": part["vars"].get(self.target),
-                      "new": tr.canon(value)}
             part["vars"][self.target] = tr.canon(value)
         elif kind in ("overwrite_dep", "delete_dep"):
             coll, k = self.target
             rows = part["colls"][coll]
             if not rows:
                 return None
-            legacy = {"coll": coll, "cid": rows[k % len(rows)][0],
-                      "old": rows[k % len(rows)][1]}
             if kind == "delete_dep":
                 del rows[k % len(rows)]
             else:
                 rows[k % len(rows)][1] = value  # the cell's residue
-                legacy["new"] = value
         else:  # a message fault picks the k-th row in flight
             k = self.target if kind == "delete_msg" else self.target[0]
             if not part:
                 return None
             msg = tr.MsgRow._make(part[k % len(part)])
             if kind == "delete_msg":
-                return {"mid": msg.mid, "dst": msg.dst, "msg_kind": msg.kind}
+                return {"mid": msg.mid}
             fld = self.target[1]
             if fld not in msg.cells:  # the k-th that can hold value stands in
                 fams = {f: prog.families[fam] for f, fam
@@ -109,10 +99,8 @@ class FaultEntry:
                 if not flds:
                     return None
                 fld = flds[k % len(flds)]
-            return {"msg": list(msg._replace(cells={**msg.cells, fld: value})),
-                    "mid": msg.mid, "field": fld, "old": msg.cells[fld],
-                    "new": value}
-        return {"proc": part, **legacy}
+            return {"msg": list(msg._replace(cells={**msg.cells, fld: value}))}
+        return {"proc": part}
 
 
 def _is_nat(v) -> bool:

@@ -204,8 +204,8 @@ class Kernel(Sim):
             self._pending_snapshot = f"region:{self.g_region}"
 
     def _apply_fault(self, entry) -> None:
-        """Edit the part of the state ``entry`` corrupts in snapshot form
-        and load it back."""
+        """Edit the part of the state ``entry`` corrupts in snapshot form,
+        load it back and record the edited part."""
         pid = entry.pid
         if pid is None:
             part, region = self._msg_rows(self.in_flight), None
@@ -219,10 +219,8 @@ class Kernel(Sim):
             self.in_flight[edit["msg"][0]] = self._load_msg(edit["msg"])
         elif "mid" in edit:
             del self.in_flight[edit["mid"]]
-        detail = {k: v for k, v in edit.items() if k not in ("proc", "msg")}
-        detail["g_region"] = self.g_region
         self.emit_fault(fault_kind=entry.kind, pid=pid,
-                        target=tr.canon(entry.target), detail=detail,
+                        target=tr.canon(entry.target), detail=edit,
                         applied=bool(edit))
 
     def _act(self, ctx: Ctx) -> None:

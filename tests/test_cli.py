@@ -477,9 +477,10 @@ def _no_snapshots(recs):
     (SCENARIOS[1], lambda r: _events(r, "dcreate")[0].update(coll="zz"),
      "dcreate event coll 'zz'"),
     (SCENARIOS[1], lambda r: _events(r, "fault")[0].update(detail={}),
-     "fault event g_region None"),
+     "fault event detail keys [] are not ['proc']"),
     (SCENARIOS[1], lambda r: _events(r, "fault")[0]["detail"].update(
-        g_region="x"), "fault event g_region 'x'"),
+        g_region="x"), "fault event detail keys ['proc', 'g_region'] are not "
+     "['proc']"),
     (SCENARIOS[1], lambda r: _events(r, "send")[0].update(dst=99),
      "send event dst 99"),
     (SCENARIOS[1], lambda r: _events(r, "consume")[0].update(pid=99),
@@ -754,60 +755,83 @@ def _mutex_with_dep_faults(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("kind,key,value,fault", [
-    ("overwrite_free", "new", 10 ** 6,
-     "new residue 1000000 lies outside [0, 512)"),
-    ("overwrite_free", "old", -1, "old residue -1 lies outside [0, 512)"),
-    ("delete_dep", "old", 512, "old residue 512 lies outside [0, 512)"),
-    ("overwrite_msg", "new", 512, "new residue 512 lies outside [0, 512)"),
-    ("overwrite_msg", "old", "x", "old residue 'x' lies outside [0, 512)"),
-    ("overwrite_msg", "field", "zz", "field 'zz' does not fit"),
-    ("insert_dep", "new", 512, "new residue 512 lies outside [0, 512)"),
-    ("overwrite_dep", "old", 10 ** 6,
-     "old residue 1000000 lies outside [0, 512)"),
-    ("overwrite_dep", "coll", ["req"], "coll ['req'] does not fit"),
-    ("delete_dep", "coll", ["req"], "coll ['req'] does not fit"),
-])
+def _proc_free(value):
+    return lambda edit: edit["proc"]["free"].update(clk=value)
+
+
+def _last_cell(coll, value):
+    """Set the residue of the last ``coll`` row of the recorded process."""
+    return lambda edit: edit["proc"]["colls"][coll][-1].__setitem__(1, value)
+
+
+def _msg_cells(cells):
+    return lambda edit: edit["msg"].__setitem__(
+        tr.MsgRow._fields.index("cells"), cells)
+
+
+@pytest.mark.parametrize("kind,change,fault", [
+    ("overwrite_free", _proc_free(10 ** 6), "pid 0: it needs free counters"),
+    ("overwrite_free", _proc_free(-1), "pid 0: it needs free counters"),
+    ("delete_dep", _proc_free(512), "pid 0: it needs free counters"),
+    ("overwrite_msg", _msg_cells({"req_stamp": 512, "stamp": 180}),
+     "with residues its kind's registers hold"),
+    ("overwrite_msg", _msg_cells({"req_stamp": "x", "stamp": 180}),
+     "with residues its kind's registers hold"),
+    ("overwrite_msg", _msg_cells({"zz": 60, "stamp": 180}),
+     "with residues its kind's registers hold"),
+    ("insert_dep", _last_cell("req", 512), "pid 0: it needs free counters"),
+    ("overwrite_dep", _last_cell("req", 10 ** 6),
+     "pid 0: it needs free counters"),
+    ("overwrite_dep", lambda edit: edit["proc"]["colls"].update(req=["req"]),
+     "as lists of [cid, residue, created_local, created_global, tag] rows"),
+    ("delete_dep", lambda edit: edit["proc"]["colls"].update(req=["req"]),
+     "as lists of [cid, residue, created_local, created_global, tag] rows"),
+], ids=["overwrite_free-free-high", "overwrite_free-free-negative",
+        "delete_dep-free", "overwrite_msg-cell-high", "overwrite_msg-cell-str",
+        "overwrite_msg-cell-field", "insert_dep-cell", "overwrite_dep-cell",
+        "overwrite_dep-coll", "delete_dep-coll"])
 def test_a_fault_detail_residue_no_register_holds_is_refused(
-        run_cli, tmp_path, kind, key, value, fault):
-    """An applied fault's recorded ``old`` and ``new`` must fit the register
-    of the counter, cell or message field it names, as every other recorded
-    residue must: the seed-2024 mutex trace with the ``new`` of its first
-    applied ``overwrite_free`` (step 96) doctored to 10**6 is refused."""
+        run_cli, tmp_path, kind, change, fault):
+    """An applied fault records the process or message row it edited, which
+    must fit the program as a snapshot's must, every residue in its
+    register: the seed-2024 mutex trace with a residue of the record of its
+    first applied fault of a kind doctored, here the ``clk`` of its step-96
+    ``overwrite_free`` to 10**6, is refused."""
     path = (_mutex_with_dep_faults(tmp_path)
             if kind in ("insert_dep", "overwrite_dep") else SCENARIOS[1])
     at = {}
 
-    def change(recs):
+    def doctor(recs):
         ev = next(e for e in _events(recs, "fault")
                   if e["fault_kind"] == kind and e["applied"])
-        ev["detail"][key] = value
+        change(ev["detail"])
         at["step"] = ev["step"]
-    code, stdout, err = _check_doctored(run_cli, tmp_path, path, change)
+    code, stdout, err = _check_doctored(run_cli, tmp_path, path, doctor)
     assert code == EXIT_CONFIG, stdout
     assert err.startswith(f"config error: malformed trace: step {at['step']}: "
                           "fault event ")
     assert fault in err
     assert "Traceback" not in err
-    if (kind, key) == ("overwrite_free", "new"):
+    if kind == "overwrite_free":
         assert at["step"] == 96
 
 
 def test_a_fault_old_residue_the_counter_did_not_hold_fails_containment(
         run_cli, tmp_path):
-    """An applied ``overwrite_free`` must record as ``old`` the residue the
-    trace says its counter held: the seed-2024 mutex trace with the ``old``
-    of its step-96 fault doctored from 180 to 181 fails free containment."""
+    """A fault records its process's free counters as it left them, so one
+    it did not write must hold the residue the trace says it held: the
+    seed-2024 mutex trace with the ``clk`` of its step-96 ``scramble_var``
+    on pid 1 doctored from 180 to 181 fails free containment."""
     def change(recs):
-        ev = next(e for e in _events(recs, "fault") if e["step"] == 96)
-        assert (ev["fault_kind"], ev["detail"]["old"]) == ("overwrite_free",
-                                                           180)
-        ev["detail"]["old"] = 181
+        ev = next(e for e in _events(recs, "fault") if e["step"] == 96
+                  and e["fault_kind"] == "scramble_var")
+        assert ev["detail"]["proc"]["free"] == {"clk": 180}
+        ev["detail"]["proc"]["free"]["clk"] = 181
     code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
                                         change)
     assert code == EXIT_FAIL
     assert "Traceback" not in err
-    assert ("FAIL free-containment: step 96: pid 0 fault records old residue "
+    assert ("FAIL free-containment: step 96: pid 1 fault records residue "
             "181 of 'clk', which held 180") in stdout.splitlines()
 
 
@@ -883,10 +907,14 @@ def test_an_exception_in_the_reference_run_is_a_divergence(run_cli,
 
 
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
-    """A fault's recorded region is not where check reads the fault stop."""
-    code, stdout, _ = _check_doctored(
-        run_cli, tmp_path, SCENARIOS[1],
-        lambda r: _events(r, "fault")[-1]["detail"].update(g_region=30))
+    """A region a fault's record carries is not where check reads the fault
+    stop: here the send regions of the message row that the last fault of
+    the seed-2024 mutex trace overwrote."""
+    def change(recs):
+        row = _events(recs, "fault")[-1]["detail"]["msg"]
+        for fld in ("send_region_local", "send_region_global"):
+            row[tr.MsgRow._fields.index(fld)] = 30
+    code, stdout, _ = _check_doctored(run_cli, tmp_path, SCENARIOS[1], change)
     assert code == EXIT_OK, stdout
     assert "the last fault (region 15)" in stdout
 

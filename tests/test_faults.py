@@ -170,8 +170,8 @@ def test_empty_selector_records_applied_false():
     trace = kernel.run(cfg, seed=11)
     fired = list(trace.iter_events(tr.EV_FAULT))
     assert [ev.applied for ev in fired] == [False, False]
-    # nothing beyond the firing region gets recorded when nothing matched
-    assert all(set(ev.detail) == {"g_region"} for ev in fired)
+    # no edit gets recorded when nothing matched
+    assert [ev.detail for ev in fired] == [{}, {}]
 
 
 def test_a_message_fault_stands_in_only_a_field_that_holds_its_value():
@@ -256,11 +256,11 @@ def test_fault_events_record_the_plan():
                  if ev.g_region == 12)
     assert clock.step == entry
     fired = [(ev.step, ev.fault_kind, ev.pid, ev.target, ev.applied,
-              ev.detail["new"], ev.detail["g_region"])
+              ev.detail["proc"]["free"])
              for ev in trace.iter_events(tr.EV_FAULT)]
-    assert fired == [(entry, "overwrite_free", 2, "cl", True, 9, 12),
-                     (entry, "overwrite_free", 1, "cl", True, 7, 12),
-                     (entry, "overwrite_free", 0, "cl", True, 5, 12)]
+    assert fired == [(entry, "overwrite_free", 2, "cl", True, {"cl": 9}),
+                     (entry, "overwrite_free", 1, "cl", True, {"cl": 7}),
+                     (entry, "overwrite_free", 0, "cl", True, {"cl": 5})]
 
 
 # Fault plans on the shipped mutual-exclusion scenario (start region 11,

@@ -9,7 +9,12 @@ behaviour (a refactor, a speedup) must leave every digest as it is; a change
 meant to alter traces must say so and re-pin them. The six consensus digests
 were re-pinned when a proposer began to offer its own acceptor's accepted
 value (Paxos P2c). Eleven digests of faulted cases were re-pinned when a
-message fault stopped rewriting the message's recorded ``send``.
+message fault stopped rewriting the message's recorded ``send``. The 18
+digests of faulted cases were re-pinned when a fault event's ``detail``
+became the edited part of the state (the process, the message row or the
+deleted message's id) in place of the per-kind ``old``/``new`` keys and
+``g_region``; every other line of those traces, and every verdict, stayed
+as it was.
 """
 import hashlib
 import io
@@ -82,69 +87,69 @@ GOLDEN = {
     "logical_clocks-clean/2024":
         "73a3589ef0756000428a136afcfe2421c6eee80f3e5e1dfb6b60b6cea59e3f60",
     "logical_clocks-campaign/7":
-        "ad17b0868c0984e01aba547439537d1dad0e39c229027098753837bd9da2b2e4",
+        "e6e151c5170687c899be98dcd82b99bdb8224ee85fadac90ee7fb74c8fc2d51b",
     "logical_clocks-campaign/2024":
-        "3d75e5f2220938360695d0e59458a9972d970229c3f9895ff9eefc7b0b6ee846",
+        "6e26c5c13cf097b724a404b3e45c08a1dc2d4282dd5a035f3e43cd88095ca2de",
     "vector_clocks-clean/7":
         "a801720ca400d1da4da2110d044997757b96910498a83d6ffa8d68335991b73f",
     "vector_clocks-clean/2024":
         "3a711cf1d1b755572ddf0c46af91ad68ea4e00f504d9990b1987851c5c475061",
     "vector_clocks-campaign/7":
-        "964c52f8364a1a150af19c641ec76db7b13bc6120c16f9e62747690f4564b7a2",
+        "18e55eb1fade8275d31605eaf73b35921e7b6a27f292b73dce581703286dc8f1",
     "vector_clocks-campaign/2024":
-        "e4659d55dfd62720fb4167c7aeb5d26c8c160c43443c315f211ef8ddc301fa7e",
+        "7e1b242c7bed8be6aa4ff804ae66e1be00bbed2d5ead6975d120e3bb469c1153",
     "mutual_exclusion-clean/7":
         "abb6700fb34343ebf71d562aae2c258e9f3cfdcdb5da3fb01389ea9e3d53f665",
     "mutual_exclusion-clean/2024":
         "98c2c6e8b6aebe1294b0cc26755e8a88e1743531b4c6300423efc573a2a0ff9d",
     "mutual_exclusion-campaign/7":
-        "f8df1e01c1ec20ffeaeaedde4c6e1f4b1d4b5d5a82e69f8736cf02f2a45e506b",
+        "9616334a907bdc2f6e35aca746480c52f030cec45dba182da2f5ae5a56015267",
     "mutual_exclusion-campaign/2024":
-        "86694976cf570f1b19c19a265eb345e70bf5af0c42a286197fc0ddfb6b17368e",
+        "d4037c1488eded8e30c8f22e9816d876956bd7fef51848431a44b829484c524f",
     "diffusing-clean/7":
         "bf8d261442cbe516cc9589faaa5842682a4258fbe7841740f4a2756601a035b2",
     "diffusing-clean/2024":
         "3f9f94073a92d669de2d2e582271ed02af6f1c4d060c7070c3be5a15aa823d85",
     "diffusing-campaign/7":
-        "174b07ad73fe05b1b600fcc6f09dee4ae4356722fec882366042a19e9bb81116",
+        "9848c705ef480071c7f77e4b0bafc103685be06cf01373eab41290b188f0f2ab",
     "diffusing-campaign/2024":
-        "7d6d5ed8b9e4abb356d703f9af80758c718b95a2a311edcece9f146d7f701918",
+        "8e4f71c0371c7a0b45d368eb4947945e840b9d10a9fb84ccd3d61863ee260739",
     "round_checker-clean/7":
         "e4b016f7eb0fc6acf045a32da17de53bd422f69c202b44b8a86e764265b2250e",
     "round_checker-clean/2024":
         "7a2a114ddacda8632df2f8b94f8cb04f5f97a39c9dbfadd96561646960f5b0a8",
     "round_checker-campaign/7":
-        "6447d42270072a3304114df6f8feabe9d66a4435acedcd82749a9107de4f7aaa",
+        "9b787dcaf9f4ee1f6c1e9ce6ddf6d4116c4e610e5311603523c1b41d216b4520",
     "round_checker-campaign/2024":
-        "c67761f6a1894c2e29270a5782ffad0bb67ebbbd823f6333c3324136d120374d",
+        "9baab529ed444e8f10b15207cc7dec8b6ef2e4b218d1980b9ff9cca82b0d8658",
     "consensus-clean/7":
         "9b8e16c28f1757f9be10580829ceef0406fa4d15af364171b2838b868c842273",
     "consensus-clean/2024":
         "256dd3fc92727ec177dc306ef3e2d1f155a72bbf43fe940e475ed6a0a8e97480",
     "consensus-campaign/7":
-        "6f7b7b72668d402226a29c9ffe1f03913ead750648deda2275249e32b646b2a3",
+        "f9b92bfc45ff168c8652d75ec8c1ddbaa7889ab939b4ec0f2278dc544f84984c",
     "consensus-campaign/2024":
-        "338a2dd36d175b7c019fadcdc659327547b70c7b56954c932b072794c5212409",
+        "60a617d12e089bd0ad7145a431447336ffebc5a25921f39f57b26a97f3569ad0",
     "logical_clocks_drift/7":
         "2f3bae3e71ae8b218cef481c89889f4bf3c0d57ff7ca033ab89d8493cd548f62",
     "logical_clocks_drift/2024":
         "109b878182f00457ef42eb5a1ccca6e994365470417d85a1dcc9e31b4b7694b0",
     "mutex_fault_recovery/7":
-        "a94963939490d6e7f5523cb529589bafad5af010546d404b77aa5b07a7ed086c",
+        "27c303c0a4f3bbdd5f9b44f6475d0862968690809ce53e7d9c468635d421ef5a",
     "mutex_fault_recovery/2024":
-        "b3a2280bdf1136315c00f4341ee5981a804383cb7d2cb74c25ead7f69c9252c7",
+        "03597df51373085ee80622c7a4042796a34feeb81a67fca8b5e9f366f5005474",
     "consensus_clean/7":
         "b932e122605bc75621e396245553a6583392491080ed0615ee47c841fe416a5c",
     "consensus_clean/2024":
         "47827e87aac7307899f3c035f3744dcf17aaae7db39e3e142431d9e88e29a8a7",
     "diffusing_ring_faults/7":
-        "47a9743bf6363164b8b1e089c18f213eb1e1a2293e7900943f514e4fdfa89c40",
+        "9c98373ec1e05b0799a45a8af1f649477b83e762343777bf5c285541105c201c",
     "diffusing_ring_faults/2024":
-        "250106a1823cfc6c55d700538539886ffe1198ef9d9becebd9461d186b1a5cbc",
+        "5dabc955a03394dfcbf58ad2d39aa31d25a42c2d10cd758fded319ef42912cae",
     "mutex_fault_recovery-stale/7":
-        "398c82aad55a67b65efe39d71be8ac857f3227698af1cda2990b63eaa61e6d08",
+        "65dd0ad8dcd189199ddf045378acdd62dda736671e8c41c907157f139a30e8e1",
     "mutex_fault_recovery-stale/2024":
-        "a71aa951ab5832e85582a145542dea61af5ee64ab9e68eea3ea5f3562d4b1895",
+        "4aa512e52a4283db74d0c24f0c99d4a8f91c2ce2590c6eb0b1de1342b2b3a783",
 }
 
 
@@ -182,8 +187,10 @@ def test_stale_inserts_expire_before_the_owner_acts(seed):
     inserts = [ev for ev in trace.iter_events(tr.EV_FAULT) if ev.applied]
     assert len(inserts) == 2
     for ev in inserts:
+        # the inserted cell takes the next id, above every other
+        cid = max(row[0] for row in ev.detail["proc"]["colls"][ev.target])
         removals = [rm for rm in trace.iter_events(tr.EV_DREMOVE)
-                    if rm.cid == ev.detail["cid"]]
+                    if rm.cid == cid]
         assert len(removals) == 1
         step = removals[0].step
         assert removals[0].reason == "expired"
@@ -194,19 +201,24 @@ def test_stale_inserts_expire_before_the_owner_acts(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
-    """The send of a message that a fault overwrites records the value sent,
-    which the fault's detail gives as ``old``."""
+    """The send of a message that a fault overwrites records the value sent:
+    the message row the fault records differs from it in one cell, which
+    holds the fault's value."""
     hits = 0
     for name in CASES:
         sc = scenario.parse(case_doc(name))
         if not sc.has_faults:
             continue
+        value = {json.dumps(e.target): e.value for e in sc.cfg.faults
+                 if e.kind == "overwrite_msg"}
         trace = kernel.run(sc.cfg, seed)
         sends = {ev.mid: ev for ev in trace.iter_events(tr.EV_SEND)}
         for ev in trace.iter_events(tr.EV_FAULT):
             if ev.fault_kind == "overwrite_msg" and ev.applied:
-                detail = ev.detail
-                assert sends[detail["mid"]].cells[detail["field"]] == \
-                    detail["old"], (name, ev)
+                row = tr.MsgRow._make(ev.detail["msg"])
+                sent = sends[row.mid].cells
+                moved = [res for fld, res in row.cells.items()
+                         if res != sent[fld]]
+                assert moved == [value[json.dumps(ev.target)]], (name, ev)
                 hits += 1
     assert hits

@@ -398,7 +398,8 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
                               target=[1, "stamp"],
                               value=(sent[1]["stamp"] + 1) % modulus)
     kern._apply_fault(entry)
-    assert kern.trace.events[-1].applied
+    assert kern.trace.events[-1].detail == {
+        "msg": kern._msg_rows({hit: kern.in_flight[hit]})[0]}
     assert kern.in_flight[hit].cells == {"stamp": entry.value}
     for mid, cells in zip(sorted(kern.in_flight), sent):
         if mid != hit:
