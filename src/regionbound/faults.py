@@ -189,6 +189,9 @@ def validate_entries(prog, entries) -> None:
                 raise ConfigError(
                     f"{where}: variable {e.target!r} has no declared domain "
                     "to scramble within")
+            if e.target not in prog.init(e.pid).vars:
+                raise ConfigError(
+                    f"{where}: pid {e.pid} has no variable {e.target!r}")
             if not any(type(v) is type(e.value) and v == e.value
                        for v in prog.var_domains[e.target]):
                 raise ConfigError(
@@ -277,9 +280,10 @@ def make_campaign(prog, *, fault_regions, seed: int,
             "region", rng.choice(regions), "delete_dep", (coll, k), pid=pid,
             note={"family": fam}))
     for name, domain in sorted(prog.var_domains.items()):
+        owners = [pid for pid in range(prog.n) if name in prog.init(pid).vars]
         entries.append(FaultEntry(
             "region", rng.choice(regions), "scramble_var", name,
-            pid=rng.randrange(prog.n), value=rng.choice(list(domain))))
+            pid=rng.choice(owners), value=rng.choice(list(domain))))
     if prog.msgs:
         fam_of = {kind: decl.cell_fields for kind, decl in prog.msgs.items()}
         any_field = sorted({fld for flds in fam_of.values() for fld in flds})

@@ -145,6 +145,24 @@ def test_validate_entries_rejects_var_without_domain():
         faults.validate_entries(sc.prog, (entry,))
 
 
+def test_validate_entries_refuses_a_scramble_of_a_variable_its_pid_lacks():
+    # only round checker's root (pid 0) holds "done" and "cur_real"
+    sc = build_scenario("round_checker")
+    entry = faults.FaultEntry("region", 8, "scramble_var", "cur_real", pid=1,
+                              value=True)
+    faults.validate_entries(sc.prog, (dataclasses.replace(entry, pid=0),))
+    with pytest.raises(ConfigError, match="pid 1 has no variable 'cur_real'"):
+        faults.validate_entries(sc.prog, (entry,))
+
+
+def test_no_campaign_scrambles_a_variable_its_pid_lacks(any_protocol):
+    sc = build_scenario(any_protocol)
+    for seed in range(1, 41):
+        for e in campaign_for(any_protocol, seed)[1]:
+            if e.kind == "scramble_var":
+                assert e.target in sc.prog.init(e.pid).vars, (seed, e)
+
+
 @pytest.mark.parametrize("value", ["x", None, 99, True, 1.0])
 def test_validate_entries_keeps_a_scramble_in_the_domain(value):
     sc = build_scenario("vector_clocks")

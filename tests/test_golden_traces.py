@@ -14,7 +14,9 @@ digests of faulted cases were re-pinned when a fault event's ``detail``
 became the edited part of the state (the process, the message row or the
 deleted message's id) in place of the per-kind ``old``/``new`` keys and
 ``g_region``; every other line of those traces, and every verdict, stayed
-as it was.
+as it was. The two round_checker-campaign digests were re-pinned when a
+campaign began to scramble a variable only on a process that holds it:
+both scrambles of that case had hit a process without the variable.
 """
 import hashlib
 import io
@@ -119,9 +121,9 @@ GOLDEN = {
     "round_checker-clean/2024":
         "7a2a114ddacda8632df2f8b94f8cb04f5f97a39c9dbfadd96561646960f5b0a8",
     "round_checker-campaign/7":
-        "9b787dcaf9f4ee1f6c1e9ce6ddf6d4116c4e610e5311603523c1b41d216b4520",
+        "194b507057d957e5b9ba33c8a0d78dee6289862498c2b614e66a773ffac2adce",
     "round_checker-campaign/2024":
-        "9baab529ed444e8f10b15207cc7dec8b6ef2e4b218d1980b9ff9cca82b0d8658",
+        "7994b5551e3f59538fb7256d2a6a0e9e14c7b150f94dcee076ab6aa3fc3af698",
     "consensus-clean/7":
         "9b8e16c28f1757f9be10580829ceef0406fa4d15af364171b2838b868c842273",
     "consensus-clean/2024":
