@@ -249,9 +249,11 @@ def _proc_misfit(prog, regs: tuple, pid: int, proc) -> Optional[str]:
     """What keeps ``proc``, as a snapshot or a fault records process
     ``pid``, from a :data:`.trace.PROC` of the program's counters and
     collections, with :class:`.trace.CellRow` rows and residues their
-    registers (``regs``) hold; or None."""
+    registers (``regs``) hold, and exactly the vars ``pid`` starts with; or
+    None."""
     free_cap, coll_cap, _ = regs
-    free = prog.init(pid).free
+    init = prog.init(pid)
+    free = init.free
     if (type(proc) is dict and tr.misfit(tr.PROC, proc) is None
             and _int_map(proc["free"], free)
             and all(0 <= res < free_cap[name]
@@ -260,12 +262,13 @@ def _proc_misfit(prog, regs: tuple, pid: int, proc) -> Optional[str]:
             and all(type(rows) is list
                     and all(tr.fits(tr.CellRow, row)
                             and 0 <= row[1] < coll_cap[coll] for row in rows)
-                    for coll, rows in proc["colls"].items())):
+                    for coll, rows in proc["colls"].items())
+            and proc["vars"].keys() == init.vars.keys()):
         return None
     return (f"pid {pid}: it needs free counters {list(free)} and "
             f"collections among {list(prog.colls)}, as lists of "
             f"[{', '.join(tr.CellRow._fields)}] rows, with residues "
-            "their registers hold, and vars")
+            f"their registers hold, and vars {list(init.vars)}")
 
 
 def _row_misfit(declared: dict, msg_cap: dict, row) -> Optional[str]:

@@ -176,6 +176,8 @@ class Ctx:
         return self.proc.vars[name]
 
     def set_var(self, name: str, value) -> None:
+        if name not in self.proc.vars:
+            raise ProtocolBug(f"pid {self.pid} holds no variable {name!r}")
         value = tr.canon(value)
         self.proc.vars[name] = value
         self.sim.emit_var(pid=self.pid, name=name, value=value)

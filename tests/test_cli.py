@@ -489,10 +489,15 @@ def _no_snapshots(recs):
      "var event pid 99"),
     (SCENARIOS[1], lambda r: _events(r, "fault")[0].update(fault_kind="zap"),
      "fault event fault_kind 'zap'"),
+    (SCENARIOS[1], lambda r: _start(r)["procs"][2]["vars"].update(mood=1),
+     "snapshot at step 0: pid 2: it needs"),
+    (SCENARIOS[1], lambda r: _start(r)["procs"][2]["vars"].clear(),
+     "snapshot at step 0: pid 2: it needs"),
 ], ids=["in-flight-row", "cell-row", "regions", "no-procs",
         "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
         "wfree-name", "dcreate-coll", "fault-detail", "fault-g_region",
-        "send-dst", "consume-pid", "var-pid", "fault-kind"])
+        "send-dst", "consume-pid", "var-pid", "fault-kind", "extra-var",
+        "missing-var"])
 def test_trace_that_does_not_fit_its_program_is_a_config_error(
         run_cli, tmp_path, path, change, fault):
     code, _, err = _check_doctored(run_cli, tmp_path, path, change)
@@ -786,10 +791,12 @@ def _msg_cells(cells):
      "as lists of [cid, residue, created_local, created_global, tag] rows"),
     ("delete_dep", lambda edit: edit["proc"]["colls"].update(req=["req"]),
      "as lists of [cid, residue, created_local, created_global, tag] rows"),
+    ("scramble_var", lambda edit: edit["proc"]["vars"].update(mood=1),
+     "and vars ['in_cs']"),
 ], ids=["overwrite_free-free-high", "overwrite_free-free-negative",
         "delete_dep-free", "overwrite_msg-cell-high", "overwrite_msg-cell-str",
         "overwrite_msg-cell-field", "insert_dep-cell", "overwrite_dep-cell",
-        "overwrite_dep-coll", "delete_dep-coll"])
+        "overwrite_dep-coll", "delete_dep-coll", "scramble_var-var"])
 def test_a_fault_detail_residue_no_register_holds_is_refused(
         run_cli, tmp_path, kind, change, fault):
     """An applied fault records the process or message row it edited, which

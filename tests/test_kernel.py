@@ -12,7 +12,7 @@ from regionbound import trace as tr
 from regionbound.counters import free_window, to_residue
 from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
 from regionbound.kernel import Kernel
-from regionbound.oracle import Replayer
+from regionbound.oracle import OracleDivergence, Replayer
 from regionbound.sim import Ctx, Sim
 from regionbound.transform import ActionSpec
 
@@ -547,3 +547,29 @@ def test_a_body_that_mints_unguarded_overspends_in_the_kernel():
         sc.prog, actions=[ActionSpec("tick", None, lambda ctx: ctx.mint("cl"))])
     with pytest.raises(KernelInvariantError, match="spent past its per-region"):
         kernel_mod.run(dataclasses.replace(sc.cfg, prog=prog), 5)
+
+
+def _setting_mood(prog):
+    """``prog`` with every body first setting a variable no process
+    holds."""
+    def wrap(act):
+        def body(ctx):
+            ctx.set_var("mood", 1)
+            act.body(ctx)
+        return dataclasses.replace(act, body=body)
+    return dataclasses.replace(prog, actions=list(map(wrap, prog.actions)))
+
+
+def test_a_body_that_sets_an_undeclared_var_aborts_the_kernel_run():
+    sc = build_scenario("mutual_exclusion")
+    cfg = dataclasses.replace(sc.cfg, prog=_setting_mood(sc.prog))
+    with pytest.raises(ProtocolBug, match="holds no variable 'mood'"):
+        kernel_mod.run(cfg, 5)
+
+
+def test_a_body_that_sets_an_undeclared_var_diverges_in_the_replay():
+    sc = build_scenario("mutual_exclusion")
+    trace = kernel_mod.run(sc.cfg, 5)
+    with pytest.raises(OracleDivergence, match=(
+            "reference run raised ProtocolBug.*holds no variable 'mood'")):
+        Replayer(_setting_mood(sc.prog), trace, 0).run()
