@@ -3,10 +3,12 @@ exit 2, fails a check with exit 1, or passes; none crashes.
 
 Each mutant changes one thing in a kernel trace's JSON lines: it drops a
 field or a list item, gives a value another JSON type, pushes a value out
-of range, or replaces an event line or a snapshot row with another one of
-the same trace. The verdict is computed as ``regionbound check`` computes
-it: load the lines, match the trace to its scenario, then
-``analysis.check``.
+of range, or replaces an event line, or a cell or message row of a snapshot
+or a fault record, with another one of the same trace. The verdict is
+computed as ``regionbound check`` computes it: load the lines, match the
+trace to its scenario, then ``analysis.check``. A second test mutates only
+the fault lines of the two faulted scenarios, whose records carry the
+edited process or message row.
 """
 import functools
 import io
@@ -32,9 +34,9 @@ OTHER_TYPES = (None, True, 7, 2.5, "x", [], [1], {}, {"x": 1})
 @functools.lru_cache(maxsize=None)
 def kernel_trace(path):
     """The scenario, its trace's lines, their indices by record tag (and,
-    for events, by kind), and every snapshot row (message and cell rows
-    alike). The unmutated lines must pass, or no verdict on a mutant says
-    anything."""
+    for events, by kind), and every message and cell row of its snapshots
+    and fault records. The unmutated lines must pass, or no verdict on a
+    mutant says anything."""
     sc = scenario.load(path)
     buf = io.StringIO()
     kernel.run(sc.cfg, sc.seed).write_jsonl(buf)
@@ -54,6 +56,11 @@ def kernel_trace(path):
             rows += state["in_flight"] + sum(state["inboxes"], [])
             for proc in state["procs"]:
                 rows += sum(proc["colls"].values(), [])
+        elif r["rec"] == "event" and r["data"]["ev"] == "fault":
+            edit = r["data"]["detail"]
+            rows += [edit["msg"]] if "msg" in edit else []
+            if "proc" in edit:
+                rows += sum(edit["proc"]["colls"].values(), [])
     return sc, tuple(lines), groups, tuple(rows)
 
 
@@ -117,5 +124,18 @@ def mutate(draw, lines, groups, rows) -> list:
 def test_a_doctored_trace_exits_0_1_or_2_and_never_crashes(path, data):
     sc, lines, groups, rows = kernel_trace(path)
     mutant = mutate(data.draw, lines, groups, rows)
+    assert exit_code(sc, mutant) in (cli.EXIT_OK, cli.EXIT_FAIL,
+                                     cli.EXIT_CONFIG)
+
+
+FAULTED = (SCENARIOS[1], SCENARIOS[3])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(FAULTED), st.data())
+def test_a_doctored_fault_record_exits_0_1_or_2_and_never_crashes(path, data):
+    sc, lines, groups, rows = kernel_trace(path)
+    faults_only = {"event": {"fault": groups["event"]["fault"]}}
+    mutant = mutate(data.draw, lines, faults_only, rows)
     assert exit_code(sc, mutant) in (cli.EXIT_OK, cli.EXIT_FAIL,
                                      cli.EXIT_CONFIG)
