@@ -64,18 +64,25 @@ def build(info: BuildInfo) -> ProtocolDef:
         ctx.send(0, "REPORT", {"rnd": rnd},
                  {"real": m.var("real"), "ok": legitimacy(ctx, rnd)})
 
+    def reports(ctx):
+        """The report cells as (cid, value, reporter, ok), skipping a cell
+        whose tag is no [reporter, ok] pair, which only corruption makes."""
+        return [(cid, value, tag[0], tag[1])
+                for cid, value, tag, _age in ctx.cells("reports")
+                if type(tag) is list and len(tag) == 2]
+
     def b_handle_report(ctx, m):
         if ctx.pid != 0:
             return
         rnd = m.cell("rnd")
         if rnd != ctx.free("nr"):
             return
-        for cid, _value, tag, _age in ctx.cells("reports"):
-            if tag[0] == m.src:
+        for cid, _value, src, _ok in reports(ctx):
+            if src == m.src:
                 ctx.remove_cell("reports", cid)
         ctx.create_cell("reports", rnd, tag=[m.src, m.var("ok")])
-        seen = {tag[0]: tag[1] for _cid, value, tag, _age
-                in ctx.cells("reports") if value == rnd}
+        seen = {src: ok for _cid, value, src, ok in reports(ctx)
+                if value == rnd}
         if len(seen) == ctx.n:
             ctx.mark("round_complete" if all(seen.values())
                      else "round_suspect", {"real": ctx.var("cur_real")})

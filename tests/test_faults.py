@@ -349,3 +349,93 @@ def test_flagged_sweep_matches_sweeping_before_every_activation(plan, seed):
                    lambda self, proc: self._expire_cells(proc))
         every = _outcome(sc, cfg, seed)
     assert flagged == every
+
+
+# List-mode plans of every kind on two faulted scenarios, timed inside the
+# fault regions each already uses: the shipped mutual-exclusion scenario,
+# and conftest's round checker with its golden campaign's regions.
+def _plan_docs():
+    with open("scenarios/mutex_fault_recovery.json", encoding="utf-8") as fp:
+        mutex = json.load(fp)
+    return {"mutex": mutex, "round_checker": scenario_doc(
+        "round_checker", run_regions=56,
+        faults={"mode": "campaign", "regions": [18, 19], "seed": 5})}
+
+
+_PLAN_DOCS = _plan_docs()
+# a tag of any JSON shape
+_TAGS = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=2)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _list_plan(draw, sc, regions):
+    """1 to 6 list-mode entries for ``sc``, each firing on entry to one of
+    ``regions`` or at a step inside one, with selectors 0 to 9, the
+    residues 0, maxbound - 1 and 2**bits - 1, any tag and ages 0 to 8."""
+    prog, start = sc.prog, sc.cfg.start_region
+    span = sc.cfg.rs * sc.cfg.sptu  # steps per region
+
+    def residue(fam):
+        params = prog.families[fam]
+        return draw(st.sampled_from((
+            0, params.maxbound - 1,
+            (1 << bits_required(params.maxinc, params.max_r)) - 1)))
+
+    fields = {fld: fam for decl in prog.msgs.values()
+              for fld, fam in decl.cell_fields.items()}
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        region = draw(st.sampled_from(regions))
+        when = draw(st.sampled_from(("region", "step")))
+        entry = {"when_kind": when, "when": region if when == "region" else
+                 draw(st.integers((region - start) * span,
+                                  (region + 1 - start) * span - 1)),
+                 "kind": draw(st.sampled_from(sorted(faults._KINDS)))}
+        kind, k = entry["kind"], draw(st.integers(0, 9))
+        if kind not in ("overwrite_msg", "delete_msg"):
+            entry["pid"] = draw(st.integers(0, prog.n - 1))
+        if kind == "overwrite_free":
+            name = draw(st.sampled_from(sorted(prog.free_cells)))
+            entry.update(target=name, value=residue(prog.free_cells[name]))
+        elif kind == "scramble_var":
+            name = draw(st.sampled_from(sorted(prog.var_domains)))
+            entry.update(target=name, value=draw(
+                st.sampled_from(prog.var_domains[name])))
+        elif kind in ("insert_dep", "overwrite_dep", "delete_dep"):
+            coll = draw(st.sampled_from(sorted(prog.colls)))
+            entry["target"] = coll if kind == "insert_dep" else [coll, k]
+            if kind != "delete_dep":
+                entry["value"] = residue(prog.colls[coll].family)
+            if kind == "insert_dep":
+                entry.update(tag=draw(_TAGS), age=draw(st.integers(0, 8)))
+        elif kind == "overwrite_msg":
+            fld = draw(st.sampled_from(sorted(fields)))
+            entry.update(target=[k, fld], value=residue(fields[fld]))
+        else:
+            entry["target"] = k
+        entries.append(entry)
+    return entries
+
+
+@given(name=st.sampled_from(sorted(_PLAN_DOCS)), data=st.data())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_a_list_mode_plan_is_refused_or_runs_and_passes_check(name, data):
+    doc = _PLAN_DOCS[name]
+    regions = doc["faults"]["regions"]
+    sc = scenario.parse(doc)
+    plan = data.draw(_list_plan(sc, regions))
+    try:
+        sc = scenario.parse({**doc, "faults": {"mode": "list",
+                                               "entries": plan}})
+    except ConfigError:
+        return  # refused at parse: exit 2
+    buf = io.StringIO()
+    kernel.run(sc.cfg, sc.seed).write_jsonl(buf)
+    trace = tr.Trace.read_jsonl(io.StringIO(buf.getvalue()))
+    report = analysis.check(sc, trace)
+    assert report.ok, report.lines()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from regionbound import kernel, scenario
+from regionbound import analysis, kernel, scenario
 from regionbound.cli import EXIT_OK, main
 from regionbound.counters import bits_required, maxbound_of
 from regionbound.errors import ConfigError
@@ -244,6 +244,22 @@ def test_vector_clocks_skips_a_view_cell_whose_tag_is_no_pair(tmp_path, tag,
     assert main(["check", "--trace", str(out), "--scenario",
                  str(path)]) == EXIT_OK
     assert "all 5 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tag", [None, 5, [], [1], {"x": 1}, "s"],
+                         ids=json.dumps)
+def test_round_checker_skips_a_report_cell_whose_tag_is_no_pair(tag):
+    """A fault may insert a report cell with any tag; the round checker's
+    root reads only an ``[reporter, ok]`` pair, so the run and its check
+    pass."""
+    sc = scenario.parse(scenario_doc("round_checker", run_regions=56, faults={
+        "mode": "list", "entries": [
+            {"when_kind": "region", "when": 18, "kind": "insert_dep",
+             "target": "reports", "pid": 0, "value": 0, "tag": tag}]}))
+    trace = kernel.run(sc.cfg, sc.seed)
+    assert [ev.applied for ev in trace.iter_events("fault")] == [True]
+    report = analysis.check(sc, trace)
+    assert report.ok, report.lines()
 
 
 def test_vector_clocks_gossips_its_own_counter_over_a_view_cell_naming_it():
