@@ -1,8 +1,13 @@
 """Transient state-corruption faults and campaign generation.
 
-A fault overwrites, inserts, or deletes part of one process's counter state
-(or an in-flight message) at a scheduled point in the run. Clocks are never
-touched: the model is state corruption under a correct timing substrate.
+A fault overwrites, inserts, or deletes part of one process's state (a free
+counter, a cell or a variable) or an in-flight message at a scheduled point
+in the run. Clocks are never touched: the model is state corruption under a
+correct timing substrate. A fault is an edit of one part of a snapshot, a
+process's ``PROC`` dict or the in-flight ``MsgRow`` rows:
+:meth:`FaultEntry.apply` returns the edited part, which the simulator loads
+back through the loader every snapshot goes through, and which the fault
+event records. Nothing here reads or writes a simulator.
 
 Every entry is fully determined up front (no randomness inside ``apply``),
 so a scenario plus seed still fixes the whole run. Dynamic slot selectors

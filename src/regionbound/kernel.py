@@ -23,8 +23,12 @@ its ``_read_free``/``_read_dep`` lift, its ``_write_free``/``_write_dep``
 range-check and reduce, ``_encode`` takes residues of a payload and
 ``_shift`` re-anchors residues on region change (``region_shift``). It
 also draws the randomness (each message's delay and loss included, in
-``_delivery``) and the clocks, injects faults and records every effect in
-the trace.
+``_delivery``) and the clocks, and records every effect in the trace. It
+injects a fault by writing the part of the state the fault edits in
+snapshot form (``_proc_state`` or ``_msg_rows``), having
+:meth:`.faults.FaultEntry.apply` edit it, and loading the edited part back
+(``_load_proc`` or ``_load_msg``), as a snapshot loads; the fault event
+records the edited part.
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the

@@ -5,9 +5,12 @@ in flight and in inboxes, cell expiry, arrivals, region entry after a clock
 tick (:meth:`Sim._move_clocks`) with the lag-aware budget refill and the
 message-lifetime drop at every global region change, the action-facing
 context API and send path, and the snapshot form of the state, which is
-also how both start (:meth:`Sim._load`). They differ only in counter
-arithmetic, in where the delivery draws come from, and in what becomes of
-an effect.
+also how both start (:meth:`Sim._load`). A process is loaded and written in
+that form by one pair of methods (:meth:`Sim._load_proc`,
+:meth:`Sim._proc_state`) and a message by another (:meth:`Sim._load_msg`,
+:meth:`Sim._msg_rows`); a fault is an edit of one such part between the
+two. They differ only in counter arithmetic, in where the delivery draws
+come from, and in what becomes of an effect.
 
 A message in flight or in an inbox is a ``trace.MsgRow`` tuple, its cells
 in this side's arithmetic; a change puts a new tuple in its place, never
@@ -17,9 +20,10 @@ A cell expires once its owner's region passes its creation region by more
 than the collection's expiry. The program creates a cell at its owner's
 current region, so only a region change can age one, and every region change
 sweeps its process. A cell can also arrive already stale from outside the
-program: a fault that inserts it with an old ``age``, or a loaded
-snapshot. Such a process is flagged in ``Sim.may_hold_stale``, and only a
-flagged process is swept again before it acts; the kernel's start is a
+program: in a loaded snapshot, or in a process a fault edited (an insert
+with an old ``age``), which is loaded back the same way. Every process that
+:meth:`Sim._load_proc` loads is flagged in ``Sim.may_hold_stale``, and only
+a flagged process is swept again before it acts; the kernel's start is a
 loaded snapshot, so it sweeps each process once, emptily.
 
 * One context, :class:`Ctx`, and one send path serve both sides, checks
