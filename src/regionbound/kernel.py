@@ -5,9 +5,9 @@ re-anchoring for every process whose clock crossed a boundary, each followed
 by the removal of that process's expired cells, channel maintenance
 (expired-message drops, scheduled fault injections, arrivals), then exactly
 one process activation chosen by a seeded shuffled round-robin. Expired
-cells are swept again before an activation only at a process's first one
-or when a fault has touched it since it last acted: no other cell can age
-without a region change (see :mod:`.sim`). The acting process evaluates
+cells are swept again before an activation or a region entry only at a
+process's first one or when a fault has touched it since its last sweep:
+no other cell can age without a region change (see :mod:`.sim`). The acting process evaluates
 its guards on lifted integers and executes the first enabled action, or
 self-loops. :meth:`Kernel.run` makes one context for the run, a local of
 its step loop that no kernel attribute holds, and each activation rebinds
@@ -237,7 +237,7 @@ class Kernel(Sim):
         u1 = rng.random()
         u2 = rng.random()
         proc = self.procs[pid]
-        self._sweep_before_act(proc)
+        self._sweep_flagged(proc)
         ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
             proc, pid, step, d, u1, u2)
         actions = self.prog.actions

@@ -186,7 +186,7 @@ class Replayer(Sim):
             self._fail(f"row draws d={d}, u1={u1}, u2={u2}; the kernel draws "
                        f"d in [1, {self.maxinc}] and u1, u2 in [0, 1)")
         proc = self.procs[pid]
-        self._sweep_before_act(proc)
+        self._sweep_flagged(proc)
         ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
             proc, pid, self.step, d, u1, u2)
         try:

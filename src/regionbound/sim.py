@@ -23,8 +23,10 @@ sweeps its process. A cell can also arrive already stale from outside the
 program: in a loaded snapshot, or in a process a fault edited (an insert
 with an old ``age``), which is loaded back the same way. Every process that
 :meth:`Sim._load_proc` loads is flagged in ``Sim.may_hold_stale``, and only
-a flagged process is swept again before it acts; the kernel's start is a
-loaded snapshot, so it sweeps each process once, emptily.
+a flagged process is swept again, at the region it holds the cell in, before
+it next acts or enters a region, whichever comes first; so no stale cell
+reaches a region shift. The kernel's start is a loaded snapshot, so it
+sweeps each process once, emptily.
 
 * One context, :class:`Ctx`, and one send path serve both sides, checks
   included. Counter arithmetic and the delivery draws stay per side, in
@@ -385,9 +387,11 @@ class Sim:
                 self.emit_dremove(pid=proc.pid, coll=coll, cid=cid,
                                   reason="expired")
 
-    def _sweep_before_act(self, proc) -> None:
-        """Expire ``proc``'s cells before it acts, if something from outside
-        the program may have left one stale since its last sweep."""
+    def _sweep_flagged(self, proc) -> None:
+        """Expire ``proc``'s cells, at its region, if something from outside
+        the program may have left one stale since its last sweep: before it
+        acts, and before it enters a region, so that no stale cell reaches
+        the shift."""
         if proc.pid in self.may_hold_stale:
             self.may_hold_stale.discard(proc.pid)
             self._expire_cells(proc)
@@ -446,14 +450,16 @@ class Sim:
 
     def _move_clocks(self, t: int, g_region: int, locals, regions) -> None:
         """Enter the regions a clock tick reached: every process whose region
-        grew, in pid order, is shifted and then swept, and a new global
-        region refills the budgets and drops expired messages."""
+        grew, in pid order, is swept if flagged, shifted and then swept, and
+        a new global region refills the budgets and drops expired
+        messages."""
         before = self.regions
         self.t, self.locals, self.regions = t, locals, regions
         if regions != before:  # both lists, so equal regions compare equal
             procs = self.procs
             for pid in compress(count(), map(gt, regions, before)):
                 proc, new = procs[pid], regions[pid]
+                self._sweep_flagged(proc)
                 self.emit_rc(pid=pid, new_region=new,
                              changes=tuple(self._shift(proc, new)))
                 self._expire_cells(proc)
