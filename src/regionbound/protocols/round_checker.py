@@ -66,10 +66,12 @@ def build(info: BuildInfo) -> ProtocolDef:
 
     def reports(ctx):
         """The report cells as (cid, value, reporter, ok), skipping a cell
-        whose tag is no [reporter, ok] pair, which only corruption makes."""
+        whose tag is no [reporter, ok] pair with an integer reporter, which
+        only corruption makes."""
         return [(cid, value, tag[0], tag[1])
                 for cid, value, tag, _age in ctx.cells("reports")
-                if type(tag) is list and len(tag) == 2]
+                if type(tag) is list and len(tag) == 2
+                and type(tag[0]) is int]
 
     def b_handle_report(ctx, m):
         if ctx.pid != 0:

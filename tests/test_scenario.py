@@ -246,16 +246,19 @@ def test_vector_clocks_skips_a_view_cell_whose_tag_is_no_pair(tmp_path, tag,
     assert "all 5 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tag", [None, 5, [], [1], {"x": 1}, "s"],
+@pytest.mark.parametrize("tag", [None, 5, [], [1], {"x": 1}, "s",
+                                 [[1], True], [{"x": 1}, True]],
                          ids=json.dumps)
 def test_round_checker_skips_a_report_cell_whose_tag_is_no_pair(tag):
     """A fault may insert a report cell with any tag; the round checker's
-    root reads only an ``[reporter, ok]`` pair, so the run and its check
-    pass."""
+    root reads only an ``[reporter, ok]`` pair with an integer reporter, so
+    the run and its check pass. The cell holds 109, the round the root
+    collects reports for next, so a reporter it could not use as a key
+    would be read."""
     sc = scenario.parse(scenario_doc("round_checker", run_regions=56, faults={
         "mode": "list", "entries": [
             {"when_kind": "region", "when": 18, "kind": "insert_dep",
-             "target": "reports", "pid": 0, "value": 0, "tag": tag}]}))
+             "target": "reports", "pid": 0, "value": 109, "tag": tag}]}))
     trace = kernel.run(sc.cfg, sc.seed)
     assert [ev.applied for ev in trace.iter_events("fault")] == [True]
     report = analysis.check(sc, trace)
