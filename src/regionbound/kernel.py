@@ -7,11 +7,12 @@ by the removal of that process's expired cells, channel maintenance
 one process activation chosen by a seeded shuffled round-robin. Expired
 cells are swept again before an activation or a region entry only at a
 process's first one or when a fault has touched it since its last sweep:
-no other cell can age without a region change (see :mod:`.sim`). The acting process evaluates
-its guards on lifted integers and executes the first enabled action, or
-self-loops. :meth:`Kernel.run` makes one context for the run, a local of
-its step loop that no kernel attribute holds, and each activation rebinds
-it to the acting process, the step and the step's draws.
+no other cell can age without a region change (see :mod:`.sim`). The
+acting process evaluates its guards on lifted integers and executes the
+first enabled action, or self-loops. :meth:`Kernel.run` makes one context
+for the run, a local of its step loop that no kernel attribute holds, and
+each activation rebinds it to the acting process, the step and the step's
+draws.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the

@@ -793,7 +793,7 @@ def _msg_cells(cells):
      "as lists of [cid, residue, created_local, created_global, tag] rows"),
     ("scramble_var", lambda edit: edit["proc"]["vars"].update(mood=1),
      "and vars ['in_cs']"),
-], ids=["overwrite_free-free-high", "overwrite_free-free-negative",
+], ids=["overwrite_free-free-high", "overwrite_free-free-low",
         "delete_dep-free", "overwrite_msg-cell-high", "overwrite_msg-cell-str",
         "overwrite_msg-cell-field", "insert_dep-cell", "overwrite_dep-cell",
         "overwrite_dep-coll", "delete_dep-coll", "scramble_var-var"])
