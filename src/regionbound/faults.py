@@ -61,12 +61,12 @@ class FaultEntry:
     age: int = 0
     note: dict = field(default_factory=dict)
 
-    def apply(self, prog, part, region: Optional[int], g_region: int,
+    def apply(self, prog, part, region: Optional[int],
               next_cid: int) -> Optional[dict]:
         """This fault's edit of ``part`` of a snapshot, the
         :data:`.trace.PROC` of process ``pid`` at ``region`` or, for a
         message fault, the in-flight :class:`.trace.MsgRow` rows in mid
-        order, where it fires in ``g_region`` with ``next_cid`` the next
+        order, with ``next_cid`` the next
         cell id. Returns the edited part as the fault event records it,
         ``{"proc": ...}``, ``{"msg": row}`` or ``{"mid": m}`` of a deleted
         message, or None when the selector finds nothing."""
@@ -76,7 +76,7 @@ class FaultEntry:
         elif kind == "insert_dep":
             part["colls"][self.target].append([
                 next_cid, value, max(0, region - self.age),
-                max(0, g_region - self.age), tr.canon(self.tag)])
+                tr.canon(self.tag)])
         elif kind == "scramble_var":
             part["vars"][self.target] = tr.canon(value)
         elif kind in ("overwrite_dep", "delete_dep"):

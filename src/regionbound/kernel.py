@@ -216,8 +216,8 @@ class Kernel(Sim):
             part, region = self._msg_rows(self.in_flight), None
         else:
             part, region = self._proc_state(self.procs[pid]), self.regions[pid]
-        edit = tr.canon(entry.apply(self.prog, part, region, self.g_region,
-                                    self.next_cid) or {})
+        edit = tr.canon(entry.apply(self.prog, part, region, self.next_cid)
+                        or {})
         if "proc" in edit:
             self.procs[pid] = self._load_proc(pid, edit["proc"])
         elif "msg" in edit:  # a row's first field is its mid

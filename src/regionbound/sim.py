@@ -167,10 +167,9 @@ class Ctx:
         cid = sim.next_cid
         sim.next_cid += 1
         tag = tr.canon(tag)
-        self.proc.colls[coll][cid] = Cell(held, r, sim.g_region, tag)
+        self.proc.colls[coll][cid] = Cell(held, r, tag)
         sim.emit_dcreate(pid=self.pid, coll=coll, cid=cid, residue=res,
-                         lifted=lifted, created_local=r,
-                         created_global=sim.g_region, tag=tag,
+                         lifted=lifted, created_local=r, tag=tag,
                          corrected=corrected)
         return cid
 
@@ -324,7 +323,7 @@ class Sim:
             for row in map(tr.CellRow._make, rows):
                 proc.colls[coll][row.cid] = Cell(
                     self._held_dep(row.residue, proc.region, fam),
-                    row.created_local, row.created_global, row.tag)
+                    row.created_local, row.tag)
                 self.next_cid = max(self.next_cid, row.cid + 1)
         proc.vars = dict(pstate["vars"])
         self.may_hold_stale.add(pid)
@@ -359,8 +358,7 @@ class Sim:
                          for name, value in proc.free.items()},
                 "colls": {coll: [list(tr.CellRow(
                                      cid, res(self.coll_fams[coll], c.value),
-                                     c.created_local, c.created_global,
-                                     tr.canon(c.tag)))
+                                     c.created_local, tr.canon(c.tag)))
                                  for cid, c in sorted(store.items())]
                           for coll, store in proc.colls.items()},
                 "vars": dict(proc.vars)}
@@ -409,18 +407,18 @@ class Sim:
             raise ProtocolBug(f"message {kind!r} has no field {min(extra)!r}")
         recorded, held = self._encode(kind, cells)
         vars = tr.canon(vars)
-        src, region, g_region, step = ctx.pid, ctx.region, self.g_region, self.step
+        src, g_region = ctx.pid, self.g_region
         for dst in dsts:
             arrival, drop = self._delivery()
             mid = self.next_mid
             self.next_mid += 1
             self.emit_send(mid=mid, src=src, dst=dst, msg_kind=kind,
-                           cells=recorded, vars=vars, send_region_local=region,
+                           cells=recorded, vars=vars,
                            send_region_global=g_region, arrival_step=arrival,
                            drop_step=drop)
             self._put_in_flight(_new(tr.MsgRow, (
-                mid, src, dst, kind, dict(held), vars, step, region, g_region,
-                arrival, drop)))
+                mid, src, dst, kind, dict(held), vars, g_region, arrival,
+                drop)))
 
     def _put_in_flight(self, msg: tr.MsgRow) -> None:
         """File ``msg`` under the one step it arrives or is lost at: the

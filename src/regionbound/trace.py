@@ -147,11 +147,10 @@ def _kind(name: str, /, **types) -> str:
 # a snapshot's in-flight and inbox messages, and its processes' cells; a
 # message's cells map each field to its residue
 MsgRow = _layout("MsgRow", mid=int, src=PID, dst=PID, kind=MSG_KIND,
-                 cells=dict, vars=dict, send_step=int, send_region_local=int,
-                 send_region_global=int, arrival_step=_OPT_INT,
-                 drop_step=_OPT_INT)
+                 cells=dict, vars=dict, send_region_global=int,
+                 arrival_step=_OPT_INT, drop_step=_OPT_INT)
 CellRow = _layout("CellRow", cid=int, residue=int, created_local=int,
-                  created_global=int, tag=object)
+                  tag=object)
 # one moved counter of an rc event; slot is "free" (key the counter's name,
 # coll None) or "dep" (coll the collection, key the cell id)
 RcChange = _layout("RcChange", slot=str, coll=(str, type(None)),
@@ -166,14 +165,13 @@ EV_ARRIVE = _kind("arrive", mid=int)
 EV_DROP = _kind("drop", mid=int, reason=str)
 # cells: {field: residue}, keys sorted
 EV_SEND = _kind("send", mid=int, src=PID, dst=PID, msg_kind=MSG_KIND,
-                cells=dict, vars=dict, send_region_local=int, send_region_global=int,
+                cells=dict, vars=dict, send_region_global=int,
                 arrival_step=_OPT_INT, drop_step=_OPT_INT)
 EV_CONSUME = _kind("consume", mid=int, pid=PID)
 EV_WFREE = _kind("wfree", pid=PID, name=FREE, residue=int, lifted=int,
                  corrected=bool)
 EV_DCREATE = _kind("dcreate", pid=PID, coll=COLL, cid=int, residue=int,
-                   lifted=int, created_local=int, created_global=int,
-                   tag=object, corrected=bool)
+                   lifted=int, created_local=int, tag=object, corrected=bool)
 EV_DREMOVE = _kind("dremove", pid=PID, coll=COLL, cid=int, reason=str)
 EV_VAR = _kind("var", pid=PID, name=str, value=object)
 EV_SPEND = _kind("spend", family=FAMILY, amount=int)

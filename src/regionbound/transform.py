@@ -57,12 +57,11 @@ class Cell:
     mutation is modelled as remove-then-create.
     """
 
-    __slots__ = ("value", "created_local", "created_global", "tag")
+    __slots__ = ("value", "created_local", "tag")
 
-    def __init__(self, value: int, created_local: int, created_global: int, tag=None):
+    def __init__(self, value: int, created_local: int, tag=None):
         self.value = value
         self.created_local = created_local
-        self.created_global = created_global
         self.tag = tag
 
 

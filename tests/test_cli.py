@@ -188,8 +188,7 @@ def test_non_integer_delivery_step_is_refused(run_cli, tmp_path, where):
         start = next(r["data"] for r in recs if r["rec"] == "snapshot")
         start["state"]["in_flight"].append(
             [send["mid"], send["src"], send["dst"], send["msg_kind"],
-             send["cells"], send["vars"], send["step"],
-             send["send_region_local"], send["send_region_global"],
+             send["cells"], send["vars"], send["send_region_global"],
              [send["arrival_step"]], send["drop_step"]])
     out.write_text("".join(json.dumps(r) + "\n" for r in recs),
                    encoding="utf-8")
@@ -455,7 +454,6 @@ def _start(recs):
 
 def _no_snapshots(recs):
     recs[:] = [r for r in recs if r["rec"] != "snapshot"]
-
 
 @pytest.mark.parametrize("path,change,fault", [
     (SCENARIOS[1], lambda r: _start(r)["in_flight"].append([1, 2, 3]),
@@ -725,6 +723,29 @@ def test_a_residue_no_register_holds_is_refused(run_cli, tmp_path, change,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("layout", [tr.MsgRow, tr.CellRow],
+                         ids=["message-row", "cell-row"])
+def test_a_row_in_the_older_layout_is_refused(run_cli, tmp_path, layout):
+    """A row that still carries a stamp the format no longer holds is
+    refused with the row layout, not read: a snapshot's message row with a
+    send step and a local send region before its global one (11 items), or
+    its cell row with a global creation region after its local one (5
+    items)."""
+    def change(recs):
+        if layout is tr.MsgRow:
+            row = _first_msg_row(recs)
+            row[6:6] = [0, row[6]]
+        else:
+            row = _first_cell_row(recs)
+            row.insert(3, row[2])
+    code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[1],
+                                        change)
+    assert code == EXIT_CONFIG, stdout
+    assert err.startswith("config error: malformed trace: snapshot at step ")
+    assert f"[{', '.join(layout._fields)}] row" in err
+    assert "Traceback" not in err
+
+
 def test_a_fault_may_fill_a_register_above_the_modulus(run_cli, tmp_path):
     """A fault may write any residue a register holds, 510 here where the
     modulus is 456; the residue it leaves is recorded and checked like any
@@ -788,9 +809,9 @@ def _msg_cells(cells):
     ("overwrite_dep", _last_cell("req", 10 ** 6),
      "pid 0: it needs free counters"),
     ("overwrite_dep", lambda edit: edit["proc"]["colls"].update(req=["req"]),
-     "as lists of [cid, residue, created_local, created_global, tag] rows"),
+     "as lists of [cid, residue, created_local, tag] rows"),
     ("delete_dep", lambda edit: edit["proc"]["colls"].update(req=["req"]),
-     "as lists of [cid, residue, created_local, created_global, tag] rows"),
+     "as lists of [cid, residue, created_local, tag] rows"),
     ("scramble_var", lambda edit: edit["proc"]["vars"].update(mood=1),
      "and vars ['in_cs']"),
 ], ids=["overwrite_free-free-high", "overwrite_free-free-low",
@@ -850,7 +871,7 @@ def _stamp_step_2_cell(recs):
 
 def _stamp_start_cell(recs):
     assert _start(recs)["regions"][1] == 11
-    _start(recs)["procs"][1]["colls"]["req"].append([0, 136, 61, 11, "own"])
+    _start(recs)["procs"][1]["colls"]["req"].append([0, 136, 61, "own"])
 
 
 @pytest.mark.parametrize("change,where", [
@@ -915,12 +936,11 @@ def test_an_exception_in_the_reference_run_is_a_divergence(run_cli,
 
 def test_check_takes_the_fault_stop_from_the_scenario(run_cli, tmp_path):
     """A region a fault's record carries is not where check reads the fault
-    stop: here the send regions of the message row that the last fault of
+    stop: here the send region of the message row that the last fault of
     the seed-2024 mutex trace overwrote."""
     def change(recs):
         row = _events(recs, "fault")[-1]["detail"]["msg"]
-        for fld in ("send_region_local", "send_region_global"):
-            row[tr.MsgRow._fields.index(fld)] = 30
+        row[tr.MsgRow._fields.index("send_region_global")] = 30
     code, stdout, _ = _check_doctored(run_cli, tmp_path, SCENARIOS[1], change)
     assert code == EXIT_OK, stdout
     assert "the last fault (region 15)" in stdout
@@ -933,7 +953,7 @@ def test_an_event_before_step_0_is_refused(run_cli, tmp_path):
         recs.insert(at, {"rec": "event", "data": {
             "step": -1, "ev": "dcreate", "pid": 0, "coll": "pend",
             "cid": 999, "residue": 0, "lifted": 0, "created_local": -50,
-            "created_global": 0, "tag": None, "corrected": False}})
+            "tag": None, "corrected": False}})
     code, stdout, err = _check_doctored(run_cli, tmp_path, SCENARIOS[2],
                                         change)
     assert code == EXIT_CONFIG
@@ -951,7 +971,7 @@ def test_a_snapshot_outside_the_run_is_refused(run_cli, tmp_path, where):
     def change(recs):
         at = next(i for i, r in enumerate(recs) if r["rec"] == "snapshot")
         state = json.loads(json.dumps(_start(recs)))
-        state["procs"][0]["colls"]["pend"].append([999, 0, -50, 0, None])
+        state["procs"][0]["colls"]["pend"].append([999, 0, -50, None])
         steps = sum(r["rec"] == "row" for r in recs)
         run.update(steps=steps, step=-1 if where == "before" else steps + 1)
         recs.insert(at, {"rec": "snapshot",

@@ -199,13 +199,13 @@ def test_a_message_fault_stands_in_only_a_field_that_holds_its_value():
     prog = SimpleNamespace(families=regs, msgs={"PROMISE": SimpleNamespace(
         cell_fields={"aseq": "aseq", "bseq": "bseq"})})
     cells = tr.MsgRow._fields.index("cells")
-    row = list(tr.MsgRow(4, 0, 1, "PROMISE", {"aseq": 7, "bseq": 8}, {}, 0,
-                         38, 38, 5, None))
+    row = list(tr.MsgRow(4, 0, 1, "PROMISE", {"aseq": 7, "bseq": 8}, {}, 38,
+                         5, None))
 
     def fire(k, value, rows):
         entry = faults.FaultEntry("region", 39, "overwrite_msg",
                                   (k, "promised"), value=value)
-        edit = entry.apply(prog, rows, None, 39, 0)
+        edit = entry.apply(prog, rows, None, 0)
         return edit and edit["msg"][cells]
 
     assert fire(1, 100, [row]) == {"aseq": 7, "bseq": 100}

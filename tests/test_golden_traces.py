@@ -16,7 +16,12 @@ deleted message's id) in place of the per-kind ``old``/``new`` keys and
 ``g_region``; every other line of those traces, and every verdict, stayed
 as it was. The two round_checker-campaign digests were re-pinned when a
 campaign began to scramble a variable only on a process that holds it:
-both scrambles of that case had hit a process without the variable.
+both scrambles of that case had hit a process without the variable. All
+34 digests were re-pinned when the three stamps nothing read left the
+format: a cell's global creation region (every cell row and ``dcreate``),
+and a message's send step and local send region (every message row, and
+the local region from every ``send``); every other byte of every trace,
+and every verdict, stayed as it was.
 """
 import hashlib
 import io
@@ -85,73 +90,73 @@ def case_doc(name: str) -> dict:
 
 GOLDEN = {
     "logical_clocks-clean/7":
-        "4e43a27be1dabc28aaebb9f76e98335ca2136e8d342c44c55da26cf2dcbabeba",
+        "524edeea707f0edaecf146e6e16f8f9b6e6e2825759e08b0779672b33b9a7889",
     "logical_clocks-clean/2024":
-        "73a3589ef0756000428a136afcfe2421c6eee80f3e5e1dfb6b60b6cea59e3f60",
+        "d124ee5c0e75389d43718220254a6f6e06cb718f3b3bb3d66c36c3a660771fe5",
     "logical_clocks-campaign/7":
-        "e6e151c5170687c899be98dcd82b99bdb8224ee85fadac90ee7fb74c8fc2d51b",
+        "b251f631a7ce49962fd211ce5799cf07260427887790b4f288c075af7609a93c",
     "logical_clocks-campaign/2024":
-        "6e26c5c13cf097b724a404b3e45c08a1dc2d4282dd5a035f3e43cd88095ca2de",
+        "7a886788ab03148becf2c9bd23c2778448817b546edfc45e3edb2ccf95b31ba7",
     "vector_clocks-clean/7":
-        "a801720ca400d1da4da2110d044997757b96910498a83d6ffa8d68335991b73f",
+        "f0ad4154f21131027d7fcac1cc1a67ff7ea12c70e7b10aa09fbedb91d0f5e8b8",
     "vector_clocks-clean/2024":
-        "3a711cf1d1b755572ddf0c46af91ad68ea4e00f504d9990b1987851c5c475061",
+        "ed70978f77d614b67efacd036b1e59f5ee383f613fa7236ad428ddb024dffd25",
     "vector_clocks-campaign/7":
-        "18e55eb1fade8275d31605eaf73b35921e7b6a27f292b73dce581703286dc8f1",
+        "dbc7ac222497a2dd19da316591e09080504d2b2877bd36104c981a296ff3c2ae",
     "vector_clocks-campaign/2024":
-        "7e1b242c7bed8be6aa4ff804ae66e1be00bbed2d5ead6975d120e3bb469c1153",
+        "24acfb06256a0dee306ce8a32e6d06c22477167a2350f71c7dc16e0913a7a27f",
     "mutual_exclusion-clean/7":
-        "abb6700fb34343ebf71d562aae2c258e9f3cfdcdb5da3fb01389ea9e3d53f665",
+        "fbfd0d2bf3feae3cd1ef62ddef779036f9903cbd3f3bb2729452e3da903a0063",
     "mutual_exclusion-clean/2024":
-        "98c2c6e8b6aebe1294b0cc26755e8a88e1743531b4c6300423efc573a2a0ff9d",
+        "915f5cd31524be1c5478c57777d8bac4cd56c5ab8c0ffe94dad2752aa90ce3fc",
     "mutual_exclusion-campaign/7":
-        "9616334a907bdc2f6e35aca746480c52f030cec45dba182da2f5ae5a56015267",
+        "626a508b7d6c2a6a1fecd1fd0f3474526e061ae74ded187ad56b576bca258397",
     "mutual_exclusion-campaign/2024":
-        "d4037c1488eded8e30c8f22e9816d876956bd7fef51848431a44b829484c524f",
+        "6596908fa5f18030419e375e2b3441b5a6884afc7a14d0985f21fe8f27723f6d",
     "diffusing-clean/7":
-        "bf8d261442cbe516cc9589faaa5842682a4258fbe7841740f4a2756601a035b2",
+        "3afe4afd877c9041d97147800aa2797a33802d85742e1cd32b265c687192b22a",
     "diffusing-clean/2024":
-        "3f9f94073a92d669de2d2e582271ed02af6f1c4d060c7070c3be5a15aa823d85",
+        "de3575bfe42e5093207b282eb7f41d0c44889c071a3dc4fba76059b16896adb0",
     "diffusing-campaign/7":
-        "9848c705ef480071c7f77e4b0bafc103685be06cf01373eab41290b188f0f2ab",
+        "7134e72879a9d2e9b794b85be9a0b99b57ee6c8c7e8c7693b57b1c1326de190c",
     "diffusing-campaign/2024":
-        "8e4f71c0371c7a0b45d368eb4947945e840b9d10a9fb84ccd3d61863ee260739",
+        "702010b919e34a4fa356e6b475fd9a1aa40c95f45c8b201ae26818be1a3f0759",
     "round_checker-clean/7":
-        "e4b016f7eb0fc6acf045a32da17de53bd422f69c202b44b8a86e764265b2250e",
+        "77efe6e2be5555b8dfc4323bf7eb51e1000997eeb74d2548ee7c8b399e5e78ee",
     "round_checker-clean/2024":
-        "7a2a114ddacda8632df2f8b94f8cb04f5f97a39c9dbfadd96561646960f5b0a8",
+        "f6c8b95581806450fc929c092c3e1f439d72d2cb0dbefcdb3a0ad5e592c9f972",
     "round_checker-campaign/7":
-        "194b507057d957e5b9ba33c8a0d78dee6289862498c2b614e66a773ffac2adce",
+        "c74130344c24c8153b8477dc377f06c6d65da79c0dc3a78317f8993aba32d917",
     "round_checker-campaign/2024":
-        "7994b5551e3f59538fb7256d2a6a0e9e14c7b150f94dcee076ab6aa3fc3af698",
+        "8639bacce492a85f3318d126200a64044c5a2a9894051030f7d32af68c8fb400",
     "consensus-clean/7":
-        "9b8e16c28f1757f9be10580829ceef0406fa4d15af364171b2838b868c842273",
+        "88e5d7b42038db8a0039a3a534d3f68d69c0c36535604411fe5cb94c1819245c",
     "consensus-clean/2024":
-        "256dd3fc92727ec177dc306ef3e2d1f155a72bbf43fe940e475ed6a0a8e97480",
+        "2fdae20b2973936add91464cc8c0e76dd67e58bf215d451a7e6903165e0992ef",
     "consensus-campaign/7":
-        "f9b92bfc45ff168c8652d75ec8c1ddbaa7889ab939b4ec0f2278dc544f84984c",
+        "368a1f66dc08e6748a6ba533b5953b3810e576352b65675c01f0177bc852480e",
     "consensus-campaign/2024":
-        "60a617d12e089bd0ad7145a431447336ffebc5a25921f39f57b26a97f3569ad0",
+        "27136947a54c83a069862803a6438766794a0de87d33367644c51debc0d76093",
     "logical_clocks_drift/7":
-        "2f3bae3e71ae8b218cef481c89889f4bf3c0d57ff7ca033ab89d8493cd548f62",
+        "7fadcc797f381600e2056d378cd3757d3dc78075ad83f772e1a1a1d1fbd916bb",
     "logical_clocks_drift/2024":
-        "109b878182f00457ef42eb5a1ccca6e994365470417d85a1dcc9e31b4b7694b0",
+        "6350303967bcbd212b4e626f6509bec47de61ec6f0066e2cd2b36bfbc4118d33",
     "mutex_fault_recovery/7":
-        "27c303c0a4f3bbdd5f9b44f6475d0862968690809ce53e7d9c468635d421ef5a",
+        "9762852f03c6015a39a9e7e5f1337b43e978d89d908323e73249c5e999c8b822",
     "mutex_fault_recovery/2024":
-        "03597df51373085ee80622c7a4042796a34feeb81a67fca8b5e9f366f5005474",
+        "d8000d03bf47325c90dd8bc9c6a15ce5eb5c12c556b54bd3c92823f488e62839",
     "consensus_clean/7":
-        "b932e122605bc75621e396245553a6583392491080ed0615ee47c841fe416a5c",
+        "1a4dcbc2cfc1a2e197e997c4795c3d912d10dd64c015a4229fcae1948df92601",
     "consensus_clean/2024":
-        "47827e87aac7307899f3c035f3744dcf17aaae7db39e3e142431d9e88e29a8a7",
+        "215975acbd86ae40aa33dfee25711f4bac86d1b7865b3201f8182d015800acf2",
     "diffusing_ring_faults/7":
-        "9c98373ec1e05b0799a45a8af1f649477b83e762343777bf5c285541105c201c",
+        "49051a670c1e27ea8ad07b313643964ace67f6a9d9415992f5ade5d16937cda7",
     "diffusing_ring_faults/2024":
-        "5dabc955a03394dfcbf58ad2d39aa31d25a42c2d10cd758fded319ef42912cae",
+        "4da01502b7d922843c628a3577b943d2b7517409f3360e21012af0bfc316b3fa",
     "mutex_fault_recovery-stale/7":
-        "65dd0ad8dcd189199ddf045378acdd62dda736671e8c41c907157f139a30e8e1",
+        "d99e6f38cfbc56e0ab20bdaab733ed25dc7f1db3e0b7357748856ffd86f3bc60",
     "mutex_fault_recovery-stale/2024":
-        "4aa512e52a4283db74d0c24f0c99d4a8f91c2ce2590c6eb0b1de1342b2b3a783",
+        "cdf83b3ef8eb4d5310ab1f80c447633fad3d9ddd3bd379fbe4114b37f596a0b5",
 }
 
 

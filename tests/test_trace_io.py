@@ -95,14 +95,14 @@ def edge_fields(kind, s):
         "drop": lambda: dict(mid=i(0), reason=t(0)),
         "send": lambda: dict(mid=i(0), src=i(1), dst=i(2), msg_kind=t(0),
                              cells={t(1): i(3)}, vars={t(2): p(0)},
-                             send_region_local=i(4), send_region_global=i(5),
-                             arrival_step=o(0), drop_step=o(1)),
+                             send_region_global=i(4), arrival_step=o(0),
+                             drop_step=o(1)),
         "consume": lambda: dict(mid=i(0), pid=i(1)),
         "wfree": lambda: dict(pid=i(0), name=t(0), residue=i(1), lifted=i(2),
                               corrected=yes),
         "dcreate": lambda: dict(pid=i(0), coll=t(0), cid=i(1), residue=i(2),
-                                lifted=i(3), created_local=i(4),
-                                created_global=i(5), tag=p(0), corrected=yes),
+                                lifted=i(3), created_local=i(4), tag=p(0),
+                                corrected=yes),
         "dremove": lambda: dict(pid=i(0), coll=t(0), cid=i(1), reason=t(1)),
         "var": lambda: dict(pid=i(0), name=t(0), value=p(0)),
         "spend": lambda: dict(family=t(0), amount=i(0)),

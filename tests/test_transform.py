@@ -271,7 +271,7 @@ def test_choose_action_none_when_all_disabled():
 
 def inbox_ctx(*kinds):
     """A context whose process 0 holds one waiting message of each kind."""
-    rows = {mid: MsgRow(mid, 1, 0, kind, {}, {}, 0, 0, 0, 0, None)
+    rows = {mid: MsgRow(mid, 1, 0, kind, {}, {}, 0, 0, None)
             for mid, kind in enumerate(kinds)}
     return SimpleNamespace(sim=SimpleNamespace(inboxes=[rows]), pid=0)
 
