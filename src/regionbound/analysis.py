@@ -96,12 +96,13 @@ def validate(prog, trace: tr.Trace) -> None:
     :class:`.trace.Name` must name what ``prog`` and :mod:`.faults` declare
     in its domain, a message's cells must be fields of its kind, and a
     ``send`` event or message row must set exactly one of its arrival and
-    drop steps. An applied fault's detail must record its edit, a process
-    or a message row passing the checks a snapshot's do, or a deleted
-    message's id. Every residue must fit its register, which a fault may
-    fill. A failure raises
-    ConfigError("malformed trace: ..."). What the kernel's schedule could
-    not have drawn is left to the replay, which fails on it.
+    drop steps. A fault names a pid exactly when its kind edits a process,
+    and an applied fault's detail must record the edit its kind makes: a
+    process or a message row passing the checks a snapshot's do, or a
+    deleted message's id. Every residue must fit its register, which a
+    fault may fill. A failure raises ConfigError("malformed trace: ...").
+    What the kernel's schedule could not have drawn is left to the replay,
+    which fails on it.
     """
     if 0 not in trace.snapshots:
         raise ConfigError("malformed trace: no snapshot at step 0")
@@ -153,9 +154,10 @@ def validate(prog, trace: tr.Trace) -> None:
         if not _delivers_once(ev):
             _refuse(ev, _DELIVERY)
     for ev in events[tr.EV_FAULT]:
-        edit = ev.detail
-        key = ("proc" if ev.pid is not None else "msg" if "msg" in edit
-               else "mid")
+        edit, key = ev.detail, faults._KINDS[ev.fault_kind].record
+        if (key == "proc") != (ev.pid is not None):
+            _refuse(ev, f"of kind {ev.fault_kind} needs " + (
+                "a pid" if key == "proc" else f"pid null, not {ev.pid}"))
         if list(edit) != (want := [key] if ev.applied else []):
             _refuse(ev, f"detail keys {list(edit)} are not {want}")
         if "proc" in edit:

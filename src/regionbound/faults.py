@@ -128,18 +128,20 @@ class _Kind(NamedTuple):
     target: str  # the shape ``target`` must have, as the error names it
     fits: Callable
     writes_residue: bool  # so ``value`` must be a register's residue
+    record: str  # the one key of an applied fault's detail: what it edits
 
 
 _KINDS = {
-    "overwrite_free": _Kind("a free-counter name", _is_str, True),
+    "overwrite_free": _Kind("a free-counter name", _is_str, True, "proc"),
     "overwrite_dep": _Kind("a [collection, k] pair", _pair(_is_str, _is_nat),
-                           True),
-    "insert_dep": _Kind("a collection name", _is_str, True),
+                           True, "proc"),
+    "insert_dep": _Kind("a collection name", _is_str, True, "proc"),
     "delete_dep": _Kind("a [collection, k] pair", _pair(_is_str, _is_nat),
-                        False),
-    "scramble_var": _Kind("a variable name", _is_str, False),
-    "overwrite_msg": _Kind("a [k, field] pair", _pair(_is_nat, _is_str), True),
-    "delete_msg": _Kind("an integer k", _is_nat, False),
+                        False, "proc"),
+    "scramble_var": _Kind("a variable name", _is_str, False, "proc"),
+    "overwrite_msg": _Kind("a [k, field] pair", _pair(_is_nat, _is_str), True,
+                           "msg"),
+    "delete_msg": _Kind("an integer k", _is_nat, False, "mid"),
 }
 
 
@@ -167,7 +169,7 @@ def validate_entries(prog, entries) -> None:
         if kind.writes_residue and not is_int(e.value):
             raise ConfigError(f"fault {i}.value must be an integer residue "
                               f"for {e.kind}, got {e.value!r}")
-        if e.kind in ("overwrite_msg", "delete_msg"):
+        if kind.record != "proc":
             if e.pid is not None:
                 raise ConfigError(f"{where}: message faults take no pid")
         elif not (is_int(e.pid) and 0 <= e.pid < prog.n):

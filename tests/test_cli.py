@@ -455,6 +455,11 @@ def _start(recs):
 def _no_snapshots(recs):
     recs[:] = [r for r in recs if r["rec"] != "snapshot"]
 
+
+def _first_fault(recs, kind):
+    return next(e for e in _events(recs, "fault") if e["fault_kind"] == kind)
+
+
 @pytest.mark.parametrize("path,change,fault", [
     (SCENARIOS[1], lambda r: _start(r)["in_flight"].append([1, 2, 3]),
      "snapshot at step 0: message row [1, 2, 3]"),
@@ -491,11 +496,19 @@ def _no_snapshots(recs):
      "snapshot at step 0: pid 2: it needs"),
     (SCENARIOS[1], lambda r: _start(r)["procs"][2]["vars"].clear(),
      "snapshot at step 0: pid 2: it needs"),
+    (SCENARIOS[1], lambda r: _first_fault(r, "overwrite_free").update(
+        fault_kind="delete_msg"),
+     "step 96: fault event of kind delete_msg needs pid null, not 0"),
+    (SCENARIOS[1], lambda r: _first_fault(r, "overwrite_msg").update(pid=1),
+     "fault event of kind overwrite_msg needs pid null, not 1"),
+    (SCENARIOS[1], lambda r: _first_fault(r, "overwrite_free").update(
+        pid=None), "step 96: fault event of kind overwrite_free needs a pid"),
 ], ids=["in-flight-row", "cell-row", "regions", "no-procs",
         "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
         "wfree-name", "dcreate-coll", "fault-detail", "fault-g_region",
         "send-dst", "consume-pid", "var-pid", "fault-kind", "extra-var",
-        "missing-var"])
+        "missing-var", "fault-kind-renamed", "message-fault-pid",
+        "process-fault-no-pid"])
 def test_trace_that_does_not_fit_its_program_is_a_config_error(
         run_cli, tmp_path, path, change, fault):
     code, _, err = _check_doctored(run_cli, tmp_path, path, change)
