@@ -505,9 +505,8 @@ def _first_fault(recs, kind):
         pid=None), "step 96: fault event of kind overwrite_free needs a pid"),
     # a row still holding a stamp the format no longer has: a message row's
     # send step and local send region, a cell row's global creation region
-    (SCENARIOS[1], lambda r: _first_msg_row(r).__setitem__(slice(6, 6),
-                                                           [0, 11]),
-     f"is no [{', '.join(tr.MsgRow._fields)}] row"),
+    (SCENARIOS[1], lambda r: _first_msg_row(r).__setitem__(
+        slice(6, 6), [0, 11]), f"is no [{', '.join(tr.MsgRow._fields)}] row"),
     (SCENARIOS[1], lambda r: _first_cell_row(r).insert(3, 11),
      f"as lists of [{', '.join(tr.CellRow._fields)}] rows"),
 ], ids=["in-flight-row", "cell-row", "regions", "no-procs",
