@@ -22,17 +22,28 @@ format: a cell's global creation region (every cell row and ``dcreate``),
 and a message's send step and local send region (every message row, and
 the local region from every ``send``); every other byte of every trace,
 and every verdict, stayed as it was.
+
+Run as a script from anywhere, ``python tests/test_golden_traces.py``
+prints each case's fresh digest beside its pinned one and exits 1 if any
+differ, so a byte-identity check or a deliberate re-pin needs no hand work.
 """
 import hashlib
 import io
 import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from regionbound import analysis, kernel, scenario
-from regionbound import trace as tr
+ROOT = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":  # run as a script: import this checkout's package
+    sys.path.insert(0, str(ROOT / "src"))
 
-from conftest import PROTOCOLS, scenario_doc
+from regionbound import analysis, kernel, scenario  # noqa: E402
+from regionbound import trace as tr  # noqa: E402
+
+from conftest import PROTOCOLS, scenario_doc  # noqa: E402
 
 # fault regions (three and four regions after each protocol's default start
 # region) and a run just long enough to pass the convergence boundary
@@ -50,6 +61,10 @@ SHIPPED = ("logical_clocks_drift", "mutex_fault_recovery", "consensus_clean",
 
 SEEDS = (7, 2024)
 
+# complete graphs far wider than the other cases (n <= 5): many processes
+# enter each region on one tick, and every broadcast goes n - 1 ways
+WIDE = {"logical_clocks": 16, "mutual_exclusion": 12}
+
 # Two cells inserted already older than the collections' expiry (2 regions):
 # nothing but the sweep before an activation can remove them before the
 # owner's next region change.
@@ -63,17 +78,19 @@ STALE_INSERTS = {"mode": "list", "entries": [
 
 CASES = ([f"{proto}-{variant}" for proto in PROTOCOLS
           for variant in ("clean", "campaign")] + list(SHIPPED)
-         + ["mutex_fault_recovery-stale"])
+         + ["mutex_fault_recovery-stale"] + [f"{proto}-wide" for proto in WIDE])
 
 
 def case_doc(name: str) -> dict:
     """Scenario document of a case: ``<protocol>-clean``,
-    ``<protocol>-campaign``, a shipped scenario's file stem, or
-    ``<stem>-stale``: that scenario with :data:`STALE_INSERTS` as its
-    faults."""
+    ``<protocol>-campaign``, ``<protocol>-wide`` (the clean case at
+    :data:`WIDE`'s n), a shipped scenario's file stem, or ``<stem>-stale``:
+    that scenario with :data:`STALE_INSERTS` as its faults."""
     proto, _, variant = name.rpartition("-")
     if variant == "clean":
         return scenario_doc(proto)
+    if variant == "wide":
+        return scenario_doc(proto, n=WIDE[proto])
     if variant == "campaign":
         regions, run_regions = CAMPAIGNS[proto]
         return scenario_doc(
@@ -157,6 +174,14 @@ GOLDEN = {
         "d99e6f38cfbc56e0ab20bdaab733ed25dc7f1db3e0b7357748856ffd86f3bc60",
     "mutex_fault_recovery-stale/2024":
         "cdf83b3ef8eb4d5310ab1f80c447633fad3d9ddd3bd379fbe4114b37f596a0b5",
+    "logical_clocks-wide/7":
+        "10c0efb225c8d951d9e0e595a543a0a8d082b7f57ca64c8ad518ad58c9c8c15e",
+    "logical_clocks-wide/2024":
+        "d52c0326b89f8af105a25144e21875ecda4ae7b1fd7d37dbc5c44e9d9294263a",
+    "mutual_exclusion-wide/7":
+        "c42af2bd3345f3395b4e58ac90d55963d68571f0bbec584731002a9f5791b5ea",
+    "mutual_exclusion-wide/2024":
+        "64b6723c633a1dda631d78db174abad28cd8a176fdb8af08580d3adec4697e70",
 }
 
 
@@ -229,3 +254,24 @@ def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
                 assert moved == [value[json.dumps(ev.target)]], (name, ev)
                 hits += 1
     assert hits
+
+
+def main() -> int:
+    """Print each case's fresh digest beside its pinned one; 1 if any
+    differs or is not pinned."""
+    os.chdir(ROOT)  # the shipped scenarios are read by relative path
+    differ = 0
+    for name in CASES:
+        sc = scenario.parse(case_doc(name))
+        for seed in SEEDS:
+            key = f"{name}/{seed}"
+            fresh, pinned = trace_digest(sc, kernel.run(sc.cfg, seed)), GOLDEN.get(key)
+            differ += fresh != pinned
+            print(f"{key} {fresh} {pinned or '-'} "
+                  f"{'same' if fresh == pinned else 'DIFFERS'}")
+    print(f"{differ} of {len(CASES) * len(SEEDS)} digests differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
