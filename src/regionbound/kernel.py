@@ -9,10 +9,16 @@ cells are swept again before an activation or a region entry only at a
 process's first one or when a fault has touched it since its last sweep:
 no other cell can age without a region change (see :mod:`.sim`). The
 acting process evaluates its guards on lifted integers and executes the
-first enabled action, or self-loops. :meth:`Kernel.run` makes one context
-for the run, a local of its step loop that no kernel attribute holds, and
-each activation rebinds it to the acting process, the step and the step's
-draws.
+first enabled action, or self-loops. :meth:`Kernel.run` is the one step
+loop: the clock tick and the activation run inline, with the run's
+invariants (sizes, generator methods, actions, the row list) bound to locals
+once, and each activation still calls ``_sweep_flagged``. It reaches the
+tick's drift and the action choice through the module-level names
+``advance_clocks`` and ``choose_action``, looked up at each call, so a
+rebinding of either (a counting test, perfbench's tracer) sees every call.
+It makes one context for the run, a local that no kernel attribute holds,
+and each activation rebinds it to the acting process, the step and the
+step's draws.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
@@ -36,7 +42,8 @@ recorded in the trace, so a run is a pure function of (config, seed) and the
 unbounded reference replay never touches the generator. Integer draws (clock
 drift, the activation's ``d``, message delays) go through
 :func:`.regions.draw`, which gives exactly ``randint``'s value and generator
-state at less cost.
+state at less cost; the activation's ``d`` is that draw written out in the
+step loop.
 """
 
 from __future__ import annotations
@@ -126,7 +133,6 @@ class Kernel(Sim):
         self.cfg = cfg
         self.rng = random.Random(seed)
         self.step = 0
-        self._order: list[int] = []
         self._pending_snapshot: Optional[str] = None
         # when_kind -> when -> the faults scheduled then, in scenario order
         self._faults: dict[str, dict[int, list]] = {"step": {}, "region": {}}
@@ -186,17 +192,7 @@ class Kernel(Sim):
             return None, step
         return step, None
 
-    # -- per-step phases ---------------------------------------------------
-
-    def _advance_clocks(self) -> None:
-        t, rs = self.t + 1, self.cfg.rs
-        local = advance_clocks(self.t, self.locals, rs, self.cfg.drift,
-                               self.rng)
-        regions = [x // rs for x in local]
-        g_region = t // rs
-        self.emit_clock(t=t, g_region=g_region, locals=tuple(local),
-                        regions=tuple(regions))
-        self._move_clocks(t, g_region, local, regions)
+    # -- region entry and faults ------------------------------------------
 
     def _shift(self, proc: ProcState, new_region: int) -> list[tuple]:
         return region_shift(proc, new_region, self.free_fams, self.coll_fams)
@@ -228,48 +224,59 @@ class Kernel(Sim):
                         target=tr.canon(entry.target), detail=edit,
                         applied=bool(edit))
 
-    def _act(self, ctx: Ctx) -> None:
-        step, n, rng = self.step, self.prog.n, self.rng
-        if step % n == 0:
-            self._order = list(range(n))
-            rng.shuffle(self._order)
-        pid = self._order[step % n]
-        d = draw(rng, 1, self.maxinc)
-        u1 = rng.random()
-        u2 = rng.random()
-        proc = self.procs[pid]
-        self._sweep_flagged(proc)
-        ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
-            proc, pid, step, d, u1, u2)
-        actions = self.prog.actions
-        idx = choose_action(actions, ctx)
-        if idx is None:
-            self.trace.rows.append((step, pid, tr.SELF_LOOP, "", d, u1, u2))
-        else:
-            act = actions[idx]
-            self.trace.rows.append((step, pid, idx, act.name, d, u1, u2))
-            act.body(ctx)
-
     def run(self) -> tr.Trace:
+        """The step loop: the clock tick and the activation run inline, with
+        the run's invariants bound to locals once."""
         self._pending_snapshot = "start"
-        sptu, due, step_faults = self.cfg.sptu, self.due, self._faults["step"]
+        cfg, prog, procs, rng = self.cfg, self.prog, self.procs, self.rng
+        n, sptu, rs, drift = prog.n, cfg.sptu, cfg.rs, cfg.drift
+        random, bits, shuffle = rng.random, rng.getrandbits, rng.shuffle
+        actions, record = prog.actions, self.trace.rows.append
+        due, step_faults = self.due, self._faults["step"]
+        width = self.maxinc  # d is draw(rng, 1, maxinc), made inline
+        k = width.bit_length()
+        order: list[int] = []
         # every activation rebinds its process and draws; a local, so no
         # cycle through the kernel keeps either alive after the run
-        ctx = Ctx(self, self.procs[0], 0, 1, 0.0, 0.0)
-        for step in range(self.cfg.total_steps):
+        ctx = Ctx(self, procs[0], 0, 1, 0.0, 0.0)
+        for step in range(cfg.total_steps):
             self.step = step
             if self._pending_snapshot is not None:
                 self._snapshot(self._pending_snapshot)
                 self._pending_snapshot = None
             if step and step % sptu == 0:
-                self._advance_clocks()
+                t = self.t + 1
+                local = advance_clocks(self.t, self.locals, rs, drift, rng)
+                regions = [x // rs for x in local]
+                self.emit_clock(t=t, g_region=t // rs, locals=tuple(local),
+                                regions=tuple(regions))
+                self._move_clocks(t, t // rs, local, regions)
             if step in step_faults:
                 for entry in step_faults[step]:
                     self._apply_fault(entry)
             if step in due:
                 self._arrivals()
-            self._act(ctx)
-        self.step = self.cfg.total_steps
+            i = step % n  # one activation, in an order shuffled every n steps
+            if i == 0:
+                order = list(range(n))
+                shuffle(order)
+            pid = order[i]
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            d, u1, u2 = 1 + r, random(), random()
+            proc = procs[pid]
+            self._sweep_flagged(proc)
+            ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
+                proc, pid, step, d, u1, u2)
+            idx = choose_action(actions, ctx)
+            if idx is None:
+                record((step, pid, tr.SELF_LOOP, "", d, u1, u2))
+            else:
+                act = actions[idx]
+                record((step, pid, idx, act.name, d, u1, u2))
+                act.body(ctx)
+        self.step = cfg.total_steps
         self._snapshot("final")
         summary = self.trace.summary
         summary["final_g_region"] = self.g_region

@@ -21,9 +21,12 @@ of state are the kernel's own, from :mod:`.sim`: the replayer reads each
 tick's clocks from the recorded ``clock`` event and enters the regions it
 reaches as the kernel does, reads each message's delivery from its recorded
 ``send`` (:meth:`Replayer._delivery`), and its ``emit`` checks each effect
-instead of recording it. As in the kernel, :meth:`Replayer.run` makes one
-context, a local that no replayer attribute holds, and each activation
-rebinds it to the recorded process, step and draws. An exception that
+instead of recording it. As in the kernel, :meth:`Replayer.run` is the one
+step loop: it checks each tick's clock record, then each row's schedule
+and draws, sweeps the acting process (``_sweep_flagged``) and compares the
+action the reference selects, inline. It makes one context, a local that
+no replayer attribute holds, and each activation rebinds it to the
+recorded process, step and draws. An exception that
 protocol code raises in the reference run is a divergence at its step,
 naming the action. The counter algebra stays independent of the
 kernel's, in the replayer's own simulator hooks: ``_read_free``/
@@ -77,9 +80,6 @@ class Replayer(Sim):
         self.sptu = trace.meta["sptu"]
         self.rs = trace.meta["rs"]
         self.step = start_step
-        # pids already activated in the block of n steps the replay starts in
-        self._acted = {pid for _, pid, *_ in
-                       trace.rows[start_step - start_step % prog.n:start_step]}
         # the events of the step being replayed: events[_cursor:_end]
         self._events = trace.events
         self._cursor = self._end = 0
@@ -89,15 +89,7 @@ class Replayer(Sim):
     def _fail(self, detail: str):
         raise OracleDivergence(self.step, detail)
 
-    def _next(self) -> tuple:
-        if self._cursor >= self._end:
-            self._fail(_NO_EVENT)
-        ev = self._events[self._cursor]
-        self._cursor += 1
-        return ev
-
     def emit(self, ev: tuple) -> None:
-        # _next, in place: this runs at every effect the reference produces
         i = self._cursor
         if i >= self._end:
             self._fail(_NO_EVENT)
@@ -138,19 +130,7 @@ class Replayer(Sim):
         got = self._events[self._cursor] if self._cursor < self._end else None
         return getattr(got, "arrival_step", None), getattr(got, "drop_step", None)
 
-    # -- phases ------------------------------------------------------------
-
-    def _phase_clock(self) -> None:
-        """Enter the clocks of this tick step's ``clock`` record."""
-        got = self._next()
-        if got.kind != tr.EV_CLOCK:
-            self._fail(f"expected a clock record, got {got!r}")
-        rs = self.rs
-        regions = [x // rs for x in got.locals]
-        if (got.t != self.t + 1 or got.t // rs != got.g_region
-                or got.regions != tuple(regions)):
-            self._fail(f"clock record {got!r} is internally inconsistent")
-        self._move_clocks(got.t, got.g_region, got.locals, regions)
+    # -- region entry ------------------------------------------------------
 
     def _shift(self, proc, new_r: int) -> list[tr.RcChange]:
         """Raise each free counter below the new window floor to it, in
@@ -170,45 +150,6 @@ class Replayer(Sim):
         proc.region = new_r
         return changes
 
-    def _phase_act(self, row: tuple, ctx: Ctx) -> None:
-        _, pid, idx, name, d, u1, u2 = row
-        n = self.prog.n
-        if not 0 <= pid < n:
-            self._fail(f"row names acting pid {pid}, which is no process")
-        if self.step % n == 0:
-            self._acted = set()
-        if pid in self._acted:
-            self._fail(f"row names pid {pid} twice in the block of {n} steps "
-                       f"from step {self.step - self.step % n}; the kernel "
-                       "activates every process once per block")
-        self._acted.add(pid)
-        if not (1 <= d <= self.maxinc and 0 <= u1 < 1 and 0 <= u2 < 1):
-            self._fail(f"row draws d={d}, u1={u1}, u2={u2}; the kernel draws "
-                       f"d in [1, {self.maxinc}] and u1, u2 in [0, 1)")
-        proc = self.procs[pid]
-        self._sweep_flagged(proc)
-        ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
-            proc, pid, self.step, d, u1, u2)
-        try:
-            my_idx = choose_action(self.prog.actions, ctx)
-        except Exception as exc:
-            self._fail(f"reference run raised {exc!r} in a guard")
-        rec_idx = None if idx == tr.SELF_LOOP else idx
-        if my_idx != rec_idx:
-            my_name = ("" if my_idx is None
-                       else self.prog.actions[my_idx].name)
-            self._fail(f"action selection differs: recorded "
-                       f"{name or 'self-loop'!r}, reference enables "
-                       f"{my_name or 'self-loop'!r}")
-        if my_idx is not None:
-            act = self.prog.actions[my_idx]
-            try:
-                act.body(ctx)
-            except OracleDivergence:
-                raise
-            except Exception as exc:
-                self._fail(f"reference run raised {exc!r} in {act.name!r}")
-
     def _stored(self, fam, value: int) -> int:
         return value % fam.maxbound
 
@@ -227,11 +168,14 @@ class Replayer(Sim):
         """Replay to the end of the trace; returns the number of steps checked.
 
         Raises OracleDivergence at the first disagreement between the
-        recorded bounded run and the unbounded reference dynamics.
+        recorded bounded run and the unbounded reference dynamics. The step
+        loop checks each step's clock record and activation inline.
         """
-        rows = self.trace.rows
-        events = self._events
-        nev = len(events)
+        rows, events, snapshots = self.trace.rows, self._events, self.trace.snapshots
+        nev, n, rs, sptu = len(events), self.prog.n, self.rs, self.sptu
+        procs, due, actions, maxinc = (self.procs, self.due, self.prog.actions,
+                                       self.maxinc)
+        fail = self._fail
         # A step's events are the run of consecutive events at the cursor
         # recorded at that step. ``ends`` holds where each run ends, in order.
         step_of = itemgetter(0)
@@ -239,39 +183,84 @@ class Replayer(Sim):
                                            map(step_of, islice(events, 1, None)))))
         ends.append(nev)
         lo = k = 0
-        while lo < nev and events[lo].step < self.start_step:
+        start = self.start_step
+        while lo < nev and events[lo].step < start:
             lo = ends[k]
             k += 1
         kinds = map(itemgetter(1), islice(events, lo, None))
         fault_at = next(compress(count(lo), map(eq, kinds, repeat(tr.EV_FAULT))),
                         nev)
+        # pids already activated in the block of n steps the replay starts in
+        acted = {pid for _, pid, *_ in rows[start - start % n:start]}
         checked = 0
         # every activation rebinds its process and draws; a local, so no
         # cycle through the replayer keeps either alive after the run
-        ctx = Ctx(self, self.procs[0], self.step, 1, 0.0, 0.0)
-        for row in rows[self.start_step:]:
-            self.step = step = row[0]
-            self._cursor = lo
+        ctx = Ctx(self, procs[0], start, 1, 0.0, 0.0)
+        for row in rows[start:]:
+            step, pid, idx, name, d, u1, u2 = row
+            self.step = step
+            self._cursor = at = lo
             if lo < nev and events[lo].step == step:
                 lo = ends[k]
                 k += 1
                 if lo > fault_at:
-                    self._fail("fault injection inside the replayed segment")
+                    fail("fault injection inside the replayed segment")
             self._end = lo
-            if step and step % self.sptu == 0:
-                self._phase_clock()
-            if step in self.due:
+            if step and step % sptu == 0:  # enter this tick's recorded clocks
+                if at >= lo:
+                    fail(_NO_EVENT)
+                got = events[at]
+                self._cursor = at + 1
+                if got.kind != tr.EV_CLOCK:
+                    fail(f"expected a clock record, got {got!r}")
+                regions = [x // rs for x in got.locals]
+                if (got.t != self.t + 1 or got.t // rs != got.g_region
+                        or got.regions != tuple(regions)):
+                    fail(f"clock record {got!r} is internally inconsistent")
+                self._move_clocks(got.t, got.g_region, got.locals, regions)
+            if step in due:
                 self._arrivals()
-            self._phase_act(row, ctx)
+            if not 0 <= pid < n:
+                fail(f"row names acting pid {pid}, which is no process")
+            if step % n == 0:
+                acted = set()
+            if pid in acted:
+                fail(f"row names pid {pid} twice in the block of {n} steps "
+                     f"from step {step - step % n}; the kernel activates "
+                     "every process once per block")
+            acted.add(pid)
+            if not (1 <= d <= maxinc and 0 <= u1 < 1 and 0 <= u2 < 1):
+                fail(f"row draws d={d}, u1={u1}, u2={u2}; the kernel draws "
+                     f"d in [1, {maxinc}] and u1, u2 in [0, 1)")
+            proc = procs[pid]
+            self._sweep_flagged(proc)
+            ctx.proc, ctx.pid, ctx.step, ctx.d, ctx.u1, ctx.u2 = (
+                proc, pid, step, d, u1, u2)
+            try:
+                my_idx = choose_action(actions, ctx)
+            except Exception as exc:
+                fail(f"reference run raised {exc!r} in a guard")
+            if my_idx != (None if idx == tr.SELF_LOOP else idx):
+                my_name = "" if my_idx is None else actions[my_idx].name
+                fail(f"action selection differs: recorded "
+                     f"{name or 'self-loop'!r}, reference enables "
+                     f"{my_name or 'self-loop'!r}")
+            if my_idx is not None:
+                act = actions[my_idx]
+                try:
+                    act.body(ctx)
+                except OracleDivergence:
+                    raise
+                except Exception as exc:
+                    fail(f"reference run raised {exc!r} in {act.name!r}")
             if self._cursor != lo:
-                self._fail(f"bounded trace records extra event "
-                           f"{events[self._cursor]!r}")
+                fail(f"bounded trace records extra event "
+                     f"{events[self._cursor]!r}")
             checked += 1
-            final_step = self.step + 1
-            if final_step in self.trace.snapshots:
-                self.step = final_step
-                self._compare_snapshot(self.trace.snapshots[final_step])
-        if lo < len(events):
-            self._fail(f"bounded trace records event {events[lo]!r} past its "
-                       "last row")
+            if step + 1 in snapshots:
+                self.step = step + 1
+                self._compare_snapshot(snapshots[step + 1])
+        if lo < nev:
+            fail(f"bounded trace records event {events[lo]!r} past its "
+                 "last row")
         return checked

@@ -402,11 +402,12 @@ class Sim:
         decl = self.prog.msgs.get(kind)
         if decl is None:
             raise ProtocolBug(f"undeclared message kind {kind!r}")
-        extra = cells.keys() - decl.cell_fields.keys()
-        if extra:
+        if not decl.cell_fields.keys() >= cells.keys():
+            extra = cells.keys() - decl.cell_fields.keys()
             raise ProtocolBug(f"message {kind!r} has no field {min(extra)!r}")
         recorded, held = self._encode(kind, cells)
-        vars = tr.canon(vars)
+        if vars:
+            vars = tr.canon(vars)
         src, g_region = ctx.pid, self.g_region
         for dst in dsts:
             arrival, drop = self._delivery()

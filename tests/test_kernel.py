@@ -8,6 +8,7 @@ import pytest
 
 from regionbound import analysis, faults, scenario
 from regionbound import kernel as kernel_mod
+from regionbound import oracle as oracle_mod
 from regionbound import trace as tr
 from regionbound.counters import free_window, to_residue
 from regionbound.errors import ConfigError, KernelInvariantError, ProtocolBug
@@ -17,6 +18,8 @@ from regionbound.sim import Ctx, Sim
 from regionbound.transform import ActionSpec
 
 from conftest import PROTOCOLS, build_scenario, run_scenario
+
+SIDES = ("kernel", "oracle")
 
 
 def dump(trace):
@@ -169,6 +172,61 @@ def test_run_calls_advance_clocks_once_per_tick_step(monkeypatch):
     assert calls == [step for step in range(1, sc.cfg.total_steps)
                      if step % sptu == 0]
     assert calls == [ev.step for ev in trace.iter_events(tr.EV_CLOCK)]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_each_activation_calls_choose_action_once(monkeypatch, side):
+    """Each side's step loop reaches the action choice through its module's
+    name ``choose_action``, once per activation, a suffix replay from its
+    first step on; perfbench times the choice by wrapping those names."""
+    sc = build_scenario("mutual_exclusion")
+    cfg = dataclasses.replace(sc.cfg, snapshot_regions=(20,))
+    mod = kernel_mod if side == "kernel" else oracle_mod
+    trace = None if side == "kernel" else kernel_mod.run(cfg, 5)
+    start = 0 if trace is None else min(set(trace.snapshots) - {0})
+    calls = []
+    real = mod.choose_action
+
+    def counting(actions, ctx):
+        calls.append(ctx.step)
+        return real(actions, ctx)
+
+    monkeypatch.setattr(mod, "choose_action", counting)
+    if trace is None:
+        kernel_mod.run(cfg, 5)
+    else:
+        assert Replayer(sc.prog, trace, start).run() == len(calls)
+    assert 0 < start < cfg.total_steps or side == "kernel"
+    assert calls == list(range(start, cfg.total_steps))
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_each_activation_sweeps_the_acting_process_once(monkeypatch,
+                                                        any_protocol, side):
+    """Each side calls ``Sim._sweep_flagged`` once per activation, on the
+    acting process, after the region entries of the step, each of which
+    calls it once for its process. A sweep skipped or inlined in either
+    step loop fails here, so the test that swaps this method for a sweep at
+    every activation cannot pass without exercising it."""
+    sc = build_scenario(any_protocol)
+    trace = None if side == "kernel" else run_scenario(sc)
+    calls = []
+    real = Sim._sweep_flagged
+
+    def counting(self, proc):
+        calls.append((self.step, proc.pid))
+        return real(self, proc)
+
+    monkeypatch.setattr(Sim, "_sweep_flagged", counting)
+    if trace is None:
+        trace = run_scenario(sc)
+    else:
+        Replayer(sc.prog, trace, 0).run()
+    entered = {}
+    for ev in trace.iter_events(tr.EV_RC):
+        entered.setdefault(ev.step, []).append((ev.step, ev.pid))
+    assert calls == [call for step, pid, *_ in trace.rows
+                     for call in entered.get(step, []) + [(step, pid)]]
 
 
 def test_snapshots_bracket_the_run(any_protocol):
@@ -420,9 +478,6 @@ def _mint_side(side: str, d: int, protocol: str = "logical_clocks"):
     events = []
     sim.emit = events.append  # record every effect instead of checking it
     return Ctx(sim, sim.procs[0], 0, d, 0.5, 0.5), events
-
-
-SIDES = ("kernel", "oracle")
 
 
 @pytest.mark.parametrize("side", SIDES)
