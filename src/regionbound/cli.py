@@ -24,10 +24,10 @@ EXIT_CONFIG = 2
 _text = functools.partial(json.dumps, sort_keys=True)
 
 
-def _echo_derived(sc: scenario.Scenario) -> None:
+def _echo_derived(sc: scenario.Scenario, seed: int) -> None:
+    """The scenario's derived sizes, headed by the seed the run uses."""
     d = sc.derived
-    print(f"scenario: protocol={sc.protocol} n={sc.n} "
-          f"seed={sc.seed}")
+    print(f"scenario: protocol={sc.protocol} n={sc.n} seed={seed}")
     print(f"derived: total_steps={d['total_steps']} "
           f"start_region={d['start_region']} end_region={d['end_region']} "
           f"lifetime_regions={d['lifetime_regions']}")
@@ -56,7 +56,7 @@ def _match_trace(sc: scenario.Scenario, trace: tr.Trace) -> None:
 def cmd_run(args) -> int:
     sc = scenario.load(args.scenario)
     seed = sc.seed if args.seed is None else args.seed
-    _echo_derived(sc)
+    _echo_derived(sc, seed)
     try:
         trace = kernel.run(sc.cfg, seed)
     except (KernelInvariantError, ProtocolBug) as exc:

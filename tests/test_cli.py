@@ -49,6 +49,18 @@ def test_run_honors_seed_override(run_cli, tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("argv,seed", [((), 2024), (("--seed", "1"), 1)],
+                         ids=["scenario-seed", "seed-override"])
+def test_run_prints_the_seed_it_runs(run_cli, tmp_path, argv, seed):
+    out = tmp_path / "t.jsonl"
+    code, stdout, _ = run_cli("run", "--scenario", SCENARIOS[1], "--out",
+                              str(out), *argv)
+    assert code == EXIT_OK
+    assert stdout.splitlines()[0] == (
+        f"scenario: protocol=mutual_exclusion n=4 seed={seed}")
+    assert tr.load(str(out)).meta["seed"] == seed
+
+
 def test_check_rejects_a_mismatched_pair(run_cli, tmp_path):
     out = tmp_path / "t.jsonl"
     run_cli("run", "--scenario", SCENARIOS[0], "--out", str(out))
