@@ -26,7 +26,8 @@ writer raise or write a line the loader refuses. The row, each event kind
 and the snapshot are written and read by a codec generated once from their
 declared types (:func:`_codec`): a ``%`` template with the keys as constant
 text and a renderer per field type, the json module's C encoder for nested
-values; and a loader that checks each field's type inline. A trace is written a
+values; and a loader that checks each field's type inline and refuses a key
+that is not declared, such as a retired field. A trace is written a
 bounded chunk of lines at a time, and read one line at a time, by the json
 module's C decoder, so neither direction holds a second copy of the whole
 trace. A line holding ``NaN`` or an infinity, which are not JSON, or a
@@ -94,8 +95,9 @@ def _layout(name: str, /, **types) -> type:
 
 
 def misfit(types: dict, d: dict) -> str | None:
-    """What keeps ``d`` from holding each field of ``types`` with its
-    declared type, for the first faulty field in order; None if nothing."""
+    """What keeps ``d`` from holding exactly the fields of ``types``, each
+    with its declared type: the first faulty field in order, else the first
+    key of ``d`` that ``types`` does not declare; None if nothing."""
     for key, t in types.items():
         if key not in d:
             return f"lacks field {key!r}"
@@ -104,6 +106,9 @@ def misfit(types: dict, d: dict) -> str | None:
             return f"field {key!r} may not be a {type(val).__name__}"
         if isinstance(t, _List) and t.load(val) is None:
             return f"field {key!r} must be a {t.what}"
+    for key in d:
+        if key not in types:
+            return f"has undeclared field {key!r}"
     return None
 
 
@@ -195,15 +200,18 @@ class _Record:
     """How a row, an event kind or a snapshot is stored, as two functions
     generated once from its declared types: ``render`` gives a record's
     line, and ``load`` reads a record's data back into its tuple, or
-    returns None when a field does not have its declared type (a missing
-    field raises KeyError). A record that fails to load goes to
-    :meth:`refuse`, which names its first fault in field order."""
+    returns None when a field does not have its declared type or the data
+    holds a key that is not declared (a missing field raises KeyError). A
+    record that fails to load goes to :meth:`refuse`, which names its first
+    fault in field order, then its first undeclared key."""
 
     __slots__ = ("tag", "what", "types", "render", "load")
 
     def __init__(self, tag: str, what: str, types: dict, cls: type,
                  kind: str | None = None):
-        self.tag, self.what, self.types = tag, what, types
+        # every key of the record's data: its step and an event's kind too
+        self.tag, self.what = tag, what
+        self.types = {"step": int, **({"ev": str} if kind else {}), **types}
         self.render, self.load = _codec(tag, types, cls, kind)
 
     def refuse(self, d: dict, lineno: int) -> NoReturn:
@@ -249,14 +257,17 @@ def _field_text(t, v: str) -> tuple[str, str]:
 def _codec(tag: str, types: dict, cls: type, kind: str | None):
     """A record's line renderer and its loader, generated as Python source
     from its declared types. The record's tuple is ``(step, *types)``; an
-    event's is ``(step, kind, *types)``, its kind stored under ``ev``."""
+    event's is ``(step, kind, *types)``, its kind stored under ``ev``. The
+    loader reads every declared key, so one count of the data's keys
+    refuses any other key."""
     scope = {"_str": encode_basestring_ascii, "_repr": repr,
              "_map": map, "_commas": ",".join, "_join": "".join,
              "_encode": _encode, "_type": type, "_new": tuple.__new__,
-             "_cls": cls}
+             "_cls": cls, "_len": len}
     fields = [("step", int), *types.items()]
     names = [f"v{i}" for i in range(len(fields))]
-    text, exprs, loads, checks = [], [], [], []
+    text, exprs, loads = [], [], []
+    checks = [f"_len(d) == {len(fields) + (kind is not None)}"]
     for (key, t), v in zip(fields, names):
         fmt, expr = _field_text(t, v)
         text.append(f"{encode_basestring_ascii(key)}:{fmt}")

@@ -443,6 +443,34 @@ def test_list_field_of_the_wrong_shape_is_refused_with_its_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rec,ev,key", [
+    ("event", "send", "send_region_local"),
+    ("event", "send", "bogus"),
+    ("row", None, "bogus"),
+    ("snapshot", None, "bogus"),
+], ids=["retired-send-field", "send", "row", "snapshot"])
+def test_an_undeclared_key_is_refused_with_its_line(run_cli, tmp_path, rec,
+                                                    ev, key):
+    """A record whose data holds a key its kind does not declare, a field
+    the format no longer has among them, is refused, naming its line and
+    the key, where it used to load as if the key were not there."""
+    out = tmp_path / "t.jsonl"
+    path = SCENARIOS[1]
+    run_cli("run", "--scenario", path, "--out", str(out))
+    recs = [json.loads(line) for line in
+            out.read_text(encoding="utf-8").splitlines()]
+    lineno, data = next((i, r["data"]) for i, r in enumerate(recs, 1)
+                        if r["rec"] == rec and r["data"].get("ev") == ev)
+    data[key] = 11
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                   encoding="utf-8")
+    code, _, err = run_cli("check", "--trace", str(out), "--scenario", path)
+    assert code == EXIT_CONFIG
+    assert err == (f"config error: malformed trace {out}: line {lineno}: "
+                   f"{ev + ' event' if ev else rec} has undeclared field "
+                   f"{key!r}\n")
+
+
 def _check_doctored(run_cli, tmp_path, path, change):
     """``check`` on a fresh trace of ``path`` after ``change(records)``."""
     out = tmp_path / "t.jsonl"
@@ -481,6 +509,8 @@ def _first_fault(recs, kind):
      "snapshot at step 0: field 'regions'"),
     (SCENARIOS[1], lambda r: _start(r).pop("procs"),
      "snapshot at step 0: lacks field 'procs'"),
+    (SCENARIOS[1], lambda r: _start(r).update(bogus=1),
+     "snapshot at step 0: has undeclared field 'bogus'"),
     (SCENARIOS[1], _no_snapshots, "no snapshot at step 0"),
     (SCENARIOS[0], _no_snapshots, "no snapshot at step 0"),
     (SCENARIOS[1], lambda r: _events(r, "rc")[0].update(pid=77),
@@ -522,7 +552,7 @@ def _first_fault(recs, kind):
     (SCENARIOS[1], lambda r: _first_cell_row(r).insert(3, 11),
      f"as lists of [{', '.join(tr.CellRow._fields)}] rows"),
 ], ids=["in-flight-row", "cell-row", "regions", "no-procs",
-        "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
+        "undeclared-state-key", "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
         "wfree-name", "dcreate-coll", "fault-detail", "fault-g_region",
         "send-dst", "consume-pid", "var-pid", "fault-kind", "extra-var",
         "missing-var", "fault-kind-renamed", "message-fault-pid",
