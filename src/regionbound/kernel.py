@@ -12,13 +12,13 @@ acting process evaluates its guards on lifted integers and executes the
 first enabled action, or self-loops. :meth:`Kernel.run` is the one step
 loop: the clock tick and the activation run inline, with the run's
 invariants (sizes, generator methods, actions, the row list) bound to locals
-once, and each activation still calls ``_sweep_flagged``. It reaches the
-tick's drift and the action choice through the module-level names
-``advance_clocks`` and ``choose_action``, looked up at each call, so a
-rebinding of either (a counting test, perfbench's tracer) sees every call.
-It makes one context for the run, a local that no kernel attribute holds,
-and each activation rebinds it to the acting process, the step and the
-step's draws.
+once, and each activation calls ``_sweep_flagged`` on the acting process.
+It reaches the tick's drift and the action choice through the module-level
+names ``advance_clocks`` and ``choose_action``, looked up at each call, so
+a rebinding of either (a counting test, perfbench's tracer) sees every
+call. It makes one context for the run, a local that no kernel attribute
+holds, and each activation rebinds it to the acting process, the step and
+the step's draws.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
