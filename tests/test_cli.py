@@ -511,6 +511,8 @@ def _first_fault(recs, kind):
      "snapshot at step 0: lacks field 'procs'"),
     (SCENARIOS[1], lambda r: _start(r).update(bogus=1),
      "snapshot at step 0: has undeclared field 'bogus'"),
+    (SCENARIOS[1], lambda r: _start(r)["procs"][1].update(bogus=1),
+     "snapshot at step 0: pid 1: it needs"),
     (SCENARIOS[1], _no_snapshots, "no snapshot at step 0"),
     (SCENARIOS[0], _no_snapshots, "no snapshot at step 0"),
     (SCENARIOS[1], lambda r: _events(r, "rc")[0].update(pid=77),
@@ -552,11 +554,12 @@ def _first_fault(recs, kind):
     (SCENARIOS[1], lambda r: _first_cell_row(r).insert(3, 11),
      f"as lists of [{', '.join(tr.CellRow._fields)}] rows"),
 ], ids=["in-flight-row", "cell-row", "regions", "no-procs",
-        "undeclared-state-key", "no-snapshot-faulted", "no-snapshot-clean", "rc-pid", "rc-change",
-        "wfree-name", "dcreate-coll", "fault-detail", "fault-g_region",
-        "send-dst", "consume-pid", "var-pid", "fault-kind", "extra-var",
-        "missing-var", "fault-kind-renamed", "message-fault-pid",
-        "process-fault-no-pid", "older-message-row", "older-cell-row"])
+        "undeclared-state-key", "undeclared-proc-key", "no-snapshot-faulted",
+        "no-snapshot-clean", "rc-pid", "rc-change", "wfree-name",
+        "dcreate-coll", "fault-detail", "fault-g_region", "send-dst",
+        "consume-pid", "var-pid", "fault-kind", "extra-var", "missing-var",
+        "fault-kind-renamed", "message-fault-pid", "process-fault-no-pid",
+        "older-message-row", "older-cell-row"])
 def test_trace_that_does_not_fit_its_program_is_a_config_error(
         run_cli, tmp_path, path, change, fault):
     code, _, err = _check_doctored(run_cli, tmp_path, path, change)
