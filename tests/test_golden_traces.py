@@ -265,7 +265,8 @@ def main() -> int:
         sc = scenario.parse(case_doc(name))
         for seed in SEEDS:
             key = f"{name}/{seed}"
-            fresh, pinned = trace_digest(sc, kernel.run(sc.cfg, seed)), GOLDEN.get(key)
+            fresh = trace_digest(sc, kernel.run(sc.cfg, seed))
+            pinned = GOLDEN.get(key)
             differ += fresh != pinned
             print(f"{key} {fresh} {pinned or '-'} "
                   f"{'same' if fresh == pinned else 'DIFFERS'}")
