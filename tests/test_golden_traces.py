@@ -3,10 +3,14 @@
 Each case runs the kernel, serializes the trace to JSONL and applies the
 replay check a ``regionbound check`` would (closure for fault-free runs,
 convergence for faulted ones). The SHA-256 over the JSONL bytes plus the
-verdict lines is pinned below; the rest of ``analysis.check`` (scans and
-safety) must pass too, but stays out of the digest. A change meant to keep
-behaviour (a refactor, a speedup) must leave every digest as it is; a change
-meant to alter traces must say so and re-pin them. The six consensus digests
+verdict lines is pinned in :data:`GOLDEN`. A second map,
+:data:`CHECK_GOLDEN`, pins per case a SHA-256 over every line
+``analysis.check`` prints (the headline checks, the region-gap,
+message-lifetime and dependent-lifetime scans and the safety predicate), so
+a scan that reports another figure changes a digest even when it passes. A
+change meant to keep behaviour (a refactor, a speedup) must leave every
+digest as it is; a change meant to alter traces must say so and re-pin
+them. The six consensus digests
 were re-pinned when a proposer began to offer its own acceptor's accepted
 value (Paxos P2c). Eleven digests of faulted cases were re-pinned when a
 message fault stopped rewriting the message's recorded ``send``. The 18
@@ -24,8 +28,9 @@ the local region from every ``send``); every other byte of every trace,
 and every verdict, stayed as it was.
 
 Run as a script from anywhere, ``python tests/test_golden_traces.py``
-prints each case's fresh digest beside its pinned one and exits 1 if any
-differ, so a byte-identity check or a deliberate re-pin needs no hand work.
+prints each case's fresh digests of both maps beside the pinned ones and
+exits 1 if any differ, so a byte-identity check or a deliberate re-pin
+needs no hand work.
 """
 import hashlib
 import io
@@ -184,6 +189,92 @@ GOLDEN = {
         "64b6723c633a1dda631d78db174abad28cd8a176fdb8af08580d3adec4697e70",
 }
 
+CHECK_GOLDEN = {
+    "logical_clocks-clean/7":
+        "4a142bd06318f875384c99b2a3e06319b5547b900b88a6c1f6e9729a398816a7",
+    "logical_clocks-clean/2024":
+        "4a142bd06318f875384c99b2a3e06319b5547b900b88a6c1f6e9729a398816a7",
+    "logical_clocks-campaign/7":
+        "f576c4f89cc8aca59a0a0e861ef6c80d91473d67c5a107f281b512044ca98784",
+    "logical_clocks-campaign/2024":
+        "f576c4f89cc8aca59a0a0e861ef6c80d91473d67c5a107f281b512044ca98784",
+    "vector_clocks-clean/7":
+        "20415f36e44928bf06da87f4b41cdce46a0f10e0047e8bb50e9d208d16ca1ca6",
+    "vector_clocks-clean/2024":
+        "20415f36e44928bf06da87f4b41cdce46a0f10e0047e8bb50e9d208d16ca1ca6",
+    "vector_clocks-campaign/7":
+        "83ce63b79915744876ec2d8ff4276568ebf3d0cd94196084321944e2b4a3aac8",
+    "vector_clocks-campaign/2024":
+        "83ce63b79915744876ec2d8ff4276568ebf3d0cd94196084321944e2b4a3aac8",
+    "mutual_exclusion-clean/7":
+        "347f1d87be33e83d6f7a6e7b742e5140169deda056e62bf5aba9e24c7dba530a",
+    "mutual_exclusion-clean/2024":
+        "f1372594af9e66bf6a01d6f9af2affe99dc844055f04cb00a075aadc3ed259bd",
+    "mutual_exclusion-campaign/7":
+        "7c862dc3530d5ab094ec6aafad60120b0c2b7bfc40b5ca517dd794910b31ad43",
+    "mutual_exclusion-campaign/2024":
+        "0ab31520ded48286702408a8abaca3a986b6e79f7d2c151e115a4c35d02c43af",
+    "diffusing-clean/7":
+        "771de2ac2578876c26d7b97cbac378e7f50c620a43dbc45f96766381ae7f859c",
+    "diffusing-clean/2024":
+        "771de2ac2578876c26d7b97cbac378e7f50c620a43dbc45f96766381ae7f859c",
+    "diffusing-campaign/7":
+        "5ba1a4a1d5eadedf4278bf03bd7462151689bd38fc135bb77be0c6a2d784b0e2",
+    "diffusing-campaign/2024":
+        "5ba1a4a1d5eadedf4278bf03bd7462151689bd38fc135bb77be0c6a2d784b0e2",
+    "round_checker-clean/7":
+        "771de2ac2578876c26d7b97cbac378e7f50c620a43dbc45f96766381ae7f859c",
+    "round_checker-clean/2024":
+        "20415f36e44928bf06da87f4b41cdce46a0f10e0047e8bb50e9d208d16ca1ca6",
+    "round_checker-campaign/7":
+        "5ba1a4a1d5eadedf4278bf03bd7462151689bd38fc135bb77be0c6a2d784b0e2",
+    "round_checker-campaign/2024":
+        "c64eb2243471656d83797d6926bfcc0df7add120109b032fd71e82898415b1f3",
+    "consensus-clean/7":
+        "6a6586198ad917a952cbf51ffc71e61a5e0f22c68a09f179ad318d591b120a37",
+    "consensus-clean/2024":
+        "d123b29209ca3eb777978dce44d04d895556c3e069dc83b7ccc5a0d8a28d4324",
+    "consensus-campaign/7":
+        "d5076879486c0bd133b01384b7cdc0215b6c0588e206885326561b30b9d20473",
+    "consensus-campaign/2024":
+        "d5076879486c0bd133b01384b7cdc0215b6c0588e206885326561b30b9d20473",
+    "logical_clocks_drift/7":
+        "420649a224cf0fdb2fdb4f69138936a2b5bc58134f5da66477e9b1625f5245a2",
+    "logical_clocks_drift/2024":
+        "420649a224cf0fdb2fdb4f69138936a2b5bc58134f5da66477e9b1625f5245a2",
+    "mutex_fault_recovery/7":
+        "430efe26ee542251c00cff031495b90e57ad6a9ffc7975407a9bc3e284170698",
+    "mutex_fault_recovery/2024":
+        "430efe26ee542251c00cff031495b90e57ad6a9ffc7975407a9bc3e284170698",
+    "consensus_clean/7":
+        "0186e4abae6dce29c4e928a8433bd6051568a62f869b17dadd0c97df053bd2e3",
+    "consensus_clean/2024":
+        "6a3d24836fce6b96c73cbe7199fb6ea3d8baf8c960a5d9765a494c8fe2f14832",
+    "diffusing_ring_faults/7":
+        "9dae97b25686b9138773e9e5a71c2dbc613de09bc323a2a26729ec04b26e18fb",
+    "diffusing_ring_faults/2024":
+        "9dae97b25686b9138773e9e5a71c2dbc613de09bc323a2a26729ec04b26e18fb",
+    "mutex_fault_recovery-stale/7":
+        "c46504ec7642ef31e185c284a9ca4fefe173d4b6c98597f6facabb6d4a832fc7",
+    "mutex_fault_recovery-stale/2024":
+        "c46504ec7642ef31e185c284a9ca4fefe173d4b6c98597f6facabb6d4a832fc7",
+    "logical_clocks-wide/7":
+        "4a142bd06318f875384c99b2a3e06319b5547b900b88a6c1f6e9729a398816a7",
+    "logical_clocks-wide/2024":
+        "4a142bd06318f875384c99b2a3e06319b5547b900b88a6c1f6e9729a398816a7",
+    "mutual_exclusion-wide/7":
+        "c46c1c1a8619bcf64951d0facb6f89e67775ee01e64628f85f659772f5b4d68d",
+    "mutual_exclusion-wide/2024":
+        "c46c1c1a8619bcf64951d0facb6f89e67775ee01e64628f85f659772f5b4d68d",
+}
+
+
+def _digest(h, report) -> str:
+    """``h`` updated with ``report``'s lines, each ended by a newline."""
+    for line in report.lines():
+        h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
 
 def trace_digest(sc, trace) -> str:
     buf = io.StringIO()
@@ -193,10 +284,12 @@ def trace_digest(sc, trace) -> str:
                                             sc.derived["fault_stop_region"])
     else:
         report = analysis.closure_check(sc.prog, trace)
-    h = hashlib.sha256(buf.getvalue().encode("utf-8"))
-    for line in report.lines():
-        h.update(line.encode("utf-8") + b"\n")
-    return h.hexdigest()
+    return _digest(hashlib.sha256(buf.getvalue().encode("utf-8")), report)
+
+
+def check_digest(report) -> str:
+    """SHA-256 over the lines of ``report``, an ``analysis.check``."""
+    return _digest(hashlib.sha256(), report)
 
 
 @pytest.mark.parametrize("name,seed",
@@ -207,6 +300,7 @@ def test_trace_and_verdicts_match_the_golden_digest(name, seed):
     assert trace_digest(sc, trace) == GOLDEN[f"{name}/{seed}"]
     report = analysis.check(sc, trace)
     assert report.ok, report.lines()
+    assert check_digest(report) == CHECK_GOLDEN[f"{name}/{seed}"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -257,20 +351,24 @@ def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
 
 
 def main() -> int:
-    """Print each case's fresh digest beside its pinned one; 1 if any
-    differs or is not pinned."""
+    """Print each case's fresh digests, of the trace and of the check, beside
+    the pinned ones; 1 if any differs or is not pinned."""
     os.chdir(ROOT)  # the shipped scenarios are read by relative path
     differ = 0
     for name in CASES:
         sc = scenario.parse(case_doc(name))
         for seed in SEEDS:
             key = f"{name}/{seed}"
-            fresh = trace_digest(sc, kernel.run(sc.cfg, seed))
-            pinned = GOLDEN.get(key)
-            differ += fresh != pinned
-            print(f"{key} {fresh} {pinned or '-'} "
-                  f"{'same' if fresh == pinned else 'DIFFERS'}")
-    print(f"{differ} of {len(CASES) * len(SEEDS)} digests differ")
+            trace = kernel.run(sc.cfg, seed)
+            for what, pins, fresh in (
+                    ("trace", GOLDEN, trace_digest(sc, trace)),
+                    ("check", CHECK_GOLDEN,
+                     check_digest(analysis.check(sc, trace)))):
+                pinned = pins.get(key)
+                differ += fresh != pinned
+                print(f"{key} {what} {fresh} {pinned or '-'} "
+                      f"{'same' if fresh == pinned else 'DIFFERS'}")
+    print(f"{differ} of {2 * len(CASES) * len(SEEDS)} digests differ")
     return 1 if differ else 0
 
 
