@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from operator import attrgetter, itemgetter
 from typing import IO, NoReturn, Optional
 
@@ -502,7 +502,8 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
 
 def max_region_gap(trace: tr.Trace) -> int:
     """Largest observed region spread, process-to-process or
-    process-to-global, at any clock tick."""
+    process-to-global, at any snapshot or clock tick; a run of consecutive
+    equal clock records has one spread, so it is probed once."""
     gap = 0
 
     def probe(regions, g_region):
@@ -512,8 +513,10 @@ def max_region_gap(trace: tr.Trace) -> int:
 
     for snap in trace.snapshots.values():
         gap = max(gap, probe(snap["regions"], snap["g_region"]))
-    for ev in trace.iter_events(tr.EV_CLOCK):
-        gap = max(gap, probe(ev.regions, ev.g_region))
+    # a clock event's g_region and regions
+    clocks = map(itemgetter(3, 5), trace.iter_events(tr.EV_CLOCK))
+    for (g_region, regions), _ in groupby(clocks):
+        gap = max(gap, probe(regions, g_region))
     return gap
 
 

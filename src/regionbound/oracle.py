@@ -46,8 +46,8 @@ unbounded dynamics started from the lifted state.
 
 from __future__ import annotations
 
-from itertools import compress, count, islice, repeat
-from operator import eq, itemgetter, ne
+from itertools import compress, count, islice
+from operator import indexOf, itemgetter, ne
 
 from . import trace as tr
 from .counters import lift_dep, lift_free
@@ -168,8 +168,10 @@ class Replayer(Sim):
         """Replay to the end of the trace; returns the number of steps checked.
 
         Raises OracleDivergence at the first disagreement between the
-        recorded bounded run and the unbounded reference dynamics. The step
-        loop checks each step's clock record and activation inline.
+        recorded bounded run and the unbounded reference dynamics, and at
+        the step holding the first fault from its start on, which the
+        prelude finds by one C-level scan that stops there. The step loop
+        checks each step's clock record and activation inline.
         """
         rows, events, snapshots = self.trace.rows, self._events, self.trace.snapshots
         nev, n, rs, sptu = len(events), self.prog.n, self.rs, self.sptu
@@ -188,8 +190,10 @@ class Replayer(Sim):
             lo = ends[k]
             k += 1
         kinds = map(itemgetter(1), islice(events, lo, None))
-        fault_at = next(compress(count(lo), map(eq, kinds, repeat(tr.EV_FAULT))),
-                        nev)
+        try:  # the first fault from the cursor on
+            fault_at = lo + indexOf(kinds, tr.EV_FAULT)
+        except ValueError:
+            fault_at = nev
         # pids already activated in the block of n steps the replay starts in
         acted = {pid for _, pid, *_ in rows[start - start % n:start]}
         checked = 0
