@@ -77,6 +77,25 @@ def test_closure_check_refuses_faulted_traces():
         analysis.closure_check(sc.prog, trace)
 
 
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_closure_check_refuses_a_fault_at_either_end(where):
+    """A fault as the first or the last event of a fault-free run is found
+    by the search that stops at the first fault."""
+    sc = build_scenario("logical_clocks")
+    trace = run_scenario(sc)
+    fault = tr.EVENTS[tr.EV_FAULT]
+    if where == "first":
+        trace.events.insert(0, fault(0, tr.EV_FAULT, "overwrite_free", 0,
+                                     "cl", {}, False))
+    else:
+        trace.events.append(fault(trace.steps() - 1, tr.EV_FAULT,
+                                  "overwrite_free", 0, "cl", {}, False))
+    with pytest.raises(ConfigError) as exc:
+        analysis.closure_check(sc.prog, trace)
+    assert str(exc.value) == ("closure check applies to fault-free runs "
+                              "only; this trace records fault injections")
+
+
 def test_convergence_check_on_a_campaign():
     doc = scenario_doc("mutual_exclusion", faults={
         "mode": "campaign", "regions": [14, 15], "seed": 3, "per_family": 1,
@@ -136,6 +155,55 @@ def test_region_gap_scan_catches_a_clock_two_regions_ahead():
     assert report.lines() == [
         "FAIL region-gaps: max inter-process region gap 2 (allowed 1)"]
     assert analysis.scan_region_gaps(trace, 1).ok
+
+
+def _gap_by_record(trace) -> int:
+    """The reference :func:`analysis.max_region_gap`: the spread of every
+    snapshot and every clock record, each probed on its own."""
+    states = [(snap["g_region"], snap["regions"])
+              for snap in trace.snapshots.values()]
+    states += [(ev.g_region, ev.regions)
+               for ev in trace.iter_events(tr.EV_CLOCK)]
+    return max((max(*regions, g) - min(*regions, g) for g, regions in states),
+               default=0)
+
+
+@st.composite
+def clock_traces(draw):
+    """A trace of clock records, with other events between some of them:
+    runs of equal records, repeats of a record after others, records that
+    differ from the one before only in ``g_region``, and a snapshot whose
+    regions may spread wider than any record's."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    region = st.integers(min_value=0, max_value=3)
+    pool = draw(st.lists(st.tuples(region, st.tuples(*[region] * n)),
+                         min_size=1, max_size=4))
+    records = []
+    for idx, run, shift in draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=len(pool) - 1),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=-1, max_value=1)), max_size=12)):
+        g_region, regions = pool[idx]
+        records += [(g_region, regions)] * run
+        if shift:
+            records.append((g_region + shift, regions))
+    clock, arrive = tr.EVENTS[tr.EV_CLOCK], tr.EVENTS[tr.EV_ARRIVE]
+    events = []
+    for step, (g_region, regions) in enumerate(records):
+        events.append(clock(step, tr.EV_CLOCK, step, g_region, regions,
+                            regions))
+        if draw(st.booleans()):
+            events.append(arrive(step, tr.EV_ARRIVE, step))
+    wide = st.integers(min_value=0, max_value=6)
+    snap = {"g_region": draw(wide), "regions": draw(st.lists(
+        wide, min_size=n, max_size=n))}
+    return tr.Trace(meta={}, events=events, snapshots={0: snap})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clock_traces())
+def test_region_gap_probes_each_run_of_equal_records_as_each_record(trace):
+    assert analysis.max_region_gap(trace) == _gap_by_record(trace)
 
 
 def test_msg_lifetime_scan_passes_real_runs(any_protocol):

@@ -179,6 +179,53 @@ def test_fault_inside_the_segment_diverges():
     assert "fault" in str(exc.value)
 
 
+def _fault_at(trace, step: int) -> None:
+    """Record a fault at ``step`` in ``trace``, after the events recorded at
+    ``step`` and before any later one."""
+    at = sum(ev.step <= step for ev in trace.events)
+    trace.events.insert(at, tr.EVENTS[tr.EV_FAULT](
+        step, tr.EV_FAULT, "overwrite_free", 0, "cl", {}, False))
+
+
+@pytest.mark.parametrize("offset,verdict", [
+    (-1, "PASS suffix-replay: suffix from step {start} (region {region}), "
+         "{steps} steps match the unbounded reference"),
+    (0, "FAIL suffix-replay: suffix from step {start} (region {region}) "
+        "diverges at step {start}: fault injection inside the replayed "
+        "segment"),
+], ids=["just-before-the-start", "at-the-start"])
+def test_a_fault_at_a_suffix_start_is_replayed_only_from_the_start(
+        offset, verdict):
+    """A suffix replay skips a fault recorded just before its start step,
+    the last event before the start's, and refuses one at its start."""
+    doc = scenario_doc("logical_clocks", faults={
+        "mode": "list",
+        "entries": [{"when_kind": "region", "when": 10,
+                     "kind": "overwrite_free", "target": "cl",
+                     "pid": 0, "value": 7}],
+    })
+    sc = scenario.parse(doc)
+    trace = run_scenario(sc)
+    region = sc.derived["boundary_region"]
+    start = analysis.snapshot_step_for_region(trace, region)
+    _fault_at(trace, start + offset)
+    report = analysis.suffix_check(sc.prog, trace, region)
+    assert report.lines() == [verdict.format(
+        start=start, region=region, steps=trace.steps() - start)]
+
+
+def test_a_fault_as_the_last_event_diverges_at_the_last_step():
+    sc = build_scenario("logical_clocks")
+    trace = run_scenario(sc)
+    last = trace.steps() - 1
+    _fault_at(trace, last)
+    assert trace.events[-1].kind == tr.EV_FAULT
+    with pytest.raises(OracleDivergence) as exc:
+        replay(sc, trace)
+    assert exc.value.step == last
+    assert exc.value.detail == "fault injection inside the replayed segment"
+
+
 def test_suffix_after_faults_replays_clean():
     doc = scenario_doc("logical_clocks", faults={
         "mode": "list",
