@@ -364,9 +364,10 @@ class Trace:
 
     @classmethod
     def read_jsonl(cls, fp: IO[str]) -> "Trace":
-        """Load a trace from JSON lines; a malformed line, or a second meta
-        or summary record or snapshot of a step, raises
-        :class:`TraceFormatError` naming its line number."""
+        """Load a trace from JSON lines; a malformed line, a record with a
+        key besides ``rec`` and ``data``, or a second meta or summary record
+        or snapshot of a step, raises :class:`TraceFormatError` naming its
+        line number."""
         singles: dict[str, dict] = {}  # the meta and summary records
         rows: list[tuple] = []
         events: list[tuple] = []
@@ -388,6 +389,10 @@ class Trace:
                 raise TraceFormatError(
                     f"line {lineno}: a record must be an object whose 'data' "
                     "is an object")
+            if len(rec) != 2:  # any key besides 'rec' and 'data'
+                stray = next(key for key in rec if key not in ("rec", "data"))
+                raise TraceFormatError(
+                    f"line {lineno}: record has undeclared key {stray!r}")
             tag = rec.get("rec")
             if tag == "event":
                 try:

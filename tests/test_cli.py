@@ -443,32 +443,39 @@ def test_list_field_of_the_wrong_shape_is_refused_with_its_line(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("rec,ev,key", [
-    ("event", "send", "send_region_local"),
-    ("event", "send", "bogus"),
-    ("row", None, "bogus"),
-    ("snapshot", None, "bogus"),
-], ids=["retired-send-field", "send", "row", "snapshot"])
+@pytest.mark.parametrize("rec,ev,key,outer", [
+    ("event", "send", "send_region_local", False),
+    ("event", "send", "bogus", False),
+    ("row", None, "bogus", False),
+    ("snapshot", None, "bogus", False),
+    ("row", None, "bogus", True),
+    ("event", "send", "bogus", True),
+    ("snapshot", None, "bogus", True),
+    ("meta", None, "bogus", True),
+], ids=["retired-send-field", "send", "row", "snapshot", "outer-row",
+        "outer-send", "outer-snapshot", "outer-meta"])
 def test_an_undeclared_key_is_refused_with_its_line(run_cli, tmp_path, rec,
-                                                    ev, key):
+                                                    ev, key, outer):
     """A record whose data holds a key its kind does not declare, a field
-    the format no longer has among them, is refused, naming its line and
-    the key, where it used to load as if the key were not there."""
+    the format no longer has among them, or whose line's object holds a key
+    besides ``rec`` and ``data`` (``outer``), is refused, naming its line
+    and the key, where it used to load as if the key were not there."""
     out = tmp_path / "t.jsonl"
     path = SCENARIOS[1]
     run_cli("run", "--scenario", path, "--out", str(out))
     recs = [json.loads(line) for line in
             out.read_text(encoding="utf-8").splitlines()]
-    lineno, data = next((i, r["data"]) for i, r in enumerate(recs, 1)
-                        if r["rec"] == rec and r["data"].get("ev") == ev)
-    data[key] = 11
+    lineno, r = next((i, r) for i, r in enumerate(recs, 1)
+                     if r["rec"] == rec and r["data"].get("ev") == ev)
+    (r if outer else r["data"])[key] = 11
     out.write_text("".join(json.dumps(r) + "\n" for r in recs),
                    encoding="utf-8")
     code, _, err = run_cli("check", "--trace", str(out), "--scenario", path)
     assert code == EXIT_CONFIG
+    what = ("record has undeclared key" if outer else
+            f"{ev + ' event' if ev else rec} has undeclared field")
     assert err == (f"config error: malformed trace {out}: line {lineno}: "
-                   f"{ev + ' event' if ev else rec} has undeclared field "
-                   f"{key!r}\n")
+                   f"{what} {key!r}\n")
 
 
 def _check_doctored(run_cli, tmp_path, path, change):
