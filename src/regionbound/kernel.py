@@ -1,24 +1,22 @@
 """Deterministic discrete-event simulator for bounded-counter protocols.
 
-One kernel step is: optional clock advance (every ``sptu`` steps), region
-re-anchoring for every process whose clock crossed a boundary, each followed
-by the removal of that process's expired cells, channel maintenance
-(expired-message drops, scheduled fault injections, arrivals), then exactly
-one process activation chosen by a seeded shuffled round-robin. Expired
-cells are swept again before an activation or a region entry only at a
-process's first one or when a fault has touched it since its last sweep:
-no other cell can age without a region change (see :mod:`.sim`). The
+One kernel step is: the clock advance (every ``sptu`` steps) and the region
+entries it reaches, the step's faults, the arrivals, exactly one process
+activation chosen by a seeded shuffled round-robin, and a snapshot if one is
+due. Both are keyed by step once: a region fault fires at the step whose
+tick enters its region, ahead of that step's own, and a snapshot is taken
+once the step before its key is done, where the replayer compares it. The
 acting process evaluates its guards on lifted integers and executes the
 first enabled action, or self-loops. :meth:`Kernel.run` is the one step
 loop: the clock tick and the activation run inline, with the run's
 invariants (sizes, generator methods, actions, the row list) bound to locals
-once, and each activation calls ``_sweep_flagged`` on the acting process.
-It reaches the tick's drift and the action choice through the module-level
-names ``advance_clocks`` and ``choose_action``, looked up at each call, so
-a rebinding of either (a counting test, perfbench's tracer) sees every
-call. It makes one context for the run, a local that no kernel attribute
-holds, and each activation rebinds it to the acting process, the step and
-the step's draws.
+once, and each activation calls ``_sweep_flagged`` on the acting process. It
+reaches the tick's drift and the action choice through the module-level
+names ``advance_clocks`` and ``choose_action``, looked up at each call, so a
+rebinding of either (a counting test, perfbench's tracer) sees every call.
+It makes one context for the run, a local that no kernel attribute holds,
+and each activation rebinds it to the acting process, the step and the
+step's draws.
 
 The counter-free machinery (messages, inboxes, cell expiry, arrivals, the
 clock state and region entry, budget refill and message-horizon drop, the
@@ -30,12 +28,9 @@ its ``_read_free``/``_read_dep`` lift, its ``_write_free``/``_write_dep``
 range-check and reduce, ``_encode`` takes residues of a payload and
 ``_shift`` re-anchors residues on region change (``region_shift``). It
 also draws the randomness (each message's delay and loss included, in
-``_delivery``) and the clocks, and records every effect in the trace. It
-injects a fault by writing the part of the state the fault edits in
-snapshot form (``_proc_state`` or ``_msg_rows``), having
-:meth:`.faults.FaultEntry.apply` edit it, and loading the edited part back
-(``_load_proc`` or ``_load_msg``), as a snapshot loads; the fault event
-records the edited part.
+``_delivery``) and the clocks, and records every effect in the trace. A
+fault is an edit of one part of the state in snapshot form, loaded back as
+a snapshot loads (:meth:`Kernel._apply_fault`).
 
 Everything random is drawn from one seeded generator in a fixed order and
 recorded in the trace, so a run is a pure function of (config, seed) and the
@@ -50,7 +45,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from . import trace as tr
 from .counters import (check_dep, check_free, free_window, lift_dep, lift_free,
@@ -89,6 +83,16 @@ class RunConfig:
                         f"message {kind!r} field {fld!r}: family {fam!r} max_r "
                         f"{self.prog.families[fam].max_r} cannot cover message "
                         f"lifetime {self.lifetime_regions}")
+
+
+def region_of_step(step: int, start_region: int, rs: int, sptu: int) -> int:
+    """The global region during ``step``: a tick every ``sptu`` steps."""
+    return (start_region * rs + step // sptu) // rs
+
+
+def entry_step(region: int, start_region: int, rs: int, sptu: int) -> int:
+    """The step whose tick enters ``region``, one past ``start_region``."""
+    return (region - start_region) * rs * sptu
 
 
 def trace_meta(cfg: RunConfig, seed: int) -> dict:
@@ -133,11 +137,19 @@ class Kernel(Sim):
         self.cfg = cfg
         self.rng = random.Random(seed)
         self.step = 0
-        self._pending_snapshot: Optional[str] = None
-        # when_kind -> when -> the faults scheduled then, in scenario order
-        self._faults: dict[str, dict[int, list]] = {"step": {}, "region": {}}
-        for entry in cfg.faults:
-            self._faults[entry.when_kind].setdefault(entry.when, []).append(entry)
+        start, at = cfg.start_region, (cfg.start_region, cfg.rs, cfg.sptu)
+        # step -> the faults fired after its tick, a region's ahead of the
+        # step's own, each in plan order; no tick enters the start region
+        self._faults: dict[int, list] = {}
+        for e in sorted(cfg.faults, key=lambda e: e.when_kind == "step"):
+            if e.when_kind == "step" or e.when > start:
+                self._faults.setdefault(e.when if e.when_kind == "step" else
+                                        entry_step(e.when, *at), []).append(e)
+        # step -> the label of the snapshot taken once the step before is done
+        self._labels = {0: "start", **{entry_step(r, *at) + 1: f"region:{r}"
+                                       for r in cfg.snapshot_regions
+                                       if r > start},
+                        cfg.total_steps: "final"}
 
         self.trace = tr.Trace(meta=trace_meta(cfg, seed))
         self.emit = self.trace.events.append  # the kernel records each event
@@ -197,13 +209,6 @@ class Kernel(Sim):
     def _shift(self, proc: ProcState, new_region: int) -> list[tuple]:
         return region_shift(proc, new_region, self.free_fams, self.coll_fams)
 
-    def _on_global_region(self) -> None:
-        super()._on_global_region()
-        for entry in self._faults["region"].get(self.g_region, ()):
-            self._apply_fault(entry)
-        if self.g_region in self.cfg.snapshot_regions:
-            self._pending_snapshot = f"region:{self.g_region}"
-
     def _apply_fault(self, entry) -> None:
         """Edit the part of the state ``entry`` corrupts in snapshot form,
         load it back and record the edited part."""
@@ -227,23 +232,20 @@ class Kernel(Sim):
     def run(self) -> tr.Trace:
         """The step loop: the clock tick and the activation run inline, with
         the run's invariants bound to locals once."""
-        self._pending_snapshot = "start"
         cfg, prog, procs, rng = self.cfg, self.prog, self.procs, self.rng
         n, sptu, rs, drift = prog.n, cfg.sptu, cfg.rs, cfg.drift
         random, bits, shuffle = rng.random, rng.getrandbits, rng.shuffle
         actions, record = prog.actions, self.trace.rows.append
-        due, step_faults = self.due, self._faults["step"]
+        due, faults, labels = self.due, self._faults, self._labels
         width = self.maxinc  # d is draw(rng, 1, maxinc), made inline
         k = width.bit_length()
         order: list[int] = []
         # every activation rebinds its process and draws; a local, so no
         # cycle through the kernel keeps either alive after the run
         ctx = Ctx(self, procs[0], 0, 1, 0.0, 0.0)
+        self._snapshot(labels[0])
         for step in range(cfg.total_steps):
             self.step = step
-            if self._pending_snapshot is not None:
-                self._snapshot(self._pending_snapshot)
-                self._pending_snapshot = None
             if step and step % sptu == 0:
                 t = self.t + 1
                 local = advance_clocks(self.t, self.locals, rs, drift, rng)
@@ -251,8 +253,8 @@ class Kernel(Sim):
                 self.emit_clock(t=t, g_region=t // rs, locals=tuple(local),
                                 regions=tuple(regions))
                 self._move_clocks(t, t // rs, local, regions)
-            if step in step_faults:
-                for entry in step_faults[step]:
+            if step in faults:
+                for entry in faults[step]:
                     self._apply_fault(entry)
             if step in due:
                 self._arrivals()
@@ -276,8 +278,9 @@ class Kernel(Sim):
                 act = actions[idx]
                 record((step, pid, idx, act.name, d, u1, u2))
                 act.body(ctx)
-        self.step = cfg.total_steps
-        self._snapshot("final")
+            if step + 1 in labels:
+                self.step = step + 1
+                self._snapshot(labels[step + 1])
         summary = self.trace.summary
         summary["final_g_region"] = self.g_region
         summary["final_t"] = self.t

@@ -128,10 +128,6 @@ def _parse_fault_entry(raw: dict, idx: int) -> faults.FaultEntry:
         age=raw.get("age", 0))
 
 
-def _region_of_step(step: int, start_region: int, rs: int, sptu: int) -> int:
-    return (start_region * rs + step // sptu) // rs
-
-
 def parse(doc: dict) -> Scenario:
     """Validate a scenario document and build everything it describes."""
     if not isinstance(doc, dict):
@@ -237,9 +233,8 @@ def parse(doc: dict) -> Scenario:
             faults.validate_entries(prog, entries)
         else:
             raise ConfigError("faults.mode must be 'campaign' or 'list'")
-        when_regions = [e.when if e.when_kind == "region"
-                        else _region_of_step(e.when, start_region, rs, sptu)
-                        for e in entries]
+        when_regions = [kernel.region_of_step(e.when, start_region, rs, sptu)
+                        if e.when_kind == "step" else e.when for e in entries]
         for when_region in when_regions:
             if not start_region < when_region <= end_region:
                 raise ConfigError(

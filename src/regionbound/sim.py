@@ -2,15 +2,16 @@
 
 Both sides run the same protocol over the same network and clocks: messages
 in flight and in inboxes, cell expiry, arrivals, region entry after a clock
-tick (:meth:`Sim._move_clocks`) with the lag-aware budget refill and the
-message-lifetime drop at every global region change, the action-facing
-context API and send path, and the snapshot form of the state, which is
-also how both start (:meth:`Sim._load`). A process is loaded and written in
-that form by one pair of methods (:meth:`Sim._load_proc`,
-:meth:`Sim._proc_state`) and a message by another (:meth:`Sim._load_msg`,
-:meth:`Sim._msg_rows`); a fault is an edit of one such part between the
-two. They differ only in counter arithmetic, in where the delivery draws
-come from, and in what becomes of an effect.
+tick (:meth:`Sim._move_clocks`, overridden by neither) with the lag-aware
+budget refill and the message-lifetime drop at every global region change,
+the action-facing context API and send path, and the snapshot form of the
+state, which is how both start (:meth:`Sim._load`) and what both take at the
+end of a step. A process is loaded and written in that form by one pair of
+methods (:meth:`Sim._load_proc`, :meth:`Sim._proc_state`) and a message by
+another (:meth:`Sim._load_msg`, :meth:`Sim._msg_rows`); a fault is an edit
+of one such part between the two, after a tick and before arrivals. They
+differ only in counter arithmetic, in where the delivery draws come from,
+and in what becomes of an effect.
 
 A message in flight or in an inbox is a ``trace.MsgRow`` tuple, its cells
 in this side's arithmetic; a change puts a new tuple in its place, never
