@@ -62,7 +62,10 @@ def cmd_run(args) -> int:
     except (KernelInvariantError, ProtocolBug) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    tr.save(trace, args.out)
+    try:
+        tr.save(trace, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write trace {args.out}: {exc}") from exc
     print(f"wrote {args.out}: {len(trace.events)} events, "
           f"{len(trace.rows)} action rows, {len(trace.snapshots)} snapshots")
     return EXIT_OK
@@ -99,25 +102,19 @@ def cmd_bits(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.grid, encoding="utf-8") as fp:
-            grid = json.load(fp)
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid {args.grid}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.grid}: not valid JSON ({exc})") from exc
+    grid = scenario.read_json(args.grid, "grid")
     if not isinstance(grid, dict):
         raise ConfigError("grid must be a JSON object")
-    extra = sorted(set(grid) - {"rs", "delays", "rates"})
-    if extra:
-        raise ConfigError(f"unknown field(s) in grid: {', '.join(extra)}")
-    for name in ("rs", "delays", "rates"):
-        if name not in grid:
-            raise ConfigError(f"grid is missing required field '{name}'")
-    rows = analysis.sweep(grid["rs"], grid["delays"], grid["rates"])
+    names = ("rs", "delays", "rates")
+    scenario._strict(grid, "grid", names)
+    rows = analysis.sweep(*(scenario._require(grid, "grid", name)
+                            for name in names))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            analysis.write_sweep_csv(rows, fp)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fp:
+                analysis.write_sweep_csv(rows, fp)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}: {len(rows)} rows")
     else:
         analysis.write_sweep_csv(rows, sys.stdout)

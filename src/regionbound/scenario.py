@@ -276,13 +276,18 @@ def parse(doc: dict) -> Scenario:
                     derived=derived)
 
 
-def load(path: str) -> Scenario:
-    """Parse the scenario file at ``path``, which must be JSON: no NaN."""
+def read_json(path: str, what: str):
+    """The document in the ``what`` file at ``path``, which must be JSON in
+    UTF-8: no NaN."""
     try:
         with open(path, encoding="utf-8") as fp:
-            doc = json.load(fp, parse_constant=refuse_constant)
+            return json.load(fp, parse_constant=refuse_constant)
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # a decode error or a refused constant
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse(doc)
+
+
+def load(path: str) -> Scenario:
+    """Parse the scenario file at ``path``."""
+    return parse(read_json(path, "scenario"))

@@ -400,6 +400,27 @@ def test_wrong_grid_value_is_a_config_error(run_cli, tmp_path, grid):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["grid-not-utf8", "sweep-out", "run-out"])
+def test_an_unreadable_grid_or_unwritable_output_is_a_config_error(
+        run_cli, tmp_path, case):
+    """A grid that is not UTF-8 and an output path no file can be created
+    at exit 2 with a message, not with a traceback."""
+    nowhere = str(tmp_path / "no-such-dir" / "out")
+    if case == "grid-not-utf8":
+        bad = tmp_path / "grid.json"
+        bad.write_bytes(b'{"rs": [100], "delays": [900], "rates": [1]}\xff')
+        argv = ("sweep", "--grid", str(bad))
+    elif case == "sweep-out":
+        argv = ("sweep", "--grid", "scenarios/sweep_grid.json",
+                "--out", nowhere)
+    else:
+        argv = ("run", "--scenario", SCENARIOS[2], "--out", nowhere)
+    code, _, err = run_cli(*argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_arrival_of_an_unsent_message_fails_the_lifetime_scan(run_cli,
                                                                tmp_path):
     out = tmp_path / "t.jsonl"
