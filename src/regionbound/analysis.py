@@ -65,12 +65,10 @@ class VerificationReport:
 def interval_index(region: int, params: CounterParams) -> int:
     """Which third of the modulus cycle ``region`` falls in.
 
-    The window's floor advances 3*maxinc per region and the modulus is
-    3*maxinc*(11 + 3*max_r), so the floor wraps every 11 + 3*max_r regions
-    and one interval (a third of the modulus) spans that many thirds of a
-    region span.
+    The window's floor advances 3*maxinc per region, so it stands at
+    3*maxinc*region, and an interval is a third of the modulus.
     """
-    return 3 * region // (11 + 3 * params.max_r)
+    return 9 * params.maxinc * region // params.maxbound
 
 
 def convergence_boundary(families: dict[str, CounterParams], fstop: int) -> int:
@@ -205,8 +203,7 @@ def _int_map(d: dict, keys) -> bool:
 def _registers(prog) -> tuple[dict, dict, dict]:
     """One past the largest residue a register holds, ``2**bits`` of its
     family: by free counter, by collection, and by message kind and field."""
-    cap = {fam: 1 << bits_required(p.maxinc, p.max_r)
-           for fam, p in prog.families.items()}
+    cap = {fam: 1 << p.bits for fam, p in prog.families.items()}
     return ({name: cap[fam] for name, fam in prog.free_cells.items()},
             {coll: cap[d.family] for coll, d in prog.colls.items()},
             {kind: {fld: cap[fam] for fld, fam in d.cell_fields.items()}

@@ -49,7 +49,8 @@ class CounterParams:
     dependent collection of the family shares ``r_b`` and ``r_f``: a cell's
     value was copied from a free counter at most r_b regions before the
     cell was created, and the cell is removed within r_f global regions of
-    its creation. ``max_r`` (r_b + r_f) and ``maxbound`` are derived.
+    its creation. ``max_r`` (r_b + r_f), ``maxbound`` and ``bits``, the
+    width of a register that holds a residue, are derived.
     """
 
     maxinc: int
@@ -57,12 +58,14 @@ class CounterParams:
     r_f: int
     max_r: int = field(init=False)
     maxbound: int = field(init=False)
+    bits: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.r_b < 0 or self.r_f < 0:
             raise ConfigError(f"dependent bounds must be >= 0, got ({self.r_b}, {self.r_f})")
         object.__setattr__(self, "max_r", self.r_b + self.r_f)
         object.__setattr__(self, "maxbound", maxbound_of(self.maxinc, self.max_r))
+        object.__setattr__(self, "bits", bits_required(self.maxinc, self.max_r))
 
     def min_usable_region(self) -> int:
         """Smallest region where dependent windows are defined (non-negative)."""

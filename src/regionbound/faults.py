@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import trace as tr
-from .counters import bits_required
 from .errors import ConfigError, is_int
 
 
@@ -97,10 +96,9 @@ class FaultEntry:
                 return {"mid": msg.mid}
             fld = self.target[1]
             if fld not in msg.cells:  # the k-th that can hold value stands in
-                fams = {f: prog.families[fam] for f, fam
-                        in prog.msgs[msg.kind].cell_fields.items()}
-                flds = [f for f in sorted(msg.cells) if value
-                        < 1 << bits_required(fams[f].maxinc, fams[f].max_r)]
+                decl = prog.msgs[msg.kind].cell_fields
+                flds = [f for f in sorted(msg.cells)
+                        if value < 1 << prog.families[decl[f]].bits]
                 if not flds:
                     return None
                 fld = flds[k % len(flds)]
@@ -207,8 +205,7 @@ def validate_entries(prog, entries) -> None:
         if not kind.writes_residue:
             continue
         for fam in fams:
-            params = prog.families[fam]
-            bits = bits_required(params.maxinc, params.max_r)
+            bits = prog.families[fam].bits
             if not 0 <= e.value < 1 << bits:
                 raise ConfigError(
                     f"{where}: value {e.value!r} is no residue of family "

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import analysis, faults, kernel
-from .counters import CounterParams, bits_required
+from .counters import CounterParams
 from .errors import ConfigError, is_int
 from .protocols import REGISTRY
 from .protocols.base import BuildInfo
@@ -266,7 +266,7 @@ def parse(doc: dict) -> Scenario:
         "families": {
             name: {"max_r": p.max_r,
                    "maxbound": p.maxbound,
-                   "bits": bits_required(p.maxinc, p.max_r)}
+                   "bits": p.bits}
             for name, p in families.items()},
         "fault_count": len(entries),
         "fault_stop_region": fstop,

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionbound import analysis, scenario
+from regionbound import analysis, counters, scenario
 from regionbound import trace as tr
 from regionbound.counters import CounterParams
 from regionbound.errors import ConfigError
@@ -38,6 +38,19 @@ def test_convergence_boundary_takes_the_slowest_family():
         assert (analysis.interval_index(b, p)
                 >= analysis.interval_index(9, p) + 3)
     assert b == analysis.convergence_boundary({"slow": fams["slow"]}, 9)
+
+
+def test_the_boundary_follows_the_modulus(monkeypatch):
+    """The interval index reads the register geometry from the modulus
+    alone, so a modulus of two dependent-window widths in place of three
+    moves the boundary."""
+    fams = {"a": CounterParams(maxinc=3, r_b=6, r_f=3)}
+    assert analysis.convergence_boundary(fams, 20) == 51
+    monkeypatch.setattr(counters, "maxbound_of",
+                        lambda maxinc, max_r: 2 * maxinc * (11 + 3 * max_r))
+    fams = {"a": CounterParams(maxinc=3, r_b=6, r_f=3)}
+    assert fams["a"].maxbound == 228
+    assert analysis.convergence_boundary(fams, 20) == 43
 
 
 @settings(max_examples=200, deadline=None)
