@@ -292,6 +292,55 @@ def test_boundary_snapshot_taken_when_requested():
     assert f"region:{boundary}" in labels
 
 
+def _labels(trace):
+    return {step: snap["label"] for step, snap in trace.snapshots.items()}
+
+
+def _regions_off_the_run(cfg):
+    """Regions no tick of a run of ``cfg`` enters: its start region, the
+    one below it and the one past its last."""
+    span = cfg.rs * cfg.sptu
+    return {"start": cfg.start_region, "below-start": cfg.start_region - 1,
+            "past-the-run": cfg.start_region + cfg.total_steps // span}
+
+
+@pytest.mark.parametrize("where", ["start", "below-start", "past-the-run"])
+def test_a_snapshot_region_the_run_never_enters_takes_no_snapshot(where):
+    sc = build_scenario("logical_clocks")
+    region = _regions_off_the_run(sc.cfg)[where]
+    cfg = dataclasses.replace(sc.cfg, snapshot_regions=(region,))
+    trace = kernel_mod.run(cfg, sc.seed)
+    assert _labels(trace) == {0: "start", cfg.total_steps: "final"}
+
+
+def test_a_region_entered_at_the_last_step_leaves_only_the_final_snapshot():
+    """A region snapshot is taken once its entry step is done; when that
+    step is the last, the final snapshot stands in its place."""
+    sc = build_scenario("logical_clocks")
+    span = sc.cfg.rs * sc.cfg.sptu
+    last, before = sc.cfg.start_region + 10, sc.cfg.start_region + 9
+    cfg = dataclasses.replace(sc.cfg, total_steps=10 * span + 1,
+                              snapshot_regions=(before, last))
+    trace = kernel_mod.run(cfg, sc.seed)
+    clock = list(trace.iter_events(tr.EV_CLOCK))[-1]
+    assert (clock.step, clock.g_region) == (cfg.total_steps - 1, last)
+    assert _labels(trace) == {0: "start", 9 * span + 1: f"region:{before}",
+                              cfg.total_steps: "final"}
+
+
+@pytest.mark.parametrize("where", ["start", "below-start", "past-the-run"])
+def test_a_region_fault_the_run_never_enters_records_no_fault(where):
+    sc = build_scenario("logical_clocks")
+    inside = sc.cfg.start_region + 2
+    plan = tuple(faults.FaultEntry("region", region, "overwrite_free", "cl",
+                                   pid=0, value=region)
+                 for region in (_regions_off_the_run(sc.cfg)[where], inside))
+    trace = kernel_mod.run(dataclasses.replace(sc.cfg, faults=plan), sc.seed)
+    fired = [ev.detail["proc"]["free"]
+             for ev in trace.iter_events(tr.EV_FAULT)]
+    assert fired == [{"cl": inside}]
+
+
 def test_meta_records_the_run_shape(any_protocol):
     sc = build_scenario(any_protocol)
     trace = run_scenario(sc, seed=123)
