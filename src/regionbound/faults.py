@@ -31,8 +31,9 @@ from .errors import ConfigError, is_int
 class FaultEntry:
     """One scheduled corruption.
 
-    when_kind: "region" fires when the global region first equals ``when``;
-        "step" fires at the top of step ``when``.
+    when_kind: "region" fires at the step whose tick enters region
+        ``when``, ahead of that step's own faults; "step" fires at step
+        ``when``, after its tick and before its arrivals.
     target: kind-specific.
         overwrite_free: free-counter name.
         overwrite_dep / delete_dep: (collection, k) picking the k-th live
