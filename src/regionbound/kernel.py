@@ -91,7 +91,8 @@ def region_of_step(step: int, start_region: int, rs: int, sptu: int) -> int:
 
 
 def entry_step(region: int, start_region: int, rs: int, sptu: int) -> int:
-    """The step whose tick enters ``region``, one past ``start_region``."""
+    """The step whose tick enters ``region``, a region above
+    ``start_region``."""
     return (region - start_region) * rs * sptu
 
 
@@ -140,12 +141,15 @@ class Kernel(Sim):
         start, at = cfg.start_region, (cfg.start_region, cfg.rs, cfg.sptu)
         # step -> the faults fired after its tick, a region's ahead of the
         # step's own, each in plan order; no tick enters the start region
+        # or one below it
         self._faults: dict[int, list] = {}
         for e in sorted(cfg.faults, key=lambda e: e.when_kind == "step"):
-            if e.when_kind == "step" or e.when > start:
-                self._faults.setdefault(e.when if e.when_kind == "step" else
-                                        entry_step(e.when, *at), []).append(e)
-        # step -> the label of the snapshot taken once the step before is done
+            if e.when_kind == "step":
+                self._faults.setdefault(e.when, []).append(e)
+            elif e.when > start:
+                self._faults.setdefault(entry_step(e.when, *at), []).append(e)
+        # step -> the label of the snapshot taken once the step before is
+        # done; a region entered by the last step's tick yields to "final"
         self._labels = {0: "start", **{entry_step(r, *at) + 1: f"region:{r}"
                                        for r in cfg.snapshot_regions
                                        if r > start},

@@ -341,6 +341,26 @@ def test_a_region_fault_the_run_never_enters_records_no_fault(where):
     assert fired == [{"cl": inside}]
 
 
+def test_a_region_fault_fires_ahead_of_its_entry_steps_own_faults():
+    """Listed first, a step fault still fires after a region fault whose
+    region the same step's tick enters; each kind keeps its plan order."""
+    sc = build_scenario("logical_clocks")
+    region = sc.cfg.start_region + 2
+    step = 2 * sc.cfg.rs * sc.cfg.sptu
+    listed = (("step", step, 1), ("region", region, 2),
+              ("step", step, 3), ("region", region, 4))
+    plan = tuple(faults.FaultEntry(kind, when, "overwrite_free", "cl", pid=0,
+                                   value=value)
+                 for kind, when, value in listed)
+    trace = kernel_mod.run(dataclasses.replace(sc.cfg, faults=plan), sc.seed)
+    fired = [(ev.step, ev.detail["proc"]["free"]["cl"])
+             for ev in trace.iter_events(tr.EV_FAULT)]
+    assert fired == [(step, 2), (step, 4), (step, 1), (step, 3)]
+    entered = [ev for ev in trace.iter_events(tr.EV_CLOCK)
+               if ev.g_region == region]
+    assert entered[0].step == step
+
+
 def test_meta_records_the_run_shape(any_protocol):
     sc = build_scenario(any_protocol)
     trace = run_scenario(sc, seed=123)
