@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import IO, NoReturn, Optional
 
 from . import faults
@@ -117,49 +117,54 @@ def validate(prog, trace: tr.Trace) -> None:
         if fault := _snapshot_misfit(prog, declared, regs, snap):
             raise ConfigError(f"malformed trace: snapshot at step {step}: "
                               f"{fault}")
-    first = min(trace.events, key=attrgetter("step"), default=None)
-    if first is not None and first.step < 0:
+    first = min(trace.events, key=itemgetter(0), default=None)
+    if first is not None and first[0] < 0:
         _refuse(first, "is recorded before step 0")
     events = {kind: [] for kind in tr.EVENTS}
     for ev in trace.events:
-        events[ev.kind].append(ev)
+        events[ev[1]].append(ev)
     for kind, event in tr.EVENTS.items():
         if stranger := _stranger(declared, event, events[kind]):
             _refuse(*stranger)
     for ev in events[tr.EV_CLOCK]:
-        if not len(ev.locals) == len(ev.regions) == prog.n:
+        _, _, _, _, local, regions = ev
+        if not len(local) == len(regions) == prog.n:
             _refuse(ev, f"needs {prog.n} locals and regions")
     for ev in events[tr.EV_RC]:
-        for ch in ev.changes:
-            if not ((ch.slot == "free" and ch.key in free_cap)
-                    or (ch.slot == "dep" and ch.coll in coll_cap)):
-                _refuse(ev, f"change {ch.slot!r} {ch.coll!r} {ch.key!r} names "
+        for slot, coll, key, old_res, new_res, _, _ in ev[4]:
+            if not ((slot == "free" and key in free_cap)
+                    or (slot == "dep" and coll in coll_cap)):
+                _refuse(ev, f"change {slot!r} {coll!r} {key!r} names "
                         "no free counter or collection of the program")
-            cap = free_cap[ch.key] if ch.slot == "free" else coll_cap[ch.coll]
-            for res in (ch.old_res, ch.new_res):
+            cap = free_cap[key] if slot == "free" else coll_cap[coll]
+            for res in (old_res, new_res):
                 if not 0 <= res < cap:
                     _refuse(ev, _UNHELD.format(res, cap))
     for ev in events[tr.EV_WFREE]:
-        if not 0 <= ev.residue < free_cap[ev.name]:
-            _refuse(ev, _UNHELD.format(ev.residue, free_cap[ev.name]))
+        _, _, _, name, residue, _, _ = ev
+        if not 0 <= residue < free_cap[name]:
+            _refuse(ev, _UNHELD.format(residue, free_cap[name]))
     for ev in events[tr.EV_DCREATE]:
-        if not 0 <= ev.residue < coll_cap[ev.coll]:
-            _refuse(ev, _UNHELD.format(ev.residue, coll_cap[ev.coll]))
+        _, _, _, coll, _, residue, _, _, _, _ = ev
+        if not 0 <= residue < coll_cap[coll]:
+            _refuse(ev, _UNHELD.format(residue, coll_cap[coll]))
     for ev in events[tr.EV_SEND]:
-        if not _cells_fit(msg_cap[ev.msg_kind], ev.cells):
-            _refuse(ev, f"cells {ev.cells} are no residues that registers of "
-                    f"declared {ev.msg_kind} fields hold")
+        _, _, _, _, _, msg_kind, cells, _, _, _, _ = ev
+        if not _cells_fit(msg_cap[msg_kind], cells):
+            _refuse(ev, f"cells {cells} are no residues that registers of "
+                    f"declared {msg_kind} fields hold")
         if not _delivers_once(ev):
             _refuse(ev, _DELIVERY)
     for ev in events[tr.EV_FAULT]:
-        edit, key = ev.detail, faults._KINDS[ev.fault_kind].record
-        if (key == "proc") != (ev.pid is not None):
-            _refuse(ev, f"of kind {ev.fault_kind} needs " + (
-                "a pid" if key == "proc" else f"pid null, not {ev.pid}"))
-        if list(edit) != (want := [key] if ev.applied else []):
+        _, _, fault_kind, pid, _, edit, applied = ev
+        key = faults._KINDS[fault_kind].record
+        if (key == "proc") != (pid is not None):
+            _refuse(ev, f"of kind {fault_kind} needs " + (
+                "a pid" if key == "proc" else f"pid null, not {pid}"))
+        if list(edit) != (want := [key] if applied else []):
             _refuse(ev, f"detail keys {list(edit)} are not {want}")
         if "proc" in edit:
-            fault = _proc_misfit(prog, regs, ev.pid, edit["proc"])
+            fault = _proc_misfit(prog, regs, pid, edit["proc"])
         elif "msg" in edit:
             fault = _row_misfit(declared, msg_cap, edit["msg"])
         elif "mid" in edit and not is_int(edit["mid"]):
@@ -171,15 +176,16 @@ def validate(prog, trace: tr.Trace) -> None:
 
 
 def _refuse(ev, fault: str) -> NoReturn:
-    raise ConfigError(f"malformed trace: step {ev.step}: {ev.kind} event "
-                      f"{fault}")
+    step, kind = ev[:2]
+    raise ConfigError(f"malformed trace: step {step}: {kind} event {fault}")
 
 
 def _stranger(declared: dict, layout: type, items: list) -> Optional[tuple]:
-    """The first ``layout`` tuple of ``items`` naming, in a field, what
-    ``declared`` lacks in the field's domain, with the fault; or None."""
+    """The first tuple of ``layout``'s fields in ``items`` naming, in a
+    field, what ``declared`` lacks in the field's domain, with the fault; or
+    None."""
     for fld, domain in layout.names.items():
-        known, get = declared[domain], attrgetter(fld)
+        known, get = declared[domain], itemgetter(layout._fields.index(fld))
         if not all(map(known.__contains__, map(get, items))):
             item = next(item for item in items if get(item) not in known)
             return item, f"{fld} {get(item)!r} is not among {list(known)}"
@@ -191,8 +197,9 @@ _UNHELD = "residue {} lies outside [0, {}), what its register holds"
 
 
 def _delivers_once(msg) -> bool:
-    """A ``send`` event or message row ``msg`` arrives or drops, not both."""
-    return (msg.arrival_step is None) != (msg.drop_step is None)
+    """A ``send`` event or message row ``msg`` arrives or drops, not both:
+    its last two fields are its arrival and drop steps."""
+    return (msg[-2] is None) != (msg[-1] is None)
 
 
 def _int_map(d: dict, keys) -> bool:
@@ -369,34 +376,37 @@ def scan_free_containment(prog, trace: tr.Trace, fstop: int,
                    f"{regions[pid]} (>= {settle} = fault stop + 3)")
 
     for ev in trace.events:
-        kind = ev.kind
+        kind = ev[1]
         if kind == tr.EV_RC:
-            regions[ev.pid] = ev.new_region
-            for ch in ev.changes:
-                if ch.slot == "free":
-                    free[ev.pid][ch.key] = ch.new_res
-            written = (list(free[ev.pid].items()) if ev.new_region >= settle
+            step, _, pid, new_region, changes = ev
+            regions[pid] = new_region
+            for slot, _, key, _, new_res, _, _ in changes:
+                if slot == "free":
+                    free[pid][key] = new_res
+            written = (list(free[pid].items()) if new_region >= settle
                        else ())
         elif kind == tr.EV_WFREE:
-            written = [(ev.name, ev.residue)]
-        elif kind == tr.EV_FAULT and "proc" in ev.detail:
+            step, _, pid, name, residue, _, _ = ev
+            written = [(name, residue)]
+        elif kind == tr.EV_FAULT and "proc" in ev[5]:
+            step, _, fault_kind, pid, target, detail, _ = ev
             # only an overwrite_free's target may differ from what it held
-            written = ev.detail["proc"]["free"].items()
-            hit = ev.target if ev.fault_kind == "overwrite_free" else None
+            written = detail["proc"]["free"].items()
+            hit = target if fault_kind == "overwrite_free" else None
             for name, res in written:
-                if name != hit and res != free[ev.pid][name]:
+                if name != hit and res != free[pid][name]:
                     report.add("free-containment", False,
-                               f"step {ev.step}: pid {ev.pid} fault records "
+                               f"step {step}: pid {pid} fault records "
                                f"residue {res} of {name!r}, which held "
-                               f"{free[ev.pid][name]}")
+                               f"{free[pid][name]}")
                     return report
         else:
             continue
         for name, res in written:
-            free[ev.pid][name] = res
-            if regions[ev.pid] >= settle and not fits_free(
-                    res, regions[ev.pid], fams[name]):
-                bad(ev.step, ev.pid, name, res)
+            free[pid][name] = res
+            if regions[pid] >= settle and not fits_free(
+                    res, regions[pid], fams[name]):
+                bad(step, pid, name, res)
                 return report
     report.add("free-containment", True,
                "all free counters fit their windows from 3 regions after "
@@ -470,22 +480,26 @@ def scan_dep_lifetimes(prog, trace: tr.Trace,
     # only these kinds move a cell's life; the C iterators skip the rest
     kinds = map(itemgetter(1), trace.events)
     for ev in compress(trace.events, map(_DEP_LIFE_KINDS.__contains__, kinds)):
-        kind, pid = ev.kind, ev.pid
+        kind = ev[1]
         if kind == tr.EV_RC:
-            regions[pid] = ev.new_region
-            if not all(age_ok(ev.step, pid, key, ev.new_region)
+            step, _, pid, new_region, _ = ev
+            regions[pid] = new_region
+            if not all(age_ok(step, pid, key, new_region)
                        for key in live[pid]):
                 return report
         elif kind == tr.EV_DCREATE:
-            key = (ev.coll, ev.cid)
-            live[pid][key] = ev.created_local
-            if stamped_ahead(ev.step, pid, key):
+            step, _, pid, coll, cid, _, _, created_local, _, _ = ev
+            key = (coll, cid)
+            live[pid][key] = created_local
+            if stamped_ahead(step, pid, key):
                 return report
         elif kind == tr.EV_DREMOVE:
-            live[pid].pop((ev.coll, ev.cid), None)
-        elif kind == tr.EV_FAULT and "proc" in ev.detail:
-            live[pid] = cells(ev.detail["proc"])  # the process it left
-            if any(stamped_ahead(ev.step, pid, key) for key in live[pid]):
+            _, _, pid, coll, cid, _ = ev
+            live[pid].pop((coll, cid), None)
+        elif kind == tr.EV_FAULT and "proc" in ev[5]:
+            step, _, _, pid, _, detail, _ = ev
+            live[pid] = cells(detail["proc"])  # the process it left
+            if any(stamped_ahead(step, pid, key) for key in live[pid]):
                 return report
     if worst < 0:
         report.add("dep-lifetime", True,
@@ -541,22 +555,24 @@ def scan_msg_lifetime(trace: tr.Trace,
     sent = {row.mid: row.send_region_global for row in map(
         tr.MsgRow._make, chain(snap0["in_flight"], *snap0["inboxes"]))}
     for ev in trace.events:
-        kind = ev.kind
+        kind = ev[1]
         if kind == tr.EV_CLOCK:
-            g_region = ev.g_region
+            _, _, _, g_region, _, _ = ev
         elif kind == tr.EV_SEND:
-            sent[ev.mid] = ev.send_region_global
+            _, _, mid, _, _, _, _, _, send_region, _, _ = ev
+            sent[mid] = send_region
         elif kind in (tr.EV_ARRIVE, tr.EV_CONSUME):
-            if ev.mid not in sent:
+            step, _, mid, *_ = ev
+            if mid not in sent:
                 report.add("msg-lifetime", False,
-                           f"step {ev.step}: message {ev.mid} {kind}, but "
+                           f"step {step}: message {mid} {kind}, but "
                            "no send or snapshot records it")
                 return report
-            if g_region > sent[ev.mid] + lifetime:
+            if g_region > sent[mid] + lifetime:
                 report.add("msg-lifetime", False,
-                           f"step {ev.step}: message {ev.mid} {kind} at "
+                           f"step {step}: message {mid} {kind} at "
                            f"global region {g_region}, sent at "
-                           f"{sent[ev.mid]}, past lifetime {lifetime}")
+                           f"{sent[mid]}, past lifetime {lifetime}")
                 return report
     report.add("msg-lifetime", True,
                f"no message outlived its {lifetime}-region lifetime")

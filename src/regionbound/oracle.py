@@ -54,9 +54,21 @@ from .counters import lift_dep, lift_free
 from .sim import Ctx, Sim
 from .transform import choose_action
 
-_new = tuple.__new__  # builds a named tuple from its fields in order
 _NO_EVENT = ("bounded trace records no event where the reference run "
              "produces one")
+
+
+def _mismatch(got: tuple, ev: tuple) -> str:
+    """How the recorded event ``got`` differs from the reference ``ev``:
+    both by their declarations, and, for two events of one kind, the first
+    field they differ in."""
+    got, ev = tr.named(got), tr.named(ev)
+    detail = f"recorded event {got!r} != reference {ev!r}"
+    if got.kind == ev.kind:
+        fld, have, want = next(item for item in zip(got._fields, got, ev)
+                               if item[1] != item[2])
+        detail += f"; field {fld!r}: recorded {have!r}, reference {want!r}"
+    return detail
 
 
 class OracleDivergence(Exception):
@@ -95,7 +107,7 @@ class Replayer(Sim):
             self._fail(_NO_EVENT)
         self._cursor = i + 1
         if (got := self._events[i]) != ev:
-            self._fail(f"recorded event {got!r} != reference {ev!r}")
+            self._fail(_mismatch(got, ev))
 
     # -- counter arithmetic: plain integers, no windows, checks or reductions
     # The load hooks are the only lifts, and look ``lift_free``/``lift_dep``
@@ -126,15 +138,20 @@ class Replayer(Sim):
 
     def _delivery(self) -> tuple:
         """The kernel's draws, read off the send record at the cursor, which
-        :func:`.analysis.validate` has checked sets exactly one of them."""
-        got = self._events[self._cursor] if self._cursor < self._end else None
-        return getattr(got, "arrival_step", None), getattr(got, "drop_step", None)
+        :func:`.analysis.validate` has checked sets exactly one of them: a
+        send's last two fields. Any other record gives neither, and the
+        send fails to match it."""
+        i = self._cursor
+        if i < self._end and (got := self._events[i])[1] == tr.EV_SEND:
+            return got[-2], got[-1]
+        return None, None
 
     # -- region entry ------------------------------------------------------
 
-    def _shift(self, proc, new_r: int) -> list[tr.RcChange]:
+    def _shift(self, proc, new_r: int) -> list[tuple]:
         """Raise each free counter below the new window floor to it, in
-        integers; a counter at or above the floor keeps its value."""
+        integers; a counter at or above the floor keeps its value. Returns
+        the change rows, as ``region_shift`` does."""
         changes = []
         free = proc.free
         for name, old in free.items():
@@ -143,9 +160,8 @@ class Replayer(Sim):
             if old < floor:
                 m = fam.maxbound
                 if floor % m != old % m:
-                    changes.append(_new(tr.RcChange, (
-                        "free", None, name, old % m, floor % m, floor,
-                        False)))
+                    changes.append(("free", None, name, old % m, floor % m,
+                                    floor, False))
                 free[name] = floor
         proc.region = new_r
         return changes
@@ -186,7 +202,7 @@ class Replayer(Sim):
         ends.append(nev)
         lo = k = 0
         start = self.start_step
-        while lo < nev and events[lo].step < start:
+        while lo < nev and events[lo][0] < start:
             lo = ends[k]
             k += 1
         kinds = map(itemgetter(1), islice(events, lo, None))
@@ -204,7 +220,7 @@ class Replayer(Sim):
             step, pid, idx, name, d, u1, u2 = row
             self.step = step
             self._cursor = at = lo
-            if lo < nev and events[lo].step == step:
+            if lo < nev and events[lo][0] == step:
                 lo = ends[k]
                 k += 1
                 if lo > fault_at:
@@ -215,13 +231,15 @@ class Replayer(Sim):
                     fail(_NO_EVENT)
                 got = events[at]
                 self._cursor = at + 1
-                if got.kind != tr.EV_CLOCK:
-                    fail(f"expected a clock record, got {got!r}")
-                regions = [x // rs for x in got.locals]
-                if (got.t != self.t + 1 or got.t // rs != got.g_region
-                        or got.regions != tuple(regions)):
-                    fail(f"clock record {got!r} is internally inconsistent")
-                self._move_clocks(got.t, got.g_region, got.locals, regions)
+                if got[1] != tr.EV_CLOCK:
+                    fail(f"expected a clock record, got {tr.named(got)!r}")
+                _, _, t, g_region, local, recorded = got
+                regions = [x // rs for x in local]
+                if (t != self.t + 1 or t // rs != g_region
+                        or recorded != tuple(regions)):
+                    fail(f"clock record {tr.named(got)!r} is internally "
+                         "inconsistent")
+                self._move_clocks(t, g_region, local, regions)
             if step in due:
                 self._arrivals()
             if not 0 <= pid < n:
@@ -259,12 +277,12 @@ class Replayer(Sim):
                     fail(f"reference run raised {exc!r} in {act.name!r}")
             if self._cursor != lo:
                 fail(f"bounded trace records extra event "
-                     f"{events[self._cursor]!r}")
+                     f"{tr.named(events[self._cursor])!r}")
             checked += 1
             if step + 1 in snapshots:
                 self.step = step + 1
                 self._compare_snapshot(snapshots[step + 1])
         if lo < nev:
-            fail(f"bounded trace records event {events[lo]!r} past its "
-                 "last row")
+            fail(f"bounded trace records event {tr.named(events[lo])!r} past "
+                 "its last row")
         return checked

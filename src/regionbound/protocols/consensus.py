@@ -49,9 +49,9 @@ def phase_of(tag):
 def check_agreement(trace, start_step: int = 0) -> tuple[bool, str]:
     """All decide marks from ``start_step`` onward must carry one value."""
     decided: dict[int, int] = {}
-    for ev in trace.iter_events(tr.EV_MARK):
-        if ev.step >= start_step and ev.mark_kind == "decide":
-            decided[ev.pid] = ev.data["val"]
+    for step, _, mark_kind, pid, data in trace.iter_events(tr.EV_MARK):
+        if step >= start_step and mark_kind == "decide":
+            decided[pid] = data["val"]
     values = set(decided.values())
     if len(values) > 1:
         return False, f"conflicting decisions {decided}"

@@ -38,17 +38,17 @@ def check_safety(trace, start_step: int = 0) -> tuple[bool, str]:
     inside = {pid for pid, p in enumerate(snap["procs"])
               if p["vars"].get("in_cs")}
     entries = 0
-    for ev in trace.iter_events(tr.EV_MARK):
-        if ev.step < start_step or ev.mark_kind != "cs":
+    for step, _, mark_kind, pid, data in trace.iter_events(tr.EV_MARK):
+        if step < start_step or mark_kind != "cs":
             continue
-        if ev.data["phase"] == "enter":
-            inside.add(ev.pid)
+        if data["phase"] == "enter":
+            inside.add(pid)
             entries += 1
             if len(inside) > 1:
-                return False, (f"step {ev.step}: pids {sorted(inside)} in "
+                return False, (f"step {step}: pids {sorted(inside)} in "
                                "the critical section together")
         else:
-            inside.discard(ev.pid)
+            inside.discard(pid)
     return True, f"{entries} entries, never more than one holder"
 
 

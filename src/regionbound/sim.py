@@ -35,9 +35,10 @@ sweeps each process once, emptily.
   ``_read_dep``, ``_write_free``, ``_write_dep``, ``_stored``, ``_shift``,
   ``_encode`` and ``_delivery`` (see :class:`Sim`).
 * Every effect is built by its kind's emitter, ``Sim.emit_<kind>``, which
-  takes the fields ``trace.EVENTS`` declares by name, and goes to ``emit``:
-  the kernel appends it to the trace, the replayer checks it against the
-  next recorded event.
+  takes the fields ``trace.EVENTS`` declares by name and builds the plain
+  tuple ``(step, kind, *fields)`` in declaration order, and goes to
+  ``emit``: the kernel appends it to the trace, the replayer checks it
+  against the next recorded event.
 """
 
 from __future__ import annotations
@@ -488,10 +489,10 @@ class Sim:
                     self.emit_drop(mid=mid, reason="expired")
 
 
-# Sim.emit_<kind>: takes the kind's declared fields by name only
+# Sim.emit_<kind>: takes the kind's declared fields by name only, and emits
+# them as a plain tuple in declaration order
 for _kind, _event in tr.EVENTS.items():
     _fields = ", ".join(_event._fields[2:])
     exec(f"def emit_{_kind}(self, *, {_fields}):\n"
-         f"    self.emit(_new(_event, (self.step, {_kind!r}, {_fields})))",
-         _scope := {"_new": _new, "_event": _event})
+         f"    self.emit((self.step, {_kind!r}, {_fields}))", _scope := {})
     setattr(Sim, f"emit_{_kind}", _scope[f"emit_{_kind}"])

@@ -11,10 +11,17 @@ Each event kind is declared once below with :func:`_kind`: a named tuple
 ``(step, kind, ...)`` whose field names are also its keys in the file and
 whose field types the loader checks, a :class:`Name` type where a field
 names a process, a counter or the like, which :func:`.analysis.validate`
-checks. Emitters made from each (``Sim.emit_<kind>``) build events from
-the fields by name; checkers read them by field name. The rows a snapshot
-stores as JSON lists, a message and a dependent cell, are declared the same
-way with :func:`_layout`, and so are the rows of an ``rc`` event's changes.
+checks. The rows a snapshot stores as JSON lists, a message and a dependent
+cell, are declared the same way with :func:`_layout`, and so are the rows
+of an ``rc`` event's changes. The declarations are the schema: field names
+and order, types, the codec. An event, like a row, is a plain tuple
+``(step, kind, *fields)`` in declaration order, and so is an ``rc`` event's
+change row. Emitters made from each kind (``Sim.emit_<kind>``) build events
+from the fields by name; checkers unpack them by declaration order. A plain
+tuple is cheaper to build and to index than a named one, and one holding
+only atomic values is untracked by the cycle collector at its first
+collection, which most events are. A message that prints an event renders
+it by its declaration with :func:`named`.
 
 The file form is JSON-lines: each line is exactly one JSON value, a record
 ``{"rec": tag, "data": {...}}``, with the fields in declaration order under
@@ -87,7 +94,7 @@ def _admits(t) -> frozenset:
 
 def _layout(name: str, /, **types) -> type:
     """Declare a row stored as a JSON list of these fields in this order: a
-    named tuple to read it by, with the fields' declared types and names."""
+    named tuple of them, with the fields' declared types and names."""
     row = namedtuple(name, types)
     row.admits = tuple(map(_admits, types.values()))
     row.names = {key: t for key, t in types.items() if isinstance(t, Name)}
@@ -119,10 +126,10 @@ def fits(layout: type, row) -> bool:
 
 
 def _rows_of(layout: type) -> _List:
-    """A list of ``layout`` rows, read back as ``layout`` tuples."""
+    """A list of ``layout`` rows, read back as plain tuples."""
     def load(val: list) -> tuple | None:
         if all(map(fits, repeat(layout), val)):
-            return tuple(map(layout._make, val))
+            return tuple(map(tuple, val))
         return None
     return _List(f"list of [{', '.join(layout._fields)}] rows", load)
 
@@ -135,8 +142,10 @@ _INTS = _List("list of integers", _ints)
 
 
 def _kind(name: str, /, **types) -> str:
-    """Declare the event kind ``name`` once: a tuple ``(step, kind, *types)``
-    with named fields, stored in a trace file under the same names.
+    """Declare the event kind ``name`` once: the fields of its tuple
+    ``(step, kind, *types)``, stored in a trace file under the same names.
+    The named tuple registered in :data:`EVENTS` is the declaration; an
+    event is a plain tuple of the same fields.
 
     Each type is what a field holds after loading: a :class:`_List` for a
     JSON list whose items are checked, ``object`` for any JSON value (the
@@ -156,8 +165,9 @@ MsgRow = _layout("MsgRow", mid=int, src=PID, dst=PID, kind=MSG_KIND,
                  arrival_step=_OPT_INT, drop_step=_OPT_INT)
 CellRow = _layout("CellRow", cid=int, residue=int, created_local=int,
                   tag=object)
-# one moved counter of an rc event; slot is "free" (key the counter's name,
-# coll None) or "dep" (coll the collection, key the cell id)
+# one moved counter of an rc event, a plain tuple of these fields; slot is
+# "free" (key the counter's name, coll None) or "dep" (coll the collection,
+# key the cell id)
 RcChange = _layout("RcChange", slot=str, coll=(str, type(None)),
                    key=(str, int), old_res=int, new_res=int, lifted=int,
                    corrected=bool)
@@ -207,12 +217,12 @@ class _Record:
 
     __slots__ = ("tag", "what", "types", "render", "load")
 
-    def __init__(self, tag: str, what: str, types: dict, cls: type,
+    def __init__(self, tag: str, what: str, types: dict,
                  kind: str | None = None):
         # every key of the record's data: its step and an event's kind too
         self.tag, self.what = tag, what
         self.types = {"step": int, **({"ev": str} if kind else {}), **types}
-        self.render, self.load = _codec(tag, types, cls, kind)
+        self.render, self.load = _codec(tag, types, kind)
 
     def refuse(self, d: dict, lineno: int) -> NoReturn:
         if type(d.get("step")) is not int:
@@ -254,16 +264,15 @@ def _field_text(t, v: str) -> tuple[str, str]:
     return "%s", f"_join(_encode({v}, 0))"  # a nested value
 
 
-def _codec(tag: str, types: dict, cls: type, kind: str | None):
+def _codec(tag: str, types: dict, kind: str | None):
     """A record's line renderer and its loader, generated as Python source
-    from its declared types. The record's tuple is ``(step, *types)``; an
-    event's is ``(step, kind, *types)``, its kind stored under ``ev``. The
-    loader reads every declared key, so one count of the data's keys
+    from its declared types. The record's plain tuple is ``(step, *types)``;
+    an event's is ``(step, kind, *types)``, its kind stored under ``ev``.
+    The loader reads every declared key, so one count of the data's keys
     refuses any other key."""
     scope = {"_str": encode_basestring_ascii, "_repr": repr,
              "_map": map, "_commas": ",".join, "_join": "".join,
-             "_encode": _encode, "_type": type, "_new": tuple.__new__,
-             "_cls": cls, "_len": len}
+             "_encode": _encode, "_type": type, "_len": len}
     fields = [("step", int), *types.items()]
     names = [f"v{i}" for i in range(len(fields))]
     text, exprs, loads = [], [], []
@@ -292,23 +301,30 @@ def _codec(tag: str, types: dict, cls: type, kind: str | None):
         values = [names[0], repr(kind), *names[1:]]
     scope["_TEXT"] = (f'{{"rec":{encode_basestring_ascii(tag)},"data":'
                       f'{{{",".join(text)}}}}}\n')
-    values = ", ".join(values)
-    build = f"({values},)" if cls is tuple else f"_new(_cls, ({values}))"
     exec(f"def render(r, /):\n"
          f"    {', '.join(unpack)}, = r\n"
          f"    return _TEXT % ({', '.join(exprs)},)\n"
          f"def load(d, /):\n"
          f"    {'; '.join(loads)}\n"
          f"    if {' and '.join(checks)}:\n"
-         f"        return {build}\n"
+         f"        return ({', '.join(values)},)\n"
          f"    return None\n", scope)
     return scope["render"], scope["load"]
 
 
-_ROW = _Record("row", "row", _ROW_TYPES, tuple)
-_SNAPSHOT_RECORD = _Record("snapshot", "snapshot", {"state": dict}, tuple)
-_EVENT_RECORDS = {kind: _Record("event", f"{kind} event", cls.types, cls, kind)
+_ROW = _Record("row", "row", _ROW_TYPES)
+_SNAPSHOT_RECORD = _Record("snapshot", "snapshot", {"state": dict})
+_EVENT_RECORDS = {kind: _Record("event", f"{kind} event", cls.types, kind)
                   for kind, cls in EVENTS.items()}
+
+
+def named(ev: tuple) -> tuple:
+    """``ev`` as its kind's declared named tuple, an ``rc`` event's change
+    rows as :data:`RcChange` tuples: how a message prints an event."""
+    view = EVENTS[ev[1]]._make(ev)
+    if ev[1] == EV_RC:
+        return view._replace(changes=tuple(map(RcChange._make, view.changes)))
+    return view
 
 
 def refuse_constant(name: str) -> NoReturn:
@@ -326,7 +342,8 @@ _CHUNK_LINES = 256
 class Trace:
     meta: dict[str, Any]
     rows: list[tuple] = field(default_factory=list)
-    events: list[tuple] = field(default_factory=list)  # EVENTS tuples
+    # plain tuples (step, kind, *fields), laid out as EVENTS declares
+    events: list[tuple] = field(default_factory=list)
     snapshots: dict[int, dict] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
 

@@ -24,11 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import trace as tr
 from .counters import CounterParams, lift_dep, lift_free
 from .errors import ConfigError
-
-_new = tuple.__new__  # builds a named tuple from its fields in order
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ def region_shift(
     new_region: int,
     free_fams: dict[str, CounterParams],
     coll_fams: dict[str, CounterParams],
-) -> list[tr.RcChange]:
+) -> list[tuple]:
     """Re-anchor every stored residue when ``proc`` enters ``new_region``.
 
     Free counters: lift at the new region and range-check; a counter that
@@ -93,13 +90,14 @@ def region_shift(
     incremented at will). Dependent cells keep their value whenever it still
     lifts congruently; otherwise they are reset to the window floor.
 
-    Returns :class:`.trace.RcChange` records. ``corrected`` is True only
+    Returns the change rows, each a plain tuple of
+    :data:`.trace.RcChange`'s fields in order. ``corrected`` is True only
     when the outcome is *not* explainable as normal unbounded behaviour (a
     pure raise for free counters, no change for dependent cells), i.e. only
     after corruption.
     """
     old_region = proc.region
-    changes: list[tr.RcChange] = []
+    changes: list[tuple] = []
 
     free = proc.free
     for name, old_res in free.items():
@@ -112,9 +110,8 @@ def region_shift(
                      3 * new_region * fam.maxinc)
         new_res = lifted % fam.maxbound  # to_residue
         if new_res != old_res or lifted != mirror:
-            changes.append(_new(tr.RcChange, (
-                "free", None, name, old_res, new_res, lifted,
-                lifted != mirror)))
+            changes.append(("free", None, name, old_res, new_res, lifted,
+                            lifted != mirror))
             free[name] = new_res
 
     for coll, cells in proc.colls.items():
@@ -127,8 +124,8 @@ def region_shift(
             lifted = lift_dep(old_res, new_region, fam)
             new_res = lifted % fam.maxbound  # to_residue
             if new_res != old_res:
-                changes.append(_new(tr.RcChange, (
-                    "dep", coll, cid, old_res, new_res, lifted, True)))
+                changes.append(("dep", coll, cid, old_res, new_res,
+                                lifted, True))
                 cell.value = new_res
 
     proc.region = new_region

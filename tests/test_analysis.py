@@ -96,13 +96,12 @@ def test_closure_check_refuses_a_fault_at_either_end(where):
     by the search that stops at the first fault."""
     sc = build_scenario("logical_clocks")
     trace = run_scenario(sc)
-    fault = tr.EVENTS[tr.EV_FAULT]
     if where == "first":
-        trace.events.insert(0, fault(0, tr.EV_FAULT, "overwrite_free", 0,
-                                     "cl", {}, False))
+        trace.events.insert(0, (0, tr.EV_FAULT, "overwrite_free", 0, "cl",
+                                {}, False))
     else:
-        trace.events.append(fault(trace.steps() - 1, tr.EV_FAULT,
-                                  "overwrite_free", 0, "cl", {}, False))
+        trace.events.append((trace.steps() - 1, tr.EV_FAULT,
+                             "overwrite_free", 0, "cl", {}, False))
     with pytest.raises(ConfigError) as exc:
         analysis.closure_check(sc.prog, trace)
     assert str(exc.value) == ("closure check applies to fault-free runs "
@@ -158,12 +157,12 @@ def test_region_gap_scan_catches_a_clock_two_regions_ahead():
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
     rs = trace.meta["rs"]
-    i, ev = next((i, ev) for i, ev in enumerate(doctored.events)
-                 if ev.kind == tr.EV_CLOCK and min(ev.regions) == ev.g_region)
+    i, ev = next((i, tr.named(ev)) for i, ev in enumerate(doctored.events)
+                 if ev[1] == tr.EV_CLOCK and min(ev[5]) == ev[3])
     locals_ = list(ev.locals)
     locals_[0] = (ev.g_region + 2) * rs  # two regions past the lowest clock
-    doctored.events[i] = ev._replace(
-        locals=tuple(locals_), regions=tuple(x // rs for x in locals_))
+    doctored.events[i] = tuple(ev._replace(
+        locals=tuple(locals_), regions=tuple(x // rs for x in locals_)))
     report = analysis.scan_region_gaps(doctored, 1)
     assert report.lines() == [
         "FAIL region-gaps: max inter-process region gap 2 (allowed 1)"]
@@ -175,8 +174,8 @@ def _gap_by_record(trace) -> int:
     snapshot and every clock record, each probed on its own."""
     states = [(snap["g_region"], snap["regions"])
               for snap in trace.snapshots.values()]
-    states += [(ev.g_region, ev.regions)
-               for ev in trace.iter_events(tr.EV_CLOCK)]
+    states += [(g_region, regions) for _, _, _, g_region, _, regions
+               in trace.iter_events(tr.EV_CLOCK)]
     return max((max(*regions, g) - min(*regions, g) for g, regions in states),
                default=0)
 
@@ -200,13 +199,11 @@ def clock_traces(draw):
         records += [(g_region, regions)] * run
         if shift:
             records.append((g_region + shift, regions))
-    clock, arrive = tr.EVENTS[tr.EV_CLOCK], tr.EVENTS[tr.EV_ARRIVE]
     events = []
     for step, (g_region, regions) in enumerate(records):
-        events.append(clock(step, tr.EV_CLOCK, step, g_region, regions,
-                            regions))
+        events.append((step, tr.EV_CLOCK, step, g_region, regions, regions))
         if draw(st.booleans()):
-            events.append(arrive(step, tr.EV_ARRIVE, step))
+            events.append((step, tr.EV_ARRIVE, step))
     wide = st.integers(min_value=0, max_value=6)
     snap = {"g_region": draw(wide), "regions": draw(st.lists(
         wide, min_size=n, max_size=n))}
@@ -229,10 +226,11 @@ def test_msg_lifetime_scan_catches_a_stale_arrival():
     sc = build_scenario("mutual_exclusion")
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
-    arrived = {ev.mid for ev in doctored.iter_events(tr.EV_ARRIVE)}
+    arrived = {mid for _, _, mid in doctored.iter_events(tr.EV_ARRIVE)}
     for i, ev in enumerate(doctored.events):
-        if ev.kind == tr.EV_SEND and ev.mid in arrived:
-            doctored.events[i] = ev._replace(send_region_global=0)
+        if ev[1] == tr.EV_SEND and tr.named(ev).mid in arrived:
+            doctored.events[i] = tuple(
+                tr.named(ev)._replace(send_region_global=0))
             break
     report = analysis.scan_msg_lifetime(doctored)
     assert not report.ok

@@ -186,7 +186,7 @@ def test_empty_selector_records_applied_false():
     )
     cfg = dataclasses.replace(sc.cfg, faults=entries)
     trace = kernel.run(cfg, seed=11)
-    fired = list(trace.iter_events(tr.EV_FAULT))
+    fired = list(map(tr.named, trace.iter_events(tr.EV_FAULT)))
     assert [ev.applied for ev in fired] == [False, False]
     # no edit gets recorded when nothing matched
     assert [ev.detail for ev in fired] == [{}, {}]
@@ -228,7 +228,8 @@ def test_a_message_fault_writes_no_residue_its_field_cannot_hold():
          "target": [0, "promised"], "value": 1500}]}
     sc = scenario.parse(doc)
     trace = kernel.run(sc.cfg, sc.seed)
-    assert [ev.applied for ev in trace.iter_events(tr.EV_FAULT)] == [False]
+    assert [applied for *_, applied
+            in trace.iter_events(tr.EV_FAULT)] == [False]
     report = analysis.check(sc, trace)
     assert report.ok, report.lines()
 
@@ -270,12 +271,12 @@ def test_fault_events_record_the_plan():
     })
     sc = scenario.parse(doc)
     trace = run_scenario(sc)
-    clock = next(ev for ev in trace.iter_events(tr.EV_CLOCK)
+    clock = next(ev for ev in map(tr.named, trace.iter_events(tr.EV_CLOCK))
                  if ev.g_region == 12)
     assert clock.step == entry
     fired = [(ev.step, ev.fault_kind, ev.pid, ev.target, ev.applied,
               ev.detail["proc"]["free"])
-             for ev in trace.iter_events(tr.EV_FAULT)]
+             for ev in map(tr.named, trace.iter_events(tr.EV_FAULT))]
     assert fired == [(entry, "overwrite_free", 2, "cl", True, {"cl": 9}),
                      (entry, "overwrite_free", 1, "cl", True, {"cl": 7}),
                      (entry, "overwrite_free", 0, "cl", True, {"cl": 5})]
@@ -366,9 +367,9 @@ def test_a_stale_insert_is_swept_before_its_owner_enters_a_region(step, pid):
     trace = kernel.run(sc.cfg, sc.seed)
     report = analysis.check(sc, trace)
     assert report.ok, report.lines()
-    fault, = trace.iter_events(tr.EV_FAULT)
+    fault, = map(tr.named, trace.iter_events(tr.EV_FAULT))
     cid = max(row[0] for row in fault.detail["proc"]["colls"]["grants"])
-    after = trace.events[trace.events.index(fault):]
+    after = list(map(tr.named, trace.events[trace.events.index(fault):]))
     swept = next(i for i, ev in enumerate(after) if ev.kind == tr.EV_DREMOVE
                  and ev.cid == cid)
     entered = next(i for i, ev in enumerate(after) if ev.kind == tr.EV_RC

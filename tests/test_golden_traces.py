@@ -30,7 +30,8 @@ and every verdict, stayed as it was.
 Run as a script from anywhere, ``python tests/test_golden_traces.py``
 prints each case's fresh digests of both maps beside the pinned ones and
 exits 1 if any differ, so a byte-identity check or a deliberate re-pin
-needs no hand work.
+needs no hand work. The script needs no pytest: the module imports none,
+and its tests take their parameters from :func:`pytest_generate_tests`.
 """
 import hashlib
 import io
@@ -39,8 +40,6 @@ import os
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # run as a script: import this checkout's package
     sys.path.insert(0, str(ROOT / "src"))
@@ -48,7 +47,7 @@ if __name__ == "__main__":  # run as a script: import this checkout's package
 from regionbound import analysis, kernel, scenario  # noqa: E402
 from regionbound import trace as tr  # noqa: E402
 
-from conftest import PROTOCOLS, scenario_doc  # noqa: E402
+from builders import PROTOCOLS, scenario_doc  # noqa: E402
 
 # fault regions (three and four regions after each protocol's default start
 # region) and a run just long enough to pass the convergence boundary
@@ -292,8 +291,16 @@ def check_digest(report) -> str:
     return _digest(hashlib.sha256(), report)
 
 
-@pytest.mark.parametrize("name,seed",
-                         [(name, seed) for name in CASES for seed in SEEDS])
+def pytest_generate_tests(metafunc):
+    """Pytest's hook for this module's parameters: each case at each seed,
+    or each seed."""
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name,seed", [(name, seed) for name in CASES
+                                           for seed in SEEDS])
+    elif "seed" in metafunc.fixturenames:
+        metafunc.parametrize("seed", SEEDS)
+
+
 def test_trace_and_verdicts_match_the_golden_digest(name, seed):
     sc = scenario.parse(case_doc(name))
     trace = kernel.run(sc.cfg, seed)
@@ -303,19 +310,20 @@ def test_trace_and_verdicts_match_the_golden_digest(name, seed):
     assert check_digest(report) == CHECK_GOLDEN[f"{name}/{seed}"]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
 def test_stale_inserts_expire_before_the_owner_acts(seed):
     """Each stale insert is swept at its owner's next activation, at a step
     with no clock tick, so no region change is what removes it."""
     sc = scenario.parse(case_doc("mutex_fault_recovery-stale"))
     trace = kernel.run(sc.cfg, seed)
-    clock_steps = {ev.step for ev in trace.iter_events(tr.EV_CLOCK)}
-    inserts = [ev for ev in trace.iter_events(tr.EV_FAULT) if ev.applied]
+    clock_steps = {step for step, *_ in trace.iter_events(tr.EV_CLOCK)}
+    inserts = [ev for ev in map(tr.named, trace.iter_events(tr.EV_FAULT))
+               if ev.applied]
     assert len(inserts) == 2
     for ev in inserts:
         # the inserted cell takes the next id, above every other
         cid = max(row[0] for row in ev.detail["proc"]["colls"][ev.target])
-        removals = [rm for rm in trace.iter_events(tr.EV_DREMOVE)
+        removals = [rm for rm in map(tr.named,
+                                     trace.iter_events(tr.EV_DREMOVE))
                     if rm.cid == cid]
         assert len(removals) == 1
         step = removals[0].step
@@ -325,7 +333,6 @@ def test_stale_inserts_expire_before_the_owner_acts(seed):
         assert acting[-1] == ev.pid and ev.pid not in acting[:-1]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
 def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
     """The send of a message that a fault overwrites records the value sent:
     the message row the fault records differs from it in one cell, which
@@ -338,8 +345,9 @@ def test_a_message_fault_leaves_the_recorded_send_as_sent(seed):
         value = {json.dumps(e.target): e.value for e in sc.cfg.faults
                  if e.kind == "overwrite_msg"}
         trace = kernel.run(sc.cfg, seed)
-        sends = {ev.mid: ev for ev in trace.iter_events(tr.EV_SEND)}
-        for ev in trace.iter_events(tr.EV_FAULT):
+        sends = {ev.mid: ev
+                 for ev in map(tr.named, trace.iter_events(tr.EV_SEND))}
+        for ev in map(tr.named, trace.iter_events(tr.EV_FAULT)):
             if ev.fault_kind == "overwrite_msg" and ev.applied:
                 row = tr.MsgRow._make(ev.detail["msg"])
                 sent = sends[row.mid].cells

@@ -76,7 +76,7 @@ def test_family_spend_stays_within_budget_per_region():
     trace = run_scenario(sc)
     budgets = {name: p.maxinc for name, p in sc.prog.families.items()}
     spent = Counter()
-    for ev in trace.events:
+    for ev in map(tr.named, trace.events):
         if ev.kind == tr.EV_CLOCK and ev.t % sc.cfg.rs == 0:
             spent.clear()
         elif ev.kind == tr.EV_SPEND:
@@ -91,7 +91,7 @@ def test_fault_free_runs_never_clamp_a_write(any_protocol):
     sc = build_scenario(any_protocol)
     trace = run_scenario(sc)
     assert not sc.has_faults
-    clamps = [ev for ev in trace.events
+    clamps = [ev for ev in map(tr.named, trace.events)
               if ev.kind in (tr.EV_WFREE, tr.EV_DCREATE) and ev.corrected]
     assert clamps == []
 
@@ -102,7 +102,7 @@ def test_messages_never_arrive_past_lifetime(any_protocol):
     lifetime = trace.meta["lifetime_regions"]
     sent = {}
     g_region = trace.meta["start_region"]
-    for ev in trace.events:
+    for ev in map(tr.named, trace.events):
         if ev.kind == tr.EV_CLOCK:
             g_region = ev.g_region
         elif ev.kind == tr.EV_SEND:
@@ -119,11 +119,11 @@ def test_region_entry_follows_each_tick_in_pid_order(any_protocol):
     trace = run_scenario(sc)
     assert not sc.has_faults and sc.cfg.drift.kind == "bounded_jitter"
     by_step = {}
-    for ev in trace.events:
+    for ev in map(tr.named, trace.events):
         by_step.setdefault(ev.step, []).append(ev)
     regions = trace.snapshots[0]["regions"]
     entered = swept = 0
-    for clock in trace.iter_events(tr.EV_CLOCK):
+    for clock in map(tr.named, trace.iter_events(tr.EV_CLOCK)):
         first, *rest = by_step[clock.step]
         assert first == clock
         k = 0
@@ -171,7 +171,7 @@ def test_run_calls_advance_clocks_once_per_tick_step(monkeypatch):
     sptu = sc.cfg.sptu
     assert calls == [step for step in range(1, sc.cfg.total_steps)
                      if step % sptu == 0]
-    assert calls == [ev.step for ev in trace.iter_events(tr.EV_CLOCK)]
+    assert calls == [step for step, *_ in trace.iter_events(tr.EV_CLOCK)]
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -223,8 +223,8 @@ def test_each_activation_sweeps_the_acting_process_once(monkeypatch,
     else:
         Replayer(sc.prog, trace, 0).run()
     entered = {}
-    for ev in trace.iter_events(tr.EV_RC):
-        entered.setdefault(ev.step, []).append((ev.step, ev.pid))
+    for step, _, pid, _, _ in trace.iter_events(tr.EV_RC):
+        entered.setdefault(step, []).append((step, pid))
     assert calls == [call for step, pid, *_ in trace.rows
                      for call in entered.get(step, []) + [(step, pid)]]
 
@@ -322,7 +322,7 @@ def test_a_region_entered_at_the_last_step_leaves_only_the_final_snapshot():
     cfg = dataclasses.replace(sc.cfg, total_steps=10 * span + 1,
                               snapshot_regions=(before, last))
     trace = kernel_mod.run(cfg, sc.seed)
-    clock = list(trace.iter_events(tr.EV_CLOCK))[-1]
+    clock = tr.named(list(trace.iter_events(tr.EV_CLOCK))[-1])
     assert (clock.step, clock.g_region) == (cfg.total_steps - 1, last)
     assert _labels(trace) == {0: "start", 9 * span + 1: f"region:{before}",
                               cfg.total_steps: "final"}
@@ -336,7 +336,7 @@ def test_a_region_fault_the_run_never_enters_records_no_fault(where):
                                    pid=0, value=region)
                  for region in (_regions_off_the_run(sc.cfg)[where], inside))
     trace = kernel_mod.run(dataclasses.replace(sc.cfg, faults=plan), sc.seed)
-    fired = [ev.detail["proc"]["free"]
+    fired = [tr.named(ev).detail["proc"]["free"]
              for ev in trace.iter_events(tr.EV_FAULT)]
     assert fired == [{"cl": inside}]
 
@@ -354,9 +354,9 @@ def test_a_region_fault_fires_ahead_of_its_entry_steps_own_faults():
                  for kind, when, value in listed)
     trace = kernel_mod.run(dataclasses.replace(sc.cfg, faults=plan), sc.seed)
     fired = [(ev.step, ev.detail["proc"]["free"]["cl"])
-             for ev in trace.iter_events(tr.EV_FAULT)]
+             for ev in map(tr.named, trace.iter_events(tr.EV_FAULT))]
     assert fired == [(step, 2), (step, 4), (step, 1), (step, 3)]
-    entered = [ev for ev in trace.iter_events(tr.EV_CLOCK)
+    entered = [ev for ev in map(tr.named, trace.iter_events(tr.EV_CLOCK))
                if ev.g_region == region]
     assert entered[0].step == step
 
@@ -393,8 +393,8 @@ def test_every_kind_is_emitted_by_name_through_its_emitter(monkeypatch):
             seen.add((type(self), kind))
             if type(self) is Kernel:
                 ev = self.trace.events[-1]
-                assert ev._asdict() == {"step": self.step, "kind": kind,
-                                        **fields}
+                assert tr.named(ev)._asdict() == {"step": self.step,
+                                                  "kind": kind, **fields}
         return wrapper
 
     for kind in tr.EVENTS:
@@ -513,7 +513,7 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
     kern = Kernel(sc.cfg, 5)
     ctx = Ctx(kern, kern.procs[0], 0, 1, 0.5, 0.5)
     ctx.broadcast("REQ", {"stamp": ctx.free("clk")})
-    sends = [ev for ev in kern.trace.events if ev.kind == tr.EV_SEND]
+    sends = [tr.named(ev) for ev in kern.trace.events if ev[1] == tr.EV_SEND]
     assert [ev.dst for ev in sends] == [1, 2, 3]
     sent = [dict(ev.cells) for ev in sends]
     assert sent[0] == sent[1] == sent[2]
@@ -525,7 +525,7 @@ def test_a_message_fault_leaves_its_broadcast_siblings_alone():
                               target=[1, "stamp"],
                               value=(sent[1]["stamp"] + 1) % modulus)
     kern._apply_fault(entry)
-    assert kern.trace.events[-1].detail == {
+    assert tr.named(kern.trace.events[-1]).detail == {
         "msg": kern._msg_rows({hit: kern.in_flight[hit]})[0]}
     assert kern.in_flight[hit].cells == {"stamp": entry.value}
     for mid, cells in zip(sorted(kern.in_flight), sent):
@@ -571,7 +571,7 @@ def test_mint_spends_d_then_raises_the_counter_past_its_floor(side, above):
     want = max(before, before + above) + 2
     assert got == want == ctx.free("cl")
     assert ctx.sim.budgets["clock"] == budget - 2
-    spend, wfree = events
+    spend, wfree = map(tr.named, events)
     assert (spend.kind, spend.family, spend.amount) == ("spend", "clock", 2)
     assert (wfree.kind, wfree.name, wfree.lifted, wfree.corrected) == (
         "wfree", "cl", want, False)
@@ -586,7 +586,7 @@ def test_fold_spends_nothing_and_never_lowers_a_counter(side):
     assert ctx.fold("cl", before - 5) == before == ctx.free("cl")
     assert ctx.fold("cl", before + 1) == before + 1 == ctx.free("cl")
     assert ctx.sim.budgets["clock"] == budget
-    assert [(ev.kind, ev.lifted) for ev in events] == [
+    assert [(ev.kind, ev.lifted) for ev in map(tr.named, events)] == [
         ("wfree", before), ("wfree", before + 1)]
 
 
@@ -600,7 +600,7 @@ def test_mint_returns_the_requested_value_even_when_the_write_corrects_it(
     floor = ctx.free("cl")  # the start value is the window floor
     requested = floor + 100 + 1
     assert ctx.mint("cl", floor + 100) == requested
-    wfree = events[-1]
+    wfree = tr.named(events[-1])
     if side == "kernel":
         assert (wfree.lifted, wfree.corrected) == (floor, True)
         assert ctx.free("cl") == floor
@@ -631,7 +631,8 @@ def test_only_the_grown_pids_enter_a_region_in_pid_order(side):
     free = [dict(proc.free) for proc in sim.procs]
     regions = [r, r + 1, r - 1, r + 2, r]
     sim._move_clocks(sim.t + 1, r, [x * rs for x in regions], regions)
-    assert [(ev.kind, ev.pid, ev.new_region) for ev in events] == [
+    assert [(kind, pid, new_region)
+            for _, kind, pid, new_region, _ in events] == [
         ("rc", 1, r + 1), ("rc", 3, r + 2)]
     assert [proc.region for proc in sim.procs] == [r, r + 1, r, r + 2, r]
     assert sim.regions == regions

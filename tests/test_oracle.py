@@ -34,9 +34,9 @@ def test_tampered_event_field_is_caught():
     sc = build_scenario("logical_clocks")
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
-    for i, ev in enumerate(doctored.events):
+    for i, ev in enumerate(map(tr.named, doctored.events)):
         if ev.kind == tr.EV_WFREE:
-            doctored.events[i] = ev._replace(residue=ev.residue + 1)
+            doctored.events[i] = tuple(ev._replace(residue=ev.residue + 1))
             break
     else:
         pytest.fail("run recorded no free-counter writes")
@@ -45,12 +45,31 @@ def test_tampered_event_field_is_caught():
     assert "recorded event" in str(exc.value)
 
 
+def test_a_divergence_names_the_first_field_that_differs():
+    """A recorded event that differs from the reference's in its residue
+    prints both events by their declarations, then the residue field with
+    both values."""
+    sc = build_scenario("logical_clocks")
+    trace = run_scenario(sc)
+    doctored = copy.deepcopy(trace)
+    i = next(i for i, ev in enumerate(trace.events) if ev[1] == tr.EV_WFREE)
+    want = tr.named(trace.events[i])
+    got = want._replace(residue=want.residue + 1)
+    doctored.events[i] = tuple(got)
+    with pytest.raises(OracleDivergence) as exc:
+        replay(sc, doctored)
+    assert exc.value.step == want.step
+    assert exc.value.detail == (
+        f"recorded event {got!r} != reference {want!r}; field 'residue': "
+        f"recorded {got.residue}, reference {want.residue}")
+
+
 def test_deleted_event_is_caught():
     sc = build_scenario("diffusing")
     trace = run_scenario(sc)
     doctored = copy.deepcopy(trace)
     idx = next(i for i, ev in enumerate(doctored.events)
-               if ev.kind == tr.EV_SEND)
+               if ev[1] == tr.EV_SEND)
     del doctored.events[idx]
     with pytest.raises(OracleDivergence):
         replay(sc, doctored)
@@ -60,9 +79,9 @@ def test_an_event_recorded_under_the_next_step_is_caught():
     sc = build_scenario("mutual_exclusion")
     doctored = copy.deepcopy(run_scenario(sc))
     idx = next(i for i, ev in enumerate(doctored.events)
-               if ev.kind == tr.EV_CONSUME)
-    step = doctored.events[idx].step
-    doctored.events[idx] = doctored.events[idx]._replace(step=step + 1)
+               if ev[1] == tr.EV_CONSUME)
+    step, *fields = doctored.events[idx]
+    doctored.events[idx] = (step + 1, *fields)
     with pytest.raises(OracleDivergence, match="records no event") as exc:
         replay(sc, doctored)
     assert exc.value.step == step
@@ -73,11 +92,11 @@ def test_an_event_repeated_at_the_end_of_its_step_is_caught():
     doctored = copy.deepcopy(run_scenario(sc))
     events = doctored.events
     idx = next(i for i, ev in enumerate(events)
-               if ev.kind == tr.EV_SEND and events[i + 1].step != ev.step)
+               if ev[1] == tr.EV_SEND and events[i + 1][0] != ev[0])
     events.insert(idx + 1, events[idx])
     with pytest.raises(OracleDivergence, match="extra event") as exc:
         replay(sc, doctored)
-    assert exc.value.step == events[idx].step
+    assert exc.value.step == events[idx][0]
 
 
 def test_tampered_snapshot_is_caught():
@@ -136,12 +155,12 @@ def test_a_clock_record_at_odds_with_itself_is_caught(tamper):
     sc = build_scenario("logical_clocks")
     doctored = copy.deepcopy(run_scenario(sc))
     idx = [i for i, ev in enumerate(doctored.events)
-           if ev.kind == tr.EV_CLOCK][2]
-    doctored.events[idx] = tamper(doctored.events[idx])
+           if ev[1] == tr.EV_CLOCK][2]
+    doctored.events[idx] = tuple(tamper(tr.named(doctored.events[idx])))
     with pytest.raises(OracleDivergence,
                        match="internally inconsistent") as exc:
         replay(sc, doctored)
-    assert exc.value.step == doctored.events[idx].step
+    assert exc.value.step == doctored.events[idx][0]
 
 
 def test_suffix_replay_knows_who_acted_earlier_in_its_block():
@@ -182,9 +201,9 @@ def test_fault_inside_the_segment_diverges():
 def _fault_at(trace, step: int) -> None:
     """Record a fault at ``step`` in ``trace``, after the events recorded at
     ``step`` and before any later one."""
-    at = sum(ev.step <= step for ev in trace.events)
-    trace.events.insert(at, tr.EVENTS[tr.EV_FAULT](
-        step, tr.EV_FAULT, "overwrite_free", 0, "cl", {}, False))
+    at = sum(ev[0] <= step for ev in trace.events)
+    trace.events.insert(at, (step, tr.EV_FAULT, "overwrite_free", 0, "cl", {},
+                             False))
 
 
 @pytest.mark.parametrize("offset,verdict", [
@@ -219,7 +238,7 @@ def test_a_fault_as_the_last_event_diverges_at_the_last_step():
     trace = run_scenario(sc)
     last = trace.steps() - 1
     _fault_at(trace, last)
-    assert trace.events[-1].kind == tr.EV_FAULT
+    assert trace.events[-1][1] == tr.EV_FAULT
     with pytest.raises(OracleDivergence) as exc:
         replay(sc, trace)
     assert exc.value.step == last

@@ -133,9 +133,9 @@ def test_safety_scanners_are_wired():
 
 def writes_by_pid(trace, name):
     out = defaultdict(list)
-    for ev in trace.iter_events(tr.EV_WFREE):
-        if ev.name == name:
-            out[ev.pid].append(ev.lifted)
+    for _, _, pid, wrote, _, lifted, _ in trace.iter_events(tr.EV_WFREE):
+        if wrote == name:
+            out[pid].append(lifted)
     return out
 
 
@@ -162,8 +162,9 @@ def test_mutex_clean_run_is_safe_and_live():
     trace = run_scenario(sc)
     ok, detail = mutual_exclusion.check_safety(trace, 0)
     assert ok, detail
-    entries = [ev for ev in trace.iter_events(tr.EV_MARK)
-               if ev.mark_kind == "cs" and ev.data["phase"] == "enter"]
+    entries = [step for step, _, mark_kind, _, data
+               in trace.iter_events(tr.EV_MARK)
+               if mark_kind == "cs" and data["phase"] == "enter"]
     assert entries, "no process ever entered the critical section"
 
 
@@ -171,22 +172,22 @@ def test_mutex_enter_and_exit_alternate_per_process():
     sc = build_scenario("mutual_exclusion")
     trace = run_scenario(sc)
     last = {}
-    for ev in trace.iter_events(tr.EV_MARK):
-        if ev.mark_kind != "cs":
+    for step, _, mark_kind, pid, data in trace.iter_events(tr.EV_MARK):
+        if mark_kind != "cs":
             continue
-        phase = ev.data["phase"]
-        assert phase != last.get(ev.pid), (
-            f"pid {ev.pid} repeated phase {phase!r} at step {ev.step}")
-        last[ev.pid] = phase
+        phase = data["phase"]
+        assert phase != last.get(pid), (
+            f"pid {pid} repeated phase {phase!r} at step {step}")
+        last[pid] = phase
 
 
 def test_diffusing_waves_complete_at_the_root():
     sc = build_scenario("diffusing")
     trace = run_scenario(sc)
-    done = [ev for ev in trace.iter_events(tr.EV_MARK)
-            if ev.mark_kind == "wave_done"]
+    done = [pid for _, _, mark_kind, pid, _ in trace.iter_events(tr.EV_MARK)
+            if mark_kind == "wave_done"]
     assert done, "no wave ever completed"
-    assert {ev.pid for ev in done} == {0}
+    assert set(done) == {0}
 
 
 def test_round_checker_reaches_verdicts():
@@ -194,8 +195,8 @@ def test_round_checker_reaches_verdicts():
     trace = run_scenario(sc)
     marks = list(trace.iter_events(tr.EV_MARK))
     assert marks, "no round ever finished"
-    assert {ev.mark_kind for ev in marks} <= {"round_complete",
-                                             "round_suspect"}
+    assert {mark_kind for _, _, mark_kind, _, _ in marks} <= {
+        "round_complete", "round_suspect"}
 
 
 def test_consensus_clean_run_agrees():
@@ -203,8 +204,9 @@ def test_consensus_clean_run_agrees():
     trace = run_scenario(sc)
     ok, detail = consensus.check_agreement(trace, 0)
     assert ok, detail
-    decided = {ev.pid: ev.data["val"] for ev in trace.iter_events(tr.EV_MARK)
-               if ev.mark_kind == "decide"}
+    decided = {pid: data["val"]
+               for _, _, mark_kind, pid, data in trace.iter_events(tr.EV_MARK)
+               if mark_kind == "decide"}
     assert len(decided) >= sc.n // 2 + 1
     assert len(set(decided.values())) == 1
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from regionbound import analysis, kernel, scenario
+from regionbound import trace as tr
 from regionbound.cli import EXIT_OK, main
 from regionbound.counters import bits_required, maxbound_of
 from regionbound.errors import ConfigError
@@ -260,7 +261,7 @@ def test_round_checker_skips_a_report_cell_whose_tag_is_no_pair(tag):
             {"when_kind": "region", "when": 18, "kind": "insert_dep",
              "target": "reports", "pid": 0, "value": 109, "tag": tag}]}))
     trace = kernel.run(sc.cfg, sc.seed)
-    assert [ev.applied for ev in trace.iter_events("fault")] == [True]
+    assert [applied for *_, applied in trace.iter_events("fault")] == [True]
     report = analysis.check(sc, trace)
     assert report.ok, report.lines()
 
@@ -274,11 +275,12 @@ def test_vector_clocks_gossips_its_own_counter_over_a_view_cell_naming_it():
     insert["tag"] = [1, 0]
     sc = scenario.parse(scenario_doc("vector_clocks", faults=faults))
     trace = kernel.run(sc.cfg, sc.seed)
+    events = list(map(tr.named, trace.events))
     assert any(ev.kind == "fault" and ev.fault_kind == "insert_dep"
-               and ev.applied for ev in trace.events)
+               and ev.applied for ev in events)
     own = {}  # step -> the residue pid 1's own counter was written to then
     sends = []
-    for ev in trace.events:
+    for ev in events:
         if ev.kind == "wfree" and ev.pid == 1 and ev.name == "own":
             own[ev.step] = ev.residue
         elif ev.kind == "send" and ev.src == 1:

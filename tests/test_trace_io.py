@@ -1,4 +1,5 @@
 """Trace files: the bytes written, the round trip, and line-exact refusals."""
+import gc
 import io
 import json
 from itertools import cycle
@@ -26,7 +27,8 @@ def reference_text(trace):
                           separators=(",", ":")) + "\n"
     out = [line("meta", trace.meta)]
     out += [line("row", dict(zip(ROW_KEYS, row))) for row in trace.rows]
-    out += [line("event", dict(zip(("step", "ev", *ev._fields[2:]), ev)))
+    out += [line("event", dict(zip(("step", "ev",
+                                    *tr.EVENTS[ev[1]]._fields[2:]), ev)))
             for ev in trace.events]
     out += [line("snapshot", {"step": step, "state": trace.snapshots[step]})
             for step in sorted(trace.snapshots)]
@@ -117,7 +119,7 @@ def synthetic(records):
              pick(INTS, s + 2), pick(DRAWS, s), pick(DRAWS, s + 1))
             for s in range(records)]
     kinds = list(tr.EVENTS)
-    events = [tr.EVENTS[kind](s, kind, **edge_fields(kind, s))
+    events = [tuple(tr.EVENTS[kind](s, kind, **edge_fields(kind, s)))
               for s, kind in zip(range(records), cycle(kinds))]
     return tr.Trace(meta={"n": 3, "name": "synthétic\n"}, rows=rows,
                     events=events, snapshots={0: {"label": "start"},
@@ -145,7 +147,7 @@ def test_write_only_sink_gets_the_reference_bytes(make):
 def test_payload_with_a_record_boundary_inside_still_matches():
     trace = synthetic(CHUNK + 5)
     assert any(ev.kind == "mark" and isinstance(ev.data, list)
-               for ev in trace.events)
+               for ev in map(tr.named, trace.events))
     assert written(trace) == reference_text(trace)
 
 
@@ -164,18 +166,48 @@ def test_save_and_load_round_trip(tmp_path):
     assert tr.load(path) == trace
 
 
+# the kinds whose fields hold only atomic values, or tuples of them
+ATOMIC_KINDS = (tr.EV_CLOCK, tr.EV_ARRIVE, tr.EV_CONSUME, tr.EV_WFREE,
+                tr.EV_SPEND, tr.EV_DROP, tr.EV_DREMOVE)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.split("/")[-1])
+def test_events_are_plain_tuples_the_cycle_collector_lets_go(path):
+    """Every event the kernel records and every event a trace file loads is
+    a plain tuple equal, field by field, to its kind's named form. The
+    cycle collector stops tracking an event of a kind holding only atomic
+    values, so it does not walk it again: at the first collection that sees
+    it, or for a clock event, whose clocks are tuples, at the next one."""
+    trace = kernel_trace(path)
+    loaded = tr.Trace.read_jsonl(io.StringIO(written(trace)))
+    gc.collect()  # lets go of the clocks' tuples, placed after their events
+    gc.collect()
+    for events in (trace.events, loaded.events):
+        assert all(type(ev) is tuple for ev in events)
+        for ev in events:
+            view = tr.named(ev)
+            assert [getattr(view, fld) for fld in view._fields] == list(ev)
+        atomic = [ev for ev in events if ev[1] in ATOMIC_KINDS]
+        assert {ev[1] for ev in atomic} >= {tr.EV_CLOCK, tr.EV_WFREE}
+        assert [ev for ev in atomic if gc.is_tracked(ev)] == []
+
+
 def test_rc_changes_load_back_as_rc_change_rows(tmp_path):
-    """Both sides hold an rc event's changes as declared RcChange rows, so
-    they are read by name, and a reloaded row equals the one written."""
+    """Both sides hold an rc event's changes as plain tuples of the fields
+    RcChange declares, in order, and a reloaded row equals the one
+    written."""
     trace = kernel_trace(SCENARIOS[1])
     path = str(tmp_path / "t.jsonl")
     tr.save(trace, path)
     written_rows, loaded_rows = (
-        [ch for ev in t.iter_events(tr.EV_RC) for ch in ev.changes]
+        [ch for _, _, _, _, changes in t.iter_events(tr.EV_RC)
+         for ch in changes]
         for t in (trace, tr.load(path)))
-    assert {ch.slot for ch in written_rows} == {"free", "dep"}
+    assert {tr.RcChange._make(ch).slot for ch in written_rows} == {"free",
+                                                                  "dep"}
     assert loaded_rows == written_rows
-    assert all(type(ch) is tr.RcChange for ch in written_rows + loaded_rows)
+    assert all(type(ch) is tuple and len(ch) == len(tr.RcChange._fields)
+               for ch in written_rows + loaded_rows)
 
 
 def lines_of(trace):
@@ -225,12 +257,12 @@ def test_a_malformed_line_deep_in_a_kernel_trace_names_its_line():
 
 def test_the_synthetic_trace_holds_every_kind_and_edge_value():
     trace = synthetic(2 * CHUNK + 3)
-    assert {ev.kind for ev in trace.events} == set(tr.EVENTS)
+    assert {ev[1] for ev in trace.events} == set(tr.EVENTS)
     assert {repr(row[5]) for row in trace.rows} == set(map(repr, DRAWS))
     for kind in tr.EVENTS:
         evs = list(trace.iter_events(kind))
         for fld, t in tr.EVENTS[kind].types.items():
-            vals = [getattr(ev, fld) for ev in evs]
+            vals = [getattr(tr.named(ev), fld) for ev in evs]
             if t == tr._OPT_INT or t is tr.OPT_PID:
                 assert None in vals, (kind, fld)
             elif t is tr._INTS:
@@ -266,15 +298,15 @@ def test_a_value_of_another_type_is_never_written_as_its_declared_type():
     cases = [(0, dict(zip(ROW_KEYS, base.rows[0])), fld, w)
              for fld, w in misplaced({"step": int, **tr._ROW_TYPES})]
     for s, ev in enumerate(base.events):
-        cases += [(s, ev, fld, w)
-                  for fld, w in misplaced({"step": int, **ev.types})]
+        cases += [(s, ev, fld, w) for fld, w in misplaced(
+            {"step": int, **tr.EVENTS[ev[1]].types})]
     assert len(cases) > 300
     for s, rec, fld, w in cases:
         trace = synthetic(len(tr.EVENTS))
         if isinstance(rec, dict):
             trace.rows[s] = tuple({**rec, fld: w}.values())
         else:
-            trace.events[s] = rec._replace(**{fld: w})
+            trace.events[s] = tuple(tr.named(rec)._replace(**{fld: w}))
         try:
             lines = lines_of(trace)
         except TypeError:

@@ -225,8 +225,9 @@ def test_shift_matches_the_window_formulas_at_every_residue(fam):
         changes = region_shift(got, region + step, frees, {"c": fam})
         assert changes == _reference_shift(want, region + step, frees,
                                            {"c": fam})
-        assert any(c.slot == "dep" for c in changes)
-        assert any(c.corrected for c in changes if c.slot == "free")
+        assert any(slot == "dep" for slot, *_ in changes)
+        assert any(corrected for slot, *_, corrected in changes
+                   if slot == "free")
         assert (got.region, got.free) == (want.region, want.free)
         assert ({cid: c.value for cid, c in got.colls["c"].items()}
                 == {cid: c.value for cid, c in want.colls["c"].items()})
